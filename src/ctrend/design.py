@@ -3,9 +3,10 @@
 Three row blocks over the compact parameter vector (boundary slots first,
 then included trend cells in scan order):
 
-* data rows: one per aggregated cell, encoding the cell mean as its
-  cohort's initial level, plus one unit coefficient per prior trend cell on
-  the cohort path, plus the within-cell year offset on the current cell;
+* data rows: one per aggregated cell, the cell's cohort-path operator row
+  (:func:`ctrend.grid.cohort_path_rows`) over compact columns: its cohort's
+  initial level, one unit coefficient per prior trend cell on the cohort
+  path, and the within-cell year offset on the current cell;
 * trend-curvature rows: second differences (1, -2, 1) over horizontal and
   vertical trend triples fully inside the domain;
 * level-curvature rows: second differences over consecutive boundary slots.
@@ -24,6 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from .domain import AnalysisDomain
+from .grid import CohortPathError, OutOfFrameError, check_paths, cohort_path_rows
 
 __all__ = [
     "DesignSystem",
@@ -44,10 +46,9 @@ class AssemblyError(ValueError):
 def data_rows(cells, domain: AnalysisDomain):
     """Build the data block and its target vector.
 
-    Row order follows cell scan order.  The coefficient on the current
-    trend cell is the within-cell offset of the mean exam date; it is kept
-    as a structural entry even when the offset is exactly zero, so the
-    sparsity pattern depends only on geometry.
+    Row order follows cell scan order.  Each row is the cell's cohort-path
+    operator row (:func:`~ctrend.grid.cohort_path_rows`, with the mean exam
+    date's within-cell offset) mapped to compact columns.
 
     Returns
     -------
@@ -55,46 +56,18 @@ def data_rows(cells, domain: AnalysisDomain):
     """
     frame = domain.frame
     ordered = sorted(cells, key=lambda s: s.cell)
-    rows, cols, vals = [], [], []
-    target = np.empty(len(ordered))
-    for row, stat in enumerate(ordered):
-        cell = stat.cell
-        if not domain.contains(cell):
-            raise AssemblyError(f"data cell ({cell.i}, {cell.j}) is outside the analysis domain")
-        slot = frame.cohort_slot(cell)
-        slot_col = domain.slot_index(slot)
-        if slot_col < 0:
-            raise AssemblyError(
-                f"cohort slot {slot} of data cell ({cell.i}, {cell.j}) is outside "
-                f"the estimated segment [{domain.first_slot}, {domain.last_slot}]"
-            )
-        rows.append(row)
-        cols.append(slot_col)
-        vals.append(1.0)
-        depth = min(cell.i, cell.j)
-        for m in range(depth, 0, -1):
-            prior = domain.trend_index_at(cell.i - m, cell.j - m)
-            if prior < 0:
-                raise AssemblyError(
-                    f"cohort path of data cell ({cell.i}, {cell.j}) leaves the domain "
-                    f"at trend cell ({cell.i - m}, {cell.j - m})"
-                )
-            rows.append(row)
-            cols.append(prior)
-            vals.append(1.0)
-        offset = stat.offset(frame)
-        if not 0.0 <= offset < 1.0:
-            raise AssemblyError(
-                f"cell ({cell.i}, {cell.j}) mean exam date offset {offset!r} outside [0, 1)"
-            )
-        rows.append(row)
-        cols.append(domain.trend_index(cell))
-        vals.append(offset)
-        target[row] = stat.x_mean
-    matrix = sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(len(ordered), domain.compact_size)
-    ).tocsr()
-    return matrix, target
+    ci, cj = np.array([(s.cell.i, s.cell.j) for s in ordered], dtype=np.int64).reshape(-1, 2).T
+    offsets = [s.offset(frame) for s in ordered]  # of the mean exam date
+    compact = domain.full_to_compact()
+    try:
+        rows = cohort_path_rows(frame, ci, cj, offsets)
+        check_paths(frame, rows, ci, cj, compact >= 0)
+    except (OutOfFrameError, CohortPathError) as err:
+        raise AssemblyError(str(err)) from None
+    matrix = sparse.csr_matrix(
+        (rows.data, compact[rows.indices], rows.indptr), shape=(len(ordered), domain.compact_size)
+    )
+    return matrix, np.array([s.x_mean for s in ordered], dtype=float)
 
 
 def trend_curvature_rows(domain: AnalysisDomain) -> sparse.csr_matrix:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import CellIndex, ObservationalFrame
+from .grid import CellIndex, ObservationalFrame, cohort_path_rows
 
 __all__ = ["AnalysisDomain", "build_domain", "DomainError"]
 
@@ -36,6 +36,7 @@ class AnalysisDomain:
     mask: np.ndarray
     first_slot: int
     last_slot: int
+    _compact: np.ndarray = field(init=False, repr=False, compare=False)
     _trend_compact: np.ndarray = field(init=False, repr=False, compare=False)
     _trend_cells: tuple = field(init=False, repr=False, compare=False)
 
@@ -55,11 +56,14 @@ class AnalysisDomain:
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
 
-        compact = np.full(mask.size, -1, dtype=np.int64)
-        order = np.flatnonzero(mask.ravel())
-        compact[order] = self.slot_count + np.arange(order.size)
+        inside = np.zeros(self.frame.param_count, dtype=bool)
+        inside[self.first_slot : self.last_slot + 1] = True
+        inside[self.frame.cohort_count :] = mask.ravel()
+        compact = np.where(inside, np.cumsum(inside) - 1, -1)
         compact.setflags(write=False)
-        object.__setattr__(self, "_trend_compact", compact)
+        object.__setattr__(self, "_compact", compact)
+        object.__setattr__(self, "_trend_compact", compact[self.frame.cohort_count :])
+        order = np.flatnonzero(mask.ravel())
         nj = self.frame.age_cells
         cells = tuple(CellIndex(int(f) // nj, int(f) % nj) for f in order)
         object.__setattr__(self, "_trend_cells", cells)
@@ -107,13 +111,13 @@ class AnalysisDomain:
             return slot - self.first_slot
         return -1
 
+    def full_to_compact(self) -> np.ndarray:
+        """Compact position of each full-vector component; -1 if it does not participate."""
+        return self._compact
+
     def compact_to_full(self) -> np.ndarray:
         """Full-vector position of each compact component."""
-        full = np.empty(self.compact_size, dtype=np.int64)
-        full[: self.slot_count] = np.arange(self.first_slot, self.last_slot + 1)
-        trend_full = np.flatnonzero(self._trend_compact >= 0)
-        full[self.slot_count :] = self.frame.cohort_count + trend_full
-        return full
+        return np.flatnonzero(self._compact >= 0)
 
     def scatter(self, compact: np.ndarray, fill=np.nan) -> np.ndarray:
         """Embed a compact vector into the full parameter vector.
@@ -203,11 +207,12 @@ def build_domain(cells, frame: ObservationalFrame, mode: int = 1) -> AnalysisDom
                 "domain mode 2 removed every cohort: no cohort carries two or more data cells"
             )
 
-    mask = np.zeros((frame.year_cells, frame.age_cells), dtype=bool)
-    for cell in data_cells:
-        depth = min(cell.i, cell.j)
-        for m in range(depth + 1):
-            mask[cell.i - m, cell.j - m] = True
+    # Each data cell pulls in its path: its operator row's trend columns, own cell included.
+    ci, cj = np.array([(c.i, c.j) for c in data_cells]).T
+    trend_cols = cohort_path_rows(frame, ci, cj, np.zeros(ci.size)).indices - frame.cohort_count
+    mask = np.zeros(frame.trend_size, dtype=bool)
+    mask[trend_cols[trend_cols >= 0]] = True
+    mask = mask.reshape(frame.year_cells, frame.age_cells)
 
     while _fill_runs(mask):
         pass

@@ -10,6 +10,12 @@ constant and the mean level is linear in ``y`` with slope ``u(i, j)``.
 All indices in this package are *relative*: cell ``(0, 0)`` is the cell
 containing the frame's lower-left corner.  Conversion back to calendar
 years and ages happens only when writing outputs.
+
+The level in a cell is its cohort's initial level plus the trends of the
+earlier cells on its diagonal; an observation adds its within-cell year
+offset times the cell's own trend.  :func:`cohort_path_rows` writes this
+rule once, as sparse rows over the parameter vector; every level,
+prediction, data row and domain path in the package comes from them.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "CellIndex",
@@ -25,7 +32,8 @@ __all__ = [
     "ModelVector",
     "OutOfFrameError",
     "CohortPathError",
-    "cohort_slot",
+    "cohort_path_rows",
+    "check_paths",
     "forward_levels",
     "predict_observation",
 ]
@@ -221,23 +229,65 @@ class ModelVector:
         return cls(frame, vec[:nb], vec[nb:].reshape(frame.year_cells, frame.age_cells))
 
 
-def cohort_slot(frame: ObservationalFrame, cell: CellIndex) -> int:
-    return frame.cohort_slot(cell)
+def cohort_path_rows(frame: ObservationalFrame, ci, cj, offsets=None) -> sparse.csr_matrix:
+    """The cohort-path operator: rows mapping ``ModelVector.flat()`` to cells.
+
+    Row ``k`` evaluates the level at level-grid cell ``(ci[k], cj[k])``: a
+    one on the cohort's boundary slot plus a one on each earlier trend cell
+    of its diagonal.  With ``offsets``, the row instead evaluates a point
+    ``offsets[k]`` years into trend cell ``(ci[k], cj[k])``, carrying that
+    offset on the cell's own trend column (stored even when zero, so the
+    sparsity pattern depends only on geometry).  Columns are sorted within
+    each row, so a product sums the initial level and then the trends in
+    diagonal order.  A cell off its grid, or an offset outside [0, 1),
+    raises :class:`OutOfFrameError`.
+    """
+    ci = np.asarray(ci, dtype=np.int64)
+    cj = np.asarray(cj, dtype=np.int64)
+    extra = 1 if offsets is None else 0  # the level grid has one more row and column
+    bad = (ci < 0) | (cj < 0) | (ci >= frame.year_cells + extra) | (cj >= frame.age_cells + extra)
+    if offsets is not None:
+        offsets = np.asarray(offsets, dtype=float)
+        bad |= ~((offsets >= 0.0) & (offsets < 1.0))
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        where = "level cell" if extra else f"offset {float(offsets[k])!r} into trend cell"
+        raise OutOfFrameError(f"{where} ({ci[k]}, {cj[k]}) is off the grid")
+    depth = np.minimum(ci, cj)
+    lengths = depth + (1 if offsets is None else 2)
+    indptr = np.zeros(ci.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    row = np.repeat(np.arange(ci.size), lengths)
+    # Entry k of a row is the trend cell m = depth + 1 - k steps back along
+    # the diagonal; k = 0 is overwritten by the slot, m = 0 is the own cell.
+    steps = depth[row] + 1 - (np.arange(indptr[-1]) - indptr[row])
+    nj = frame.age_cells
+    indices = frame.cohort_count + (ci * nj + cj)[row] - steps * (nj + 1)
+    indices[indptr[:-1]] = frame.year_cells - ci + cj
+    data = np.ones(indptr[-1])
+    if offsets is not None:
+        data[indptr[1:] - 1] = offsets
+    return sparse.csr_matrix((data, indices, indptr), shape=(ci.size, frame.param_count))
 
 
-def _check_path(mask: np.ndarray, i: int, j: int) -> None:
-    """Verify that every trend cell on the cohort path into (i, j) is included."""
-    depth = min(i, j)
-    for m in range(1, depth + 1):
-        if not mask[i - m, j - m]:
-            raise CohortPathError(
-                f"cohort path for cell ({i}, {j}) leaves the analysis domain "
-                f"at trend cell ({i - m}, {j - m})"
-            )
+def check_paths(frame: ObservationalFrame, rows: sparse.csr_matrix, ci, cj, inside) -> None:
+    """Raise :class:`CohortPathError` if a row of :func:`cohort_path_rows`
+    uses a component that ``inside`` (a boolean mask over the full parameter
+    vector) excludes, naming the first such cell and the component."""
+    bad = np.flatnonzero(~np.asarray(inside)[rows.indices])
+    if bad.size == 0:
+        return
+    k = int(np.searchsorted(rows.indptr, bad[0], side="right")) - 1
+    col = int(rows.indices[bad[0]])
+    i, j = divmod(col - frame.cohort_count, frame.age_cells)
+    where = f"cohort slot {col}" if col < frame.cohort_count else f"trend cell ({i}, {j})"
+    raise CohortPathError(
+        f"cohort path of cell ({ci[k]}, {cj[k]}) leaves the analysis domain at {where}"
+    )
 
 
 def forward_levels(model: ModelVector, domain=None, cells=None) -> np.ndarray:
-    """Evaluate mean levels on the level grid by accumulating trends.
+    """Evaluate mean levels on the level grid with the cohort-path operator.
 
     Along each cohort diagonal the level satisfies
     ``v(i+1, j+1) = v(i, j) + u(i, j)`` exactly, starting from the cohort's
@@ -253,7 +303,7 @@ def forward_levels(model: ModelVector, domain=None, cells=None) -> np.ndarray:
     cells : iterable of (i, j), optional
         Explicit level-grid cells to evaluate.  A requested cell with a
         broken path raises :class:`CohortPathError` naming the first missing
-        trend cell.
+        component.
 
     Returns
     -------
@@ -262,70 +312,38 @@ def forward_levels(model: ModelVector, domain=None, cells=None) -> np.ndarray:
         NaN.
     """
     frame = model.frame
-    ni, nj = frame.year_cells + 1, frame.age_cells + 1
-    if domain is None:
-        trend_mask = np.ones((frame.year_cells, frame.age_cells), dtype=bool)
-        slot_ok = np.ones(frame.cohort_count, dtype=bool)
+    shape = (frame.year_cells + 1, frame.age_cells + 1)
+    if cells is None:
+        ci, cj = (axis.ravel() for axis in np.indices(shape))
     else:
-        trend_mask = domain.mask
-        slot_ok = np.zeros(frame.cohort_count, dtype=bool)
-        slot_ok[domain.first_slot : domain.last_slot + 1] = True
-
-    levels = np.full((ni, nj), np.nan)
-    if cells is not None:
         wanted = [(c.i, c.j) if isinstance(c, CellIndex) else (int(c[0]), int(c[1])) for c in cells]
-        for i, j in wanted:
-            if not (0 <= i < ni and 0 <= j < nj):
-                raise ValueError(f"level cell ({i}, {j}) outside the level grid")
-            slot = frame.year_cells - i + j
-            if not slot_ok[slot]:
-                raise CohortPathError(f"cohort slot {slot} for cell ({i}, {j}) is not estimated")
-            _check_path(trend_mask, i, j)
-            total = model.initial_levels[slot]
-            for m in range(min(i, j), 0, -1):
-                total += model.trends[i - m, j - m]
-            levels[i, j] = total
-        return levels
-
-    # Whole grid: walk each cohort diagonal once, stopping at the first gap.
-    for slot in range(frame.cohort_count):
-        if not slot_ok[slot]:
-            continue
-        start = frame.slot_origin(slot)
-        total = model.initial_levels[slot]
-        i, j = start.i, start.j
-        while i < ni and j < nj:
-            levels[i, j] = total
-            if i < frame.year_cells and j < frame.age_cells:
-                if not trend_mask[i, j]:
-                    break
-                total += model.trends[i, j]
-            i += 1
-            j += 1
+        ci, cj = np.array(wanted, dtype=np.int64).reshape(-1, 2).T
+    rows = cohort_path_rows(frame, ci, cj)
+    params = model.flat()
+    if domain is not None:
+        inside = domain.full_to_compact() >= 0
+        if cells is not None:
+            check_paths(frame, rows, ci, cj, inside)
+        params[~inside] = np.nan  # a broken path then sums to NaN
+    levels = np.full(shape, np.nan)
+    levels[ci, cj] = rows @ params
     return levels
 
 
-def predict_observation(model: ModelVector, y: float, a: float, domain=None) -> float:
-    """Model prediction for one observation at ``(y, a)``.
+def predict_observation(model: ModelVector, y, a, domain=None):
+    """Model prediction for observations at ``(y, a)``.
 
     Equals the cell's level plus the within-cell year offset times the
-    cell's trend; constant in age within the cell.
+    cell's trend; constant in age within the cell.  Scalar ``y`` and ``a``
+    give a float; equal-length arrays give an array from one product.
     """
     frame = model.frame
-    cell = frame.cell_of(y, a)
-    if cell.i >= frame.year_cells or cell.j >= frame.age_cells:
-        raise OutOfFrameError(
-            f"point ({y!r}, {a!r}) maps to cell ({cell.i}, {cell.j}) outside the trend grid"
-        )
-    if domain is not None and not domain.mask[cell.i, cell.j]:
-        raise CohortPathError(f"trend cell ({cell.i}, {cell.j}) is not in the analysis domain")
-    mask = domain.mask if domain is not None else np.ones(
-        (frame.year_cells, frame.age_cells), dtype=bool
-    )
-    _check_path(mask, cell.i, cell.j)
-    slot = frame.cohort_slot(cell)
-    level = float(model.initial_levels[slot])
-    for m in range(min(cell.i, cell.j), 0, -1):
-        level += float(model.trends[cell.i - m, cell.j - m])
-    offset = y - (frame.year_base + cell.i)
-    return level + offset * float(model.trends[cell.i, cell.j])
+    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    ages = np.atleast_1d(np.asarray(a, dtype=float))
+    cells = [frame.cell_of(*point) for point in zip(ys.tolist(), ages.tolist(), strict=True)]
+    ci, cj = np.array([(c.i, c.j) for c in cells], dtype=np.int64).reshape(-1, 2).T
+    rows = cohort_path_rows(frame, ci, cj, ys - (frame.year_base + ci))
+    if domain is not None:
+        check_paths(frame, rows, ci, cj, domain.full_to_compact() >= 0)
+    values = rows @ model.flat()
+    return float(values[0]) if np.ndim(y) == 0 else values

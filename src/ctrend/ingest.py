@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import csv
 import datetime
+import hashlib
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -97,6 +99,7 @@ class IngestResult:
     n_out_of_frame: int = 0
     cell_min_count: int = DEFAULT_CELL_MIN_COUNT
     source: str = ""
+    sha256: str = ""  # hex SHA-256 of the parsed file's bytes; empty for in-memory records
 
     @property
     def n_input(self) -> int:
@@ -234,42 +237,46 @@ def load_survey_file(path: str) -> tuple[list[SurveyRecord], list[FlaggedRow]]:
     (nothing is silently dropped).
     """
     with open(path, newline="") as fh:
-        sample = fh.read(4096)
-        fh.seek(0)
+        return _read_survey(fh, path)
+
+
+def _read_survey(fh, path: str) -> tuple[list[SurveyRecord], list[FlaggedRow]]:
+    sample = fh.read(4096)
+    fh.seek(0)
+    try:
+        dialect = csv.Sniffer().sniff(sample, delimiters=_DIALECT_DELIMS)
+    except csv.Error:
+        dialect = csv.excel
+    reader = csv.DictReader(fh, dialect=dialect)
+    if reader.fieldnames is None:
+        raise ValueError(f"{path}: empty file, no header row")
+    columns = {name.strip().lower(): name for name in reader.fieldnames}
+    if "survey" not in columns and "survey_id" not in columns:
+        raise ValueError(f"{path}: missing required column 'survey'")
+    if "exam_date" not in columns:
+        raise ValueError(f"{path}: missing required column 'exam_date'")
+    if "age" not in columns and "birth_year" not in columns:
+        raise ValueError(f"{path}: need an 'age' or 'birth_year' column")
+
+    def get(row, *names):
+        for name in names:
+            src = columns.get(name)
+            if src is not None and row.get(src) not in (None, ""):
+                return row[src]
+        return None
+
+    records: list[SurveyRecord] = []
+    flagged: list[FlaggedRow] = []
+    for lineno, row in enumerate(reader, start=1):
+        survey = (get(row, "survey", "survey_id") or "").strip()
         try:
-            dialect = csv.Sniffer().sniff(sample, delimiters=_DIALECT_DELIMS)
-        except csv.Error:
-            dialect = csv.excel
-        reader = csv.DictReader(fh, dialect=dialect)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty file, no header row")
-        columns = {name.strip().lower(): name for name in reader.fieldnames}
-        if "survey" not in columns and "survey_id" not in columns:
-            raise ValueError(f"{path}: missing required column 'survey'")
-        if "exam_date" not in columns:
-            raise ValueError(f"{path}: missing required column 'exam_date'")
-        if "age" not in columns and "birth_year" not in columns:
-            raise ValueError(f"{path}: need an 'age' or 'birth_year' column")
-
-        def get(row, *names):
-            for name in names:
-                src = columns.get(name)
-                if src is not None and row.get(src) not in (None, ""):
-                    return row[src]
-            return None
-
-        records: list[SurveyRecord] = []
-        flagged: list[FlaggedRow] = []
-        for lineno, row in enumerate(reader, start=1):
-            survey = (get(row, "survey", "survey_id") or "").strip()
-            try:
-                rec = _parse_row(row, lineno, survey, get)
-            except _RowProblem as problem:
-                flagged.append(
-                    FlaggedRow(lineno, survey, problem.reason, problem.missing_value)
-                )
-                continue
-            records.append(rec)
+            rec = _parse_row(row, lineno, survey, get)
+        except _RowProblem as problem:
+            flagged.append(
+                FlaggedRow(lineno, survey, problem.reason, problem.missing_value)
+            )
+            continue
+        records.append(rec)
     return records, flagged
 
 
@@ -433,11 +440,16 @@ def ingest_file(
     frame: ObservationalFrame | None = None,
     cell_min_count: int = DEFAULT_CELL_MIN_COUNT,
 ) -> IngestResult:
-    records, flagged = load_survey_file(path)
-    return ingest_records(
+    """Ingest one survey file, recording the SHA-256 of the bytes parsed."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    records, flagged = _read_survey(io.TextIOWrapper(io.BytesIO(raw), newline=""), path)
+    result = ingest_records(
         records,
         flagged,
         frame=frame,
         cell_min_count=cell_min_count,
         source=os.path.basename(path),
     )
+    result.sha256 = hashlib.sha256(raw).hexdigest()
+    return result

@@ -80,6 +80,7 @@ class FitRun:
     clusters: object
     track_slot: int
     ingest_report: dict | None = None
+    input_sha256: str = ""  # SHA-256 of the fitted file's bytes (IngestResult.sha256)
 
     @property
     def solution(self):
@@ -128,6 +129,7 @@ def run_fit(ingest_result: IngestResult, options: FitOptions | None = None) -> F
         clusters=clusters,
         track_slot=_pick_track_slot(domain, options.cohort_birth_year),
         ingest_report=ingest_result.report(),
+        input_sha256=ingest_result.sha256,
     )
 
 
@@ -155,6 +157,7 @@ def build_manifest(run: FitRun, inputs: list, extra: dict | None = None) -> dict
     frame = run.solution.frame
     core = {
         "inputs": list(inputs),
+        "input_sha256": run.input_sha256,
         "config": run.options.as_dict(),
         "version": __version__,
     }

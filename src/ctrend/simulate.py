@@ -139,8 +139,8 @@ def simulate(scenario: Scenario) -> list:
     output.  With ``noise_sd == 0`` every record's value equals the model
     prediction exactly.
     """
-    model = scenario.model()
     records: list[SurveyRecord] = []
+    noise: list[float] = []
     for plan in scenario.surveys:
         lo, hi = plan.window
         for age in range(plan.age_min, plan.age_max + 1):
@@ -150,23 +150,26 @@ def simulate(scenario: Scenario) -> list:
             heights = np.clip(
                 rng.normal(scenario.mean_height, scenario.height_sd, n), 1.40, 2.20
             )
-            noise = rng.normal(0.0, scenario.noise_sd, n) if scenario.noise_sd > 0 else np.zeros(n)
+            noise.extend(
+                rng.normal(0.0, scenario.noise_sd, n) if scenario.noise_sd > 0 else np.zeros(n)
+            )
             for s in range(n):
-                exam = float(offsets[s])
-                value = float(predict_observation(model, exam, float(age)) + noise[s])
-                h = float(heights[s])
                 records.append(
                     SurveyRecord(
                         subject_id=f"{plan.year}-{age:03d}-{s:04d}",
                         survey_id=f"S{plan.year}",
-                        exam_date=exam,
+                        exam_date=float(offsets[s]),
                         age=float(age),
-                        weight=value * h * h,
-                        height=h,
-                        bmi=value,
+                        height=float(heights[s]),
                         sex="m",
                     )
                 )
+    exact = predict_observation(
+        scenario.model(), [r.exam_date for r in records], [r.age for r in records]
+    )
+    for rec, value in zip(records, (exact + np.array(noise)).tolist()):
+        rec.bmi = value
+        rec.weight = value * rec.height * rec.height
     return records
 
 

@@ -34,7 +34,6 @@ __all__ = [
 SINGULAR_CONDITION = 1e14
 ILL_CONDITION = 1e12
 EXACT_CONDITION_MAX_SIZE = 256
-DENSE_CUTOFF = 2000
 
 IDENTIFIABILITY_HINT = (
     "the stacked system is singular: the data do not identify the model. "
@@ -136,15 +135,6 @@ class Solution:
         """Forward-evaluated mean levels wherever the cohort path is covered."""
         return forward_levels(self.model(), domain=self.domain)
 
-    def full_cov(self) -> np.ndarray:
-        """Full-scale covariance; entries are non-missing only when both
-        components participate."""
-        p = self.frame.param_count
-        out = np.full((p, p), np.nan)
-        idx = self.domain.compact_to_full()
-        out[np.ix_(idx, idx)] = self.cov
-        return out
-
     def full_corr(self) -> np.ndarray:
         sd = self.standard_errors()
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -172,19 +162,13 @@ def _condition_from_cholesky(chol_diag: np.ndarray) -> float:
     return (hi / lo) ** 2
 
 
-def solve(
-    system: DesignSystem,
-    trend_weight: float,
-    level_weight: float,
-    dense_cutoff: int = DENSE_CUTOFF,
-) -> Solution:
+def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Solution:
     """Minimize the stacked weighted objective and attach inference outputs.
 
-    Uses the normal equations with a symmetric (Cholesky) factorization;
-    the estimate gets two steps of iterative refinement.  Dense
-    factorization up to ``dense_cutoff`` parameters, sparse assembly with a
-    dense factorization of the normal matrix above (the covariance is
-    needed by the iteration loop, so it cannot be skipped).
+    Assembles the weighted normal matrix from the sparse stacked system and
+    factors it densely (Cholesky); the estimate gets two steps of iterative
+    refinement.  The full inverse of the normal matrix gives the covariance,
+    which the iteration loop needs at every size.
 
     Raises
     ------

@@ -67,7 +67,7 @@ class TestDataRows:
             assert unit_part == pytest.approx(1 + depth, abs=1e-12)
 
     def test_rows_reproduce_forward_prediction(self):
-        frame, domain = full_domain(4, 5)
+        frame, full = full_domain(4, 5)
         rng = np.random.default_rng(3)
         # keep the last year row empty: data there would need offset 0
         cells = [
@@ -75,16 +75,21 @@ class TestDataRows:
             for i in range(frame.year_cells - 1)
             for j in range(frame.age_cells)
         ]
-        matrix, _ = data_rows(cells, domain)
-        ordered = sorted(cells, key=lambda s: s.cell)
-        for _ in range(100):
-            z_full = rng.normal(size=frame.param_count)
-            model = ModelVector.from_flat(frame, z_full)
-            z_compact = domain.gather(z_full)
-            predicted = matrix @ z_compact
-            for k, stat in enumerate(ordered):
-                direct = predict_observation(model, stat.y_mean, stat.a_mean)
-                assert predicted[k] == pytest.approx(direct, rel=1e-12, abs=1e-12)
+        # second input: three cells whose domain has holes beside their paths
+        picked = [c for c in cells if (c.cell.i, c.cell.j) in {(1, 4), (3, 2), (3, 5)}]
+        gappy = build_domain(picked, frame)
+        assert not gappy.mask[:-1].all()
+        for domain, data in ((full, cells), (gappy, picked)):
+            matrix, _ = data_rows(data, domain)
+            ordered = sorted(data, key=lambda s: s.cell)
+            for _ in range(100):
+                z_full = rng.normal(size=frame.param_count)
+                model = ModelVector.from_flat(frame, z_full)
+                z_compact = domain.gather(z_full)
+                predicted = matrix @ z_compact
+                for k, stat in enumerate(ordered):
+                    direct = predict_observation(model, stat.y_mean, stat.a_mean, domain=domain)
+                    assert predicted[k] == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
     def test_cell_outside_domain_rejected(self, simple_domain):
         domain, frame = simple_domain

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import make_cell
+from ctrend.domain import DomainError, build_domain
 from ctrend.grid import (
     CellIndex,
     CohortPathError,
@@ -202,6 +204,60 @@ class TestForwardLevels:
         for slot in range(frame.cohort_count):
             origin = frame.slot_origin(slot)
             assert levels[origin.i, origin.j] == model.initial_levels[slot]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bounds=st.one_of(
+            st.tuples(st.integers(0, 3), st.integers(1, 5), st.integers(0, 3), st.integers(1, 5)),
+            st.tuples(
+                st.floats(0.0, 3.0), st.floats(1.0, 5.0), st.floats(0.0, 3.0), st.floats(1.0, 5.0)
+            ),
+        ),
+        mode=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_gappy_domain_levels_match_reference_walk(self, bounds, mode, seed, data):
+        y0, y_span, a0, a_span = bounds
+        frame = ObservationalFrame(float(y0), float(y0 + y_span), float(a0), float(a0 + a_span))
+        picks = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, frame.year_cells - 1), st.integers(0, frame.age_cells - 1)
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        try:
+            domain = build_domain([make_cell(frame, i, j, 25.0) for i, j in picks], frame, mode)
+        except DomainError:
+            assume(False)
+        rng = np.random.default_rng(seed)
+        model = ModelVector(
+            frame,
+            rng.normal(25, 2, frame.cohort_count),
+            rng.normal(0, 0.5, (frame.year_cells, frame.age_cells)),
+        )
+        levels = forward_levels(model, domain)
+
+        finite = []
+        for i in range(frame.year_cells + 1):
+            for j in range(frame.age_cells + 1):
+                slot = frame.year_cells - i + j
+                covered = domain.first_slot <= slot <= domain.last_slot and all(
+                    domain.mask[i - m, j - m] for m in range(1, min(i, j) + 1)
+                )
+                assert np.isfinite(levels[i, j]) == covered, (i, j)
+                if covered:
+                    finite.append((i, j))
+                else:
+                    with pytest.raises(CohortPathError):
+                        forward_levels(model, domain, cells=[(i, j)])
+        assert finite
+        by_cell = forward_levels(model, domain, cells=finite)
+        for i, j in finite:
+            assert by_cell[i, j] == levels[i, j]
 
     def test_broken_path_names_first_missing_cell(self, simple_domain):
         domain, frame = simple_domain

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ctrend.ingest import ingest_records
+from ctrend.ingest import ingest_file, ingest_records
 from ctrend.pipeline import FitOptions, build_manifest, run_fit
 from ctrend.report import (
     atomic_write_text,
@@ -18,7 +18,7 @@ from ctrend.report import (
     render_bundle_svgs,
     write_fit_bundle,
 )
-from ctrend.simulate import linear_trend_scenario, simulate
+from ctrend.simulate import linear_trend_scenario, simulate, write_records
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +171,16 @@ class TestDeterminism:
             paths.append(outdir)
         for name in ("trends.csv", "levels.csv", "observed.csv", "trace.csv"):
             assert (paths[0] / name).read_bytes() == (paths[1] / name).read_bytes()
+
+    def test_digest_identifies_file_contents(self, tmp_path):
+        path = tmp_path / "survey.csv"
+        options = FitOptions(trend_target=0.85, cell_min_count=0, age_window=3, year_window=3)
+
+        def digest_of(seed):
+            write_records(simulate(linear_trend_scenario(seed=seed, noise_sd=1.0)), str(path))
+            run = run_fit(ingest_file(str(path), cell_min_count=0), options)
+            return build_manifest(run, [str(path)])["digest"]
+
+        first = digest_of(31)
+        assert digest_of(32) != first  # different data, same path
+        assert digest_of(31) == first  # same bytes again
