@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 from . import __version__
 from .domain import DomainError
@@ -68,7 +69,7 @@ def _parser() -> argparse.ArgumentParser:
     fit.add_argument("--domain-mode", type=int, choices=(1, 2), default=None, help="1: all cohort segments; 2: cohorts with 2+ data cells (default 1)")
     fit.add_argument("--age-window", type=int, default=None, help="cluster width in ages (default 5)")
     fit.add_argument("--year-window", type=int, default=None, help="cluster width in years (default 5)")
-    fit.add_argument("--cohort", type=int, default=None, help="birth year for the cohort-track figure (default: best-covered cohort)")
+    fit.add_argument("--cohort", dest="cohort_birth_year", metavar="COHORT", type=int, default=None, help="birth year for the cohort-track figure (default: best-covered cohort)")
     fit.add_argument("--weight-by-count", action="store_true", default=None, help="weight data rows by cell record counts")
     fit.add_argument("--literal-level-denominator", action="store_true", default=None, help="use the slot count instead of the link count in the level smoothness mean")
     fit.add_argument(
@@ -105,34 +106,23 @@ def _load_config(path: str | None) -> dict:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = set(config) - set(FitOptions().as_dict())
+    unknown = set(config) - {f.name for f in fields(FitOptions)}
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
     return config
 
 
 def _fit_options(args) -> FitOptions:
-    values = FitOptions().as_dict()
+    values = asdict(FitOptions())
     values.update(_load_config(args.config))
-    overrides = {
-        "trend_target": args.trend_target,
-        "level_target": args.level_target,
-        "trend_accuracy": args.trend_accuracy,
-        "level_accuracy": args.level_accuracy,
-        "trend_weight_init": args.trend_weight_init,
-        "level_weight_init": args.level_weight_init,
-        "max_iter": args.max_iter,
-        "damping": args.damping,
-        "cell_min_count": args.cell_min_count,
-        "domain_mode": args.domain_mode,
-        "age_window": args.age_window,
-        "year_window": args.year_window,
-        "cohort_birth_year": args.cohort,
-        "weight_by_count": args.weight_by_count,
-        "literal_level_denominator": args.literal_level_denominator,
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    values.update({k: getattr(args, k) for k in values if getattr(args, k) is not None})
     return FitOptions(**values)
+
+
+def _r2_text(r2) -> str:
+    """Summary text for R^2, which :func:`~ctrend.solve.r_squared` leaves
+    undefined (None) for fewer than two cells or targets with no variance."""
+    return "R^2 undefined" if r2 is None else f"R^2 = {r2:.4f}"
 
 
 def _parse_pairs(specs):
@@ -172,7 +162,7 @@ def cmd_fit(args) -> int:
                 written += write_fit_bundle(subdir, fit, manifest)
                 status = "converged" if fit.iteration.converged else fit.iteration.reason
                 print(f"R({pair[0]:g}, {pair[1]:g}): {status} in {fit.iteration.iterations} "
-                      f"iteration(s), R^2 = {fit.solution.r2:.4f} -> {subdir}")
+                      f"iteration(s), {_r2_text(fit.solution.r2)} -> {subdir}")
             written += write_comparison_sheet(outdir, runs, manifest_digest({"runs": digests}))
             if not all(fit.iteration.converged for fit in runs.values()):
                 return EXIT_NO_CONVERGENCE
@@ -184,7 +174,7 @@ def cmd_fit(args) -> int:
         status = "converged" if fit.iteration.converged else fit.iteration.reason
         print(
             f"{status} in {fit.iteration.iterations} iteration(s); "
-            f"R^2 = {fit.solution.r2:.4f}, weights = ({fit.solution.trend_weight:.4g}, "
+            f"{_r2_text(fit.solution.r2)}, weights = ({fit.solution.trend_weight:.4g}, "
             f"{fit.solution.level_weight:.4g}); outputs in {outdir}"
         )
         if not fit.iteration.converged:

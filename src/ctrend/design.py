@@ -70,37 +70,23 @@ def data_rows(cells, domain: AnalysisDomain):
     return matrix, np.array([s.x_mean for s in ordered], dtype=float)
 
 
+def _second_differences(triples: np.ndarray, columns: int) -> sparse.csr_matrix:
+    """One (1, -2, 1) row per triple of compact columns."""
+    n = len(triples)
+    return sparse.csr_matrix(
+        (np.tile([1.0, -2.0, 1.0], n), triples.ravel(), np.arange(0, 3 * n + 1, 3)),
+        shape=(n, columns),
+    )
+
+
 def trend_curvature_rows(domain: AnalysisDomain) -> sparse.csr_matrix:
     """Second-difference rows over trend triples.
 
-    Horizontal triples come first (row-major scan), then vertical; a row is
-    emitted only when all three cells belong to the domain.  Empty matrices
-    are legitimate for tiny domains.
+    One row per triple of :meth:`AnalysisDomain.runs`: the triples along
+    rows first, then those along columns, each in row-major order.  Empty
+    matrices are legitimate for tiny domains.
     """
-    mask = domain.mask
-    ni, nj = mask.shape
-    rows, cols, vals = [], [], []
-    row = 0
-
-    def emit(cells):
-        nonlocal row
-        for coeff, (i, j) in zip((1.0, -2.0, 1.0), cells):
-            rows.append(row)
-            cols.append(domain.trend_index_at(i, j))
-            vals.append(coeff)
-        row += 1
-
-    for i in range(ni):
-        for j in range(1, nj - 1):
-            if mask[i, j - 1] and mask[i, j] and mask[i, j + 1]:
-                emit([(i, j - 1), (i, j), (i, j + 1)])
-    for i in range(1, ni - 1):
-        for j in range(nj):
-            if mask[i - 1, j] and mask[i, j] and mask[i + 1, j]:
-                emit([(i - 1, j), (i, j), (i + 1, j)])
-    return sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(row, domain.compact_size)
-    ).tocsr()
+    return _second_differences(np.concatenate(domain.runs(3)), domain.compact_size)
 
 
 def level_curvature_rows(domain: AnalysisDomain) -> sparse.csr_matrix:
@@ -115,14 +101,7 @@ def level_curvature_rows(domain: AnalysisDomain) -> sparse.csr_matrix:
             f"boundary-level segment has only {n} slot(s); no curvature rows emitted",
             stacklevel=2,
         )
-    rows, cols, vals = [], [], []
-    for row, k in enumerate(range(1, n - 1)):
-        rows.extend((row, row, row))
-        cols.extend((k - 1, k, k + 1))
-        vals.extend((1.0, -2.0, 1.0))
-    return sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(max(n - 2, 0), domain.compact_size)
-    ).tocsr()
+    return _second_differences(domain.slot_runs(3), domain.compact_size)
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import CellIndex, ObservationalFrame, cohort_path_rows
 
@@ -104,6 +105,31 @@ class AnalysisDomain:
 
     def trend_index_at(self, i: int, j: int) -> int:
         return int(self._trend_compact[i * self.frame.age_cells + j])
+
+    def runs(self, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """Compact indices of every ``length`` consecutive included trend cells.
+
+        Returns ``(along_rows, along_columns)``, each of shape ``(n, length)``:
+        runs that step to the next age within a year row, and runs that step
+        to the next year within an age column.  Both are ordered row-major by
+        their first cell.  This is the neighbour structure of the domain: the
+        curvature penalties take its triples and the adjacent-estimate
+        correlations its pairs.
+        """
+        # Pad with excluded cells so that runs leaving the grid drop out like gaps.
+        grid = np.pad(
+            self._trend_compact.reshape(self.mask.shape), (0, length - 1), constant_values=-1
+        )
+
+        def complete(axis):
+            windows = sliding_window_view(grid, length, axis=axis)
+            return windows[(windows >= 0).all(axis=-1)]
+
+        return complete(1), complete(0)
+
+    def slot_runs(self, length: int) -> np.ndarray:
+        """Compact indices of every ``length`` consecutive estimated boundary slots."""
+        return np.arange(self.slot_count - length + 1)[:, None] + np.arange(length)
 
     def slot_index(self, slot: int) -> int:
         """Compact index of a boundary slot, or -1 when outside the segment."""

@@ -67,14 +67,18 @@ class ObservationalFrame:
     Parameters
     ----------
     y_min, y_max : float
-        Calendar-time bounds in years, ``y_min < y_max``; the frame holds
-        the years ``[y_min, y_max)``.
+        Calendar-time bounds in whole years, ``y_min < y_max``; the frame
+        holds the years ``[y_min, y_max)``.
     a_min, a_max : float
-        Age bounds in years, ``a_min < a_max``; the frame holds the ages
-        ``[a_min, a_max]``.
+        Age bounds in whole years, ``a_min < a_max``; the frame holds the
+        ages ``[a_min, a_max]``.
 
     Notes
     -----
+    Bounds must be whole numbers.  The cells are unit parallelograms on the
+    integer lattice, so a fractional bound cuts through cells: the cell grid
+    then disagrees with :meth:`contains`, and an in-frame point can land
+    off the grid or the grid can have no age column at all.
     The upper year bound is open so that every trend row can hold data: a
     row ``[y_max, y_max + 1)`` could only ever receive the single instant
     ``y == y_max``.  The trend grid has ``year_cells x age_cells`` unit
@@ -92,6 +96,10 @@ class ObservationalFrame:
     a_max: float
 
     def __post_init__(self):
+        for name in ("y_min", "y_max", "a_min", "a_max"):
+            value = getattr(self, name)
+            if not float(value).is_integer():
+                raise ValueError(f"frame bound {name} = {value!r} is not a whole number")
         if not (self.y_min < self.y_max):
             raise ValueError(f"need y_min < y_max, got [{self.y_min}, {self.y_max}]")
         if not (self.a_min < self.a_max):
@@ -102,24 +110,23 @@ class ObservationalFrame:
     @property
     def year_base(self) -> int:
         """Absolute year index of relative cell row 0."""
-        return math.floor(self.y_min)
+        return int(self.y_min)
 
     @property
     def age_base(self) -> int:
         """Absolute age index of relative cell column 0."""
-        return math.ceil(self.a_min - (self.y_min - self.year_base))
+        return int(self.a_min)
 
     @property
     def year_cells(self) -> int:
         """Number of unit year rows in the trend grid: the calendar years
         that meet ``[y_min, y_max)``."""
-        return math.ceil(self.y_max) - self.year_base
+        return int(self.y_max) - self.year_base
 
     @property
     def age_cells(self) -> int:
         """Number of unit age columns in the trend grid (J + 1)."""
-        j_top = math.ceil(self.a_max - (self.y_max - math.floor(self.y_max)))
-        return j_top - self.age_base + 1
+        return int(self.a_max) - self.age_base + 1
 
     @property
     def cohort_count(self) -> int:

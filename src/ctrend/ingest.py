@@ -382,9 +382,6 @@ def aggregate(records, frame: ObservationalFrame, cell_min_count: int = DEFAULT_
         except OutOfFrameError:
             out_of_frame += 1
             continue
-        if cell.j >= frame.age_cells:  # possible when y_max is fractional
-            out_of_frame += 1
-            continue
         groups.setdefault(cell, []).append(rec)
 
     kept, dropped = [], []

@@ -17,11 +17,12 @@ import math
 import os
 import tempfile
 
+import numpy as np
+
 from . import plots
 
 __all__ = [
     "atomic_write_text",
-    "write_csv",
     "read_table",
     "manifest_digest",
     "write_fit_bundle",
@@ -64,10 +65,6 @@ def csv_text(header, rows, digest: str | None = None) -> str:
     for row in rows:
         writer.writerow([_cell_text(v) for v in row])
     return buf.getvalue()
-
-
-def write_csv(path, header, rows, digest=None) -> None:
-    atomic_write_text(path, csv_text(header, rows, digest))
 
 
 def read_table(path):
@@ -116,25 +113,20 @@ def levels_rows(solution):
     return rows
 
 
-def _domain_boundary(mask):
-    ni, nj = mask.shape
-    edge = set()
-    for i in range(ni):
-        for j in range(nj):
-            if not mask[i, j]:
-                continue
-            neighbours = [(i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)]
-            if any(
-                not (0 <= a < ni and 0 <= b < nj) or not mask[a, b] for a, b in neighbours
-            ):
-                edge.add((i, j))
-    return edge
+def _domain_boundary(domain):
+    """Included trend cells missing one of their four neighbours: those that
+    are not the middle of both a row triple and a column triple."""
+    along_rows, along_columns = domain.runs(3)
+    interior = np.intersect1d(along_rows[:, 1], along_columns[:, 1])
+    trend_compact = domain.full_to_compact()[domain.frame.cohort_count :]
+    return domain.mask & ~np.isin(trend_compact, interior).reshape(domain.mask.shape)
+
 
 def trends_rows(solution):
     frame = solution.frame
     grid = solution.trend_grid()
     se = solution.trend_se_grid()
-    edge = _domain_boundary(solution.domain.mask)
+    edge = _domain_boundary(solution.domain)
     rows = []
     for i in range(grid.shape[0]):
         for j in range(grid.shape[1]):
@@ -153,7 +145,7 @@ def trends_rows(solution):
                     s,
                     lo,
                     hi,
-                    1 if (i, j) in edge else 0,
+                    int(edge[i, j]),
                 )
             )
     return rows

@@ -114,23 +114,6 @@ class Scenario:
     def model(self) -> ModelVector:
         return ModelVector(self.frame, self.initial_levels, self.trends)
 
-    def describe(self) -> dict:
-        return {
-            "label": self.label,
-            "seed": self.seed,
-            "noise_sd": self.noise_sd,
-            "surveys": [
-                {
-                    "year": p.year,
-                    "ages": [p.age_min, p.age_max],
-                    "samples_per_age": p.samples_per_age,
-                    "start_month": p.start_month,
-                    "duration_months": p.duration_months,
-                }
-                for p in self.surveys
-            ],
-        }
-
 
 def simulate(scenario: Scenario) -> list:
     """Draw survey records for the scenario.

@@ -285,43 +285,24 @@ def adjacent_correlations(
     cov = solution.cov
     var = np.diag(cov)
 
-    def link(a: int, b: int):
-        va, vb = var[a], var[b]
-        if va <= 0.0 or vb <= 0.0:
-            return None
-        return float(cov[a, b]) / math.sqrt(va * vb)
+    def links(pairs):
+        """Sum of the link correlations, their count, and the skipped links.
 
-    mask = domain.mask
-    ni, nj = mask.shape
-    trend_sum, n_trend, skipped_trend = 0.0, 0, 0
-    for i in range(ni):
-        for j in range(nj):
-            if not mask[i, j]:
-                continue
-            a = domain.trend_index_at(i, j)
-            if j + 1 < nj and mask[i, j + 1]:
-                r = link(a, domain.trend_index_at(i, j + 1))
-                if r is None:
-                    skipped_trend += 1
-                else:
-                    trend_sum += r
-                    n_trend += 1
-            if i + 1 < ni and mask[i + 1, j]:
-                r = link(a, domain.trend_index_at(i + 1, j))
-                if r is None:
-                    skipped_trend += 1
-                else:
-                    trend_sum += r
-                    n_trend += 1
+        ``cumsum`` adds left to right, as a loop would; ``np.sum`` adds
+        pairwise and can change the last digit.
+        """
+        a, b = pairs[:, 0], pairs[:, 1]
+        keep = ~((var[a] <= 0.0) | (var[b] <= 0.0))
+        a, b = a[keep], b[keep]
+        r = cov[a, b] / np.sqrt(var[a] * var[b])
+        total = float(np.cumsum(r)[-1]) if r.size else 0.0
+        return total, int(r.size), int(keep.size - r.size)
 
-    level_sum, n_level, skipped_level = 0.0, 0, 0
-    for k in range(domain.slot_count - 1):
-        r = link(k, k + 1)
-        if r is None:
-            skipped_level += 1
-        else:
-            level_sum += r
-            n_level += 1
+    # Each cell's link to the right, then its link downwards, cells row-major.
+    right, down = domain.runs(2)
+    order = np.argsort(np.concatenate([2 * right[:, 0], 2 * down[:, 0] + 1]))
+    trend_sum, n_trend, skipped_trend = links(np.concatenate([right, down])[order])
+    level_sum, n_level, skipped_level = links(domain.slot_runs(2))
 
     trend_mean = trend_sum / n_trend if n_trend else math.nan
     if literal_level_denominator:

@@ -108,6 +108,19 @@ class TestFit:
         assert main(["fit", data_file, "--config", str(config),
                      "--out", str(tmp_path / "run")]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("pairs", [[], ["--pair", "0.7:0.9", "--pair", "0.7:0.85"]])
+    def test_undefined_r2_is_reported(self, pairs, tmp_path, capsys):
+        # The stationary preset's cell means have no variance, so R^2 is undefined.
+        data = tmp_path / "stationary.csv"
+        assert main(["simulate", "--preset", "stationary", "--out", str(data)]) == EXIT_OK
+        outdir = tmp_path / "run"
+        code = main(["fit", str(data), "--out", str(outdir), "--cell-min-count", "0"] + pairs)
+        assert code == EXIT_OK
+        assert "R^2 undefined" in capsys.readouterr().out
+        manifests = list(outdir.rglob("manifest.json"))
+        assert len(manifests) == max(1, len(pairs) // 2)
+        assert all(json.load(open(m))["result"]["r2"] is None for m in manifests)
+
     def test_batch_mode(self, data_file, tmp_path):
         outdir = tmp_path / "batch"
         code = main(["fit", data_file, "--out", str(outdir), "--cell-min-count", "0",

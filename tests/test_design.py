@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ctrend.design import (
     AssemblyError,
@@ -14,6 +16,7 @@ from ctrend.design import (
 )
 from ctrend.domain import AnalysisDomain, build_domain
 from ctrend.grid import CellIndex, ModelVector, ObservationalFrame, predict_observation
+from ctrend.report import _domain_boundary
 
 from conftest import make_cell
 
@@ -105,7 +108,7 @@ class TestTrendCurvature:
         assert matrix.shape[0] == 6
 
     def test_strip_has_only_horizontal_rows(self):
-        frame = ObservationalFrame(0.0, 0.9, 0.0, 5.0)  # single year row
+        frame = ObservationalFrame(0.0, 1.0, 0.0, 5.0)  # single year row
         mask = np.ones((frame.year_cells, frame.age_cells), dtype=bool)
         domain = AnalysisDomain(frame, mask, 0, frame.cohort_count - 1)
         assert frame.year_cells == 1
@@ -128,6 +131,48 @@ class TestTrendCurvature:
         row = matrix.toarray()[0]
         cols = [domain.trend_index(CellIndex(i, 1)) for i in (0, 1, 2)]
         assert [row[c] for c in cols] == [1.0, -2.0, 1.0]
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.sampled_from(["any", "one row", "one column"]), data=st.data())
+    def test_random_masks_match_reference_walk(self, shape, data):
+        ni = 1 if shape == "one row" else data.draw(st.integers(1, 6))
+        nj = data.draw(st.integers(2, 7))
+        frame = ObservationalFrame.from_integer_bounds(0, ni, 0, nj - 1)
+        flags = data.draw(st.lists(st.booleans(), min_size=ni * nj, max_size=ni * nj))
+        mask = np.array(flags).reshape(ni, nj)
+        if shape == "one column":
+            keep = data.draw(st.integers(0, nj - 1))
+            mask[:, np.arange(nj) != keep] = False
+        assume(mask.any())
+        ii, jj = np.nonzero(mask)
+        slots = frame.year_cells - ii + jj
+        domain = AnalysisDomain(frame, mask, int(slots.min()), int(slots.max()))
+
+        triples = []
+        for i in range(ni):
+            for j in range(1, nj - 1):
+                if mask[i, j - 1] and mask[i, j] and mask[i, j + 1]:
+                    triples.append([(i, j - 1), (i, j), (i, j + 1)])
+        for i in range(1, ni - 1):
+            for j in range(nj):
+                if mask[i - 1, j] and mask[i, j] and mask[i + 1, j]:
+                    triples.append([(i - 1, j), (i, j), (i + 1, j)])
+        expected = np.zeros((len(triples), domain.compact_size))
+        for row, cells in enumerate(triples):
+            for coeff, (i, j) in zip((1.0, -2.0, 1.0), cells):
+                expected[row, domain.trend_index_at(i, j)] = coeff
+        matrix = trend_curvature_rows(domain)
+        assert matrix.shape == expected.shape
+        assert np.array_equal(matrix.toarray(), expected)
+
+        edge = _domain_boundary(domain)
+        for i, j in np.ndindex(ni, nj):
+            neighbours = [(i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)]
+            missing = any(
+                not (0 <= a < ni and 0 <= b < nj) or not mask[a, b] for a, b in neighbours
+            )
+            assert edge[i, j] == (mask[i, j] and missing), (i, j)
 
 
 class TestLevelCurvature:
