@@ -104,6 +104,24 @@ def level_curvature_rows(domain: AnalysisDomain) -> sparse.csr_matrix:
     return _second_differences(domain.slot_runs(3), domain.compact_size)
 
 
+def _half_bandwidth(order: np.ndarray, rows: sparse.spmatrix, pairs: np.ndarray) -> int:
+    """Half-bandwidth, in ``order``, of the normal matrix of ``rows``, widened to hold ``pairs``.
+
+    Two columns meet in the normal matrix when they share a row, so the
+    widest span of positions within a row bounds it.  The adjacent pairs
+    are added because the correlation loop reads their covariances, which
+    the selected inverse gives only within the band.
+    """
+    position = np.argsort(order)
+    rows = rows.tocoo()
+    hi = np.full(rows.shape[0], -1)
+    lo = np.full(rows.shape[0], order.size)
+    np.maximum.at(hi, rows.row, position[rows.col])
+    np.minimum.at(lo, rows.row, position[rows.col])
+    spans = np.concatenate([(hi - lo)[hi >= 0], np.abs(np.diff(position[pairs], axis=1)).ravel()])
+    return int(spans.max(initial=0))
+
+
 @dataclass
 class DesignSystem:
     """The three assembled blocks over one analysis domain."""
@@ -115,6 +133,8 @@ class DesignSystem:
     trend_penalty: sparse.csr_matrix
     level_penalty: sparse.csr_matrix
     data_row_weights: np.ndarray
+    order: np.ndarray  # compact indices in cohort-major order (AnalysisDomain.cohort_major)
+    bandwidth: int  # half-bandwidth of the normal matrix in that order
 
     @classmethod
     def build(cls, cells, domain: AnalysisDomain, weight_by_count: bool = False) -> "DesignSystem":
@@ -131,14 +151,23 @@ class DesignSystem:
             if weight_by_count
             else np.ones(len(ordered))
         )
+        trend_penalty = trend_curvature_rows(domain)
+        level_penalty = level_curvature_rows(domain)
+        order = domain.cohort_major()
         return cls(
             domain=domain,
             cells=ordered,
             data_matrix=matrix,
             target=target,
-            trend_penalty=trend_curvature_rows(domain),
-            level_penalty=level_curvature_rows(domain),
+            trend_penalty=trend_penalty,
+            level_penalty=level_penalty,
             data_row_weights=weights,
+            order=order,
+            bandwidth=_half_bandwidth(
+                order,
+                sparse.vstack([matrix, trend_penalty, level_penalty]),
+                np.concatenate([*domain.runs(2), domain.slot_runs(2)]),
+            ),
         )
 
     @property

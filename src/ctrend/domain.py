@@ -131,6 +131,22 @@ class AnalysisDomain:
         """Compact indices of every ``length`` consecutive estimated boundary slots."""
         return np.arange(self.slot_count - length + 1)[:, None] + np.arange(length)
 
+    def cohort_major(self) -> np.ndarray:
+        """Compact indices in cohort-major order: each boundary slot, then the
+        trend cells of its cohort in year order.
+
+        Sorted by ``(slot, -1)`` for slots and ``(year_cells - i + j, i)`` for
+        cells.  A cohort's data rows stay within its run, and the curvature
+        triples reach two cohorts either way, so this order keeps the normal
+        matrix banded.
+        """
+        ii, jj = np.nonzero(self.mask)  # row-major, the compact trend order
+        slots = np.concatenate(
+            [np.arange(self.first_slot, self.last_slot + 1), self.frame.year_cells - ii + jj]
+        )
+        years = np.concatenate([np.full(self.slot_count, -1), ii])
+        return np.lexsort((years, slots))
+
     def slot_index(self, slot: int) -> int:
         """Compact index of a boundary slot, or -1 when outside the segment."""
         if self.first_slot <= slot <= self.last_slot:

@@ -93,19 +93,19 @@ def cluster_compare(solution: Solution, age_window: int = 5, year_window: int = 
     members: dict[tuple[int, int], list[int]] = {}
     for cell in domain.trend_cells():
         block = (cell.i // year_window, cell.j // age_window)
-        members.setdefault(block, []).append(domain.trend_index(cell) - domain.slot_count)
+        members.setdefault(block, []).append(domain.trend_index(cell))
 
     if not members:
         raise ValueError("no included trend cells to cluster")
     blocks = sorted(members)
-    averaging = np.zeros((len(blocks), domain.trend_count))
+    # The averaging map over compact columns: one banded solve per block.
+    averaging = np.zeros((len(blocks), domain.compact_size))
     for row, block in enumerate(blocks):
         idx = members[block]
         averaging[row, idx] = 1.0 / len(idx)
 
-    u_hat = solution.trend_estimates()
-    means = averaging @ u_hat
-    block_cov = averaging @ solution.trend_cov() @ averaging.T
+    means = averaging @ solution.estimate
+    block_cov = averaging @ (solution.cov @ averaging.T)
 
     clusters = []
     pos = {block: row for row, block in enumerate(blocks)}

@@ -9,11 +9,12 @@ and covariance held by :class:`Solution`.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .design import DesignSystem, objective_parts, stack
 from .domain import AnalysisDomain
@@ -21,6 +22,7 @@ from .grid import ModelVector, forward_levels
 
 __all__ = [
     "Solution",
+    "BandedCovariance",
     "CorrelationSummary",
     "SingularSystemError",
     "solve",
@@ -89,7 +91,7 @@ class Solution:
     trend_weight: float
     level_weight: float
     estimate: np.ndarray
-    cov: np.ndarray
+    cov: BandedCovariance | np.ndarray  # consumers use only the interface both share
     sigma2: float
     r2: float | None
     data_misfit: float  # weighted data RSS at the estimate
@@ -114,7 +116,7 @@ class Solution:
         return ModelVector.from_flat(self.frame, self.full_vector())
 
     def standard_errors(self) -> np.ndarray:
-        return np.sqrt(np.clip(np.diag(self.cov), 0.0, None))
+        return np.sqrt(np.clip(self.cov.diagonal(), 0.0, None))
 
     def trend_grid(self) -> np.ndarray:
         return self.model().trends
@@ -138,7 +140,7 @@ class Solution:
     def full_corr(self) -> np.ndarray:
         sd = self.standard_errors()
         with np.errstate(invalid="ignore", divide="ignore"):
-            corr = self.cov / np.outer(sd, sd)
+            corr = np.asarray(self.cov) / np.outer(sd, sd)
         p = self.frame.param_count
         out = np.full((p, p), np.nan)
         idx = self.domain.compact_to_full()
@@ -148,10 +150,123 @@ class Solution:
     def trend_cov(self) -> np.ndarray:
         """Covariance of the included trend components (compact trend block)."""
         s = self.domain.slot_count
-        return self.cov[s:, s:]
+        return np.asarray(self.cov)[s:, s:]
 
-    def trend_estimates(self) -> np.ndarray:
-        return self.estimate[self.domain.slot_count :]
+
+class BandedCovariance:
+    """The inverse of a sparse symmetric positive definite matrix, times
+    ``scale`` (1, or the factor given to :meth:`scaled`).
+
+    The matrix is held as its Cholesky factor in LAPACK lower band storage,
+    ordered by ``order`` (``order[k]`` is the compact index at banded
+    position ``k``; :meth:`AnalysisDomain.cohort_major`), in which its
+    half-bandwidth is ``bandwidth``.  Factor and solves cost O(p b^2) and
+    O(p b) instead of O(p^3), and the selected inverse supplies every entry
+    of the inverse within the band.  The object offers the part of the
+    ndarray interface that consumers use, in compact order:
+
+    * ``cov.diagonal()``, from the selected inverse;
+    * ``cov[a, b]`` for indices or index arrays inside the band
+      (``IndexError`` for a pair outside it);
+    * ``cov @ x``, a banded solve;
+    * ``np.asarray(cov)``, the dense matrix, built only when asked for.
+
+    Raises ``LinAlgError`` when the matrix is not positive definite.
+    """
+
+    def __init__(self, normal, order: np.ndarray, bandwidth: int):
+        p = normal.shape[0]
+        position = np.empty(p, dtype=np.int64)
+        position[order] = np.arange(p)
+        entries = normal.tocoo()
+        r, c = position[entries.row], position[entries.col]
+        lower = r >= c
+        band = np.zeros((bandwidth + 1, p))
+        band[r[lower] - c[lower], c[lower]] = entries.data[lower]
+        self.chol = cholesky_banded(band, lower=True, check_finite=False)
+        self.order = order
+        self.position = position
+        self.bandwidth = bandwidth
+        self.scale = 1.0
+        self.shape = (p, p)
+        self._blocks = _selected_inverse(self.chol)
+        m = self._blocks.shape[1]
+        self._diagonal = np.diagonal(self._blocks[:, :, :m], axis1=1, axis2=2).ravel()[position]
+
+    def scaled(self, factor: float) -> "BandedCovariance":
+        """The same factor with the scale multiplied by ``factor``."""
+        out = copy.copy(self)
+        out.scale = self.scale * factor
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        return self.scale * self._diagonal
+
+    def __getitem__(self, key):
+        a, b = key
+        pa, pb = self.position[a], self.position[b]
+        lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
+        if np.any(hi - lo > self.bandwidth):
+            raise IndexError(
+                f"covariance entry outside the band (half-bandwidth {self.bandwidth})"
+            )
+        m = self._blocks.shape[1]
+        k = lo // m
+        return self.scale * self._blocks[k, lo - k * m, hi - k * m]
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        y = cho_solve_banded((self.chol, True), x[self.order], check_finite=False)
+        out = np.empty_like(y)
+        out[self.order] = y
+        return self.scale * out
+
+    def __array__(self, dtype=None, copy=None):
+        dense = self @ np.eye(self.shape[0])
+        return np.asarray(0.5 * (dense + dense.T), dtype=dtype)
+
+
+def _selected_inverse(chol: np.ndarray) -> np.ndarray:
+    """Entries of ``N^-1`` near the diagonal, from ``N = L L^T`` with ``L``
+    in lower band storage (Takahashi, Fagan & Chin 1973).
+
+    In blocks of ``m = max(b, 1)`` rows, a band-``b`` ``L`` is block lower
+    bidiagonal, with diagonal blocks ``D_k`` and sub-diagonal blocks
+    ``C_k``.  ``L^T S = L^-1``, read block row by block row from the last,
+    gives with ``Y_k = D_k^-T C_k^T``::
+
+        S[k, k+1] = -Y_k S[k+1, k+1]
+        S[k, k]   = D_k^-T D_k^-1 - S[k, k+1] Y_k^T
+
+    These blocks hold every entry within ``b`` of the diagonal.  Returns an
+    array of shape ``(blocks, m, 2m)`` over the banded positions padded to
+    a whole number of blocks: row ``x`` of block ``k`` is position
+    ``k m + x``, and its column ``y`` is position ``k m + y``.
+    """
+    width, p = chol.shape
+    m = max(width - 1, 1)
+    n = -(-p // m)
+    padded = np.zeros((n * m, m + 1))  # row c holds L[c, c], L[c+1, c], ..., L[c+m, c]
+    padded[:p, :width] = chol.T
+    padded[p:, 0] = 1.0  # unit diagonal on the padding keeps it apart
+    # So L[r, c] sits at flat offset c m + r, and each block pair is one slice.
+    rows = padded.reshape(n, m * (m + 1))
+    diag_t = np.triu(rows[:, : m * m].reshape(n, m, m))  # D_k^T
+    sub_t = np.tril(rows[:, m:].reshape(n, m, m))  # C_k^T
+
+    # Only numpy's BLAS runs in the recursion: alternating with scipy's
+    # (a second OpenBLAS thread pool) made it ten times slower at b = 120
+    # on 2 cores.
+    d_inv_t = np.linalg.inv(diag_t)  # D_k^-T
+    own = d_inv_t @ d_inv_t.transpose(0, 2, 1)
+    coupling = d_inv_t @ sub_t  # Y_k
+    out = np.zeros((n, m, 2 * m))
+    out[-1, :, :m] = own[-1]
+    for k in range(n - 2, -1, -1):
+        upper = -coupling[k] @ out[k + 1, :, :m]
+        out[k, :, m:] = upper
+        out[k, :, :m] = own[k] - upper @ coupling[k].T
+    return out
 
 
 def _condition_from_cholesky(chol_diag: np.ndarray) -> float:
@@ -165,10 +280,12 @@ def _condition_from_cholesky(chol_diag: np.ndarray) -> float:
 def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Solution:
     """Minimize the stacked weighted objective and attach inference outputs.
 
-    Assembles the weighted normal matrix from the sparse stacked system and
-    factors it densely (Cholesky); the estimate gets two steps of iterative
-    refinement.  The full inverse of the normal matrix gives the covariance,
-    which the iteration loop needs at every size.
+    Assembles the weighted normal matrix from the sparse stacked system,
+    ordered cohort-major so that it is banded, and factors its band
+    (Cholesky); the estimate gets two steps of iterative refinement against
+    the sparse normal matrix.  The covariance is a :class:`BandedCovariance`:
+    the selected inverse gives the variances and the adjacent covariances
+    the iteration loop reads, and banded solves give the rest on request.
 
     Raises
     ------
@@ -190,20 +307,20 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
     matrix = stacked.matrix
     weights = stacked.row_weights
     weighted = matrix.multiply(weights[:, None]).tocsr()
-    normal = (matrix.T @ weighted).toarray()
+    normal = matrix.T @ weighted
     normal = 0.5 * (normal + normal.T)
     rhs = matrix.T @ (weights * stacked.target)
 
     try:
-        chol = cho_factor(normal, lower=True, check_finite=False)
+        inverse = BandedCovariance(normal, system.order, system.bandwidth)
     except LinAlgError as err:
         raise SingularSystemError(f"{err}; {IDENTIFIABILITY_HINT}") from None
 
     if p <= EXACT_CONDITION_MAX_SIZE:
-        condition = float(np.linalg.cond(normal))
+        condition = float(np.linalg.cond(normal.toarray()))
         exact = True
     else:
-        condition = _condition_from_cholesky(np.diag(chol[0]))
+        condition = _condition_from_cholesky(inverse.chol[0])
         exact = False
     if exact and (not math.isfinite(condition) or condition > SINGULAR_CONDITION):
         raise SingularSystemError(
@@ -216,13 +333,9 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
             f"ill-conditioned normal matrix (condition {'=' if exact else '~'} {condition:.3g})"
         )
 
-    z = cho_solve(chol, rhs, check_finite=False)
+    z = inverse @ rhs
     for _ in range(2):  # iterative refinement sharpens near-consistent systems
-        resid = rhs - normal @ z
-        z = z + cho_solve(chol, resid, check_finite=False)
-
-    cov_unit = cho_solve(chol, np.eye(p), check_finite=False)
-    cov_unit = 0.5 * (cov_unit + cov_unit.T)
+        z = z + inverse @ (rhs - normal @ z)
 
     s0, s1, s2 = objective_parts(system, z)
     total = s0 + trend_weight * s1 + level_weight * s2
@@ -232,14 +345,13 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
         notes.append("saturated system: zero residual degrees of freedom, variance undefined")
     else:
         sigma2 = estimate_sigma2(total, n_total, p)
-    cov = sigma2 * cov_unit
 
     return Solution(
         domain=system.domain,
         trend_weight=trend_weight,
         level_weight=level_weight,
         estimate=z,
-        cov=cov,
+        cov=inverse.scaled(sigma2),
         sigma2=sigma2,
         r2=r_squared(z, system),
         data_misfit=s0,
@@ -283,7 +395,7 @@ def adjacent_correlations(
     """
     domain = solution.domain
     cov = solution.cov
-    var = np.diag(cov)
+    var = cov.diagonal()
 
     def links(pairs):
         """Sum of the link correlations, their count, and the skipped links.

@@ -98,7 +98,7 @@ def run_verification(negative_control: bool = False, emit=print) -> bool:
         )
         worst_cov = max(
             worst_cov,
-            float(np.max(np.abs(sol.cov - oracle.cov)) / np.max(np.abs(oracle.cov))),
+            float(np.max(np.abs(np.asarray(sol.cov) - oracle.cov)) / np.max(np.abs(oracle.cov))),
         )
         compared += 1
     report(

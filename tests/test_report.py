@@ -4,6 +4,7 @@ import json
 import math
 import os
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ctrend.report import (
     write_fit_bundle,
 )
 from ctrend.simulate import linear_trend_scenario, simulate, write_records
+from ctrend.solve import EXACT_CONDITION_MAX_SIZE
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +149,17 @@ class TestBundle:
         assert loaded["references"]["trend_target"] == 0.85
         assert "slot_segment" in loaded["domain"]
         assert loaded["result"]["dof_convention"].startswith("n = data")
+
+    def test_manifest_reports_band_and_condition(self, small_run):
+        run, manifest, outdir, _ = small_run
+        result = json.load(open(os.path.join(outdir, "manifest.json")))["result"]
+        assert result["bandwidth"] == run.system.bandwidth > 0
+        assert result["condition"] == run.solution.condition > 1
+        assert result["condition_exact"] is (run.system.param_count <= EXACT_CONDITION_MAX_SIZE)
+        # observed, not configured: outside the digest
+        solution = replace(run.solution, condition=2 * run.solution.condition)
+        other = replace(run, iteration=replace(run.iteration, solution=solution))
+        assert build_manifest(other, ["synthetic"])["digest"] == manifest["digest"]
 
     def test_trace_matches_iteration(self, small_run):
         run, _, outdir, _ = small_run

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from scipy import sparse
 
 from ctrend.design import DesignSystem, stack
 from ctrend.domain import AnalysisDomain, build_domain
@@ -12,6 +15,7 @@ from ctrend.ingest import SurveyRecord, ingest_records
 from ctrend.oracle import brute_force_fit
 from ctrend.simulate import linear_trend_scenario, simulate
 from ctrend.solve import (
+    BandedCovariance,
     CorrelationSummary,
     DegreesOfFreedomError,
     SingularSystemError,
@@ -280,3 +284,64 @@ class TestScatteredViews:
         assert se.shape == (frame.year_cells, frame.age_cells)
         assert np.isnan(se[~system.domain.mask]).all()
         assert np.all(se[system.domain.mask] >= 0)
+
+
+class TestBandedCovariance:
+    @pytest.mark.filterwarnings("ignore:boundary-level segment")
+    @given(
+        shape=st.sampled_from(["any", "one row", "one column", "tiny"]),
+        weights=st.tuples(st.floats(0.01, 100.0), st.floats(0.01, 100.0)),
+        data=st.data(),
+    )
+    def test_selected_inverse_matches_dense_inverse(self, shape, weights, data):
+        """On random gappy domains every band entry equals the dense inverse,
+        every adjacent pair lies in the band, and entries outside it raise."""
+        top = 2 if shape == "tiny" else 7
+        ni = 1 if shape == "one row" else data.draw(st.integers(1, top))
+        nj = data.draw(st.integers(2, top))  # a frame spans at least two ages
+        frame = ObservationalFrame.from_integer_bounds(0, ni, 0, nj - 1)
+        flags = data.draw(st.lists(st.booleans(), min_size=ni * nj, max_size=ni * nj))
+        mask = np.array(flags).reshape(ni, nj)
+        if shape == "one column":
+            mask[:, np.arange(nj) != data.draw(st.integers(0, nj - 1))] = False
+        assume(mask.any())
+        ii, jj = np.nonzero(mask)
+        slots = frame.year_cells - ii + jj
+        domain = AnalysisDomain(frame, mask, int(slots.min()), int(slots.max()))
+        # Data on every cell whose cohort path stays inside the domain.
+        cells = [
+            make_cell(frame, i, j, x_mean=float(25 + i - j), offset=0.3)
+            for i, j in zip(ii, jj)
+            if all(mask[i - m, j - m] for m in range(1, min(i, j) + 1))
+        ]
+        system = DesignSystem.build(cells, domain)
+        stacked = stack(system, *weights)
+        a = stacked.matrix
+        normal = a.T @ a.multiply(stacked.row_weights[:, None]).tocsr()
+        normal = normal + sparse.identity(domain.compact_size)  # positive definite on any domain
+        dense = np.linalg.inv(normal.toarray())
+        cov = BandedCovariance(normal, system.order, system.bandwidth)
+
+        position = np.argsort(system.order)
+        distance = np.abs(position[:, None] - position[None, :])
+        rows, cols = normal.nonzero()
+        assert distance[rows, cols].max(initial=0) <= system.bandwidth
+        scale = np.abs(dense).max()
+        r, c = np.nonzero(distance <= system.bandwidth)
+        np.testing.assert_allclose(cov[r, c], dense[r, c], rtol=1e-10, atol=1e-10 * scale)
+        np.testing.assert_allclose(cov.diagonal(), np.diag(dense), rtol=1e-10)
+        x = np.arange(domain.compact_size, dtype=float)
+        np.testing.assert_allclose(
+            cov.scaled(2.0) @ x, 2.0 * dense @ x, rtol=1e-10, atol=1e-10 * scale * x.sum()
+        )
+        np.testing.assert_allclose(np.asarray(cov), dense, rtol=1e-10, atol=1e-10 * scale)
+
+        pairs = np.concatenate([*domain.runs(2), domain.slot_runs(2)])
+        assert np.all(distance[pairs[:, 0], pairs[:, 1]] <= system.bandwidth)
+        cov[pairs[:, 0], pairs[:, 1]]  # inside the band: no IndexError
+        r, c = np.nonzero(distance > system.bandwidth)
+        if r.size:
+            with pytest.raises(IndexError, match="outside the band"):
+                cov[r[0], c[0]]
+            with pytest.raises(IndexError, match="outside the band"):
+                cov[np.append(pairs[:, 0], r[-1]), np.append(pairs[:, 1], c[-1])]
