@@ -13,7 +13,11 @@ then included trend cells in scan order):
 
 Weighting the curvature blocks by the square roots of the smoothing
 weights turns the penalized objective into one ordinary least-squares
-problem on the stacked matrix.
+problem on the stacked matrix.  Its normal matrix is
+``G0 + w1 G1 + w2 G2``, with the Gram matrices ``G0 = X0^T W X0``,
+``G1 = B1^T B1`` and ``G2 = B2^T B2`` of the three blocks; only the two
+smoothing weights change between iterations, so :class:`DesignSystem`
+computes the Gram matrices and their bands once.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ __all__ = [
     "level_curvature_rows",
     "stack",
     "objective_parts",
+    "lower_band",
+    "check_weights",
 ]
 
 
@@ -104,27 +110,59 @@ def level_curvature_rows(domain: AnalysisDomain) -> sparse.csr_matrix:
     return _second_differences(domain.slot_runs(3), domain.compact_size)
 
 
-def _half_bandwidth(order: np.ndarray, rows: sparse.spmatrix, pairs: np.ndarray) -> int:
-    """Half-bandwidth, in ``order``, of the normal matrix of ``rows``, widened to hold ``pairs``.
+def _half_bandwidth(position: np.ndarray, rows: sparse.spmatrix, pairs: np.ndarray) -> int:
+    """Half-bandwidth, with compact index ``i`` at ``position[i]``, of the
+    normal matrix of ``rows``, widened to hold ``pairs``.
 
     Two columns meet in the normal matrix when they share a row, so the
     widest span of positions within a row bounds it.  The adjacent pairs
     are added because the correlation loop reads their covariances, which
     the selected inverse gives only within the band.
     """
-    position = np.argsort(order)
     rows = rows.tocoo()
     hi = np.full(rows.shape[0], -1)
-    lo = np.full(rows.shape[0], order.size)
+    lo = np.full(rows.shape[0], position.size)
     np.maximum.at(hi, rows.row, position[rows.col])
     np.minimum.at(lo, rows.row, position[rows.col])
     spans = np.concatenate([(hi - lo)[hi >= 0], np.abs(np.diff(position[pairs], axis=1)).ravel()])
     return int(spans.max(initial=0))
 
 
+def lower_band(matrix: sparse.spmatrix, position: np.ndarray, bandwidth: int) -> np.ndarray:
+    """The lower band of the symmetric ``matrix`` in LAPACK lower band storage.
+
+    Compact index ``i`` moves to banded position ``position[i]``; entry
+    ``[r - c, c]`` of the result holds the matrix at positions ``(r, c)``,
+    ``r >= c``.  Every nonzero must lie within ``bandwidth`` of the diagonal.
+    """
+    entries = sparse.coo_matrix(matrix)
+    entries.sum_duplicates()
+    r, c = position[entries.row], position[entries.col]
+    lower = r >= c
+    band = np.zeros((bandwidth + 1, matrix.shape[0]))
+    band[r[lower] - c[lower], c[lower]] = entries.data[lower]
+    return band
+
+
+def _gram(rows: sparse.csr_matrix, weights: np.ndarray | None = None) -> sparse.csr_matrix:
+    """``rows^T diag(weights) rows``, made exactly symmetric."""
+    weighted = rows if weights is None else rows.multiply(weights[:, None]).tocsr()
+    gram = (rows.T @ weighted).tocsr()
+    return (0.5 * (gram + gram.T)).tocsr()
+
+
 @dataclass
 class DesignSystem:
-    """The three assembled blocks over one analysis domain."""
+    """The three assembled blocks over one analysis domain, with their
+    weight-independent parts of the normal equations.
+
+    ``grams`` holds ``(G0, G1, G2)`` in compact order and ``bands`` their
+    lower bands in cohort-major order (shape ``(3, bandwidth + 1, p)``),
+    so the normal matrix at weights ``(w1, w2)`` is
+    ``G0 + w1 G1 + w2 G2`` and its band ``bands[0] + w1 bands[1] +
+    w2 bands[2]``.  ``data_rhs`` is ``X0^T W x0``, the right-hand side at
+    any weights, since the curvature rows have zero targets.
+    """
 
     domain: AnalysisDomain
     cells: list  # CellStat in row order of the data block
@@ -135,6 +173,9 @@ class DesignSystem:
     data_row_weights: np.ndarray
     order: np.ndarray  # compact indices in cohort-major order (AnalysisDomain.cohort_major)
     bandwidth: int  # half-bandwidth of the normal matrix in that order
+    grams: tuple  # (G0, G1, G2), sparse, compact order
+    bands: np.ndarray  # their lower bands, cohort-major
+    data_rhs: np.ndarray  # X0^T W x0, compact order
 
     @classmethod
     def build(cls, cells, domain: AnalysisDomain, weight_by_count: bool = False) -> "DesignSystem":
@@ -154,6 +195,13 @@ class DesignSystem:
         trend_penalty = trend_curvature_rows(domain)
         level_penalty = level_curvature_rows(domain)
         order = domain.cohort_major()
+        position = np.argsort(order)
+        bandwidth = _half_bandwidth(
+            position,
+            sparse.vstack([matrix, trend_penalty, level_penalty]),
+            np.concatenate([*domain.runs(2), domain.slot_runs(2)]),
+        )
+        grams = (_gram(matrix, weights), _gram(trend_penalty), _gram(level_penalty))
         return cls(
             domain=domain,
             cells=ordered,
@@ -163,11 +211,10 @@ class DesignSystem:
             level_penalty=level_penalty,
             data_row_weights=weights,
             order=order,
-            bandwidth=_half_bandwidth(
-                order,
-                sparse.vstack([matrix, trend_penalty, level_penalty]),
-                np.concatenate([*domain.runs(2), domain.slot_runs(2)]),
-            ),
+            bandwidth=bandwidth,
+            grams=grams,
+            bands=np.stack([lower_band(g, position, bandwidth) for g in grams]),
+            data_rhs=matrix.T @ (weights * target),
         )
 
     @property
@@ -215,12 +262,17 @@ class StackedSystem:
         return float(np.dot(self.row_weights * resid, resid))
 
 
-def stack(system: DesignSystem, trend_weight: float, level_weight: float) -> StackedSystem:
-    """Stack the blocks with nonnegative smoothing weights on the penalties."""
+def check_weights(trend_weight: float, level_weight: float) -> None:
+    """Raise ``ValueError`` unless both smoothing weights are nonnegative."""
     if trend_weight < 0 or level_weight < 0:
         raise ValueError(
             f"smoothing weights must be nonnegative, got ({trend_weight}, {level_weight})"
         )
+
+
+def stack(system: DesignSystem, trend_weight: float, level_weight: float) -> StackedSystem:
+    """Stack the blocks with nonnegative smoothing weights on the penalties."""
+    check_weights(trend_weight, level_weight)
     matrix = sparse.vstack(
         [system.data_matrix, system.trend_penalty, system.level_penalty], format="csr"
     )

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dtrtri
 
-from .design import DesignSystem, objective_parts, stack
+from .design import DesignSystem, check_weights, lower_band, objective_parts
 from .domain import AnalysisDomain
 from .grid import ModelVector, forward_levels
 
@@ -31,11 +32,10 @@ __all__ = [
     "adjacent_correlations",
 ]
 
-# Hard singularity threshold (exact condition number, small systems) and the
-# soft ill-conditioning threshold that only attaches a warning.
+# Hard singularity threshold and the soft ill-conditioning threshold that
+# only attaches a warning, both on the estimated 1-norm condition number.
 SINGULAR_CONDITION = 1e14
 ILL_CONDITION = 1e12
-EXACT_CONDITION_MAX_SIZE = 256
 
 IDENTIFIABILITY_HINT = (
     "the stacked system is singular: the data do not identify the model. "
@@ -99,8 +99,7 @@ class Solution:
     level_curvature: float  # squared boundary-level second differences
     n_rows: tuple[int, int, int]
     dof: int
-    condition: float
-    condition_exact: bool
+    condition: float  # estimated 1-norm condition number of the normal matrix
     warnings: list = field(default_factory=list)
 
     # --- scattered views -----------------------------------------------------
@@ -175,18 +174,24 @@ class BandedCovariance:
     """
 
     def __init__(self, normal, order: np.ndarray, bandwidth: int):
-        p = normal.shape[0]
+        self._factor(lower_band(normal, np.argsort(order), bandwidth), order)
+
+    @classmethod
+    def from_band(cls, band: np.ndarray, order: np.ndarray) -> "BandedCovariance":
+        """The inverse of the matrix whose lower band, in ``order``, is ``band``
+        (LAPACK lower band storage, as :func:`ctrend.design.lower_band` gives)."""
+        out = cls.__new__(cls)
+        out._factor(band, order)
+        return out
+
+    def _factor(self, band: np.ndarray, order: np.ndarray) -> None:
+        p = band.shape[1]
         position = np.empty(p, dtype=np.int64)
         position[order] = np.arange(p)
-        entries = normal.tocoo()
-        r, c = position[entries.row], position[entries.col]
-        lower = r >= c
-        band = np.zeros((bandwidth + 1, p))
-        band[r[lower] - c[lower], c[lower]] = entries.data[lower]
         self.chol = cholesky_banded(band, lower=True, check_finite=False)
         self.order = order
         self.position = position
-        self.bandwidth = bandwidth
+        self.bandwidth = band.shape[0] - 1
         self.scale = 1.0
         self.shape = (p, p)
         self._blocks = _selected_inverse(self.chol)
@@ -256,8 +261,12 @@ def _selected_inverse(chol: np.ndarray) -> np.ndarray:
 
     # Only numpy's BLAS runs in the recursion: alternating with scipy's
     # (a second OpenBLAS thread pool) made it ten times slower at b = 120
-    # on 2 cores.
-    d_inv_t = np.linalg.inv(diag_t)  # D_k^-T
+    # on 2 cores.  So every LAPACK call comes first.
+    d_inv_t = np.empty_like(diag_t)  # D_k^-T
+    for k in range(n):
+        d_inv_t[k], info = dtrtri(diag_t[k], lower=0)
+        if info:
+            raise LinAlgError(f"singular triangular block {k} of the Cholesky factor")
     own = d_inv_t @ d_inv_t.transpose(0, 2, 1)
     coupling = d_inv_t @ sub_t  # Y_k
     out = np.zeros((n, m, 2 * m))
@@ -269,73 +278,103 @@ def _selected_inverse(chol: np.ndarray) -> np.ndarray:
     return out
 
 
-def _condition_from_cholesky(chol_diag: np.ndarray) -> float:
-    lo = float(chol_diag.min())
-    hi = float(chol_diag.max())
-    if lo <= 0:
-        return math.inf
-    return (hi / lo) ** 2
+def _one_norm(band: np.ndarray) -> float:
+    """1-norm (largest column sum of moduli) of the symmetric matrix whose
+    lower band is ``band``."""
+    a = np.abs(band)
+    sums = a.sum(axis=0)  # each column from the diagonal down
+    for d in range(1, a.shape[0]):
+        sums[d:] += a[d, :-d]  # and the same column above the diagonal
+    return float(sums.max())
+
+
+def _inverse_one_norm(inverse: BandedCovariance) -> float:
+    """Estimate of ``||N^-1||_1`` from products ``inverse @ x``.
+
+    Hager's estimator (Hager 1984) in Higham's form, the LAPACK ``xLACON``
+    scheme (Higham 1988): at most five pairs of banded solves plus one
+    with an alternating test vector.  ``N`` is symmetric, so the
+    transposed solves are plain ones.  The result is a lower bound, and
+    often the exact value.
+    """
+    p = inverse.shape[0]
+    y = inverse @ np.full(p, 1.0 / p)
+    if p == 1:
+        return abs(float(y[0]))
+    estimate = float(np.abs(y).sum())
+    signs = np.where(y >= 0, 1.0, -1.0)
+    z = inverse @ signs
+    j = int(np.argmax(np.abs(z)))
+    for _ in range(4):
+        y = inverse @ np.eye(1, p, j).ravel()
+        previous, estimate = estimate, float(np.abs(y).sum())
+        new_signs = np.where(y >= 0, 1.0, -1.0)
+        if np.array_equal(new_signs, signs) or estimate <= previous:
+            estimate = max(estimate, previous)
+            break
+        signs = new_signs
+        z = inverse @ signs
+        last, j = j, int(np.argmax(np.abs(z)))
+        if z[last] == abs(z[j]):
+            break
+    alternating = (-1.0) ** np.arange(p) * (1.0 + np.arange(p) / (p - 1))
+    return max(estimate, 2.0 * float(np.abs(inverse @ alternating).sum()) / (3.0 * p))
 
 
 def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Solution:
     """Minimize the stacked weighted objective and attach inference outputs.
 
-    Assembles the weighted normal matrix from the sparse stacked system,
-    ordered cohort-major so that it is banded, and factors its band
-    (Cholesky); the estimate gets two steps of iterative refinement against
-    the sparse normal matrix.  The covariance is a :class:`BandedCovariance`:
-    the selected inverse gives the variances and the adjacent covariances
-    the iteration loop reads, and banded solves give the rest on request.
+    The normal matrix is ``G0 + w1 G1 + w2 G2`` (:class:`DesignSystem`):
+    its band, ordered cohort-major, is the weighted sum of the three bands
+    the design computed once, and is factored (Cholesky).  The estimate
+    gets two steps of iterative refinement against the sparse Gram
+    matrices.  The covariance is a :class:`BandedCovariance`: the selected
+    inverse gives the variances and the adjacent covariances the iteration
+    loop reads, and banded solves give the rest on request.  ``condition``
+    is the 1-norm condition number, ``||N||_1`` read from the band times
+    Hager's estimate of ``||N^-1||_1``.
 
     Raises
     ------
+    ValueError
+        When a smoothing weight is negative.
     SingularSystemError
-        When the factorization fails or (for small systems, where the exact
-        condition number is affordable) the normal matrix is numerically
-        singular.  The message cites the identifiability condition.
+        When the factorization fails or the estimated condition number
+        exceeds ``SINGULAR_CONDITION``.  The message cites the
+        identifiability condition.
     DegreesOfFreedomError
         When the stacked row count does not exceed the parameter count.
     """
-    stacked = stack(system, trend_weight, level_weight)
-    p = stacked.param_count
-    n_total = stacked.n_total
+    check_weights(trend_weight, level_weight)
+    p = system.param_count
+    n_total = system.n_total
     if n_total < p:
         raise SingularSystemError(
             f"{n_total} stacked rows cannot determine {p} parameters; " + IDENTIFIABILITY_HINT
         )
 
-    matrix = stacked.matrix
-    weights = stacked.row_weights
-    weighted = matrix.multiply(weights[:, None]).tocsr()
-    normal = matrix.T @ weighted
-    normal = 0.5 * (normal + normal.T)
-    rhs = matrix.T @ (weights * stacked.target)
-
+    b0, b1, b2 = system.bands
+    band = b0 + trend_weight * b1 + level_weight * b2
     try:
-        inverse = BandedCovariance(normal, system.order, system.bandwidth)
+        inverse = BandedCovariance.from_band(band, system.order)
     except LinAlgError as err:
         raise SingularSystemError(f"{err}; {IDENTIFIABILITY_HINT}") from None
 
-    if p <= EXACT_CONDITION_MAX_SIZE:
-        condition = float(np.linalg.cond(normal.toarray()))
-        exact = True
-    else:
-        condition = _condition_from_cholesky(inverse.chol[0])
-        exact = False
-    if exact and (not math.isfinite(condition) or condition > SINGULAR_CONDITION):
+    condition = _one_norm(band) * _inverse_one_norm(inverse)
+    if not math.isfinite(condition) or condition > SINGULAR_CONDITION:
         raise SingularSystemError(
             f"normal-matrix condition number {condition:.3g} exceeds "
             f"{SINGULAR_CONDITION:.0e}; " + IDENTIFIABILITY_HINT
         )
     notes = []
     if condition > ILL_CONDITION:
-        notes.append(
-            f"ill-conditioned normal matrix (condition {'=' if exact else '~'} {condition:.3g})"
-        )
+        notes.append(f"ill-conditioned normal matrix (1-norm condition ~ {condition:.3g})")
 
+    g0, g1, g2 = system.grams
+    rhs = system.data_rhs
     z = inverse @ rhs
     for _ in range(2):  # iterative refinement sharpens near-consistent systems
-        z = z + inverse @ (rhs - normal @ z)
+        z = z + inverse @ (rhs - (g0 @ z + trend_weight * (g1 @ z) + level_weight * (g2 @ z)))
 
     s0, s1, s2 = objective_parts(system, z)
     total = s0 + trend_weight * s1 + level_weight * s2
@@ -360,7 +399,6 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
         n_rows=(system.n_data, system.n_trend, system.n_level),
         dof=n_total - p,
         condition=condition,
-        condition_exact=exact,
         warnings=notes,
     )
 

@@ -19,8 +19,8 @@ from ctrend.report import (
     render_bundle_svgs,
     write_fit_bundle,
 )
+from ctrend.design import stack
 from ctrend.simulate import linear_trend_scenario, simulate, write_records
-from ctrend.solve import EXACT_CONDITION_MAX_SIZE
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +155,11 @@ class TestBundle:
         result = json.load(open(os.path.join(outdir, "manifest.json")))["result"]
         assert result["bandwidth"] == run.system.bandwidth > 0
         assert result["condition"] == run.solution.condition > 1
-        assert result["condition_exact"] is (run.system.param_count <= EXACT_CONDITION_MAX_SIZE)
+        # the estimate is the dense 1-norm condition number of the final system
+        stacked = stack(run.system, run.solution.trend_weight, run.solution.level_weight)
+        a = stacked.matrix.toarray()
+        normal = a.T @ (stacked.row_weights[:, None] * a)
+        assert run.solution.condition == pytest.approx(np.linalg.cond(normal, 1), rel=1e-6)
         # observed, not configured: outside the digest
         solution = replace(run.solution, condition=2 * run.solution.condition)
         other = replace(run, iteration=replace(run.iteration, solution=solution))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, event, given
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -15,6 +15,7 @@ from ctrend.ingest import SurveyRecord, ingest_records
 from ctrend.oracle import brute_force_fit
 from ctrend.simulate import linear_trend_scenario, simulate
 from ctrend.solve import (
+    ILL_CONDITION,
     BandedCovariance,
     CorrelationSummary,
     DegreesOfFreedomError,
@@ -179,7 +180,6 @@ def manual_solution(domain, estimate, cov, dof=50):
         n_rows=(len(estimate), 0, 0),
         dof=dof,
         condition=1.0,
-        condition_exact=True,
     )
 
 
@@ -286,35 +286,55 @@ class TestScatteredViews:
         assert np.all(se[system.domain.mask] >= 0)
 
 
+def random_design(shape, data, generic=False):
+    """A design over a random gappy domain (or a one-row, one-column or tiny
+    one), with data on every cell whose cohort path stays in the domain.
+
+    ``generic`` fills most cells and draws each data cell's value and
+    within-cell year offset, so that most systems are identifiable and
+    their estimates depend on the smoothing weights.
+    """
+    top = 2 if shape == "tiny" else 7
+    ni = 1 if shape == "one row" else data.draw(st.integers(1, top))
+    nj = data.draw(st.integers(2, top))  # a frame spans at least two ages
+    frame = ObservationalFrame.from_integer_bounds(0, ni, 0, nj - 1)
+    filled = st.integers(0, 9).map(bool) if generic else st.booleans()
+    flags = data.draw(st.lists(filled, min_size=ni * nj, max_size=ni * nj))
+    mask = np.array(flags).reshape(ni, nj)
+    if shape == "one column":
+        mask[:, np.arange(nj) != data.draw(st.integers(0, nj - 1))] = False
+    assume(mask.any())
+    ii, jj = np.nonzero(mask)
+    slots = frame.year_cells - ii + jj
+    domain = AnalysisDomain(frame, mask, int(slots.min()), int(slots.max()))
+    # Data on every cell whose cohort path stays inside the domain.
+    cells = [
+        make_cell(frame, i, j, x_mean=float(25 + i - j), offset=0.3)
+        if not generic
+        else make_cell(
+            frame, i, j, x_mean=data.draw(st.floats(20.0, 30.0)), offset=data.draw(st.floats(0.05, 0.95))
+        )
+        for i, j in zip(ii, jj)
+        if all(mask[i - m, j - m] for m in range(1, min(i, j) + 1))
+    ]
+    return DesignSystem.build(cells, domain)
+
+
+SHAPES = st.sampled_from(["any", "one row", "one column", "tiny"])
+
+
 class TestBandedCovariance:
     @pytest.mark.filterwarnings("ignore:boundary-level segment")
     @given(
-        shape=st.sampled_from(["any", "one row", "one column", "tiny"]),
+        shape=SHAPES,
         weights=st.tuples(st.floats(0.01, 100.0), st.floats(0.01, 100.0)),
         data=st.data(),
     )
     def test_selected_inverse_matches_dense_inverse(self, shape, weights, data):
         """On random gappy domains every band entry equals the dense inverse,
         every adjacent pair lies in the band, and entries outside it raise."""
-        top = 2 if shape == "tiny" else 7
-        ni = 1 if shape == "one row" else data.draw(st.integers(1, top))
-        nj = data.draw(st.integers(2, top))  # a frame spans at least two ages
-        frame = ObservationalFrame.from_integer_bounds(0, ni, 0, nj - 1)
-        flags = data.draw(st.lists(st.booleans(), min_size=ni * nj, max_size=ni * nj))
-        mask = np.array(flags).reshape(ni, nj)
-        if shape == "one column":
-            mask[:, np.arange(nj) != data.draw(st.integers(0, nj - 1))] = False
-        assume(mask.any())
-        ii, jj = np.nonzero(mask)
-        slots = frame.year_cells - ii + jj
-        domain = AnalysisDomain(frame, mask, int(slots.min()), int(slots.max()))
-        # Data on every cell whose cohort path stays inside the domain.
-        cells = [
-            make_cell(frame, i, j, x_mean=float(25 + i - j), offset=0.3)
-            for i, j in zip(ii, jj)
-            if all(mask[i - m, j - m] for m in range(1, min(i, j) + 1))
-        ]
-        system = DesignSystem.build(cells, domain)
+        system = random_design(shape, data)
+        domain = system.domain
         stacked = stack(system, *weights)
         a = stacked.matrix
         normal = a.T @ a.multiply(stacked.row_weights[:, None]).tocsr()
@@ -345,3 +365,39 @@ class TestBandedCovariance:
                 cov[r[0], c[0]]
             with pytest.raises(IndexError, match="outside the band"):
                 cov[np.append(pairs[:, 0], r[-1]), np.append(pairs[:, 1], c[-1])]
+
+    @pytest.mark.filterwarnings("ignore:boundary-level segment")
+    @given(
+        shape=SHAPES,
+        weights=st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0)),
+        data=st.data(),
+    )
+    def test_assembled_band_matches_stacked_normal(self, shape, weights, data):
+        """The three precomputed bands, weighted and added, are the lower band
+        of the stacked system's normal matrix, and ``solve`` on them satisfies
+        that system's normal equations, or refuses only an ill-conditioned one."""
+        system = random_design(shape, data, generic=True)
+        stacked = stack(system, *weights)
+        a = stacked.matrix.toarray()
+        normal = a.T @ (stacked.row_weights[:, None] * a)
+        rhs = a.T @ (stacked.row_weights * stacked.target)
+
+        permuted = normal[np.ix_(system.order, system.order)]
+        p, b = system.param_count, system.bandwidth
+        expected = np.zeros((b + 1, p))
+        for d in range(min(b + 1, p)):
+            expected[d, : p - d] = np.diagonal(permuted, -d)
+        b0, b1, b2 = system.bands
+        band = b0 + weights[0] * b1 + weights[1] * b2
+        np.testing.assert_allclose(band, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+        try:
+            z = solve(system, *weights).estimate
+        except SingularSystemError:
+            event("singular")
+            assert np.linalg.cond(normal, 1) > ILL_CONDITION
+            return
+        event("solved")
+        residual = np.abs(normal @ z - rhs).max()
+        scale = np.abs(normal).sum(axis=1).max() * np.abs(z).max() + np.abs(rhs).max()
+        assert residual <= 1e-10 * scale
