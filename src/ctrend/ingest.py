@@ -1,7 +1,7 @@
 """Survey-file ingestion: parse, validate, derive BMI, aggregate to cells.
 
-Input format: delimited text (comma, semicolon or tab) with a header row.
-Recognised columns:
+Input format: delimited text (comma, semicolon or tab) in UTF-8, with a
+header row; a leading byte-order mark is dropped.  Recognised columns:
 
 =============  =========================================================
 ``survey``     survey identifier (required)
@@ -13,13 +13,25 @@ Recognised columns:
                and ``height`` are both present)
 ``weight``     kg   (used with ``height`` when ``bmi`` is absent)
 ``height``     m
-``id``         opaque subject token (optional)
-``sex``        category token (optional, carried through)
+``id``         opaque subject token (optional, not read)
+``sex``        category token (optional, not read)
 =============  =========================================================
 
-Every input row is accounted for exactly once: it ends up used (in a kept
-cell), flagged (missing value fields or failed validation), or excluded
-(cell below the count threshold, or outside an explicitly given frame).
+A row with more fields than the header is flagged; a shorter row's missing
+trailing fields are empty.  Every input row is accounted for exactly once:
+it ends up used (in a kept cell), flagged (missing value fields or failed
+validation), or excluded (cell below the count threshold, or outside an
+explicitly given frame).
+
+Ingest is columnar.  The needed columns are converted to float arrays in
+bulk and vectorised masks apply the validation rules; only the rows the
+masks reject go through the per-row parser ``_parse_row``, which names
+the reason a row is flagged or recovers the row (an ISO exam date, an age
+from ``birth_year`` where ``age`` is empty, a value field such as ``.``).
+The masks may reject a valid row but never accept one that ``_parse_row``
+rejects.  Record lists (``load_survey_file``, ``ingest_records``,
+``aggregate``) go through the same columns, so there is one aggregator and
+one report builder.
 """
 
 from __future__ import annotations
@@ -30,9 +42,11 @@ import hashlib
 import io
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .grid import CellIndex, ObservationalFrame, OutOfFrameError
+import numpy as np
+
+from .grid import CellIndex, ObservationalFrame
 
 __all__ = [
     "SurveyRecord",
@@ -89,13 +103,43 @@ class FlaggedRow:
     missing_value: bool  # True when the state variable could not be formed
 
 
+@dataclass(frozen=True)
+class _Columns:
+    """Validated rows as parallel arrays, in input order."""
+
+    survey: np.ndarray  # str objects
+    exam: np.ndarray  # decimal calendar years
+    age: np.ndarray  # real years
+    value: np.ndarray  # state variable
+
+    @classmethod
+    def from_records(cls, records) -> "_Columns":
+        records = list(records)
+        return cls(
+            np.array([r.survey_id for r in records], dtype=object),
+            np.array([r.exam_date for r in records], dtype=float),
+            np.array([r.age for r in records], dtype=float),
+            np.array([state_value(r) for r in records], dtype=float),
+        )
+
+    def records(self) -> list:
+        """One SurveyRecord per row, the value as ``bmi``."""
+        return [
+            SurveyRecord("", survey, exam, age, bmi=value)
+            for survey, exam, age, value in zip(
+                self.survey.tolist(), self.exam.tolist(), self.age.tolist(), self.value.tolist()
+            )
+        ]
+
+
 @dataclass
 class IngestResult:
     frame: ObservationalFrame
     cells: list  # kept CellStat, cell scan order
-    records: list  # validated records (in input order)
     flagged: list  # FlaggedRow
     excluded_cells: list  # CellStat for cells with n <= threshold
+    surveys: list  # per-survey report rows, sorted by survey id
+    n_records: int  # validated rows
     n_out_of_frame: int = 0
     cell_min_count: int = DEFAULT_CELL_MIN_COUNT
     source: str = ""
@@ -103,7 +147,7 @@ class IngestResult:
 
     @property
     def n_input(self) -> int:
-        return len(self.records) + len(self.flagged)
+        return self.n_records + len(self.flagged)
 
     @property
     def n_used(self) -> int:
@@ -120,48 +164,6 @@ class IngestResult:
     def report(self) -> dict:
         """JSON-ready ingestion report; per-survey rows mirror the usual
         survey-description table (dates, age range, counts, missing %)."""
-        surveys: dict[str, dict] = {}
-        for rec in self.records:
-            row = surveys.setdefault(
-                rec.survey_id,
-                {
-                    "survey": rec.survey_id,
-                    "start": rec.exam_date,
-                    "finish": rec.exam_date,
-                    "age_min": rec.age,
-                    "age_max": rec.age,
-                    "n_rows": 0,
-                    "n_missing": 0,
-                    "n_invalid": 0,
-                },
-            )
-            row["start"] = min(row["start"], rec.exam_date)
-            row["finish"] = max(row["finish"], rec.exam_date)
-            row["age_min"] = min(row["age_min"], rec.age)
-            row["age_max"] = max(row["age_max"], rec.age)
-            row["n_rows"] += 1
-        for fl in self.flagged:
-            row = surveys.setdefault(
-                fl.survey_id or "?",
-                {
-                    "survey": fl.survey_id or "?",
-                    "start": None,
-                    "finish": None,
-                    "age_min": None,
-                    "age_max": None,
-                    "n_rows": 0,
-                    "n_missing": 0,
-                    "n_invalid": 0,
-                },
-            )
-            row["n_rows"] += 1
-            if fl.missing_value:
-                row["n_missing"] += 1
-            else:
-                row["n_invalid"] += 1
-        for row in surveys.values():
-            n = row["n_rows"]
-            row["missing_pct"] = round(100.0 * row["n_missing"] / n, 2) if n else 0.0
         return {
             "source": self.source,
             "frame": {
@@ -171,7 +173,7 @@ class IngestResult:
                 "a_max": self.frame.a_max,
             },
             "cell_min_count": self.cell_min_count,
-            "surveys": sorted(surveys.values(), key=lambda r: str(r["survey"])),
+            "surveys": [dict(row) for row in self.surveys],
             "totals": {
                 "n_input": self.n_input,
                 "n_used": self.n_used,
@@ -185,6 +187,50 @@ class IngestResult:
                 "n_cells_excluded": len(self.excluded_cells),
             },
         }
+
+
+def _survey_row(survey, start=None, finish=None, age_min=None, age_max=None, n_rows=0) -> dict:
+    return {
+        "survey": survey,
+        "start": start,
+        "finish": finish,
+        "age_min": age_min,
+        "age_max": age_max,
+        "n_rows": n_rows,
+        "n_missing": 0,
+        "n_invalid": 0,
+    }
+
+
+def _survey_rows(columns: _Columns, flagged) -> list:
+    """Per-survey report rows: exam-date and age ranges and the count of the
+    validated rows, plus the flagged rows counted as missing or invalid."""
+    survey = columns.survey.tolist()
+    ids = sorted(set(survey))
+    code = {sid: k for k, sid in enumerate(ids)}
+    inverse = np.fromiter(map(code.__getitem__, survey), np.intp, len(survey))
+    counts = np.bincount(inverse, minlength=len(ids))
+    order = np.argsort(inverse, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    exam, age = columns.exam[order], columns.age[order]
+    surveys = {
+        sid: _survey_row(sid, *stats)
+        for sid, *stats in zip(
+            ids,
+            np.minimum.reduceat(exam, starts).tolist(),
+            np.maximum.reduceat(exam, starts).tolist(),
+            np.minimum.reduceat(age, starts).tolist(),
+            np.maximum.reduceat(age, starts).tolist(),
+            counts.tolist(),
+        )
+    }
+    for fl in flagged:
+        row = surveys.setdefault(fl.survey_id or "?", _survey_row(fl.survey_id or "?"))
+        row["n_rows"] += 1
+        row["n_missing" if fl.missing_value else "n_invalid"] += 1
+    for row in surveys.values():
+        row["missing_pct"] = round(100.0 * row["n_missing"] / row["n_rows"], 2)
+    return sorted(surveys.values(), key=lambda r: str(r["survey"]))
 
 
 def derive_bmi(record: SurveyRecord) -> float:
@@ -227,6 +273,34 @@ def _float_or_none(raw: str | None) -> float | None:
     return float(raw)
 
 
+def _floats(fields: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Convert text fields in bulk, as ``float()`` converts each.
+
+    Returns the values (NaN where a field does not convert), the mask of
+    fields that converted and the mask of empty fields.  NumPy converts str
+    objects with Python's own ``float``, so the values and the accepted
+    syntax are ``float()``'s.
+    """
+    n = len(fields)
+    empty = np.zeros(n, dtype=bool)
+    if "" in fields:
+        empty = ~np.fromiter(map(bool, fields), bool, n)
+        fields = [f or "nan" for f in fields]
+    try:
+        return np.array(fields, dtype=float), ~empty, empty
+    except ValueError:  # some field is not a number: find which, one by one
+        pass
+    values = np.full(n, np.nan)
+    parsed = np.zeros(n, dtype=bool)
+    for k in np.flatnonzero(~empty).tolist():
+        try:
+            values[k] = float(fields[k])
+        except ValueError:
+            continue
+        parsed[k] = True
+    return values, parsed, empty
+
+
 _DIALECT_DELIMS = ",;\t"
 
 
@@ -234,50 +308,117 @@ def load_survey_file(path: str) -> tuple[list[SurveyRecord], list[FlaggedRow]]:
     """Read and validate one survey file.
 
     Returns the validated records plus one FlaggedRow per rejected input row
-    (nothing is silently dropped).
+    (nothing is silently dropped).  A record carries the survey, exam date,
+    age and value (as ``bmi``) that ingest uses.
     """
-    with open(path, newline="") as fh:
-        return _read_survey(fh, path)
+    _, columns, flagged = _read(path)
+    return columns.records(), flagged
 
 
-def _read_survey(fh, path: str) -> tuple[list[SurveyRecord], list[FlaggedRow]]:
+def _read(path: str) -> tuple[bytes, _Columns, list[FlaggedRow]]:
+    """The file's bytes, its validated rows as columns and its flagged rows."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+    try:
+        return (raw, *_parse(stream, path))
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text ({err.reason})") from None
+
+
+def _parse(fh, path: str) -> tuple[_Columns, list[FlaggedRow]]:
+    """Validate every data row of a text stream into columns.
+
+    Rows are numbered from 1, skipping blank lines.
+    """
     sample = fh.read(4096)
     fh.seek(0)
     try:
         dialect = csv.Sniffer().sniff(sample, delimiters=_DIALECT_DELIMS)
     except csv.Error:
         dialect = csv.excel
-    reader = csv.DictReader(fh, dialect=dialect)
-    if reader.fieldnames is None:
+    try:
+        reader = csv.reader(fh, dialect)
+        header = next(reader, None)
+        rows = [row for row in reader if row]
+    except csv.Error as err:
+        raise ValueError(f"{path}: {err}") from None
+    if header is None:
         raise ValueError(f"{path}: empty file, no header row")
-    columns = {name.strip().lower(): name for name in reader.fieldnames}
-    if "survey" not in columns and "survey_id" not in columns:
+    # the last column of a name wins
+    position = {name.strip().lower(): k for k, name in enumerate(header)}
+    if "survey" not in position and "survey_id" not in position:
         raise ValueError(f"{path}: missing required column 'survey'")
-    if "exam_date" not in columns:
+    if "exam_date" not in position:
         raise ValueError(f"{path}: missing required column 'exam_date'")
-    if "age" not in columns and "birth_year" not in columns:
+    if "age" not in position and "birth_year" not in position:
         raise ValueError(f"{path}: need an 'age' or 'birth_year' column")
+
+    width, n = len(header), len(rows)
+    lengths = np.fromiter(map(len, rows), np.intp, n)
+    for k in np.flatnonzero(lengths < width).tolist():
+        rows[k] = rows[k] + [""] * (width - len(rows[k]))
 
     def get(row, *names):
         for name in names:
-            src = columns.get(name)
-            if src is not None and row.get(src) not in (None, ""):
-                return row[src]
+            k = position.get(name)
+            if k is not None and row[k] != "":
+                return row[k]
         return None
 
-    records: list[SurveyRecord] = []
+    def column(name):
+        k = position[name]
+        return [row[k] for row in rows]
+
+    if "survey" in position and "survey_id" in position:
+        survey = [a or b for a, b in zip(column("survey"), column("survey_id"))]
+    else:
+        survey = column("survey" if "survey" in position else "survey_id")
+    survey = np.array(list(map(str.strip, survey)), dtype=object)
+    ok = (survey != "") & (lengths <= width)
+
+    exam, parsed, _ = _floats(column("exam_date"))
+    ok &= parsed & (exam >= EXAM_DATE_WINDOW[0]) & (exam <= EXAM_DATE_WINDOW[1])
+    if "age" in position:
+        age, parsed, _ = _floats(column("age"))
+    else:
+        birth, parsed, _ = _floats(column("birth_year"))
+        with np.errstate(invalid="ignore"):
+            age = exam - birth
+    ok &= parsed & np.isfinite(age) & (age >= 0)
+
+    numbers = {}
+    for name in ("weight", "height", "bmi"):
+        if name in position:
+            values, parsed, empty = _floats(column(name))
+            ok &= parsed | empty
+        else:
+            values, parsed = np.full(n, np.nan), np.zeros(n, dtype=bool)
+        numbers[name] = values, parsed
+    weight, has_weight = numbers["weight"]
+    height, has_height = numbers["height"]
+    value, has_bmi = numbers["bmi"]
+    derive = np.flatnonzero(ok & ~has_bmi & has_weight & has_height & (height > 0))
+    try:
+        # derive_bmi's arithmetic, row by row
+        value[derive] = [w / h**2 for w, h in zip(weight[derive].tolist(), height[derive].tolist())]
+    except ArithmeticError:  # height**2 overflowed or underflowed: _parse_row flags the row
+        ok[derive] = False
+    ok &= (value > VALUE_WINDOW[0]) & (value < VALUE_WINDOW[1])
+
     flagged: list[FlaggedRow] = []
-    for lineno, row in enumerate(reader, start=1):
-        survey = (get(row, "survey", "survey_id") or "").strip()
+    for k in np.flatnonzero(~ok).tolist():
+        row, lineno = rows[k], k + 1
         try:
-            rec = _parse_row(row, lineno, survey, get)
+            if len(row) > width:
+                raise _RowProblem(f"{len(row)} fields, header has {width}")
+            rec = _parse_row(row, lineno, survey[k], get)
         except _RowProblem as problem:
-            flagged.append(
-                FlaggedRow(lineno, survey, problem.reason, problem.missing_value)
-            )
+            flagged.append(FlaggedRow(lineno, survey[k], problem.reason, problem.missing_value))
             continue
-        records.append(rec)
-    return records, flagged
+        exam[k], age[k], value[k] = rec.exam_date, rec.age, rec.bmi
+        ok[k] = True
+    return _Columns(survey[ok], exam[ok], age[ok], value[ok]), flagged
 
 
 class _RowProblem(Exception):
@@ -335,7 +476,10 @@ def _parse_row(row, lineno, survey, get) -> SurveyRecord:
             raise _RowProblem("no bmi and no weight/height pair", missing_value=True)
         if rec.height <= 0:
             raise _RowProblem(f"height {rec.height!r} not positive")
-        rec.bmi = derive_bmi(rec)
+        try:
+            rec.bmi = derive_bmi(rec)
+        except ArithmeticError:
+            raise _RowProblem(f"height {rec.height!r} squared is out of float range")
     if not (VALUE_WINDOW[0] < rec.bmi < VALUE_WINDOW[1]):
         raise _RowProblem(f"value {rec.bmi} outside plausible range {VALUE_WINDOW}")
     return rec
@@ -348,12 +492,17 @@ def frame_from_data(records) -> ObservationalFrame:
     of the latest, since the upper year bound is open; ages run from the
     floor of the youngest age to the ceiling of the oldest.
     """
-    if not records:
+    records = list(records)
+    return _frame([r.exam_date for r in records], [r.age for r in records])
+
+
+def _frame(exam, age) -> ObservationalFrame:
+    if len(exam) == 0:
         raise ValueError("cannot build a frame from zero records")
-    y_lo = math.floor(min(r.exam_date for r in records))
-    y_hi = math.floor(max(r.exam_date for r in records)) + 1
-    a_lo = math.floor(min(r.age for r in records))
-    a_hi = math.ceil(max(r.age for r in records))
+    y_lo = math.floor(np.min(exam))
+    y_hi = math.floor(np.max(exam)) + 1
+    a_lo = math.floor(np.min(age))
+    a_hi = math.ceil(np.max(age))
     if a_hi == a_lo:
         a_hi += 1
     return ObservationalFrame.from_integer_bounds(y_lo, y_hi, a_lo, a_hi)
@@ -371,35 +520,37 @@ def aggregate(records, frame: ObservationalFrame, cell_min_count: int = DEFAULT_
 
     Cells with ``n <= cell_min_count`` contributing records are excluded
     (returned separately, never silently dropped).  The output is invariant
-    under permutation of the input: records are reduced within each cell in
-    a sorted order, so repeated runs produce bit-identical statistics.
+    under permutation of the input: each cell's sums are ``math.fsum``, which
+    is exactly rounded, so repeated runs produce bit-identical statistics.
     """
-    groups: dict[CellIndex, list] = {}
-    out_of_frame = 0
-    for rec in records:
-        try:
-            cell = frame.cell_of(rec.exam_date, rec.age)
-        except OutOfFrameError:
-            out_of_frame += 1
-            continue
-        groups.setdefault(cell, []).append(rec)
+    return _aggregate(_Columns.from_records(records), frame, cell_min_count)
 
+
+def _aggregate(columns: _Columns, frame: ObservationalFrame, cell_min_count: int) -> AggregationResult:
+    y, a = columns.exam, columns.age
+    inside = (frame.y_min <= y) & (y < frame.y_max) & (frame.a_min <= a) & (a <= frame.a_max)
+    y, a, x = y[inside], a[inside], columns.value[inside]
+    # ObservationalFrame.cell_of, vectorised
+    i_abs = np.floor(y)
+    i = i_abs.astype(np.int64) - frame.year_base
+    j = np.ceil(a - (y - i_abs)).astype(np.int64) - frame.age_base
+    key = i * frame.age_cells + j
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    bounds = starts.tolist() + [len(order)]
+    xs, ys, as_ = x[order].tolist(), y[order].tolist(), a[order].tolist()
     kept, dropped = [], []
-    for cell in sorted(groups):
-        members = sorted(
-            groups[cell],
-            key=lambda r: (r.exam_date, r.age, state_value(r), r.survey_id, r.subject_id),
-        )
-        n = len(members)
+    for ci, cj, s, e in zip(i[order][starts].tolist(), j[order][starts].tolist(), bounds, bounds[1:]):
+        n = e - s
         stat = CellStat(
-            cell=cell,
-            x_mean=math.fsum(state_value(r) for r in members) / n,
-            y_mean=math.fsum(r.exam_date for r in members) / n,
-            a_mean=math.fsum(r.age for r in members) / n,
+            cell=CellIndex(ci, cj),
+            x_mean=math.fsum(xs[s:e]) / n,
+            y_mean=math.fsum(ys[s:e]) / n,
+            a_mean=math.fsum(as_[s:e]) / n,
             n=n,
         )
         (dropped if n <= cell_min_count else kept).append(stat)
-    return AggregationResult(kept, dropped, out_of_frame)
+    return AggregationResult(kept, dropped, int(np.count_nonzero(~inside)))
 
 
 def ingest_records(
@@ -409,15 +560,23 @@ def ingest_records(
     cell_min_count: int = DEFAULT_CELL_MIN_COUNT,
     source: str = "",
 ) -> IngestResult:
-    flagged = list(flagged) if flagged else []
-    records = list(records)
-    if not records:
+    return _ingest(_Columns.from_records(records), list(flagged or []), frame, cell_min_count, source)
+
+
+def _ingest(
+    columns: _Columns,
+    flagged: list,
+    frame: ObservationalFrame | None,
+    cell_min_count: int,
+    source: str,
+) -> IngestResult:
+    if not len(columns.exam):
         if flagged:
             raise ValueError("no usable records: every input row was flagged")
         raise ValueError("no records to ingest")
     if frame is None:
-        frame = frame_from_data(records)
-    agg = aggregate(records, frame, cell_min_count)
+        frame = _frame(columns.exam, columns.age)
+    agg = _aggregate(columns, frame, cell_min_count)
     if not agg.cells:
         raise ValueError(
             "no analyzable cells: every populated cell fell at or below "
@@ -426,9 +585,10 @@ def ingest_records(
     return IngestResult(
         frame=frame,
         cells=agg.cells,
-        records=records,
         flagged=flagged,
         excluded_cells=agg.excluded_cells,
+        surveys=_survey_rows(columns, flagged),
+        n_records=len(columns.exam),
         n_out_of_frame=agg.n_out_of_frame,
         cell_min_count=cell_min_count,
         source=source,
@@ -441,15 +601,7 @@ def ingest_file(
     cell_min_count: int = DEFAULT_CELL_MIN_COUNT,
 ) -> IngestResult:
     """Ingest one survey file, recording the SHA-256 of the bytes parsed."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    records, flagged = _read_survey(io.TextIOWrapper(io.BytesIO(raw), newline=""), path)
-    result = ingest_records(
-        records,
-        flagged,
-        frame=frame,
-        cell_min_count=cell_min_count,
-        source=os.path.basename(path),
-    )
+    raw, columns, flagged = _read(path)
+    result = _ingest(columns, flagged, frame, cell_min_count, os.path.basename(path))
     result.sha256 = hashlib.sha256(raw).hexdigest()
     return result

@@ -63,12 +63,26 @@ class TestFit:
         for name in ("manifest.json", "trends.csv", "trends.svg", "trace.csv"):
             assert (outdir / name).exists()
 
-    def test_empty_input_no_outputs(self, tmp_path):
-        data = tmp_path / "empty.csv"
-        data.write_text("survey,exam_date,age,bmi\n")
-        outdir = tmp_path / "run"
-        assert main(["fit", str(data), "--out", str(outdir)]) == EXIT_INPUT
-        assert not outdir.exists() or not list(outdir.iterdir())
+    def test_empty_input_no_outputs(self, tmp_path, capsys):
+        header = b"survey,exam_date,age,bmi\n"
+        inputs = {  # file bytes -> the error message
+            "empty": (header, "no records to ingest"),
+            "bom": (b"\xef\xbb\xbf" + header, "no records to ingest"),
+            "all_flagged": (header + b"S1,1700.5,30,24.0\nS1,2000.5,30,\n", "every input row was flagged"),
+            "ragged": (header + b"S1,2000.5,30,24,5\nS1,2000.5,31,24,7\n", "every input row was flagged"),
+            "height_overflow": (
+                b"survey,exam_date,age,weight,height\nS1,2000.5,30,80,1e200\n",
+                "every input row was flagged",
+            ),
+            "not_utf8": (header + b"S\xff1,2000.5,30,24.0\n", "not UTF-8"),
+        }
+        for name, (content, message) in inputs.items():
+            data = tmp_path / f"{name}.csv"
+            data.write_bytes(content)
+            outdir = tmp_path / f"run-{name}"
+            assert main(["fit", str(data), "--out", str(outdir)]) == EXIT_INPUT, name
+            assert message in capsys.readouterr().err, name
+            assert not outdir.exists() or not list(outdir.iterdir())
 
     def test_singular_input_exit_code(self, tmp_path):
         rows = ["id,survey,exam_date,age,bmi"]

@@ -1,12 +1,23 @@
 """Parsing, validation, BMI derivation, aggregation, conservation."""
 
+import csv
+import datetime
+import io
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctrend.grid import CellIndex, ObservationalFrame
 from ctrend.ingest import (
+    FlaggedRow,
     SurveyRecord,
+    _aggregate,
+    _parse,
+    _parse_row,
+    _RowProblem,
     aggregate,
     decimal_year,
     derive_bmi,
@@ -199,6 +210,32 @@ class TestFileIngestion:
         assert len(flagged) == 2
         assert not any(f.missing_value for f in flagged)
 
+    def test_extra_fields_flagged_short_rows_empty(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            "survey,exam_date,age,bmi\n"
+            "S1,2000.5,30,24,5\n"  # an unquoted decimal comma
+            "S1,2000.5,30\n"  # no bmi field: the value is missing
+            "S1,2000.5,31,24.5\n",
+        )
+        records, flagged = load_survey_file(path)
+        assert [r.bmi for r in records] == [24.5]
+        assert flagged == [
+            FlaggedRow(1, "S1", "5 fields, header has 4", False),
+            FlaggedRow(2, "S1", "no bmi and no weight/height pair", True),
+        ]
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        rows = ["survey,exam_date,age,bmi"] + [f"S1,2000.{k + 1},30,24.{k}" for k in range(8)]
+        text = "\n".join(rows) + "\n"
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(text.encode())
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        a, b = ingest_file(str(plain), cell_min_count=0), ingest_file(str(bom), cell_min_count=0)
+        assert a.cells == b.cells and len(a.cells) == 1
+        assert a.flagged == b.flagged == []
+
     def test_semicolon_delimiter(self, tmp_path):
         path = self.write(tmp_path, "survey;exam_date;age;bmi\nS1;2000.5;30;24.0\n")
         records, _ = load_survey_file(path)
@@ -245,3 +282,139 @@ class TestTableShapedCellCount:
         result = ingest_records(records, frame=scenario.frame, cell_min_count=0)
         assert len(result.cells) == 295
         assert result.n_used == 295
+
+
+def _reference_parse(text):
+    """The per-row reader: csv.DictReader and ``_parse_row`` on every row.
+    Returns ``(used, flagged)``, ``used`` as (survey, exam, age, value)."""
+    try:
+        dialect = csv.Sniffer().sniff(text[:4096], delimiters=",;\t")
+    except csv.Error:
+        dialect = csv.excel
+    reader = csv.DictReader(io.StringIO(text, newline=""), dialect=dialect)
+    columns = {name.strip().lower(): name for name in reader.fieldnames}
+
+    def get(row, *names):
+        for name in names:
+            src = columns.get(name)
+            if src is not None and row.get(src) not in (None, ""):
+                return row[src]
+        return None
+
+    used, flagged = [], []
+    for lineno, row in enumerate(reader, start=1):
+        survey = (get(row, "survey", "survey_id") or "").strip()
+        try:
+            if None in row:  # DictReader's key for fields beyond the header
+                width = len(reader.fieldnames)
+                raise _RowProblem(f"{width + len(row[None])} fields, header has {width}")
+            rec = _parse_row(row, lineno, survey, get)
+        except _RowProblem as problem:
+            flagged.append(FlaggedRow(lineno, survey, problem.reason, problem.missing_value))
+            continue
+        used.append((rec.survey_id, rec.exam_date, rec.age, rec.bmi))
+    return used, flagged
+
+
+def _reference_cells(used, frame):
+    """Plain-Python grouping: ``frame.cell_of`` and ``math.fsum`` per cell."""
+    groups = {}
+    for survey, exam, age, value in used:
+        if frame.contains(exam, age):
+            groups.setdefault(frame.cell_of(exam, age), []).append((value, exam, age))
+    return [
+        (cell, *(math.fsum(m[k] for m in members) / len(members) for k in range(3)), len(members))
+        for cell, members in sorted(groups.items())
+    ]
+
+
+def _bits(x):
+    return x.hex() if isinstance(x, float) else x
+
+
+_NUMBER_TEXT = st.sampled_from(
+    ["", ".", " ", "nan", "inf", "-inf", "1e2", "1_000", " 30 ", "-0", "abc", "1.2.3", "1e", "0x10", "--1"]
+)
+_FIELDS = {  # any text, most of it invalid
+    "survey": st.sampled_from(["", "  ", "?"]),
+    "survey_id": st.sampled_from(["", "  "]),
+    "exam_date": st.one_of(
+        st.floats(1890, 2110).map(repr),
+        st.dates().map(lambda d: d.isoformat()),
+        st.sampled_from(["1900", "2100", "1899.999", "2100.001", "2000-02-30"]),
+        _NUMBER_TEXT,
+    ),
+    "age": st.one_of(
+        st.floats(-5, 120).map(repr), st.sampled_from(["-1", "-0.5", "0", "60", "1e2"]), _NUMBER_TEXT
+    ),
+    "birth_year": st.one_of(st.floats(1850, 2050).map(repr), _NUMBER_TEXT),
+    "bmi": st.one_of(
+        st.floats(0, 120).map(repr), st.sampled_from(["10", "100", "10.0", "100.0", "1e1"]), _NUMBER_TEXT
+    ),
+    "weight": st.one_of(st.sampled_from(["1e200", "1e-200", "0", "-5"]), _NUMBER_TEXT),
+    "height": st.one_of(
+        st.floats(-1, 3).map(repr), st.sampled_from(["0", "-1.7", "0.0", "1e-200", "1e200"]), _NUMBER_TEXT
+    ),
+    "id": st.sampled_from(["a", ""]),
+}
+_VALID_FIELDS = {  # valid text, some of it on the edges of the test frame
+    "survey": st.sampled_from(["S1", "S2", " S1 "]),
+    "survey_id": st.sampled_from(["S3", ""]),
+    "exam_date": st.one_of(
+        st.floats(1955, 2045).map(repr),
+        st.dates(datetime.date(1955, 1, 1), datetime.date(2045, 12, 31)).map(lambda d: d.isoformat()),
+        st.sampled_from(["1960", "2040", "2039.999", "1900", "2100"]),
+    ),
+    "age": st.one_of(st.floats(0, 59).map(repr), st.sampled_from(["5", "55", "30"])),
+    "birth_year": st.floats(1900, 2040).map(repr),
+    "bmi": st.one_of(st.floats(10.5, 99).map(repr), st.just("")),
+    "weight": st.floats(30, 150).map(repr),
+    "height": st.floats(1.2, 2.1).map(repr),
+    "id": st.just("a"),
+}
+_TEST_FRAME = ObservationalFrame.from_integer_bounds(1960, 2040, 5, 55)
+
+
+@st.composite
+def _survey_files(draw):
+    names = ["survey", "exam_date", draw(st.sampled_from(["age", "birth_year"]))]
+    names += draw(st.lists(st.sampled_from(["survey_id", "bmi", "weight", "height", "id"]), unique=True))
+    names = draw(st.permutations(names))
+    if draw(st.booleans()):
+        names.append(draw(st.sampled_from(names)))  # a repeated column: the last one is read
+    lines = [",".join(draw(st.sampled_from([name, name.upper(), f" {name} "])) for name in names)]
+    for _ in range(draw(st.integers(0, 12))):
+        fields = [draw(_VALID_FIELDS[name]) for name in names]
+        kind = draw(st.sampled_from(["valid", "one field", "one field", "any", "short", "long", "blank"]))
+        if kind == "one field":
+            k = draw(st.integers(0, len(names) - 1))
+            fields[k] = draw(_FIELDS[names[k]])
+        elif kind == "any":
+            fields = [draw(st.one_of(_VALID_FIELDS[name], _FIELDS[name])) for name in names]
+        elif kind == "short":
+            fields = fields[: draw(st.integers(1, len(fields) - 1))]
+        elif kind == "long":
+            fields.append(draw(st.sampled_from(["5", ""])))
+        elif kind == "blank":
+            fields = []
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+class TestColumnarParse:
+    """The bulk parser against ``_parse_row`` row by row, bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_survey_files())
+    @example("survey,exam_date,age,bmi,weight\nS1,2000.5,30,24.0,abc\nS1,2000.5,30,24.0,.\n")
+    def test_matches_per_row_parser(self, text):
+        used, flagged = _reference_parse(text)
+        columns, flagged_bulk = _parse(io.StringIO(text, newline=""), "random.csv")
+        assert flagged_bulk == flagged
+        bulk = list(zip(*(col.tolist() for col in (columns.survey, columns.exam, columns.age, columns.value))))
+        assert [tuple(map(_bits, r)) for r in bulk] == [tuple(map(_bits, r)) for r in used]
+        cells = _aggregate(columns, _TEST_FRAME, cell_min_count=0).cells
+        got = [(c.cell, c.x_mean, c.y_mean, c.a_mean, c.n) for c in cells]
+        assert [tuple(map(_bits, c)) for c in got] == [
+            tuple(map(_bits, c)) for c in _reference_cells(used, _TEST_FRAME)
+        ]
