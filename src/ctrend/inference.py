@@ -90,19 +90,17 @@ def cluster_compare(solution: Solution, age_window: int = 5, year_window: int = 
     domain = solution.domain
     frame = solution.frame
 
-    members: dict[tuple[int, int], list[int]] = {}
-    for cell in domain.trend_cells():
-        block = (cell.i // year_window, cell.j // age_window)
-        members.setdefault(block, []).append(domain.trend_index(cell))
-
-    if not members:
-        raise ValueError("no included trend cells to cluster")
-    blocks = sorted(members)
+    # Included cells in scan order, their compact columns and their blocks.
+    ii, jj = np.nonzero(domain.mask)
+    columns = domain.full_to_compact()[frame.cohort_count :].reshape(domain.mask.shape)[ii, jj]
+    age_blocks = -(-frame.age_cells // age_window)
+    keys, block_rows, n_cells = np.unique(
+        (ii // year_window) * age_blocks + jj // age_window, return_inverse=True, return_counts=True
+    )
+    blocks = [(int(k), int(m)) for k, m in zip(*np.divmod(keys, age_blocks))]
     # The averaging map over compact columns: one banded solve per block.
     averaging = np.zeros((len(blocks), domain.compact_size))
-    for row, block in enumerate(blocks):
-        idx = members[block]
-        averaging[row, idx] = 1.0 / len(idx)
+    averaging[block_rows, columns] = 1.0 / n_cells[block_rows]
 
     means = averaging @ solution.estimate
     block_cov = averaging @ (solution.cov @ averaging.T)
@@ -120,7 +118,7 @@ def cluster_compare(solution: Solution, age_window: int = 5, year_window: int = 
                 age_end=frame.age_of(min((gj + 1) * age_window, frame.age_cells) - 1),
                 mean=float(means[row]),
                 se=math.sqrt(var) if var > 0 else 0.0,
-                n_cells=len(members[(gi, gj)]),
+                n_cells=int(n_cells[row]),
             )
         )
 

@@ -9,31 +9,33 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = ["svg_heatmap", "svg_series_panels", "PALETTE"]
 
 PALETTE = ["#3b6fb6", "#d1495b", "#2e8b57", "#e2a72e", "#7d5ba6", "#4cc1bd", "#8a6d3b"]
 
-_VIRIDIS = [
-    (0.0, (68, 1, 84)),
-    (0.25, (59, 82, 139)),
-    (0.5, (33, 145, 140)),
-    (0.75, (94, 201, 98)),
-    (1.0, (253, 231, 37)),
-]
+_VIRIDIS_KNOTS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+_VIRIDIS_RGB = np.array(
+    [(68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98), (253, 231, 37)], dtype=float
+)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _viridis(t: float) -> str:
-    t = min(max(t, 0.0), 1.0)
-    for (t0, c0), (t1, c1) in zip(_VIRIDIS, _VIRIDIS[1:]):
-        if t <= t1:
-            f = (t - t0) / (t1 - t0)
-            r, g, b = (round(a + f * (b_ - a)) for a, b_ in zip(c0, c1))
-            return f"#{r:02x}{g:02x}{b:02x}"
-    return "#fde725"
+def _viridis(t) -> list:
+    """``#rrggbb`` viridis colours of the values ``t``, clipped to [0, 1] (NaN
+    counts as 1).  Each value interpolates in the first segment whose upper
+    knot it does not exceed, and each channel is rounded half to even."""
+    t = np.clip(np.nan_to_num(np.asarray(t, dtype=float), nan=1.0), 0.0, 1.0)
+    k = np.searchsorted(_VIRIDIS_KNOTS[1:], t)
+    f = (t - _VIRIDIS_KNOTS[k]) / (_VIRIDIS_KNOTS[k + 1] - _VIRIDIS_KNOTS[k])
+    c0 = _VIRIDIS_RGB[k]
+    rgb = np.rint(c0 + f[:, None] * (_VIRIDIS_RGB[k + 1] - c0)).astype(int)
+    packed = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
+    return [f"#{v:06x}" for v in packed.tolist()]
 
 
 def _cohort_color(diagonal: int, t: float) -> str:
@@ -77,38 +79,42 @@ def svg_heatmap(
 ) -> str:
     """Cell heatmap of a year x age grid (years increase upward).
 
-    ``grid`` is a list of rows (one per year) of floats or None.  With
-    ``cohort_shading`` each cohort diagonal gets its own hue and the value
-    drives lightness, making along-cohort movement visible.  ``annotations``
-    marks cells with a dot: a list of (year_index, age_index).
+    ``grid`` holds one row per year of floats; NaN (or None) marks a cell
+    without a value.  With ``cohort_shading`` each cohort diagonal gets its
+    own hue and the value drives lightness, making along-cohort movement
+    visible.  ``annotations`` marks cells with a dot: a list of
+    (year_index, age_index).
     """
-    ni = len(grid)
-    nj = len(grid[0]) if ni else 0
-    if ni == 0 or nj == 0:
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 2 or grid.size == 0:
         raise ValueError("empty grid")
+    ni, nj = grid.shape
     margin_l, margin_b, margin_t, margin_r = 70, 55, 40, 110
     cell = max(6, min(22, int(640 / max(ni, nj))))
     width = margin_l + nj * cell + margin_r
     height = margin_t + ni * cell + margin_b
 
-    finite = [v for row in grid for v in row if v is not None and math.isfinite(v)]
-    if not finite:
+    finite = np.isfinite(grid)
+    if not finite.any():
         raise ValueError("no finite values to plot")
-    lo, hi = min(finite), max(finite)
+    lo, hi = float(grid[finite].min()), float(grid[finite].max())
     span = hi - lo if hi > lo else 1.0
 
+    fills = np.full(grid.shape, "#eeeeee", dtype=object)
+    t = (grid[finite] - lo) / span
+    if cohort_shading:
+        ii, jj = np.nonzero(finite)
+        fills[ii, jj] = [
+            _cohort_color(j - i, tv) for i, j, tv in zip(ii.tolist(), jj.tolist(), t.tolist())
+        ]
+    else:
+        fills[finite] = _viridis(t)
     parts = []
-    for i, row in enumerate(grid):
-        for j, value in enumerate(row):
-            x = margin_l + j * cell
-            y = margin_t + (ni - 1 - i) * cell
-            if value is None or not math.isfinite(value):
-                fill = "#eeeeee"
-            else:
-                t = (value - lo) / span
-                fill = _cohort_color(j - i, t) if cohort_shading else _viridis(t)
+    for i, row in enumerate(fills.tolist()):
+        y = margin_t + (ni - 1 - i) * cell
+        for j, fill in enumerate(row):
             parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{fill}"/>'
+                f'<rect x="{margin_l + j * cell}" y="{y}" width="{cell}" height="{cell}" fill="{fill}"/>'
             )
     if annotations:
         for i, j in annotations:
@@ -142,9 +148,9 @@ def svg_heatmap(
     bar_h = ni * cell * 0.7
     bar_y = margin_t + (ni * cell - bar_h) / 2
     steps = 24
-    for s in range(steps):
-        t = 1.0 - s / (steps - 1)
-        fill = _cohort_color(0, t) if cohort_shading else _viridis(t)
+    key = [1.0 - s / (steps - 1) for s in range(steps)]
+    key_fills = [_cohort_color(0, t) for t in key] if cohort_shading else _viridis(key)
+    for s, fill in enumerate(key_fills):
         parts.append(
             f'<rect x="{bar_x}" y="{bar_y + s * bar_h / steps:.1f}" width="14" '
             f'height="{bar_h / steps + 0.5:.1f}" fill="{fill}"/>'

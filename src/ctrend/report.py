@@ -1,10 +1,12 @@
 """Run outputs: CSV tables, JSON manifest, and SVG rendering from tables.
 
-All files are written atomically (temp file + rename).  Every table and
-figure carries the manifest digest, a hash of the effective inputs and
-configuration, so outputs can be traced back to the run that produced
-them.  SVGs are derived from the CSV rows alone and can be regenerated
-from a run directory at any time.
+All files are written atomically (temp file + rename) with the mode a plain
+``open`` would give, so the umask applies.  Every table and figure carries
+the manifest digest, a hash of the effective inputs and configuration, so
+outputs can be traced back to the run that produced them.  SVGs are derived
+from the CSV text rows alone: ``write_fit_bundle`` draws them from the rows
+it has just written, and ``render_bundle_svgs`` regenerates them from the
+files of a run directory.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ import io
 import json
 import math
 import os
-import tempfile
 
 import numpy as np
 
 from . import plots
+from .grid import CellIndex
 
 __all__ = [
     "atomic_write_text",
@@ -34,7 +36,9 @@ __all__ = [
 def atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    # Created like open() creates a file, so the kernel applies the umask.
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
@@ -45,37 +49,61 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _cell_text(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):  # includes numpy scalars; normalize first
-        value = float(value)
-        if math.isnan(value):
-            return ""
-        return repr(value)
-    return str(value)
+def _column_text(column) -> list:
+    """Cell texts of one column: a float as its ``repr`` (numpy floats
+    included), NaN and None as empty cells, any other value through ``str``."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        texts = list(map(repr, column.tolist()))
+        for k in np.flatnonzero(np.isnan(column)).tolist():
+            texts[k] = ""
+        return texts
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iub":
+        return list(map(str, column.tolist()))
+    return [
+        "" if v is None else ("" if v != v else repr(float(v))) if isinstance(v, float) else str(v)
+        for v in column
+    ]
 
 
-def csv_text(header, rows, digest: str | None = None) -> str:
+def _table_text(header, columns, digest: str | None = None):
+    """CSV text of a table given as columns, and its rows of cell texts."""
+    rows = list(zip(*map(_column_text, columns)))
     buf = io.StringIO()
     if digest:
         buf.write(f"# manifest: {digest}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell_text(v) for v in row])
-    return buf.getvalue()
+    writer.writerows(rows)
+    return buf.getvalue(), rows
+
+
+def _columns(rows) -> list:
+    return list(zip(*rows, strict=True))
+
+
+def csv_text(header, rows, digest: str | None = None) -> str:
+    return _table_text(header, _columns(rows), digest)[0]
 
 
 def read_table(path):
-    """Read one of our CSVs back: (header, rows-of-strings), comments skipped."""
+    """Read one of our CSVs back: (header, rows-of-strings), comments skipped.
+
+    Raises ``ValueError`` naming the file and line of a row whose field
+    count differs from the header's.
+    """
     header, rows = None, []
     with open(path, newline="") as fh:
-        for record in csv.reader(fh):
+        reader = csv.reader(fh)
+        for record in reader:
             if not record or record[0].startswith("#"):
                 continue
             if header is None:
                 header = record
+            elif len(record) != len(header):
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: {len(record)} fields, "
+                    f"the header has {len(header)}"
+                )
             else:
                 rows.append(record)
     if header is None:
@@ -102,15 +130,14 @@ def observed_rows(cells, frame):
     ]
 
 
-def levels_rows(solution):
-    frame = solution.frame
-    grid = solution.level_grid()
-    rows = []
-    for i in range(grid.shape[0]):
-        for j in range(grid.shape[1]):
-            if math.isfinite(grid[i, j]):
-                rows.append((frame.year_of(i), frame.age_of(j), float(grid[i, j])))
-    return rows
+def _finite(values: np.ndarray) -> np.ndarray:
+    """``values`` with every non-finite entry made NaN (an empty cell)."""
+    return np.where(np.isfinite(values), values, np.nan)
+
+
+def levels_columns(frame, levels):
+    ii, jj = np.nonzero(np.isfinite(levels))
+    return [frame.year_of(ii), frame.age_of(jj), levels[ii, jj]]
 
 
 def _domain_boundary(domain):
@@ -122,33 +149,23 @@ def _domain_boundary(domain):
     return domain.mask & ~np.isin(trend_compact, interior).reshape(domain.mask.shape)
 
 
-def trends_rows(solution):
+def trends_columns(solution, trends, trend_se):
+    """Every finite trend with its SE and 95% interval (empty where the SE is
+    not finite) and its domain-boundary flag, row-major."""
     frame = solution.frame
-    grid = solution.trend_grid()
-    se = solution.trend_se_grid()
-    edge = _domain_boundary(solution.domain)
-    rows = []
-    for i in range(grid.shape[0]):
-        for j in range(grid.shape[1]):
-            value = grid[i, j]
-            if not math.isfinite(value):
-                continue
-            s = se[i, j]
-            s = float(s) if math.isfinite(s) else None
-            lo = value - 1.96 * s if s is not None else None
-            hi = value + 1.96 * s if s is not None else None
-            rows.append(
-                (
-                    frame.year_of(i),
-                    frame.age_of(j),
-                    float(value),
-                    s,
-                    lo,
-                    hi,
-                    int(edge[i, j]),
-                )
-            )
-    return rows
+    ii, jj = np.nonzero(np.isfinite(trends))
+    value = trends[ii, jj]
+    se = _finite(trend_se[ii, jj])
+    edge = _domain_boundary(solution.domain)[ii, jj]
+    return [
+        frame.year_of(ii),
+        frame.age_of(jj),
+        value,
+        se,
+        value - 1.96 * se,
+        value + 1.96 * se,
+        edge.astype(int),
+    ]
 
 
 def boundary_levels_rows(solution):
@@ -230,78 +247,62 @@ def trace_rows(trace):
     ]
 
 
-def domain_rows(domain):
+def domain_columns(domain):
     frame = domain.frame
-    rows = []
-    for i in range(frame.year_cells):
-        for j in range(frame.age_cells):
-            rows.append(
-                (
-                    frame.year_of(i),
-                    frame.age_of(j),
-                    1 if domain.mask[i, j] else 0,
-                )
-            )
-    return rows
+    ii, jj = np.indices(domain.mask.shape).reshape(2, -1)
+    return [frame.year_of(ii), frame.age_of(jj), domain.mask.ravel().astype(int)]
 
 
-def cohort_track_rows(run):
+def cohort_track_columns(run, levels, trends, trend_se):
     """Along one cohort diagonal: observed mean with CI, fitted level, trend with CI."""
     solution = run.solution
     frame = solution.frame
-    slot = run.track_slot
-    origin = frame.slot_origin(slot)
-    levels = solution.level_grid()
-    trends = solution.trend_grid()
-    trend_se = solution.trend_se_grid()
-    by_cell = {s.cell: s for s in run.cells}
-    sigma = math.sqrt(solution.sigma2) if math.isfinite(solution.sigma2) else None
-    rows = []
-    i, j = origin.i, origin.j
-    birth = frame.year_of(i) - frame.age_of(j)
-    while i < frame.year_cells and j < frame.age_cells:
-        year, age = frame.year_of(i), frame.age_of(j)
-        stat = by_cell.get(type(origin)(i, j))
-        data = stat.x_mean if stat is not None else None
-        half = 1.96 * sigma if (stat is not None and sigma is not None) else None
-        level = levels[i, j] if math.isfinite(levels[i, j]) else None
-        trend = trends[i, j] if math.isfinite(trends[i, j]) else None
-        tse = trend_se[i, j] if math.isfinite(trend_se[i, j]) else None
-        rows.append(
-            (
-                birth,
-                year,
-                age,
-                data,
-                data - half if (data is not None and half is not None) else None,
-                data + half if (data is not None and half is not None) else None,
-                level,
-                trend,
-                trend - 1.96 * tse if (trend is not None and tse is not None) else None,
-                trend + 1.96 * tse if (trend is not None and tse is not None) else None,
-            )
-        )
-        i += 1
-        j += 1
-    return rows
+    origin = frame.slot_origin(run.track_slot)
+    steps = np.arange(min(frame.year_cells - origin.i, frame.age_cells - origin.j))
+    ii, jj = origin.i + steps, origin.j + steps
+    by_cell = {s.cell: s.x_mean for s in run.cells}
+    data = np.array([by_cell.get(CellIndex(i, j), np.nan) for i, j in zip(ii.tolist(), jj.tolist())])
+    half = 1.96 * math.sqrt(solution.sigma2) if math.isfinite(solution.sigma2) else math.nan
+    trend = _finite(trends[ii, jj])
+    tse = _finite(trend_se[ii, jj])
+    return [
+        [frame.year_of(origin.i) - frame.age_of(origin.j)] * steps.size,
+        frame.year_of(ii),
+        frame.age_of(jj),
+        data,
+        data - half,
+        data + half,
+        _finite(levels[ii, jj]),
+        trend,
+        trend - 1.96 * tse,
+        trend + 1.96 * tse,
+    ]
 
 
 # --- SVG renderers from tables ---------------------------------------------------
 
+def _labels(column):
+    """Sorted distinct whole-number labels of a year or age column, and each
+    row's index into them."""
+    values = np.array(column, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("a year or age label is not a finite number")
+    return np.unique(values.astype(int), return_inverse=True)
+
+
 def _grid_from_rows(rows, year_col, age_col, value_col):
-    years = sorted({int(float(r[year_col])) for r in rows})
-    ages = sorted({int(float(r[age_col])) for r in rows})
-    yi = {y: k for k, y in enumerate(years)}
-    ai = {a: k for k, a in enumerate(ages)}
-    grid = [[None] * len(ages) for _ in years]
-    for r in rows:
-        value = _f(r[value_col])
-        grid[yi[int(float(r[year_col]))]][ai[int(float(r[age_col]))]] = value
-    return grid, years, ages
+    """Year x age grid of one column (NaN where no row or an empty cell), the
+    sorted year and age labels, and each row's year and age index."""
+    columns = list(zip(*rows))
+    years, yi = _labels(columns[year_col])
+    ages, ai = _labels(columns[age_col])
+    grid = np.full((years.size, ages.size), np.nan)
+    grid[yi, ai] = [float(v) if v else math.nan for v in columns[value_col]]
+    return grid, years.tolist(), ages.tolist(), yi, ai
 
 
 def svg_from_observed(header, rows, digest=None):
-    grid, years, ages = _grid_from_rows(rows, 0, 1, 2)
+    grid, years, ages, _, _ = _grid_from_rows(rows, 0, 1, 2)
     return plots.svg_heatmap(
         grid, years, ages,
         "Observed cell means (cohort shading)",
@@ -312,21 +313,16 @@ def svg_from_observed(header, rows, digest=None):
 
 
 def svg_from_levels(header, rows, digest=None):
-    grid, years, ages = _grid_from_rows(rows, 0, 1, 2)
+    grid, years, ages, _, _ = _grid_from_rows(rows, 0, 1, 2)
     return plots.svg_heatmap(
         grid, years, ages, "Estimated mean levels", "level", manifest=digest
     )
 
 
 def svg_from_trends(header, rows, digest=None):
-    grid, years, ages = _grid_from_rows(rows, 0, 1, 2)
-    yi = {y: k for k, y in enumerate(years)}
-    ai = {a: k for k, a in enumerate(ages)}
-    marks = [
-        (yi[int(float(r[0]))], ai[int(float(r[1]))])
-        for r in rows
-        if r[6] == "1" or r[6] == 1
-    ]
+    grid, years, ages, yi, ai = _grid_from_rows(rows, 0, 1, 2)
+    edge = np.array([r[6] for r in rows]) == "1"
+    marks = list(zip(yi[edge].tolist(), ai[edge].tolist()))
     return plots.svg_heatmap(
         grid, years, ages,
         "Cohort trends (domain boundary marked; intervals in the table)",
@@ -358,7 +354,7 @@ def svg_from_clusters(header, rows, digest=None):
 
 
 def svg_from_cluster_chart(cluster_header, cluster_rows, test_rows, digest=None):
-    grid, years, ages = _grid_from_rows(cluster_rows, 0, 2, 4)
+    grid, years, ages, _, _ = _grid_from_rows(cluster_rows, 0, 2, 4)
     yi = {y: k for k, y in enumerate(years)}
     ai = {a: k for k, a in enumerate(ages)}
     marks = []
@@ -445,40 +441,52 @@ def write_fit_bundle(outdir: str, run, manifest: dict) -> list:
         atomic_write_text(path, text)
         written.append(path)
 
-    frame = run.solution.frame
-    tables = {
-        "observed.csv": observed_rows(run.cells, frame),
-        "levels.csv": levels_rows(run.solution),
-        "trends.csv": trends_rows(run.solution),
-        "boundary_levels.csv": boundary_levels_rows(run.solution),
-        "clusters.csv": clusters_rows(run.clusters),
-        "cluster_tests.csv": cluster_tests_rows(
-            run.clusters, {c.block: c for c in run.clusters.clusters}
+    solution = run.solution
+    frame = solution.frame
+    levels, trends, trend_se = solution.level_grid(), solution.trend_grid(), solution.trend_se_grid()
+    columns = {
+        "observed.csv": _columns(observed_rows(run.cells, frame)),
+        "levels.csv": levels_columns(frame, levels),
+        "trends.csv": trends_columns(solution, trends, trend_se),
+        "boundary_levels.csv": _columns(boundary_levels_rows(solution)),
+        "clusters.csv": _columns(clusters_rows(run.clusters)),
+        "cluster_tests.csv": _columns(
+            cluster_tests_rows(run.clusters, {c.block: c for c in run.clusters.clusters})
         ),
-        "trace.csv": trace_rows(run.trace),
-        "domain.csv": domain_rows(run.solution.domain),
-        "cohort_track.csv": cohort_track_rows(run),
+        "trace.csv": _columns(trace_rows(run.trace)),
+        "domain.csv": domain_columns(solution.domain),
+        "cohort_track.csv": cohort_track_columns(run, levels, trends, trend_se),
     }
-    for name, rows in tables.items():
-        emit(name, csv_text(TABLE_HEADERS[name], rows, digest))
+    tables = {}
+    for name, table_columns in columns.items():
+        text, rows = _table_text(TABLE_HEADERS[name], table_columns, digest)
+        emit(name, text)
+        tables[name] = (TABLE_HEADERS[name], rows)
 
     emit("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     if run.ingest_report is not None:
         stamped = dict(run.ingest_report, manifest=digest)
         emit("ingest_report.json", json.dumps(stamped, indent=2, sort_keys=True) + "\n")
 
-    for name, text in render_svg_texts(outdir, digest).items():
+    for name, text in render_svg_texts(tables, digest).items():
         emit(name, text)
     return written
 
 
-def render_svg_texts(outdir: str, digest: str | None = None) -> dict:
-    """Build every SVG from the CSV files present in ``outdir``."""
+# The tables the figures are drawn from.
+SVG_TABLES = (
+    "observed.csv", "levels.csv", "trends.csv", "clusters.csv", "cluster_tests.csv",
+    "cohort_track.csv",
+)
+
+
+def render_svg_texts(tables: dict, digest: str | None = None) -> dict:
+    """Build every SVG from tables given as ``{name: (header, text rows)}``;
+    a figure whose table is absent or empty is skipped."""
     out = {}
 
     def table(name):
-        path = os.path.join(outdir, name)
-        return read_table(path) if os.path.exists(path) else (None, None)
+        return tables.get(name, (None, None))
 
     header, rows = table("observed.csv")
     if rows:
@@ -502,13 +510,19 @@ def render_svg_texts(outdir: str, digest: str | None = None) -> dict:
 
 
 def render_bundle_svgs(outdir: str, digest: str | None = None) -> list:
+    """Regenerate the SVGs of a run directory from its CSV files."""
     if digest is None:
         manifest_path = os.path.join(outdir, "manifest.json")
         if os.path.exists(manifest_path):
             with open(manifest_path) as fh:
                 digest = json.load(fh).get("digest")
+    tables = {
+        name: read_table(path)
+        for name in SVG_TABLES
+        if os.path.exists(path := os.path.join(outdir, name))
+    }
     written = []
-    for name, text in render_svg_texts(outdir, digest).items():
+    for name, text in render_svg_texts(tables, digest).items():
         path = os.path.join(outdir, name)
         atomic_write_text(path, text)
         written.append(path)

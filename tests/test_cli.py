@@ -172,6 +172,38 @@ class TestReport:
     def test_report_missing_dir(self, tmp_path):
         assert main(["report", str(tmp_path / "nothing")]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("table", ["trends.csv", "levels.csv"])
+    def test_report_damaged_table(self, data_file, tmp_path, capsys, table):
+        outdir = tmp_path / "run"
+        assert main(["fit", data_file, "--out", str(outdir), "--cell-min-count", "0",
+                     "--trend-target", "0.85"]) == EXIT_OK
+        path = outdir / table
+        lines = path.read_text().splitlines(keepends=True)
+        if table == "trends.csv":  # one row cut to three fields
+            lines[5] = ",".join(lines[5].split(",")[:3]) + "\n"
+            bad_line = 6
+        else:  # the file cut in the middle of its last row
+            lines[-1] = lines[-1][: lines[-1].rindex(",")]
+            bad_line = len(lines)
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["report", str(outdir)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{table}, line {bad_line}" in err
+        assert "Traceback" not in err
+
+    def test_report_non_finite_label(self, data_file, tmp_path, capsys):
+        outdir = tmp_path / "run"
+        assert main(["fit", data_file, "--out", str(outdir), "--cell-min-count", "0",
+                     "--trend-target", "0.85"]) == EXIT_OK
+        path = outdir / "levels.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = "nan" + lines[3][lines[3].index(","):]
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["report", str(outdir)]) == EXIT_INPUT
+        assert "label is not a finite number" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_verify_passes(self, capsys):

@@ -82,6 +82,13 @@ class TestBundle:
         names = sorted(os.path.basename(p) for p in written)
         assert names == sorted(self.EXPECTED)
 
+    def test_file_modes_follow_umask(self, small_run):
+        _, _, _, written = small_run
+        umask = os.umask(0)
+        os.umask(umask)
+        for path in written:
+            assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask, os.path.basename(path)
+
     def test_every_file_references_digest(self, small_run):
         _, manifest, outdir, written = small_run
         digest = manifest["digest"]
