@@ -2,15 +2,23 @@
 
 Each pass solves the weighted system, measures the average adjacent-estimate
 correlations, and either stops (both measured correlations close enough to
-their reference values on the log(1 - r^2) scale) or rescales the smoothing
-weights by the measured-to-reference variance-deficit ratios and solves
-again.
+their reference values on the log(1 - r^2) scale) or moves the smoothing
+weights and solves again.
+
+The stop rule is the paper's.  The paper reaches it by rescaling each weight
+by its measured-to-reference variance-deficit ratio, a step of the signed log
+gap in log-weight space.  That step is a Newton step which assumes the gap
+falls one for one with the log weight, and it converges linearly.  Here each
+weight instead takes a secant step, with the slope of its gap estimated from
+its last two solves; when the worst scaled gap does not fall, both slopes
+reset to the paper's, so the next step is the paper step from the point just
+solved (Broyden 1965; Dennis & Schnabel 1983, ch. 8).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .design import DesignSystem
 from .solve import SingularSystemError, Solution, adjacent_correlations, solve
@@ -21,6 +29,7 @@ __all__ = [
     "StopCheck",
     "IterationResult",
     "check_stop",
+    "signed_gap",
     "weight_ratio",
     "run",
 ]
@@ -28,6 +37,9 @@ __all__ = [
 RATIO_FLOOR = 1e-8
 RATIO_CEIL = 1e8
 OSCILLATION_TOL = 0.01  # relative period-2 cycle detection
+PAPER_SLOPE = -1.0  # d gap / d log weight that the paper's update assumes
+SLOPE_MAX = -0.05  # flattest slope a secant step trusts: 20 paper steps
+STEP_CLIP = 3.0  # largest secant step in log weight
 
 
 @dataclass
@@ -36,9 +48,9 @@ class IterationConfig:
 
     ``trend_target`` and ``level_target`` are the reference average
     correlations (both in (0, 1)); the accuracies bound the absolute gap on
-    the log(1 - r^2) scale.  ``damping`` exponentiates the multiplicative
-    weight update (1.0 reproduces the plain update; the loop halves it
-    automatically when a period-2 weight cycle is detected).
+    the log(1 - r^2) scale.  ``damping`` scales every weight step in log
+    space (1.0 takes the full step; the loop halves it automatically when a
+    period-2 weight cycle is detected).
     """
 
     trend_target: float
@@ -56,12 +68,10 @@ class IterationConfig:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {v}")
-        for name in ("trend_accuracy", "level_accuracy"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("trend_weight_init", "level_weight_init"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("trend_accuracy", "level_accuracy", "trend_weight_init", "level_weight_init"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not 0.0 < self.damping <= 1.0:
@@ -78,8 +88,17 @@ class StopCheck:
     degenerate: bool = False
 
 
-def _log_gap(measured: float, target: float) -> float:
-    return abs(math.log((1.0 - measured * measured) / (1.0 - target * target)))
+def signed_gap(measured: float, target: float) -> float:
+    """The signed log gap log((1 - measured^2) / (1 - target^2)).
+
+    Positive when the estimate is rougher than the reference.  A measured
+    correlation at or beyond 1 in magnitude, or non-finite, counts as a
+    deficit of ``RATIO_FLOOR``.
+    """
+    deficit = 1.0 - float(measured) * float(measured)
+    if not math.isfinite(deficit) or deficit <= 0.0:
+        deficit = RATIO_FLOOR
+    return math.log(deficit / (1.0 - target * target))
 
 
 def check_stop(trend_smoothness: float, level_smoothness: float, config: IterationConfig) -> StopCheck:
@@ -97,25 +116,26 @@ def check_stop(trend_smoothness: float, level_smoothness: float, config: Iterati
     )
     if degenerate:
         return StopCheck(False, math.inf, math.inf, False, False, True)
-    trend_gap = _log_gap(trend_smoothness, config.trend_target)
-    level_gap = _log_gap(level_smoothness, config.level_target)
+    trend_gap = abs(signed_gap(trend_smoothness, config.trend_target))
+    level_gap = abs(signed_gap(level_smoothness, config.level_target))
     trend_ok = trend_gap <= config.trend_accuracy
     level_ok = level_gap <= config.level_accuracy
     return StopCheck(trend_ok and level_ok, trend_gap, level_gap, trend_ok, level_ok)
 
 
+def _ratio_gap(measured: float, target: float) -> float:
+    """The signed gap clipped to the log of [RATIO_FLOOR, RATIO_CEIL]."""
+    return min(max(signed_gap(measured, target), math.log(RATIO_FLOOR)), math.log(RATIO_CEIL))
+
+
 def weight_ratio(measured: float, target: float) -> float:
-    """Multiplicative weight update factor (1 - measured^2) / (1 - target^2).
+    """The paper's multiplicative weight update factor (1 - measured^2) / (1 - target^2).
 
     A rougher-than-target estimate gives a ratio above one, increasing the
-    weight.  Clipped away from zero so the weights stay strictly positive
-    even for degenerate correlation measurements.
+    weight.  Clipped to [RATIO_FLOOR, RATIO_CEIL] so the weights stay
+    strictly positive even for degenerate correlation measurements.
     """
-    deficit = 1.0 - float(measured) * float(measured)
-    if not math.isfinite(deficit) or deficit <= 0.0:
-        deficit = RATIO_FLOOR
-    ratio = deficit / (1.0 - target * target)
-    return float(min(max(ratio, RATIO_FLOOR), RATIO_CEIL))
+    return math.exp(_ratio_gap(measured, target))
 
 
 @dataclass
@@ -130,7 +150,7 @@ class TraceRecord:
     level_curvature: float
     r2: float | None
     converged: bool
-    note: str = ""
+    note: str = ""  # the step that produced the next weights, and any stop
 
 
 @dataclass
@@ -142,10 +162,29 @@ class IterationResult:
     trend_weight: float
     level_weight: float
     best_iteration: int
+    fallback_steps: int = 0  # paper steps taken because the worst gap did not fall
 
     @property
     def iterations(self) -> int:
         return len(self.trace)
+
+
+def _secant_slope(log_w: float, gap: float, prev_log_w: float, prev_gap: float) -> float:
+    """Slope of the gap in log weight through the last two solves, clamped
+    to [PAPER_SLOPE, SLOPE_MAX]."""
+    step = log_w - prev_log_w
+    if step == 0.0:
+        return PAPER_SLOPE
+    return min(max((gap - prev_gap) / step, PAPER_SLOPE), SLOPE_MAX)
+
+
+def _step(weights, gaps, slopes, damping: float, clip: float) -> tuple:
+    """Each weight moved by ``-damping * gap / slope`` in log weight, the
+    move clipped to [-clip, clip]."""
+    return tuple(
+        w * math.exp(min(max(-damping * g / s, -clip), clip))
+        for w, g, s in zip(weights, gaps, slopes)
+    )
 
 
 def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
@@ -154,10 +193,11 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
     Never a silent success: on a budget stop the best solution seen (the one
     with the smallest worst gap relative to its accuracy) is returned with
     ``converged=False``.  Deterministic: the trace is a pure function of the
-    system and configuration.
+    system and configuration.  Each trace row's note names the step that
+    produced the next weights.
     """
-    w1 = config.trend_weight_init
-    w2 = config.level_weight_init
+    weights = (config.trend_weight_init, config.level_weight_init)
+    targets = (config.trend_target, config.level_target)
     damping = config.damping
     trace: list[TraceRecord] = []
     weights_seen: list[tuple[float, float]] = []
@@ -167,8 +207,12 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
     best_iter = 0
     converged = False
     reason = "max_iter"
+    previous = None  # (log weights, signed gaps) of the last non-degenerate solve
+    previous_score = math.inf
+    fallback_steps = 0
 
     for it in range(1, config.max_iter + 1):
+        w1, w2 = weights
         try:
             solution = solve(system, w1, w2)
         except SingularSystemError:
@@ -181,8 +225,8 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
         corr = adjacent_correlations(
             solution, literal_level_denominator=config.literal_level_denominator
         )
-        checked = check_stop(corr.trend_smoothness, corr.level_smoothness, config)
-        note = ""
+        measured = (corr.trend_smoothness, corr.level_smoothness)
+        checked = check_stop(*measured, config)
 
         score = (
             math.inf
@@ -195,13 +239,13 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
         if score < best_score:
             best_score, best, best_iter = score, solution, it
 
-        weights_seen.append((w1, w2))
+        weights_seen.append(weights)
         if checked.stop:
             converged = True
             reason = "converged"
             trace.append(
                 TraceRecord(
-                    it, w1, w2, corr.trend_smoothness, corr.level_smoothness,
+                    it, w1, w2, *measured,
                     solution.data_misfit, solution.trend_curvature,
                     solution.level_curvature, solution.r2, True, "converged",
                 )
@@ -210,12 +254,30 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
             best_iter = it
             break
 
-        ratio1 = weight_ratio(corr.trend_smoothness, config.trend_target)
-        ratio2 = weight_ratio(corr.level_smoothness, config.level_target)
-        next_w1 = w1 * ratio1**damping
-        next_w2 = w2 * ratio2**damping
+        slopes, clip = (PAPER_SLOPE, PAPER_SLOPE), STEP_CLIP
+        if checked.degenerate:
+            # the paper's clipped ratio step, not bounded by STEP_CLIP
+            gaps = tuple(map(_ratio_gap, measured, targets))
+            clip, note = math.inf, "degenerate correlation measurement"
+            previous = None
+        else:
+            gaps = tuple(map(signed_gap, measured, targets))
+            log_w = tuple(map(math.log, weights))
+            if previous is None:
+                note = "paper step"
+            elif score >= previous_score:
+                fallback_steps += 1
+                note = "paper step: worst gap did not fall"
+            else:
+                slopes = tuple(map(_secant_slope, log_w, gaps, *previous))
+                note = "secant step"
+            previous = (log_w, gaps)
+        previous_score = score
+
+        next_weights = _step(weights, gaps, slopes, damping, clip)
         if len(weights_seen) >= 2:
             prev_w1, prev_w2 = weights_seen[-2]
+            next_w1, next_w2 = next_weights
             cycling = (
                 abs(next_w1 / prev_w1 - 1.0) < OSCILLATION_TOL
                 and abs(next_w2 / prev_w2 - 1.0) < OSCILLATION_TOL
@@ -224,20 +286,20 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
             )
             if cycling:
                 damping *= 0.5
-                next_w1 = w1 * ratio1**damping
-                next_w2 = w2 * ratio2**damping
-                note = f"oscillation detected, damping halved to {damping:g}"
-        if checked.degenerate and not note:
-            note = "degenerate correlation measurement"
+                next_weights = _step(weights, gaps, slopes, damping, clip)
+                note += f"; oscillation detected, damping halved to {damping:g}"
 
         trace.append(
             TraceRecord(
-                it, w1, w2, corr.trend_smoothness, corr.level_smoothness,
+                it, w1, w2, *measured,
                 solution.data_misfit, solution.trend_curvature,
                 solution.level_curvature, solution.r2, False, note,
             )
         )
-        w1, w2 = next_w1, next_w2
+        weights = next_weights
+        # unless it is the best, this solution is not needed again: do not
+        # hold its factor and covariance bands through the next solve
+        solution = None
 
     if not converged and trace:
         trace[-1].note = (trace[-1].note + "; " if trace[-1].note else "") + (
@@ -252,4 +314,5 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
         trend_weight=best.trend_weight,
         level_weight=best.level_weight,
         best_iteration=best_iter,
+        fallback_steps=fallback_steps,
     )

@@ -36,6 +36,9 @@ class FitOptions:
     year_window: int = 5
     cohort_birth_year: int | None = None  # cohort-track selection; None: most data
 
+    def __post_init__(self):
+        self.iteration_config()  # rejects bad loop settings before any file is read
+
     def iteration_config(self) -> IterationConfig:
         return IterationConfig(**{f.name: getattr(self, f.name) for f in fields(IterationConfig)})
 
@@ -185,6 +188,7 @@ def build_manifest(run: FitRun, inputs: list, extra: dict | None = None) -> dict
             "converged": run.iteration.converged,
             "reason": run.iteration.reason,
             "iterations": run.iteration.iterations,
+            "fallback_steps": run.iteration.fallback_steps,
             "trend_weight": run.solution.trend_weight,
             "level_weight": run.solution.level_weight,
             "r2": run.solution.r2,

@@ -104,6 +104,16 @@ class TestFit:
         manifest = json.load(open(outdir / "manifest.json"))
         assert manifest["result"]["converged"] is False
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--trend-accuracy", "nan"), ("--level-accuracy", "inf"),
+        ("--trend-weight-init", "nan"), ("--level-weight-init", "inf"),
+    ])
+    def test_non_finite_loop_settings(self, data_file, tmp_path, capsys, flag, value):
+        outdir = tmp_path / "run"
+        assert main(["fit", data_file, "--out", str(outdir), flag, value]) == EXIT_INPUT
+        assert "must be finite and positive" in capsys.readouterr().err
+        assert not outdir.exists() or not list(outdir.iterdir())
+
     def test_config_file_with_cli_override(self, data_file, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"trend_target": 0.8, "cell_min_count": 0,

@@ -8,7 +8,7 @@ import pytest
 from ctrend.design import DesignSystem
 from ctrend.domain import build_domain
 from ctrend.ingest import ingest_records
-from ctrend.iterate import IterationConfig, check_stop, run, weight_ratio
+from ctrend.iterate import IterationConfig, check_stop, run, signed_gap, weight_ratio
 from ctrend.simulate import linear_trend_scenario, simulate
 from ctrend.solve import adjacent_correlations, solve
 
@@ -34,6 +34,28 @@ class TestConfig:
             IterationConfig(trend_target=0.9, level_target=0.7, damping=1.5)
         with pytest.raises(ValueError):
             IterationConfig(trend_target=0.9, level_target=0.7, trend_weight_init=0.0)
+
+
+    @pytest.mark.parametrize("name", ["trend_accuracy", "level_accuracy",
+                                      "trend_weight_init", "level_weight_init"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            IterationConfig(trend_target=0.9, level_target=0.7, **{name: value})
+
+
+class TestSignedGap:
+    def test_sign_and_value(self):
+        assert signed_gap(0.85, 0.9) == pytest.approx(math.log(0.2775 / 0.19), abs=1e-12)
+        assert signed_gap(0.95, 0.9) < 0.0 < signed_gap(0.5, 0.9)
+
+    def test_one_formula(self):
+        # the stop rule's gap and the paper's update ratio are the same log gap
+        config = IterationConfig(trend_target=0.9, level_target=0.7)
+        for measured in (0.3, 0.85, 0.95):
+            gap = signed_gap(measured, 0.9)
+            assert check_stop(measured, 0.7, config).trend_gap == abs(gap)
+            assert weight_ratio(measured, 0.9) == pytest.approx(math.exp(gap), rel=1e-15)
 
 
 class TestCheckStop:
@@ -164,3 +186,32 @@ class TestRun:
         assert not result.converged
         assert result.reason.startswith(("singular", "max_iter"))
         assert np.all(np.isfinite(result.solution.estimate))
+
+    def test_notes_name_each_step(self):
+        system = small_system(seed=10, noise=1.5)
+        config = IterationConfig(trend_target=0.8, level_target=0.7, max_iter=50)
+        result = run(system, config)
+        assert result.converged
+        steps = [rec.note for rec in result.trace[:-1]]
+        assert steps[0] == "paper step"
+        assert all(note.startswith(("paper step", "secant step")) for note in steps)
+        assert "secant step" in steps
+        assert result.fallback_steps == sum("worst gap did not fall" in n for n in steps)
+        assert result.trace[-1].note == "converged"
+
+    def test_safeguard_takes_paper_step(self):
+        # on an unreachable target the trend gap stalls, so the worst gap
+        # stops falling; each such solve is followed by the paper step
+        system = small_system(seed=10, noise=1.5)
+        config = IterationConfig(trend_target=0.95, level_target=0.7, max_iter=50)
+        result = run(system, config)
+        assert result.fallback_steps > 0
+        for rec, nxt in zip(result.trace, result.trace[1:]):
+            if "worst gap did not fall" not in rec.note:
+                continue
+            for weight, measured, target, next_weight in (
+                (rec.trend_weight, rec.trend_smoothness, config.trend_target, nxt.trend_weight),
+                (rec.level_weight, rec.level_smoothness, config.level_target, nxt.level_weight),
+            ):
+                step = min(max(math.log(weight_ratio(measured, target)), -3.0), 3.0)
+                assert next_weight == pytest.approx(weight * math.exp(step), rel=1e-12)

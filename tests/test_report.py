@@ -172,6 +172,14 @@ class TestBundle:
         other = replace(run, iteration=replace(run.iteration, solution=solution))
         assert build_manifest(other, ["synthetic"])["digest"] == manifest["digest"]
 
+    def test_manifest_reports_fallback_steps(self, small_run):
+        run, manifest, outdir, _ = small_run
+        result = json.load(open(os.path.join(outdir, "manifest.json")))["result"]
+        assert result["fallback_steps"] == run.iteration.fallback_steps
+        # observed, not configured: outside the digest
+        other = replace(run, iteration=replace(run.iteration, fallback_steps=7))
+        assert build_manifest(other, ["synthetic"])["digest"] == manifest["digest"]
+
     def test_trace_matches_iteration(self, small_run):
         run, _, outdir, _ = small_run
         header, rows = read_table(os.path.join(outdir, "trace.csv"))
