@@ -64,7 +64,6 @@ def _parser() -> argparse.ArgumentParser:
     fit.add_argument("--trend-weight-init", type=float, default=None, help="initial trend smoothing weight (default 1.0)")
     fit.add_argument("--level-weight-init", type=float, default=None, help="initial level smoothing weight (default 1.0)")
     fit.add_argument("--max-iter", type=int, default=None, help="iteration budget (default 100)")
-    fit.add_argument("--damping", type=float, default=None, help="scale of each weight step in log weight, in (0, 1] (default 1.0)")
     fit.add_argument("--cell-min-count", type=int, default=None, help="exclude cells with at most this many records (default 5)")
     fit.add_argument("--domain-mode", type=int, choices=(1, 2), default=None, help="1: all cohort segments; 2: cohorts with 2+ data cells (default 1)")
     fit.add_argument("--age-window", type=int, default=None, help="cluster width in ages (default 5)")

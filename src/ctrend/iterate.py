@@ -30,13 +30,10 @@ __all__ = [
     "IterationResult",
     "check_stop",
     "signed_gap",
-    "weight_ratio",
     "run",
 ]
 
 RATIO_FLOOR = 1e-8
-RATIO_CEIL = 1e8
-OSCILLATION_TOL = 0.01  # relative period-2 cycle detection
 PAPER_SLOPE = -1.0  # d gap / d log weight that the paper's update assumes
 SLOPE_MAX = -0.05  # flattest slope a secant step trusts: 20 paper steps
 STEP_CLIP = 3.0  # largest secant step in log weight
@@ -48,9 +45,7 @@ class IterationConfig:
 
     ``trend_target`` and ``level_target`` are the reference average
     correlations (both in (0, 1)); the accuracies bound the absolute gap on
-    the log(1 - r^2) scale.  ``damping`` scales every weight step in log
-    space (1.0 takes the full step; the loop halves it automatically when a
-    period-2 weight cycle is detected).
+    the log(1 - r^2) scale.
     """
 
     trend_target: float
@@ -60,7 +55,6 @@ class IterationConfig:
     trend_weight_init: float = 1.0
     level_weight_init: float = 1.0
     max_iter: int = 100
-    damping: float = 1.0
     literal_level_denominator: bool = False
 
     def __post_init__(self):
@@ -74,8 +68,6 @@ class IterationConfig:
                 raise ValueError(f"{name} must be finite and positive, got {v}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must be in (0, 1], got {self.damping}")
 
 
 @dataclass
@@ -123,21 +115,6 @@ def check_stop(trend_smoothness: float, level_smoothness: float, config: Iterati
     return StopCheck(trend_ok and level_ok, trend_gap, level_gap, trend_ok, level_ok)
 
 
-def _ratio_gap(measured: float, target: float) -> float:
-    """The signed gap clipped to the log of [RATIO_FLOOR, RATIO_CEIL]."""
-    return min(max(signed_gap(measured, target), math.log(RATIO_FLOOR)), math.log(RATIO_CEIL))
-
-
-def weight_ratio(measured: float, target: float) -> float:
-    """The paper's multiplicative weight update factor (1 - measured^2) / (1 - target^2).
-
-    A rougher-than-target estimate gives a ratio above one, increasing the
-    weight.  Clipped to [RATIO_FLOOR, RATIO_CEIL] so the weights stay
-    strictly positive even for degenerate correlation measurements.
-    """
-    return math.exp(_ratio_gap(measured, target))
-
-
 @dataclass
 class TraceRecord:
     iteration: int
@@ -178,29 +155,33 @@ def _secant_slope(log_w: float, gap: float, prev_log_w: float, prev_gap: float) 
     return min(max((gap - prev_gap) / step, PAPER_SLOPE), SLOPE_MAX)
 
 
-def _step(weights, gaps, slopes, damping: float, clip: float) -> tuple:
-    """Each weight moved by ``-damping * gap / slope`` in log weight, the
-    move clipped to [-clip, clip]."""
+def _step(weights, gaps, slopes) -> tuple:
+    """Each weight moved by ``-gap / slope`` in log weight, the move clipped
+    to [-STEP_CLIP, STEP_CLIP]."""
     return tuple(
-        w * math.exp(min(max(-damping * g / s, -clip), clip))
+        w * math.exp(min(max(-g / s, -STEP_CLIP), STEP_CLIP))
         for w, g, s in zip(weights, gaps, slopes)
     )
 
 
 def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
-    """Run the loop to convergence, iteration budget, or degeneracy.
+    """Run the loop to convergence, iteration budget, or a singular system.
 
-    Never a silent success: on a budget stop the best solution seen (the one
-    with the smallest worst gap relative to its accuracy) is returned with
-    ``converged=False``.  Deterministic: the trace is a pure function of the
-    system and configuration.  Each trace row's note names the step that
-    produced the next weights.
+    Never a silent success: on a budget or singular stop the best solution
+    seen (the one with the smallest worst gap relative to its accuracy; the
+    first solution when no gap is finite) is returned with
+    ``converged=False``.  A singular system on the first solve raises
+    :class:`SingularSystemError`.  Deterministic: the trace is a pure
+    function of the system and configuration.  Each trace row's note names
+    the step that produced the next weights.
+
+    A degenerate measurement (a non-finite correlation, or one at or beyond
+    1 in magnitude) scores infinity, takes the paper step from the floored
+    gap of :func:`signed_gap`, and does not enter the next secant slope.
     """
     weights = (config.trend_weight_init, config.level_weight_init)
     targets = (config.trend_target, config.level_target)
-    damping = config.damping
     trace: list[TraceRecord] = []
-    weights_seen: list[tuple[float, float]] = []
 
     best_score = math.inf
     best: Solution | None = None
@@ -227,41 +208,22 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
         )
         measured = (corr.trend_smoothness, corr.level_smoothness)
         checked = check_stop(*measured, config)
-
-        score = (
-            math.inf
-            if checked.degenerate
-            else max(
-                checked.trend_gap / config.trend_accuracy,
-                checked.level_gap / config.level_accuracy,
-            )
+        # infinite when the measurement is degenerate
+        score = max(
+            checked.trend_gap / config.trend_accuracy,
+            checked.level_gap / config.level_accuracy,
         )
-        if score < best_score:
+        if best is None or score < best_score or checked.stop:
             best_score, best, best_iter = score, solution, it
 
-        weights_seen.append(weights)
+        gaps = tuple(map(signed_gap, measured, targets))
+        slopes = (PAPER_SLOPE, PAPER_SLOPE)
         if checked.stop:
-            converged = True
-            reason = "converged"
-            trace.append(
-                TraceRecord(
-                    it, w1, w2, *measured,
-                    solution.data_misfit, solution.trend_curvature,
-                    solution.level_curvature, solution.r2, True, "converged",
-                )
-            )
-            best = solution
-            best_iter = it
-            break
-
-        slopes, clip = (PAPER_SLOPE, PAPER_SLOPE), STEP_CLIP
-        if checked.degenerate:
-            # the paper's clipped ratio step, not bounded by STEP_CLIP
-            gaps = tuple(map(_ratio_gap, measured, targets))
-            clip, note = math.inf, "degenerate correlation measurement"
+            converged, reason, note = True, "converged", "converged"
+        elif checked.degenerate:
+            note = "paper step: degenerate correlation measurement"
             previous = None
         else:
-            gaps = tuple(map(signed_gap, measured, targets))
             log_w = tuple(map(math.log, weights))
             if previous is None:
                 note = "paper step"
@@ -274,38 +236,22 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
             previous = (log_w, gaps)
         previous_score = score
 
-        next_weights = _step(weights, gaps, slopes, damping, clip)
-        if len(weights_seen) >= 2:
-            prev_w1, prev_w2 = weights_seen[-2]
-            next_w1, next_w2 = next_weights
-            cycling = (
-                abs(next_w1 / prev_w1 - 1.0) < OSCILLATION_TOL
-                and abs(next_w2 / prev_w2 - 1.0) < OSCILLATION_TOL
-                and (abs(next_w1 / w1 - 1.0) >= OSCILLATION_TOL
-                     or abs(next_w2 / w2 - 1.0) >= OSCILLATION_TOL)
-            )
-            if cycling:
-                damping *= 0.5
-                next_weights = _step(weights, gaps, slopes, damping, clip)
-                note += f"; oscillation detected, damping halved to {damping:g}"
-
         trace.append(
             TraceRecord(
                 it, w1, w2, *measured,
                 solution.data_misfit, solution.trend_curvature,
-                solution.level_curvature, solution.r2, False, note,
+                solution.level_curvature, solution.r2, converged, note,
             )
         )
-        weights = next_weights
+        if converged:
+            break
+        weights = _step(weights, gaps, slopes)
         # unless it is the best, this solution is not needed again: do not
         # hold its factor and covariance bands through the next solve
         solution = None
 
-    if not converged and trace:
-        trace[-1].note = (trace[-1].note + "; " if trace[-1].note else "") + (
-            f"stopped: {reason}, best iteration {best_iter}"
-        )
-    assert best is not None
+    if not converged:
+        trace[-1].note += f"; stopped: {reason}, best iteration {best_iter}"
     return IterationResult(
         solution=best,
         trace=trace,

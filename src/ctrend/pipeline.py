@@ -27,7 +27,6 @@ class FitOptions:
     trend_weight_init: float = 1.0
     level_weight_init: float = 1.0
     max_iter: int = 100
-    damping: float = 1.0
     literal_level_denominator: bool = False
     cell_min_count: int = 5
     domain_mode: int = 1  # 1: all cohort segments; 2: two or more data cells

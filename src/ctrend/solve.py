@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dtrtri
 
-from .design import DesignSystem, check_weights, lower_band, objective_parts
+from .design import DesignSystem, check_weights, objective_parts
 from .domain import AnalysisDomain
 from .grid import ModelVector, forward_levels
 
@@ -136,30 +136,17 @@ class Solution:
         """Forward-evaluated mean levels wherever the cohort path is covered."""
         return forward_levels(self.model(), domain=self.domain)
 
-    def full_corr(self) -> np.ndarray:
-        sd = self.standard_errors()
-        with np.errstate(invalid="ignore", divide="ignore"):
-            corr = np.asarray(self.cov) / np.outer(sd, sd)
-        p = self.frame.param_count
-        out = np.full((p, p), np.nan)
-        idx = self.domain.compact_to_full()
-        out[np.ix_(idx, idx)] = corr
-        return out
-
-    def trend_cov(self) -> np.ndarray:
-        """Covariance of the included trend components (compact trend block)."""
-        s = self.domain.slot_count
-        return np.asarray(self.cov)[s:, s:]
-
 
 class BandedCovariance:
-    """The inverse of a sparse symmetric positive definite matrix, times
+    """The inverse of a symmetric positive definite band matrix, times
     ``scale`` (1, or the factor given to :meth:`scaled`).
 
-    The matrix is held as its Cholesky factor in LAPACK lower band storage,
-    ordered by ``order`` (``order[k]`` is the compact index at banded
-    position ``k``; :meth:`AnalysisDomain.cohort_major`), in which its
-    half-bandwidth is ``bandwidth``.  Factor and solves cost O(p b^2) and
+    ``band`` is the matrix's lower band in LAPACK lower band storage
+    (:func:`ctrend.design.lower_band`), ordered by ``order`` (``order[k]``
+    is the compact index at banded position ``k``;
+    :meth:`AnalysisDomain.cohort_major`); its row count less one is the
+    half-bandwidth ``bandwidth``.  The matrix is held as its Cholesky
+    factor in the same storage.  Factor and solves cost O(p b^2) and
     O(p b) instead of O(p^3), and the selected inverse supplies every entry
     of the inverse within the band.  The object offers the part of the
     ndarray interface that consumers use, in compact order:
@@ -173,18 +160,7 @@ class BandedCovariance:
     Raises ``LinAlgError`` when the matrix is not positive definite.
     """
 
-    def __init__(self, normal, order: np.ndarray, bandwidth: int):
-        self._factor(lower_band(normal, np.argsort(order), bandwidth), order)
-
-    @classmethod
-    def from_band(cls, band: np.ndarray, order: np.ndarray) -> "BandedCovariance":
-        """The inverse of the matrix whose lower band, in ``order``, is ``band``
-        (LAPACK lower band storage, as :func:`ctrend.design.lower_band` gives)."""
-        out = cls.__new__(cls)
-        out._factor(band, order)
-        return out
-
-    def _factor(self, band: np.ndarray, order: np.ndarray) -> None:
+    def __init__(self, band: np.ndarray, order: np.ndarray):
         p = band.shape[1]
         position = np.empty(p, dtype=np.int64)
         position[order] = np.arange(p)
@@ -356,7 +332,7 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
     b0, b1, b2 = system.bands
     band = b0 + trend_weight * b1 + level_weight * b2
     try:
-        inverse = BandedCovariance.from_band(band, system.order)
+        inverse = BandedCovariance(band, system.order)
     except LinAlgError as err:
         raise SingularSystemError(f"{err}; {IDENTIFIABILITY_HINT}") from None
 

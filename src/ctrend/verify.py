@@ -16,7 +16,7 @@ from .design import DesignSystem, level_curvature_rows, trend_curvature_rows
 from .domain import build_domain
 from .inference import prob_f
 from .ingest import ingest_records
-from .iterate import check_stop, weight_ratio, IterationConfig
+from .iterate import check_stop, signed_gap, IterationConfig
 from .oracle import brute_force_fit
 from .simulate import Scenario, SurveyPlan, level_steps, linear_trend_scenario, simulate
 from .solve import solve
@@ -147,7 +147,7 @@ def run_verification(negative_control: bool = False, emit=print) -> bool:
     # 5. stopping rule and weight update hand values
     config = IterationConfig(trend_target=0.9, level_target=0.7)
     checked = check_stop(0.85, 0.7, config)
-    ratio = weight_ratio(0.85, 0.9)
+    ratio = math.exp(signed_gap(0.85, 0.9))
     report(
         "stopping rule arithmetic",
         (not checked.stop)

@@ -104,6 +104,31 @@ class TestFit:
         manifest = json.load(open(outdir / "manifest.json"))
         assert manifest["result"]["converged"] is False
 
+    @pytest.mark.parametrize("budget", [[], ["--max-iter", "1"]])
+    def test_saturated_design_stops_with_first_solution(self, tmp_path, capsys, budget):
+        # 2 years x 3 ages, fully covered: n_total = p = 10, so sigma^2 and
+        # both adjacent correlations are NaN although the system at the
+        # initial weights solves; the fit stops with that solution, exit 3
+        spec = {
+            "frame": {"y_min": 2000, "y_max": 2002, "a_min": 30, "a_max": 32},
+            "surveys": [{"year": year, "age_min": 30, "age_max": 32, "samples_per_age": 8,
+                         "duration_months": 12} for year in (2000, 2001)],
+            "noise_sd": 1.0,
+            "seed": 1,
+        }
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(spec))
+        data = tmp_path / "saturated.csv"
+        assert main(["simulate", "--scenario", str(scen), "--out", str(data)]) == EXIT_OK
+        outdir = tmp_path / "run"
+        code = main(["fit", str(data), "--out", str(outdir), "--cell-min-count", "0",
+                     "--age-window", "1", "--year-window", "1"] + budget)
+        assert code == EXIT_NO_CONVERGENCE
+        result = json.load(open(outdir / "manifest.json"))["result"]
+        assert result["converged"] is False
+        assert result["trend_weight"] == result["level_weight"] == 1.0
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value", [
         ("--trend-accuracy", "nan"), ("--level-accuracy", "inf"),
         ("--trend-weight-init", "nan"), ("--level-weight-init", "inf"),

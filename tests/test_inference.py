@@ -131,7 +131,7 @@ class TestClusterCompare:
             blocks.setdefault((cell.i // 2, cell.j // 2), []).append(
                 domain.trend_index(cell) - domain.slot_count
             )
-        cov_uu = sol.trend_cov()
+        cov_uu = np.asarray(sol.cov)[domain.slot_count:, domain.slot_count:]
         for stat in report.clusters:
             idx = blocks[stat.block]
             a = np.zeros(cov_uu.shape[0])

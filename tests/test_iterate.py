@@ -1,5 +1,7 @@
 """Stopping rule, weight updates, and the outer loop."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 from ctrend.design import DesignSystem
 from ctrend.domain import build_domain
 from ctrend.ingest import ingest_records
-from ctrend.iterate import IterationConfig, check_stop, run, signed_gap, weight_ratio
+from ctrend import iterate
+from ctrend.iterate import IterationConfig, check_stop, run, signed_gap
 from ctrend.simulate import linear_trend_scenario, simulate
 from ctrend.solve import adjacent_correlations, solve
 
@@ -22,6 +25,18 @@ def small_system(seed=2, noise=1.0):
     return DesignSystem.build(res.cells, domain)
 
 
+def degenerate_first(monkeypatch, **values):
+    """Have the first correlation measurement of ``run`` read ``values``."""
+    measure = iterate.adjacent_correlations
+    calls = itertools.count()
+
+    def measured(solution, **kwargs):
+        corr = measure(solution, **kwargs)
+        return dataclasses.replace(corr, **values) if next(calls) == 0 else corr
+
+    monkeypatch.setattr(iterate, "adjacent_correlations", measured)
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -30,8 +45,6 @@ class TestConfig:
             IterationConfig(trend_target=0.9, level_target=0.7, trend_accuracy=0.0)
         with pytest.raises(ValueError):
             IterationConfig(trend_target=0.9, level_target=0.7, max_iter=0)
-        with pytest.raises(ValueError):
-            IterationConfig(trend_target=0.9, level_target=0.7, damping=1.5)
         with pytest.raises(ValueError):
             IterationConfig(trend_target=0.9, level_target=0.7, trend_weight_init=0.0)
 
@@ -50,12 +63,24 @@ class TestSignedGap:
         assert signed_gap(0.95, 0.9) < 0.0 < signed_gap(0.5, 0.9)
 
     def test_one_formula(self):
-        # the stop rule's gap and the paper's update ratio are the same log gap
+        # the stop rule's gap is the magnitude of the step's signed gap
         config = IterationConfig(trend_target=0.9, level_target=0.7)
         for measured in (0.3, 0.85, 0.95):
             gap = signed_gap(measured, 0.9)
             assert check_stop(measured, 0.7, config).trend_gap == abs(gap)
-            assert weight_ratio(measured, 0.9) == pytest.approx(math.exp(gap), rel=1e-15)
+
+    def test_hand_value(self):
+        # the paper's update ratio (1 - 0.85^2) / (1 - 0.9^2)
+        assert math.exp(signed_gap(0.85, 0.9)) == pytest.approx(0.2775 / 0.19, abs=1e-12)
+        assert math.exp(signed_gap(0.85, 0.9)) == pytest.approx(1.4605, abs=1e-4)
+
+    def test_rough_solution_raises_weight(self):
+        step = iterate._step((1.0, 1.0), (signed_gap(0.5, 0.9),) * 2, (iterate.PAPER_SLOPE,) * 2)
+        assert step[0] > 1.0
+
+    def test_smooth_solution_lowers_weight(self):
+        step = iterate._step((1.0, 1.0), (signed_gap(0.95, 0.9),) * 2, (iterate.PAPER_SLOPE,) * 2)
+        assert step[0] < 1.0
 
 
 class TestCheckStop:
@@ -95,22 +120,6 @@ class TestCheckStop:
         # overshooting smoothness also fails the window
         tight = self.config(du=0.01)
         assert not check_stop(0.99, 0.7, tight).stop
-
-
-class TestWeightRatio:
-    def test_hand_value(self):
-        assert weight_ratio(0.85, 0.9) == pytest.approx(0.2775 / 0.19, abs=1e-12)
-        assert weight_ratio(0.85, 0.9) == pytest.approx(1.4605, abs=1e-4)
-
-    def test_rough_solution_raises_weight(self):
-        assert weight_ratio(0.5, 0.9) > 1.0
-
-    def test_smooth_solution_lowers_weight(self):
-        assert weight_ratio(0.95, 0.9) < 1.0
-
-    def test_degenerate_stays_positive(self):
-        assert weight_ratio(1.0, 0.9) > 0.0
-        assert weight_ratio(math.nan, 0.9) > 0.0
 
 
 class TestRun:
@@ -213,5 +222,32 @@ class TestRun:
                 (rec.trend_weight, rec.trend_smoothness, config.trend_target, nxt.trend_weight),
                 (rec.level_weight, rec.level_smoothness, config.level_target, nxt.level_weight),
             ):
-                step = min(max(math.log(weight_ratio(measured, target)), -3.0), 3.0)
+                step = min(max(signed_gap(measured, target), -3.0), 3.0)
                 assert next_weight == pytest.approx(weight * math.exp(step), rel=1e-12)
+
+    def test_degenerate_solve_takes_clipped_paper_step(self, monkeypatch):
+        # a NaN trend and a level correlation of 1: the next weights are the
+        # paper step from the floored gap, clipped to +-3, and no secant
+        # slope follows from it
+        degenerate_first(monkeypatch, trend_smoothness=math.nan, level_smoothness=1.0)
+        config = IterationConfig(trend_target=0.8, level_target=0.7, max_iter=3)
+        result = run(small_system(seed=10, noise=1.5), config)
+        first, second = result.trace[:2]
+        assert first.note == "paper step: degenerate correlation measurement"
+        for weight, measured, target, next_weight in (
+            (first.trend_weight, first.trend_smoothness, config.trend_target, second.trend_weight),
+            (first.level_weight, first.level_smoothness, config.level_target, second.level_weight),
+        ):
+            step = min(max(signed_gap(measured, target), -3.0), 3.0)
+            assert step == -3.0
+            assert next_weight == pytest.approx(weight * math.exp(step), rel=1e-12)
+        assert second.note.startswith("paper step")
+        assert result.best_iteration != 1
+
+    def test_no_finite_score_keeps_first_solution(self, monkeypatch):
+        degenerate_first(monkeypatch, trend_smoothness=math.nan)
+        config = IterationConfig(trend_target=0.8, level_target=0.7, max_iter=1)
+        result = run(small_system(seed=10, noise=1.5), config)
+        assert not result.converged
+        assert result.best_iteration == 1
+        assert result.trace[-1].note.endswith("stopped: max_iter, best iteration 1")

@@ -8,7 +8,7 @@ from hypothesis import assume, event, given
 from hypothesis import strategies as st
 from scipy import sparse
 
-from ctrend.design import DesignSystem, stack
+from ctrend.design import DesignSystem, lower_band, stack
 from ctrend.domain import AnalysisDomain, build_domain
 from ctrend.grid import CellIndex, ObservationalFrame
 from ctrend.ingest import SurveyRecord, ingest_records
@@ -257,21 +257,6 @@ class TestAdjacentCorrelations:
 
 
 class TestScatteredViews:
-    def test_full_corr_missing_pattern(self, simple_domain):
-        domain, frame = simple_domain
-        p = domain.compact_size
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=(p, 2 * p))
-        sol = manual_solution(domain, rng.normal(size=p), a @ a.T / p)
-        corr = sol.full_corr()
-        participating = domain.compact_to_full()
-        outside = np.setdiff1d(np.arange(frame.param_count), participating)
-        assert not np.isnan(corr[np.ix_(participating, participating)]).any()
-        assert np.isnan(corr[outside, :]).all()
-        assert np.isnan(corr[:, outside]).all()
-        on = corr[np.ix_(participating, participating)]
-        assert np.allclose(np.diag(on), 1.0)
-
     def test_covariance_psd(self):
         _, _, _, sol = fitted_instance(seed=17)
         eig = np.linalg.eigvalsh(sol.cov)
@@ -340,7 +325,8 @@ class TestBandedCovariance:
         normal = a.T @ a.multiply(stacked.row_weights[:, None]).tocsr()
         normal = normal + sparse.identity(domain.compact_size)  # positive definite on any domain
         dense = np.linalg.inv(normal.toarray())
-        cov = BandedCovariance(normal, system.order, system.bandwidth)
+        cov = BandedCovariance(lower_band(normal, np.argsort(system.order), system.bandwidth),
+                               system.order)
 
         position = np.argsort(system.order)
         distance = np.abs(position[:, None] - position[None, :])
