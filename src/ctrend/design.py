@@ -165,7 +165,6 @@ class DesignSystem:
     """
 
     domain: AnalysisDomain
-    cells: list  # CellStat in row order of the data block
     data_matrix: sparse.csr_matrix
     target: np.ndarray
     trend_penalty: sparse.csr_matrix
@@ -204,7 +203,6 @@ class DesignSystem:
         grams = (_gram(matrix, weights), _gram(trend_penalty), _gram(level_penalty))
         return cls(
             domain=domain,
-            cells=ordered,
             data_matrix=matrix,
             target=target,
             trend_penalty=trend_penalty,

@@ -64,17 +64,16 @@ class AnalysisDomain:
         compact.setflags(write=False)
         object.__setattr__(self, "_compact", compact)
         object.__setattr__(self, "_trend_compact", compact[self.frame.cohort_count :])
-        order = np.flatnonzero(mask.ravel())
-        nj = self.frame.age_cells
-        cells = tuple(CellIndex(int(f) // nj, int(f) % nj) for f in order)
-        object.__setattr__(self, "_trend_cells", cells)
-        for cell in cells:
-            slot = self.frame.cohort_slot(cell)
-            if not self.first_slot <= slot <= self.last_slot:
-                raise ValueError(
-                    f"included cell ({cell.i}, {cell.j}) has slot {slot} outside "
-                    f"segment [{self.first_slot}, {self.last_slot}]"
-                )
+        ii, jj = np.nonzero(mask)  # row-major
+        object.__setattr__(self, "_trend_cells", tuple(map(CellIndex, ii.tolist(), jj.tolist())))
+        slots = self.frame.cohort_slots(ii, jj)
+        bad = np.flatnonzero((slots < self.first_slot) | (slots > self.last_slot))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"included cell ({ii[k]}, {jj[k]}) has slot {slots[k]} outside "
+                f"segment [{self.first_slot}, {self.last_slot}]"
+            )
 
     # --- sizes ---------------------------------------------------------------
 
@@ -135,14 +134,14 @@ class AnalysisDomain:
         """Compact indices in cohort-major order: each boundary slot, then the
         trend cells of its cohort in year order.
 
-        Sorted by ``(slot, -1)`` for slots and ``(year_cells - i + j, i)`` for
+        Sorted by ``(slot, -1)`` for slots and ``(cohort slot, i)`` for
         cells.  A cohort's data rows stay within its run, and the curvature
         triples reach two cohorts either way, so this order keeps the normal
         matrix banded.
         """
         ii, jj = np.nonzero(self.mask)  # row-major, the compact trend order
         slots = np.concatenate(
-            [np.arange(self.first_slot, self.last_slot + 1), self.frame.year_cells - ii + jj]
+            [np.arange(self.first_slot, self.last_slot + 1), self.frame.cohort_slots(ii, jj)]
         )
         years = np.concatenate([np.full(self.slot_count, -1), ii])
         return np.lexsort((years, slots))
@@ -238,19 +237,17 @@ def build_domain(cells, frame: ObservationalFrame, mode: int = 1) -> AnalysisDom
         if cell.i >= frame.year_cells or cell.j >= frame.age_cells:
             raise ValueError(f"data cell ({cell.i}, {cell.j}) outside the trend grid")
 
+    ci, cj = np.array([(c.i, c.j) for c in data_cells]).T
     if mode == 2:
-        per_cohort: dict[int, int] = {}
-        for cell in data_cells:
-            slot = frame.cohort_slot(cell)
-            per_cohort[slot] = per_cohort.get(slot, 0) + 1
-        data_cells = [c for c in data_cells if per_cohort[frame.cohort_slot(c)] >= 2]
-        if not data_cells:
+        slots = frame.cohort_slots(ci, cj)
+        shared = np.bincount(slots)[slots] >= 2
+        if not shared.any():
             raise DomainError(
                 "domain mode 2 removed every cohort: no cohort carries two or more data cells"
             )
+        ci, cj = ci[shared], cj[shared]
 
     # Each data cell pulls in its path: its operator row's trend columns, own cell included.
-    ci, cj = np.array([(c.i, c.j) for c in data_cells]).T
     trend_cols = cohort_path_rows(frame, ci, cj, np.zeros(ci.size)).indices - frame.cohort_count
     mask = np.zeros(frame.trend_size, dtype=bool)
     mask[trend_cols[trend_cols >= 0]] = True
@@ -260,5 +257,5 @@ def build_domain(cells, frame: ObservationalFrame, mode: int = 1) -> AnalysisDom
         pass
 
     ii, jj = np.nonzero(mask)
-    slots = frame.year_cells - ii + jj
+    slots = frame.cohort_slots(ii, jj)
     return AnalysisDomain(frame, mask, int(slots.min()), int(slots.max()))

@@ -20,7 +20,6 @@ prediction, data row and domain path in the package comes from them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +147,22 @@ class ObservationalFrame:
     def contains(self, y: float, a: float) -> bool:
         return self.y_min <= y < self.y_max and self.a_min <= a <= self.a_max
 
+    def locate(self, y, a):
+        """Vectorised :meth:`contains` and :meth:`cell_of`.
+
+        For equal-length arrays of points, returns ``(inside, i, j)``: the
+        in-frame mask, and the relative cell indices of the points inside
+        the frame, in input order (``i.size == inside.sum()``).
+        """
+        y = np.asarray(y, dtype=float)
+        a = np.asarray(a, dtype=float)
+        inside = (self.y_min <= y) & (y < self.y_max) & (self.a_min <= a) & (a <= self.a_max)
+        y, a = y[inside], a[inside]
+        i_abs = np.floor(y)
+        i = i_abs.astype(np.int64) - self.year_base
+        j = np.ceil(a - (y - i_abs)).astype(np.int64) - self.age_base
+        return inside, i, j
+
     def cell_of(self, y: float, a: float) -> CellIndex:
         """Locate the unique cell containing the point ``(y, a)``.
 
@@ -167,9 +182,12 @@ class ObservationalFrame:
             raise OutOfFrameError(f"year {y!r} outside frame [{self.y_min}, {self.y_max})")
         if not (self.a_min <= a <= self.a_max):
             raise OutOfFrameError(f"age {a!r} outside frame [{self.a_min}, {self.a_max}]")
-        i_abs = math.floor(y)
-        j_abs = math.ceil(a - (y - i_abs))
-        return CellIndex(i_abs - self.year_base, j_abs - self.age_base)
+        _, i, j = self.locate([y], [a])
+        return CellIndex(int(i[0]), int(j[0]))
+
+    def cohort_slots(self, i, j):
+        """:meth:`cohort_slot` of the cells ``(i, j)``, integers or arrays."""
+        return self.year_cells - i + j
 
     def cohort_slot(self, cell: CellIndex) -> int:
         """Boundary slot of the cohort whose diagonal passes through ``cell``.
@@ -177,7 +195,12 @@ class ObservationalFrame:
         Constant along any diagonal ``(i+m, j+m)`` and injective across
         diagonals: ``slot = year_cells - i + j``.
         """
-        return self.year_cells - cell.i + cell.j
+        return self.cohort_slots(cell.i, cell.j)
+
+    def birth_year(self, slot):
+        """Birth year of the cohort in ``slot`` (integers or arrays); the map
+        is its own inverse, so it also gives the slot of a birth year."""
+        return self.year_base - self.age_base + self.year_cells - slot
 
     def slot_origin(self, slot: int) -> CellIndex:
         """Level-grid cell where the cohort with this slot enters the frame."""
@@ -186,6 +209,12 @@ class ObservationalFrame:
         if slot <= self.year_cells:
             return CellIndex(self.year_cells - slot, 0)
         return CellIndex(0, slot - self.year_cells)
+
+    def diagonal(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
+        """Trend cells ``(i, j)`` the cohort in ``slot`` crosses, in year order."""
+        origin = self.slot_origin(slot)
+        steps = np.arange(min(self.year_cells - origin.i, self.age_cells - origin.j))
+        return origin.i + steps, origin.j + steps
 
     # --- output labelling ---------------------------------------------------
 
@@ -278,7 +307,7 @@ def cohort_path_rows(frame: ObservationalFrame, ci, cj, offsets=None) -> sparse.
     steps = depth[row] + 1 - (np.arange(indptr[-1]) - indptr[row])
     nj = frame.age_cells
     indices = frame.cohort_count + (ci * nj + cj)[row] - steps * (nj + 1)
-    indices[indptr[:-1]] = frame.year_cells - ci + cj
+    indices[indptr[:-1]] = frame.cohort_slots(ci, cj)
     data = np.ones(indptr[-1])
     if offsets is not None:
         data[indptr[1:] - 1] = offsets
@@ -355,9 +384,13 @@ def predict_observation(model: ModelVector, y, a, domain=None):
     frame = model.frame
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     ages = np.atleast_1d(np.asarray(a, dtype=float))
-    cells = [frame.cell_of(*point) for point in zip(ys.tolist(), ages.tolist(), strict=True)]
-    ci, cj = np.array([(c.i, c.j) for c in cells], dtype=np.int64).reshape(-1, 2).T
-    rows = cohort_path_rows(frame, ci, cj, ys - (frame.year_base + ci))
+    if ys.shape != ages.shape:
+        raise ValueError(f"year and age arrays differ in length: {ys.size} != {ages.size}")
+    inside, ci, cj = frame.locate(ys, ages)
+    if not inside.all():
+        k = int(np.flatnonzero(~inside)[0])
+        frame.cell_of(float(ys[k]), float(ages[k]))  # raises, naming the coordinate
+    rows = cohort_path_rows(frame, ci, cj, ys - frame.year_of(ci))
     if domain is not None:
         check_paths(frame, rows, ci, cj, domain.full_to_compact() >= 0)
     values = rows @ model.flat()

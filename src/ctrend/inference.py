@@ -83,7 +83,8 @@ def cluster_compare(solution: Solution, age_window: int = 5, year_window: int = 
         F = (m_i - m_j)^2 / (c_ii - 2 c_ij + c_jj),  Pr = prob_f(F, 1, n - p)
 
     A comparison with a nonpositive variance of the difference is marked
-    degenerate instead of producing a number.
+    degenerate instead of producing a number.  With no two blocks adjacent,
+    as when one block covers the domain, the report has no comparisons.
     """
     if age_window < 1 or year_window < 1:
         raise ValueError(f"cluster windows must be >= 1, got ({age_window}, {year_window})")
@@ -145,6 +146,4 @@ def cluster_compare(solution: Solution, age_window: int = 5, year_window: int = 
                     prob_f(f_value, 1, solution.dof),
                 )
             )
-    if not comparisons:
-        raise ValueError("no adjacent cluster pairs to compare")
     return ClusterReport(age_window, year_window, solution.dof, clusters, comparisons)

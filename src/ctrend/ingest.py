@@ -42,7 +42,7 @@ import hashlib
 import io
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -92,7 +92,7 @@ class CellStat:
 
     def offset(self, frame: ObservationalFrame) -> float:
         """Within-cell year offset of the mean exam date, in [0, 1)."""
-        return self.y_mean - (frame.year_base + self.cell.i)
+        return self.y_mean - frame.year_of(self.cell.i)
 
 
 @dataclass(frozen=True)
@@ -166,12 +166,7 @@ class IngestResult:
         survey-description table (dates, age range, counts, missing %)."""
         return {
             "source": self.source,
-            "frame": {
-                "y_min": self.frame.y_min,
-                "y_max": self.frame.y_max,
-                "a_min": self.frame.a_min,
-                "a_max": self.frame.a_max,
-            },
+            "frame": asdict(self.frame),
             "cell_min_count": self.cell_min_count,
             "surveys": [dict(row) for row in self.surveys],
             "totals": {
@@ -527,13 +522,8 @@ def aggregate(records, frame: ObservationalFrame, cell_min_count: int = DEFAULT_
 
 
 def _aggregate(columns: _Columns, frame: ObservationalFrame, cell_min_count: int) -> AggregationResult:
-    y, a = columns.exam, columns.age
-    inside = (frame.y_min <= y) & (y < frame.y_max) & (frame.a_min <= a) & (a <= frame.a_max)
-    y, a, x = y[inside], a[inside], columns.value[inside]
-    # ObservationalFrame.cell_of, vectorised
-    i_abs = np.floor(y)
-    i = i_abs.astype(np.int64) - frame.year_base
-    j = np.ceil(a - (y - i_abs)).astype(np.int64) - frame.age_base
+    inside, i, j = frame.locate(columns.exam, columns.age)
+    y, a, x = columns.exam[inside], columns.age[inside], columns.value[inside]
     key = i * frame.age_cells + j
     order = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))

@@ -33,7 +33,6 @@ __all__ = [
     "run",
 ]
 
-RATIO_FLOOR = 1e-8
 PAPER_SLOPE = -1.0  # d gap / d log weight that the paper's update assumes
 SLOPE_MAX = -0.05  # flattest slope a secant step trusts: 20 paper steps
 STEP_CLIP = 3.0  # largest secant step in log weight
@@ -83,14 +82,11 @@ class StopCheck:
 def signed_gap(measured: float, target: float) -> float:
     """The signed log gap log((1 - measured^2) / (1 - target^2)).
 
-    Positive when the estimate is rougher than the reference.  A measured
-    correlation at or beyond 1 in magnitude, or non-finite, counts as a
-    deficit of ``RATIO_FLOOR``.
+    Positive when the estimate is rougher than the reference.  Defined for
+    a measured correlation below 1 in magnitude; :func:`check_stop` marks
+    any other measurement degenerate.
     """
-    deficit = 1.0 - float(measured) * float(measured)
-    if not math.isfinite(deficit) or deficit <= 0.0:
-        deficit = RATIO_FLOOR
-    return math.log(deficit / (1.0 - target * target))
+    return math.log((1.0 - float(measured) * float(measured)) / (1.0 - target * target))
 
 
 def check_stop(trend_smoothness: float, level_smoothness: float, config: IterationConfig) -> StopCheck:
@@ -165,9 +161,10 @@ def _step(weights, gaps, slopes) -> tuple:
 
 
 def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
-    """Run the loop to convergence, iteration budget, or a singular system.
+    """Run the loop to convergence, iteration budget, a singular system or
+    an unmeasurable correlation.
 
-    Never a silent success: on a budget or singular stop the best solution
+    Never a silent success: on any other stop the best solution
     seen (the one with the smallest worst gap relative to its accuracy; the
     first solution when no gap is finite) is returned with
     ``converged=False``.  A singular system on the first solve raises
@@ -176,8 +173,9 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
     the step that produced the next weights.
 
     A degenerate measurement (a non-finite correlation, or one at or beyond
-    1 in magnitude) scores infinity, takes the paper step from the floored
-    gap of :func:`signed_gap`, and does not enter the next secant slope.
+    1 in magnitude) stops the loop after that solve: no weight makes a
+    structurally undefined correlation measurable, as when sigma^2 is
+    undefined because the stacked rows equal the parameters.
     """
     weights = (config.trend_weight_init, config.level_weight_init)
     targets = (config.trend_target, config.level_target)
@@ -188,7 +186,7 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
     best_iter = 0
     converged = False
     reason = "max_iter"
-    previous = None  # (log weights, signed gaps) of the last non-degenerate solve
+    previous = None  # (log weights, signed gaps) of the last solve
     previous_score = math.inf
     fallback_steps = 0
 
@@ -216,14 +214,17 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
         if best is None or score < best_score or checked.stop:
             best_score, best, best_iter = score, solution, it
 
-        gaps = tuple(map(signed_gap, measured, targets))
         slopes = (PAPER_SLOPE, PAPER_SLOPE)
         if checked.stop:
             converged, reason, note = True, "converged", "converged"
         elif checked.degenerate:
-            note = "paper step: degenerate correlation measurement"
-            previous = None
+            note = "degenerate correlation measurement"
+            reason = (
+                f"sigma^2 undefined: n_total = p = {system.param_count}" if solution.dof == 0
+                else f"correlation not measurable (trend {measured[0]:.4g}, level {measured[1]:.4g})"
+            )
         else:
+            gaps = tuple(map(signed_gap, measured, targets))
             log_w = tuple(map(math.log, weights))
             if previous is None:
                 note = "paper step"
@@ -243,7 +244,7 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
                 solution.level_curvature, solution.r2, converged, note,
             )
         )
-        if converged:
+        if converged or checked.degenerate:
             break
         weights = _step(weights, gaps, slopes)
         # unless it is the best, this solution is not needed again: do not

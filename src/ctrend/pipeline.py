@@ -5,6 +5,8 @@ from __future__ import annotations
 import datetime
 from dataclasses import asdict, dataclass, fields, replace
 
+import numpy as np
+
 from . import __version__
 from .design import DesignSystem
 from .domain import build_domain
@@ -37,6 +39,10 @@ class FitOptions:
 
     def __post_init__(self):
         self.iteration_config()  # rejects bad loop settings before any file is read
+        if self.age_window < 1 or self.year_window < 1:
+            raise ValueError(
+                f"cluster windows must be >= 1, got ({self.age_window}, {self.year_window})"
+            )
 
     def iteration_config(self) -> IterationConfig:
         return IterationConfig(**{f.name: getattr(self, f.name) for f in fields(IterationConfig)})
@@ -66,19 +72,15 @@ class FitRun:
 def _pick_track_slot(domain, birth_year: int | None):
     frame = domain.frame
     if birth_year is not None:
-        slot = frame.year_cells + (frame.year_base - frame.age_base) - birth_year
+        slot = frame.birth_year(birth_year)  # the map is its own inverse
         if not domain.first_slot <= slot <= domain.last_slot:
             raise ValueError(
                 f"cohort born {birth_year} is outside the estimated segment "
-                f"(births {frame.year_base - frame.age_base + frame.year_cells - domain.last_slot}"
-                f"..{frame.year_base - frame.age_base + frame.year_cells - domain.first_slot})"
+                f"(births {frame.birth_year(domain.last_slot)}..{frame.birth_year(domain.first_slot)})"
             )
         return slot
-    counts: dict[int, int] = {}
-    for cell in domain.trend_cells():
-        slot = frame.cohort_slot(cell)
-        counts[slot] = counts.get(slot, 0) + 1
-    return max(sorted(counts), key=lambda s: counts[s])
+    ii, jj = np.nonzero(domain.mask)
+    return int(np.argmax(np.bincount(frame.cohort_slots(ii, jj))))
 
 
 @dataclass(frozen=True)
@@ -88,19 +90,22 @@ class _Prepared:
     cells: list  # cells that entered the data block
     dropped_cells: list  # in kept cells but outside the analysis domain
     system: DesignSystem
+    track_slot: int
     ingest_report: dict
     input_sha256: str
 
 
 def _prepare(ingest_result: IngestResult, options: FitOptions) -> _Prepared:
-    """Domain, design and ingest report; the options that shape them are
-    ``domain_mode`` and ``weight_by_count``."""
+    """Domain, design, track cohort and ingest report; the options that
+    shape them are ``domain_mode``, ``weight_by_count`` and
+    ``cohort_birth_year``."""
     domain = build_domain(ingest_result.cells, ingest_result.frame, mode=options.domain_mode)
     inside, outside = domain.filter_cells(ingest_result.cells)
     return _Prepared(
         cells=inside,
         dropped_cells=outside,
         system=DesignSystem.build(inside, domain, weight_by_count=options.weight_by_count),
+        track_slot=_pick_track_slot(domain, options.cohort_birth_year),
         ingest_report=ingest_result.report(),
         input_sha256=ingest_result.sha256,
     )
@@ -121,7 +126,7 @@ def _fit(prepared: _Prepared, options: FitOptions) -> FitRun:
         system=prepared.system,
         iteration=iteration,
         clusters=clusters,
-        track_slot=_pick_track_slot(prepared.system.domain, options.cohort_birth_year),
+        track_slot=prepared.track_slot,
         ingest_report=prepared.ingest_report,
         input_sha256=prepared.input_sha256,
     )
@@ -154,7 +159,6 @@ def batch_fit(ingest_result: IngestResult, options: FitOptions, pairs) -> dict:
 
 
 def build_manifest(run: FitRun, inputs: list, extra: dict | None = None) -> dict:
-    frame = run.solution.frame
     config = asdict(run.options)
     core = {
         "inputs": list(inputs),
@@ -164,17 +168,15 @@ def build_manifest(run: FitRun, inputs: list, extra: dict | None = None) -> dict
     }
     digest = manifest_digest(core)
     last = run.trace[-1]
+    warnings = list(run.solution.warnings)
+    if not run.clusters.comparisons:
+        warnings.append("no adjacent cluster pairs to compare: cluster_tests.csv has no rows")
     manifest = {
         "digest": digest,
         "tool": {"name": "ctrend", "version": __version__},
         "inputs": list(inputs),
         "config": config,
-        "frame": {
-            "y_min": frame.y_min,
-            "y_max": frame.y_max,
-            "a_min": frame.a_min,
-            "a_max": frame.a_max,
-        },
+        "frame": asdict(run.solution.frame),
         "domain": run.solution.domain.summary(),
         "dropped_cells_outside_domain": len(run.dropped_cells),
         "references": {
@@ -197,7 +199,7 @@ def build_manifest(run: FitRun, inputs: list, extra: dict | None = None) -> dict
             "dof_convention": "n = data + curvature rows, p = compact parameters",
             "bandwidth": run.system.bandwidth,
             "condition": run.solution.condition,
-            "warnings": run.solution.warnings,
+            "warnings": warnings,
         },
         "track_cohort_slot": run.track_slot,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -168,25 +168,13 @@ def trends_columns(solution, trends, trend_se):
     ]
 
 
-def boundary_levels_rows(solution):
-    frame = solution.frame
+def boundary_levels_columns(solution):
+    """Every finite boundary level with its cohort's birth year and its SE
+    (empty where not finite), by slot."""
     levels = solution.boundary_levels()
-    se = solution.boundary_level_se()
-    rows = []
-    for slot in range(frame.cohort_count):
-        if not math.isfinite(levels[slot]):
-            continue
-        origin = frame.slot_origin(slot)
-        s = float(se[slot]) if math.isfinite(se[slot]) else None
-        rows.append(
-            (
-                slot,
-                frame.year_of(origin.i) - frame.age_of(origin.j),  # birth year label
-                float(levels[slot]),
-                s,
-            )
-        )
-    return rows
+    slots = np.flatnonzero(np.isfinite(levels))
+    se = _finite(solution.boundary_level_se()[slots])
+    return [slots, solution.frame.birth_year(slots), levels[slots], se]
 
 
 def clusters_rows(report):
@@ -257,16 +245,14 @@ def cohort_track_columns(run, levels, trends, trend_se):
     """Along one cohort diagonal: observed mean with CI, fitted level, trend with CI."""
     solution = run.solution
     frame = solution.frame
-    origin = frame.slot_origin(run.track_slot)
-    steps = np.arange(min(frame.year_cells - origin.i, frame.age_cells - origin.j))
-    ii, jj = origin.i + steps, origin.j + steps
+    ii, jj = frame.diagonal(run.track_slot)
     by_cell = {s.cell: s.x_mean for s in run.cells}
     data = np.array([by_cell.get(CellIndex(i, j), np.nan) for i, j in zip(ii.tolist(), jj.tolist())])
     half = 1.96 * math.sqrt(solution.sigma2) if math.isfinite(solution.sigma2) else math.nan
     trend = _finite(trends[ii, jj])
     tse = _finite(trend_se[ii, jj])
     return [
-        [frame.year_of(origin.i) - frame.age_of(origin.j)] * steps.size,
+        [frame.birth_year(run.track_slot)] * ii.size,
         frame.year_of(ii),
         frame.age_of(jj),
         data,
@@ -332,7 +318,9 @@ def svg_from_trends(header, rows, digest=None):
     )
 
 
-def svg_from_clusters(header, rows, digest=None):
+def _cluster_panel(rows, ylabel):
+    """Cluster mean trends with 95% intervals, one series per year block,
+    from ``clusters.csv`` rows given as cell texts or as numbers."""
     groups = {}
     for r in rows:
         label = f"{int(float(r[0]))}-{int(float(r[1]))}"
@@ -343,13 +331,14 @@ def svg_from_clusters(header, rows, digest=None):
     series = [
         {"label": label, "points": pts} for label, pts in sorted(groups.items())
     ]
-    panel = {
-        "ylabel": "mean trend, units/yr",
-        "xlabel": "age (cluster midpoint)",
-        "series": series,
-    }
+    return {"ylabel": ylabel, "xlabel": "age (cluster midpoint)", "series": series}
+
+
+def svg_from_clusters(header, rows, digest=None):
     return plots.svg_series_panels(
-        [panel], "Cluster mean trends with 95% intervals", manifest=digest
+        [_cluster_panel(rows, "mean trend, units/yr")],
+        "Cluster mean trends with 95% intervals",
+        manifest=digest,
     )
 
 
@@ -448,7 +437,7 @@ def write_fit_bundle(outdir: str, run, manifest: dict) -> list:
         "observed.csv": _columns(observed_rows(run.cells, frame)),
         "levels.csv": levels_columns(frame, levels),
         "trends.csv": trends_columns(solution, trends, trend_se),
-        "boundary_levels.csv": _columns(boundary_levels_rows(solution)),
+        "boundary_levels.csv": boundary_levels_columns(solution),
         "clusters.csv": _columns(clusters_rows(run.clusters)),
         "cluster_tests.csv": _columns(
             cluster_tests_rows(run.clusters, {c.block: c for c in run.clusters.clusters})
@@ -552,20 +541,8 @@ def write_comparison_sheet(outdir: str, runs: dict, digest: str | None = None) -
                 last.level_smoothness,
             )
         )
-        groups = {}
-        for c in run.clusters.clusters:
-            label = f"{c.year_start}-{c.year_end}"
-            groups.setdefault(label, []).append(
-                (0.5 * (c.age_start + c.age_end), c.mean, c.mean - c.ci_half, c.mean + c.ci_half)
-            )
         panels.append(
-            {
-                "ylabel": f"R({level_target}, {trend_target}) trend",
-                "xlabel": "age (cluster midpoint)",
-                "series": [
-                    {"label": label, "points": pts} for label, pts in sorted(groups.items())
-                ],
-            }
+            _cluster_panel(clusters_rows(run.clusters), f"R({level_target}, {trend_target}) trend")
         )
     paths = []
     csv_path = os.path.join(outdir, "comparison.csv")

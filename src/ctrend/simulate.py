@@ -184,7 +184,7 @@ def _full_coverage_surveys(frame: ObservationalFrame, samples_per_age: int) -> l
     a_lo, a_hi = int(frame.a_min), int(frame.a_max)
     return [
         SurveyPlan(
-            year=frame.year_base + i,
+            year=frame.year_of(i),
             age_min=a_lo,
             age_max=a_hi,
             samples_per_age=samples_per_age,

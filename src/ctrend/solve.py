@@ -315,11 +315,10 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
     ValueError
         When a smoothing weight is negative.
     SingularSystemError
-        When the factorization fails or the estimated condition number
-        exceeds ``SINGULAR_CONDITION``.  The message cites the
-        identifiability condition.
-    DegreesOfFreedomError
-        When the stacked row count does not exceed the parameter count.
+        When there are fewer stacked rows than parameters, the factorization
+        fails or the estimated condition number exceeds
+        ``SINGULAR_CONDITION``.  The message cites the identifiability
+        condition.  With as many rows as parameters, ``sigma2`` is NaN.
     """
     check_weights(trend_weight, level_weight)
     p = system.param_count

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from ctrend import iterate
 from ctrend.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_SINGULAR, main
 
 
@@ -128,6 +129,47 @@ class TestFit:
         assert result["converged"] is False
         assert result["trend_weight"] == result["level_weight"] == 1.0
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_one_cluster_block_writes_bundle(self, tmp_path, capsys):
+        # the saturated design of the test above with the default 5 x 5
+        # windows: one cluster block, so no pair to test; the bundle is
+        # still written and the exit code follows the loop
+        spec = {
+            "frame": {"y_min": 2000, "y_max": 2002, "a_min": 30, "a_max": 32},
+            "surveys": [{"year": year, "age_min": 30, "age_max": 32, "samples_per_age": 8,
+                         "duration_months": 12} for year in (2000, 2001)],
+            "noise_sd": 1.0,
+            "seed": 1,
+        }
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(spec))
+        data = tmp_path / "saturated.csv"
+        assert main(["simulate", "--scenario", str(scen), "--out", str(data)]) == EXIT_OK
+        outdir = tmp_path / "run"
+        assert main(["fit", str(data), "--out", str(outdir), "--cell-min-count", "0"]) == EXIT_NO_CONVERGENCE
+        result = json.load(open(outdir / "manifest.json"))["result"]
+        assert result["reason"] == "sigma^2 undefined: n_total = p = 10"
+        assert any("no adjacent cluster pairs" in w for w in result["warnings"])
+        assert len((outdir / "trace.csv").read_text().splitlines()) == 3  # digest, header, one row
+        assert (outdir / "cluster_tests.csv").read_text().splitlines()[1:] == [
+            "year_start,age_start,direction,neighbour_year_start,neighbour_age_start,"
+            "f_value,prob,degenerate"
+        ]
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--cohort", "1800"], ["--cohort", "1800", "--pair", "0.7:0.9", "--pair", "0.5:0.9"],
+        ["--age-window", "0"], ["--year-window", "0"],
+    ])
+    def test_bad_option_rejected_before_first_solve(self, data_file, tmp_path, monkeypatch, flags):
+        solves = []
+        solve = iterate.solve
+        monkeypatch.setattr(iterate, "solve", lambda *args: solves.append(args) or solve(*args))
+        outdir = tmp_path / "run"
+        code = main(["fit", data_file, "--out", str(outdir), "--cell-min-count", "0"] + flags)
+        assert code == EXIT_INPUT
+        assert solves == []
+        assert not outdir.exists() or not list(outdir.iterdir())
 
     @pytest.mark.parametrize("flag, value", [
         ("--trend-accuracy", "nan"), ("--level-accuracy", "inf"),

@@ -25,14 +25,15 @@ def small_system(seed=2, noise=1.0):
     return DesignSystem.build(res.cells, domain)
 
 
-def degenerate_first(monkeypatch, **values):
-    """Have the first correlation measurement of ``run`` read ``values``."""
+def degenerate_first(monkeypatch, solves_before=0, **values):
+    """Have the first correlation measurement of ``run`` after
+    ``solves_before`` unchanged ones read ``values``."""
     measure = iterate.adjacent_correlations
     calls = itertools.count()
 
     def measured(solution, **kwargs):
         corr = measure(solution, **kwargs)
-        return dataclasses.replace(corr, **values) if next(calls) == 0 else corr
+        return dataclasses.replace(corr, **values) if next(calls) == solves_before else corr
 
     monkeypatch.setattr(iterate, "adjacent_correlations", measured)
 
@@ -225,29 +226,22 @@ class TestRun:
                 step = min(max(signed_gap(measured, target), -3.0), 3.0)
                 assert next_weight == pytest.approx(weight * math.exp(step), rel=1e-12)
 
-    def test_degenerate_solve_takes_clipped_paper_step(self, monkeypatch):
-        # a NaN trend and a level correlation of 1: the next weights are the
-        # paper step from the floored gap, clipped to +-3, and no secant
-        # slope follows from it
-        degenerate_first(monkeypatch, trend_smoothness=math.nan, level_smoothness=1.0)
-        config = IterationConfig(trend_target=0.8, level_target=0.7, max_iter=3)
-        result = run(small_system(seed=10, noise=1.5), config)
-        first, second = result.trace[:2]
-        assert first.note == "paper step: degenerate correlation measurement"
-        for weight, measured, target, next_weight in (
-            (first.trend_weight, first.trend_smoothness, config.trend_target, second.trend_weight),
-            (first.level_weight, first.level_smoothness, config.level_target, second.level_weight),
-        ):
-            step = min(max(signed_gap(measured, target), -3.0), 3.0)
-            assert step == -3.0
-            assert next_weight == pytest.approx(weight * math.exp(step), rel=1e-12)
-        assert second.note.startswith("paper step")
-        assert result.best_iteration != 1
-
     def test_no_finite_score_keeps_first_solution(self, monkeypatch):
         degenerate_first(monkeypatch, trend_smoothness=math.nan)
         config = IterationConfig(trend_target=0.8, level_target=0.7, max_iter=1)
         result = run(small_system(seed=10, noise=1.5), config)
         assert not result.converged
         assert result.best_iteration == 1
-        assert result.trace[-1].note.endswith("stopped: max_iter, best iteration 1")
+        assert result.reason.startswith("correlation not measurable (trend nan, level ")
+        assert result.trace[-1].note.endswith(f"stopped: {result.reason}, best iteration 1")
+
+    def test_degenerate_measurement_stops_with_best_so_far(self, monkeypatch):
+        # a level correlation of 1 on the second solve ends the loop there;
+        # no weight step follows and the first solution is kept
+        degenerate_first(monkeypatch, solves_before=1, level_smoothness=1.0)
+        config = IterationConfig(trend_target=0.8, level_target=0.7, max_iter=50)
+        result = run(small_system(seed=10, noise=1.5), config)
+        assert not result.converged
+        assert len(result.trace) == 2 and result.best_iteration == 1
+        assert result.reason.startswith("correlation not measurable (trend ")
+        assert result.reason.endswith(", level 1)")
