@@ -6,7 +6,9 @@ preset or file), ``verify`` (run the built-in verification suite),
 ``report`` (summarize a run directory and regenerate its figures).
 
 Exit codes: 0 success, 2 input error, 3 non-convergence, 4 singular system.
-The output directory defaults to ``$CTREND_OUT_DIR`` when set.
+The output directory defaults to ``$CTREND_OUT_DIR`` when set.  Every
+command runs with numpy's and scipy's OpenBLAS at one thread each
+(:func:`ctrend.solve.one_blas_thread`); the manifest records the counts.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .simulate import (
     simulate,
     write_records,
 )
-from .solve import SingularSystemError
+from .solve import SingularSystemError, one_blas_thread
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -156,7 +158,7 @@ def cmd_fit(args) -> int:
             for pair, fit in sorted(runs.items()):
                 subdir = os.path.join(outdir, f"R_{pair[0]:g}_{pair[1]:g}")
                 os.makedirs(subdir, exist_ok=True)
-                manifest = build_manifest(fit, [os.path.abspath(args.data)])
+                manifest = build_manifest(fit, [os.path.abspath(args.data)], extra={"runtime": args.runtime})
                 digests.append(manifest["digest"])
                 written += write_fit_bundle(subdir, fit, manifest)
                 status = "converged" if fit.iteration.converged else fit.iteration.reason
@@ -167,7 +169,7 @@ def cmd_fit(args) -> int:
                 return EXIT_NO_CONVERGENCE
             return EXIT_OK
         fit = run_fit(ingest_result, options)
-        manifest = build_manifest(fit, [os.path.abspath(args.data)])
+        manifest = build_manifest(fit, [os.path.abspath(args.data)], extra={"runtime": args.runtime})
         os.makedirs(outdir, exist_ok=True)
         written += write_fit_bundle(outdir, fit, manifest)
         status = "converged" if fit.iteration.converged else fit.iteration.reason
@@ -291,7 +293,9 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
         "report": cmd_report,
     }[args.command]
-    return handler(args)
+    with one_blas_thread() as blas_threads:
+        args.runtime = {"blas_threads": blas_threads}
+        return handler(args)
 
 
 if __name__ == "__main__":

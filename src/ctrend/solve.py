@@ -9,11 +9,16 @@ and covariance held by :class:`Solution`.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import ctypes
+import glob
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dtrtri
 
@@ -30,6 +35,7 @@ __all__ = [
     "estimate_sigma2",
     "r_squared",
     "adjacent_correlations",
+    "one_blas_thread",
 ]
 
 # Hard singularity threshold and the soft ill-conditioning threshold that
@@ -235,9 +241,11 @@ def _selected_inverse(chol: np.ndarray) -> np.ndarray:
     diag_t = np.triu(rows[:, : m * m].reshape(n, m, m))  # D_k^T
     sub_t = np.tril(rows[:, m:].reshape(n, m, m))  # C_k^T
 
-    # Only numpy's BLAS runs in the recursion: alternating with scipy's
-    # (a second OpenBLAS thread pool) made it ten times slower at b = 120
-    # on 2 cores.  So every LAPACK call comes first.
+    # Every LAPACK call (scipy's OpenBLAS) comes first, so only numpy's runs
+    # in the recursion.  This matters where both pools have more than one
+    # thread, as for library callers that keep their settings: alternating
+    # the two pools made the loop ten times slower at b = 120 on 2 cores.
+    # The CLI runs both at one thread (``one_blas_thread``).
     d_inv_t = np.empty_like(diag_t)  # D_k^-T
     for k in range(n):
         d_inv_t[k], info = dtrtri(diag_t[k], lower=0)
@@ -252,6 +260,57 @@ def _selected_inverse(chol: np.ndarray) -> np.ndarray:
         out[k, :, m:] = upper
         out[k, :, :m] = own[k] - upper @ coupling[k].T
     return out
+
+
+# Thread-count functions of the OpenBLAS that numpy's wheel (64-bit
+# integers) and scipy's wheel bundle, then those of a plain OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def openblas_pools() -> dict:
+    """The thread-count getter and setter of each OpenBLAS that numpy and
+    scipy bundle in their ``.libs`` directories, by package name; empty
+    where none is found (another BLAS, or another wheel layout)."""
+    pools = {}
+    for pkg in (np, scipy):
+        libs = os.path.dirname(pkg.__file__) + ".libs"
+        for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+            lib = ctypes.CDLL(path)
+            for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+                get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    pools[pkg.__name__] = (get, set_)
+                    break
+    return pools
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's and scipy's OpenBLAS pools at one thread
+    each, and restore their previous counts afterwards, also on an error.
+
+    Each solve factors with scipy's OpenBLAS and selects the inverse with
+    numpy's, and each library keeps its own thread pool.  With two threads
+    each, the pools spin while the other one works: on 2 cores the fit
+    used 1.6-1.7 times the CPU time and took no less wall time.  Yields the counts inside the
+    block by package name, or None (and changes nothing) where no OpenBLAS
+    is found.
+    """
+    pools = openblas_pools()
+    previous = {name: get() for name, (get, _) in pools.items()}
+    try:
+        for _, set_threads in pools.values():
+            set_threads(1)
+        yield {name: get() for name, (get, _) in pools.items()} or None
+    finally:
+        for name, (_, set_threads) in pools.items():
+            set_threads(previous[name])
 
 
 def _one_norm(band: np.ndarray) -> float:
