@@ -21,8 +21,9 @@ from dataclasses import asdict, fields
 
 from . import __version__
 from .domain import DomainError
+from .grid import ObservationalFrame
 from .ingest import ingest_file
-from .pipeline import FitOptions, batch_fit, build_manifest, run_fit
+from .pipeline import FitOptions, batch_fit, build_manifest
 from .report import (
     manifest_digest,
     render_bundle_svgs,
@@ -33,7 +34,7 @@ from .simulate import (
     PRESETS,
     Scenario,
     SurveyPlan,
-    level_steps,
+    affine_scenario,
     preset,
     simulate,
     write_records,
@@ -126,15 +127,22 @@ def _r2_text(r2) -> str:
     return "R^2 undefined" if r2 is None else f"R^2 = {r2:.4f}"
 
 
-def _parse_pairs(specs):
-    pairs = []
+def _pair_bundles(outdir: str, specs) -> dict:
+    """Each ``--pair LEVEL:TREND`` as a (level, trend) pair, mapped to the
+    ``R_<level>_<trend>`` directory its bundle goes to.  Two pairs that name
+    the same directory are rejected, so no bundle overwrites another."""
+    bundles, spec_of = {}, {}
     for spec in specs:
         try:
-            level, trend = spec.split(":")
-            pairs.append((float(level), float(trend)))
+            level, trend = map(float, spec.split(":"))
         except ValueError:
             raise ValueError(f"bad --pair {spec!r}, expected LEVEL:TREND like 0.7:0.9")
-    return pairs
+        name = f"R_{level:g}_{trend:g}"
+        if name in spec_of:
+            raise ValueError(f"--pair {spec_of[name]} and --pair {spec} both write {name}")
+        spec_of[name] = spec
+        bundles[(level, trend)] = os.path.join(outdir, name)
+    return bundles
 
 
 def _cleanup(paths):
@@ -146,39 +154,37 @@ def _cleanup(paths):
 
 
 def cmd_fit(args) -> int:
+    """Fit every reference pair and write its bundle.  A plain fit is the
+    one pair of the options, written to the output directory itself; with
+    ``--pair``, each bundle goes to its own directory beside a comparison
+    sheet."""
     outdir = args.out or os.environ.get("CTREND_OUT_DIR") or "ctrend-out"
     written = []
     try:
         options = _fit_options(args)
-        ingest_result = ingest_file(args.data, cell_min_count=options.cell_min_count)
         if args.pair:
-            pairs = _parse_pairs(args.pair)
-            runs = batch_fit(ingest_result, options, pairs)
-            digests = []
-            for pair, fit in sorted(runs.items()):
-                subdir = os.path.join(outdir, f"R_{pair[0]:g}_{pair[1]:g}")
-                os.makedirs(subdir, exist_ok=True)
-                manifest = build_manifest(fit, [os.path.abspath(args.data)], extra={"runtime": args.runtime})
-                digests.append(manifest["digest"])
-                written += write_fit_bundle(subdir, fit, manifest)
-                status = "converged" if fit.iteration.converged else fit.iteration.reason
-                print(f"R({pair[0]:g}, {pair[1]:g}): {status} in {fit.iteration.iterations} "
-                      f"iteration(s), {_r2_text(fit.solution.r2)} -> {subdir}")
+            bundles = _pair_bundles(outdir, args.pair)
+        else:
+            bundles = {(options.level_target, options.trend_target): outdir}
+        ingest_result = ingest_file(args.data, cell_min_count=options.cell_min_count)
+        runs = batch_fit(ingest_result, options, list(bundles))
+        digests = []
+        for (level, trend), fit in sorted(runs.items()):
+            bundle = bundles[level, trend]
+            manifest = build_manifest(fit, [os.path.abspath(args.data)], extra={"runtime": args.runtime})
+            digests.append(manifest["digest"])
+            written += write_fit_bundle(bundle, fit, manifest)
+            status = "converged" if fit.iteration.converged else fit.iteration.reason
+            done = f"{status} in {fit.iteration.iterations} iteration(s)"
+            r2 = _r2_text(fit.solution.r2)
+            if args.pair:
+                print(f"R({level:g}, {trend:g}): {done}, {r2} -> {bundle}")
+            else:
+                weights = f"({fit.solution.trend_weight:.4g}, {fit.solution.level_weight:.4g})"
+                print(f"{done}; {r2}, weights = {weights}; outputs in {bundle}")
+        if args.pair:
             written += write_comparison_sheet(outdir, runs, manifest_digest({"runs": digests}))
-            if not all(fit.iteration.converged for fit in runs.values()):
-                return EXIT_NO_CONVERGENCE
-            return EXIT_OK
-        fit = run_fit(ingest_result, options)
-        manifest = build_manifest(fit, [os.path.abspath(args.data)], extra={"runtime": args.runtime})
-        os.makedirs(outdir, exist_ok=True)
-        written += write_fit_bundle(outdir, fit, manifest)
-        status = "converged" if fit.iteration.converged else fit.iteration.reason
-        print(
-            f"{status} in {fit.iteration.iterations} iteration(s); "
-            f"{_r2_text(fit.solution.r2)}, weights = ({fit.solution.trend_weight:.4g}, "
-            f"{fit.solution.level_weight:.4g}); outputs in {outdir}"
-        )
-        if not fit.iteration.converged:
+        if not all(fit.iteration.converged for fit in runs.values()):
             return EXIT_NO_CONVERGENCE
         return EXIT_OK
     except SingularSystemError as err:
@@ -192,9 +198,6 @@ def cmd_fit(args) -> int:
 
 
 def _scenario_from_file(path: str, seed: int) -> Scenario:
-    from .grid import ObservationalFrame
-    import numpy as np
-
     with open(path) as fh:
         spec = json.load(fh)
     frame = ObservationalFrame(
@@ -215,23 +218,13 @@ def _scenario_from_file(path: str, seed: int) -> Scenario:
         for s in spec["surveys"]
     ]
     lv = spec.get("initial_levels", {})
-    levels = float(lv.get("base", 24.0)) + float(lv.get("per_slot", 0.0)) * level_steps(frame)
     tr = spec.get("trends", {})
-    ii, jj = np.meshgrid(
-        np.arange(frame.year_cells, dtype=float),
-        np.arange(frame.age_cells, dtype=float),
-        indexing="ij",
-    )
-    trends = (
-        float(tr.get("base", 0.1))
-        + float(tr.get("per_year", 0.0)) * ii
-        + float(tr.get("per_age", 0.0)) * jj
-    )
-    return Scenario(
-        frame=frame,
-        initial_levels=levels,
-        trends=trends,
-        surveys=surveys,
+    return affine_scenario(
+        frame,
+        surveys,
+        level_base=float(lv.get("base", 24.0)), per_slot=float(lv.get("per_slot", 0.0)),
+        trend_base=float(tr.get("base", 0.1)),
+        per_year=float(tr.get("per_year", 0.0)), per_age=float(tr.get("per_age", 0.0)),
         noise_sd=float(spec.get("noise_sd", 0.0)),
         seed=int(spec.get("seed", seed)),
         label=spec.get("label", os.path.basename(path)),

@@ -48,27 +48,6 @@ class FitOptions:
         return IterationConfig(**{f.name: getattr(self, f.name) for f in fields(IterationConfig)})
 
 
-@dataclass
-class FitRun:
-    options: FitOptions
-    cells: list  # cells that entered the data block
-    dropped_cells: list  # in kept cells but outside the analysis domain
-    system: DesignSystem
-    iteration: IterationResult
-    clusters: object
-    track_slot: int
-    ingest_report: dict | None = None
-    input_sha256: str = ""  # SHA-256 of the fitted file's bytes (IngestResult.sha256)
-
-    @property
-    def solution(self):
-        return self.iteration.solution
-
-    @property
-    def trace(self):
-        return self.iteration.trace
-
-
 def _pick_track_slot(domain, birth_year: int | None):
     frame = domain.frame
     if birth_year is not None:
@@ -92,7 +71,24 @@ class _Prepared:
     system: DesignSystem
     track_slot: int
     ingest_report: dict
-    input_sha256: str
+    input_sha256: str  # SHA-256 of the fitted file's bytes (IngestResult.sha256)
+
+
+@dataclass(frozen=True)
+class FitRun(_Prepared):
+    """One fitted reference pair: the prepared design with its loop and inference."""
+
+    options: FitOptions
+    iteration: IterationResult
+    clusters: object
+
+    @property
+    def solution(self):
+        return self.iteration.solution
+
+    @property
+    def trace(self):
+        return self.iteration.trace
 
 
 def _prepare(ingest_result: IngestResult, options: FitOptions) -> _Prepared:
@@ -119,17 +115,7 @@ def _fit(prepared: _Prepared, options: FitOptions) -> FitRun:
         age_window=options.age_window,
         year_window=options.year_window,
     )
-    return FitRun(
-        options=options,
-        cells=prepared.cells,
-        dropped_cells=prepared.dropped_cells,
-        system=prepared.system,
-        iteration=iteration,
-        clusters=clusters,
-        track_slot=prepared.track_slot,
-        ingest_report=prepared.ingest_report,
-        input_sha256=prepared.input_sha256,
-    )
+    return FitRun(**vars(prepared), options=options, iteration=iteration, clusters=clusters)
 
 
 def run_fit(ingest_result: IngestResult, options: FitOptions | None = None) -> FitRun:

@@ -242,13 +242,20 @@ def domain_columns(domain):
 
 
 def cohort_track_columns(run, levels, trends, trend_se):
-    """Along one cohort diagonal: observed mean with CI, fitted level, trend with CI."""
+    """Along one cohort diagonal: observed mean with CI, fitted level, trend with CI.
+
+    A cell mean's variance is sigma^2 over its data-row weight (the record
+    count under ``weight_by_count``, else one), so that sets the data interval.
+    """
     solution = run.solution
     frame = solution.frame
     ii, jj = frame.diagonal(run.track_slot)
-    by_cell = {s.cell: s.x_mean for s in run.cells}
-    data = np.array([by_cell.get(CellIndex(i, j), np.nan) for i, j in zip(ii.tolist(), jj.tolist())])
-    half = 1.96 * math.sqrt(solution.sigma2) if math.isfinite(solution.sigma2) else math.nan
+    track = [CellIndex(i, j) for i, j in zip(ii.tolist(), jj.tolist())]
+    mean = {s.cell: s.x_mean for s in run.cells}
+    row_weight = dict(zip(sorted(mean), run.system.data_row_weights.tolist()))  # rows in cell order
+    data = np.array([mean.get(cell, np.nan) for cell in track])
+    weight = np.array([row_weight.get(cell, np.nan) for cell in track])
+    half = _finite(1.96 * np.sqrt(solution.sigma2 / weight))
     trend = _finite(trends[ii, jj])
     tse = _finite(trend_se[ii, jj])
     return [
@@ -287,7 +294,7 @@ def _grid_from_rows(rows, year_col, age_col, value_col):
     return grid, years.tolist(), ages.tolist(), yi, ai
 
 
-def svg_from_observed(header, rows, digest=None):
+def svg_from_observed(rows, digest=None):
     grid, years, ages, _, _ = _grid_from_rows(rows, 0, 1, 2)
     return plots.svg_heatmap(
         grid, years, ages,
@@ -298,14 +305,14 @@ def svg_from_observed(header, rows, digest=None):
     )
 
 
-def svg_from_levels(header, rows, digest=None):
+def svg_from_levels(rows, digest=None):
     grid, years, ages, _, _ = _grid_from_rows(rows, 0, 1, 2)
     return plots.svg_heatmap(
         grid, years, ages, "Estimated mean levels", "level", manifest=digest
     )
 
 
-def svg_from_trends(header, rows, digest=None):
+def svg_from_trends(rows, digest=None):
     grid, years, ages, yi, ai = _grid_from_rows(rows, 0, 1, 2)
     edge = np.array([r[6] for r in rows]) == "1"
     marks = list(zip(yi[edge].tolist(), ai[edge].tolist()))
@@ -334,7 +341,7 @@ def _cluster_panel(rows, ylabel):
     return {"ylabel": ylabel, "xlabel": "age (cluster midpoint)", "series": series}
 
 
-def svg_from_clusters(header, rows, digest=None):
+def svg_from_clusters(rows, digest=None):
     return plots.svg_series_panels(
         [_cluster_panel(rows, "mean trend, units/yr")],
         "Cluster mean trends with 95% intervals",
@@ -342,7 +349,7 @@ def svg_from_clusters(header, rows, digest=None):
     )
 
 
-def svg_from_cluster_chart(cluster_header, cluster_rows, test_rows, digest=None):
+def svg_from_cluster_chart(cluster_rows, test_rows, digest=None):
     grid, years, ages, _, _ = _grid_from_rows(cluster_rows, 0, 2, 4)
     yi = {y: k for k, y in enumerate(years)}
     ai = {a: k for k, a in enumerate(ages)}
@@ -360,7 +367,7 @@ def svg_from_cluster_chart(cluster_header, cluster_rows, test_rows, digest=None)
     )
 
 
-def svg_from_cohort_track(header, rows, digest=None):
+def svg_from_cohort_track(rows, digest=None):
     birth = rows[0][0] if rows else "?"
     level_panel = {
         "ylabel": "level",
@@ -448,66 +455,52 @@ def write_fit_bundle(outdir: str, run, manifest: dict) -> list:
     }
     tables = {}
     for name, table_columns in columns.items():
-        text, rows = _table_text(TABLE_HEADERS[name], table_columns, digest)
+        text, tables[name] = _table_text(TABLE_HEADERS[name], table_columns, digest)
         emit(name, text)
-        tables[name] = (TABLE_HEADERS[name], rows)
 
     emit("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    if run.ingest_report is not None:
-        stamped = dict(run.ingest_report, manifest=digest)
-        emit("ingest_report.json", json.dumps(stamped, indent=2, sort_keys=True) + "\n")
+    stamped = dict(run.ingest_report, manifest=digest)
+    emit("ingest_report.json", json.dumps(stamped, indent=2, sort_keys=True) + "\n")
 
     for name, text in render_svg_texts(tables, digest).items():
         emit(name, text)
     return written
 
 
-# The tables the figures are drawn from.
-SVG_TABLES = (
-    "observed.csv", "levels.csv", "trends.csv", "clusters.csv", "cluster_tests.csv",
-    "cohort_track.csv",
-)
+# Each figure with its renderer and the tables it is drawn from.  A figure is
+# drawn when its first table has rows and every other table is present.
+FIGURES = {
+    "observed.svg": (svg_from_observed, ("observed.csv",)),
+    "levels.svg": (svg_from_levels, ("levels.csv",)),
+    "trends.svg": (svg_from_trends, ("trends.csv",)),
+    "cluster_ci.svg": (svg_from_clusters, ("clusters.csv",)),
+    "cluster_chart.svg": (svg_from_cluster_chart, ("clusters.csv", "cluster_tests.csv")),
+    "cohort_track.svg": (svg_from_cohort_track, ("cohort_track.csv",)),
+}
 
 
 def render_svg_texts(tables: dict, digest: str | None = None) -> dict:
-    """Build every SVG from tables given as ``{name: (header, text rows)}``;
-    a figure whose table is absent or empty is skipped."""
+    """Build every SVG from tables given as ``{name: text rows}``; a figure
+    whose tables are absent, or whose first table is empty, is skipped."""
     out = {}
-
-    def table(name):
-        return tables.get(name, (None, None))
-
-    header, rows = table("observed.csv")
-    if rows:
-        out["observed.svg"] = svg_from_observed(header, rows, digest)
-    header, rows = table("levels.csv")
-    if rows:
-        out["levels.svg"] = svg_from_levels(header, rows, digest)
-    header, rows = table("trends.csv")
-    if rows:
-        out["trends.svg"] = svg_from_trends(header, rows, digest)
-    header, rows = table("clusters.csv")
-    if rows:
-        out["cluster_ci.svg"] = svg_from_clusters(header, rows, digest)
-        _, test_rows = table("cluster_tests.csv")
-        if test_rows is not None:
-            out["cluster_chart.svg"] = svg_from_cluster_chart(header, rows, test_rows, digest)
-    header, rows = table("cohort_track.csv")
-    if rows:
-        out["cohort_track.svg"] = svg_from_cohort_track(header, rows, digest)
+    for name, (render, sources) in FIGURES.items():
+        rows = [tables.get(source) for source in sources]
+        if rows[0] and all(r is not None for r in rows):
+            out[name] = render(*rows, digest)
     return out
 
 
-def render_bundle_svgs(outdir: str, digest: str | None = None) -> list:
+def render_bundle_svgs(outdir: str) -> list:
     """Regenerate the SVGs of a run directory from its CSV files."""
-    if digest is None:
-        manifest_path = os.path.join(outdir, "manifest.json")
-        if os.path.exists(manifest_path):
-            with open(manifest_path) as fh:
-                digest = json.load(fh).get("digest")
+    digest = None
+    manifest_path = os.path.join(outdir, "manifest.json")
+    if os.path.exists(manifest_path):
+        with open(manifest_path) as fh:
+            digest = json.load(fh).get("digest")
+    sources = dict.fromkeys(source for _, names in FIGURES.values() for source in names)
     tables = {
-        name: read_table(path)
-        for name in SVG_TABLES
+        name: read_table(path)[1]
+        for name in sources
         if os.path.exists(path := os.path.join(outdir, name))
     }
     written = []

@@ -25,6 +25,7 @@ __all__ = [
     "write_records",
     "energy_balance_to_trend",
     "level_steps",
+    "affine_scenario",
     "stationary_scenario",
     "linear_trend_scenario",
     "table_shaped_scenario",
@@ -205,6 +206,34 @@ def level_steps(frame: ObservationalFrame) -> np.ndarray:
     return np.arange(1, frame.cohort_count + 1, dtype=float)
 
 
+def affine_scenario(
+    frame: ObservationalFrame,
+    surveys: list,
+    *,
+    level_base: float,
+    per_slot: float,
+    trend_base: float,
+    per_year: float,
+    per_age: float,
+    **kwargs,
+) -> Scenario:
+    """Scenario with initial levels ``level_base + per_slot * step`` over the
+    :func:`level_steps` and trends ``trend_base + per_year * i + per_age * j``
+    over the year and age cells; ``kwargs`` go to :class:`Scenario`."""
+    ii, jj = np.meshgrid(
+        np.arange(frame.year_cells, dtype=float),
+        np.arange(frame.age_cells, dtype=float),
+        indexing="ij",
+    )
+    return Scenario(
+        frame=frame,
+        initial_levels=level_base + per_slot * level_steps(frame),
+        trends=trend_base + per_year * ii + per_age * jj,
+        surveys=surveys,
+        **kwargs,
+    )
+
+
 def stationary_scenario(seed: int = 0, noise_sd: float = 0.0, samples_per_age: int = 4) -> Scenario:
     """Zero driving force: flat cohorts at a common level."""
     frame = ObservationalFrame.from_integer_bounds(2000, 2008, 30, 37)
@@ -233,16 +262,11 @@ def linear_trend_scenario(
     smoothing weights go to zero.
     """
     frame = ObservationalFrame.from_integer_bounds(2000, 2000 + n_years, 30, 30 + n_ages - 1)
-    ii, jj = np.meshgrid(
-        np.arange(frame.year_cells, dtype=float),
-        np.arange(frame.age_cells, dtype=float),
-        indexing="ij",
-    )
-    return Scenario(
-        frame=frame,
-        initial_levels=22.0 + 0.05 * level_steps(frame),
-        trends=0.10 + 0.012 * ii - 0.008 * jj,
-        surveys=_full_coverage_surveys(frame, samples_per_age),
+    return affine_scenario(
+        frame,
+        _full_coverage_surveys(frame, samples_per_age),
+        level_base=22.0, per_slot=0.05,
+        trend_base=0.10, per_year=0.012, per_age=-0.008,
         noise_sd=noise_sd,
         seed=seed,
         label="linear-trend",

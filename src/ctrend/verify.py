@@ -14,11 +14,12 @@ import numpy as np
 
 from .design import DesignSystem, level_curvature_rows, trend_curvature_rows
 from .domain import build_domain
+from .grid import ObservationalFrame
 from .inference import prob_f
 from .ingest import ingest_records
 from .iterate import check_stop, signed_gap, IterationConfig
 from .oracle import brute_force_fit
-from .simulate import Scenario, SurveyPlan, level_steps, linear_trend_scenario, simulate
+from .simulate import SurveyPlan, affine_scenario, linear_trend_scenario, simulate
 from .solve import solve
 
 __all__ = ["run_verification"]
@@ -43,8 +44,6 @@ def _oracle_instances(n_instances: int):
     for k in range(n_instances):
         n_years = int(rng.integers(3, 7))
         n_ages = int(rng.integers(3, 7))
-        from .grid import ObservationalFrame
-
         frame = ObservationalFrame.from_integer_bounds(
             2000, 2000 + n_years, 40, 40 + n_ages - 1
         )
@@ -54,13 +53,11 @@ def _oracle_instances(n_instances: int):
             for i in range(n_years)
             if rng.random() < 0.8
         ] or [SurveyPlan(2000, 40, 40 + n_ages - 1, 3, duration_months=12)]
-        ii, jj = np.meshgrid(np.arange(frame.year_cells, dtype=float),
-                             np.arange(frame.age_cells, dtype=float), indexing="ij")
-        scenario = Scenario(
-            frame=frame,
-            initial_levels=24.0 + 0.1 * level_steps(frame),
-            trends=0.1 + 0.02 * ii - 0.01 * jj,
-            surveys=surveys,
+        scenario = affine_scenario(
+            frame,
+            surveys,
+            level_base=24.0, per_slot=0.1,
+            trend_base=0.1, per_year=0.02, per_age=-0.01,
             noise_sd=float(rng.uniform(0.5, 2.5)),
             seed=1000 + k,
         )

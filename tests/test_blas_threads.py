@@ -102,7 +102,7 @@ def test_cli_restores_after_exception(real_pools, data_file, tmp_path, monkeypat
         inside.append(_counts(real_pools))
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "run_fit", failing_fit)
+    monkeypatch.setattr(cli, "batch_fit", failing_fit)
     with pytest.raises(RuntimeError, match="boom"):
         main(["fit", data_file, "--out", str(tmp_path / "run"), "--cell-min-count", "0"])
     assert inside == [{name: 1 for name in real_pools}]

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from ctrend import iterate
+from ctrend import cli, iterate
 from ctrend.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_SINGULAR, main
 
 
@@ -221,6 +221,36 @@ class TestFit:
         assert (outdir / "comparison.svg").exists()
         assert (outdir / "R_0.7_0.7" / "manifest.json").exists()
         assert (outdir / "R_0.7_0.85" / "manifest.json").exists()
+
+    def test_plain_fit_is_the_default_pair_bundle(self, data_file, tmp_path):
+        plain, batch = tmp_path / "plain", tmp_path / "batch"
+        flags = ["--cell-min-count", "0", "--age-window", "3", "--year-window", "3"]
+        assert main(["fit", data_file, "--out", str(plain)] + flags) == EXIT_OK
+        assert main(["fit", data_file, "--out", str(batch), "--pair", "0.7:0.9"] + flags) == EXIT_OK
+        bundle = batch / "R_0.7_0.9"
+        names = sorted(p.name for p in plain.iterdir())
+        assert names == sorted(p.name for p in bundle.iterdir())
+        assert {n.rsplit(".", 1)[1] for n in names} == {"csv", "svg", "json"}
+        for name in names:
+            if name != "manifest.json":
+                assert (plain / name).read_bytes() == (bundle / name).read_bytes(), name
+        manifests = [json.load(open(d / "manifest.json")) for d in (plain, bundle)]
+        for manifest in manifests:
+            del manifest["created"]
+        assert manifests[0] == manifests[1]
+
+    def test_pairs_sharing_a_bundle_directory(self, data_file, tmp_path, capsys, monkeypatch):
+        # both pairs format to R_0.7_0.9: the second bundle would overwrite the first
+        reads = []
+        monkeypatch.setattr(cli, "ingest_file", lambda *args, **kwargs: reads.append(args))
+        outdir = tmp_path / "run"
+        code = main(["fit", data_file, "--out", str(outdir),
+                     "--pair", "0.7:0.9", "--pair", "0.70000001:0.9"])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "0.7:0.9" in err and "0.70000001:0.9" in err and "R_0.7_0.9" in err
+        assert reads == []  # rejected before the file is read
+        assert not outdir.exists()
 
     def test_bad_pair_spec(self, data_file, tmp_path):
         assert main(["fit", data_file, "--out", str(tmp_path / "x"),

@@ -137,6 +137,28 @@ class TestBundle:
         for r in rows:
             assert int(r[1]) - int(r[2]) == int(r[0])  # year - age == birth year
 
+    @pytest.mark.parametrize("weight_by_count", [False, True])
+    def test_cohort_track_data_interval_is_cell_mean_interval(self, tmp_path, weight_by_count):
+        # a cell mean's variance is sigma^2 over its data-row weight: the
+        # record count under weight_by_count (sigma^2 per record), else one
+        scenario = linear_trend_scenario(seed=15, noise_sd=1.0, samples_per_age=3)
+        result = ingest_records(simulate(scenario), frame=scenario.frame, cell_min_count=0)
+        run = run_fit(result, FitOptions(cell_min_count=0, weight_by_count=weight_by_count,
+                                         age_window=3, year_window=3))
+        write_fit_bundle(str(tmp_path), run, build_manifest(run, ["synthetic"]))
+        _, observed = read_table(os.path.join(tmp_path, "observed.csv"))
+        count = {(r[0], r[1]): int(r[3]) for r in observed}
+        _, rows = read_table(os.path.join(tmp_path, "cohort_track.csv"))
+        checked = 0
+        for r in rows:
+            if r[3]:
+                weight = count[r[1], r[2]] if weight_by_count else 1
+                half = 1.96 * math.sqrt(run.solution.sigma2 / weight)
+                assert float(r[5]) - float(r[3]) == pytest.approx(half, rel=1e-12)
+                assert float(r[3]) - float(r[4]) == pytest.approx(half, rel=1e-12)
+                checked += 1
+        assert checked and all(n > 1 for n in count.values())
+
     def test_svg_regeneration_is_pure(self, small_run):
         _, manifest, outdir, _ = small_run
         before = {
