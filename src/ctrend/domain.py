@@ -40,6 +40,7 @@ class AnalysisDomain:
     _compact: np.ndarray = field(init=False, repr=False, compare=False)
     _trend_compact: np.ndarray = field(init=False, repr=False, compare=False)
     _trend_cells: tuple = field(init=False, repr=False, compare=False)
+    _links: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mask = np.asarray(self.mask, dtype=bool)
@@ -74,6 +75,12 @@ class AnalysisDomain:
                 f"included cell ({ii[k]}, {jj[k]}) has slot {slots[k]} outside "
                 f"segment [{self.first_slot}, {self.last_slot}]"
             )
+        right, down = self.runs(2)
+        order = np.argsort(np.concatenate([2 * right[:, 0], 2 * down[:, 0] + 1]))
+        links = (np.concatenate([right, down])[order], self.slot_runs(2))
+        for pairs in links:
+            pairs.setflags(write=False)
+        object.__setattr__(self, "_links", links)
 
     # --- sizes ---------------------------------------------------------------
 
@@ -129,6 +136,13 @@ class AnalysisDomain:
     def slot_runs(self, length: int) -> np.ndarray:
         """Compact indices of every ``length`` consecutive estimated boundary slots."""
         return np.arange(self.slot_count - length + 1)[:, None] + np.arange(length)
+
+    def links(self) -> tuple[np.ndarray, np.ndarray]:
+        """The adjacent pairs whose correlations the weight loop reads, as
+        ``(trend, level)`` arrays of shape ``(n, 2)``, computed once: each
+        included cell's link to the next age, then to the next year, cells
+        row-major; and each boundary slot's link to the next."""
+        return self._links
 
     def cohort_major(self) -> np.ndarray:
         """Compact indices in cohort-major order: each boundary slot, then the

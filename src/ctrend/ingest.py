@@ -23,8 +23,10 @@ it ends up used (in a kept cell), flagged (missing value fields or failed
 validation), or excluded (cell below the count threshold, or outside an
 explicitly given frame).
 
-Ingest is columnar.  The needed columns are converted to float arrays in
-bulk and vectorised masks apply the validation rules; only the rows the
+Ingest is columnar and reads the file ``BLOCK_ROWS`` rows at a time, so
+its memory does not grow with the row count beyond the validated columns.
+In each block the needed columns are converted to float arrays in bulk
+and vectorised masks apply the validation rules; only the rows the
 masks reject go through the per-row parser ``_parse_row``, which names
 the reason a row is flagged or recovers the row (an ISO exam date, an age
 from ``birth_year`` where ``age`` is empty, a value field such as ``.``).
@@ -40,6 +42,7 @@ import csv
 import datetime
 import hashlib
 import io
+import itertools
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -66,6 +69,7 @@ __all__ = [
 EXAM_DATE_WINDOW = (1900.0, 2100.0)
 VALUE_WINDOW = (10.0, 100.0)  # plausible BMI range, exclusive bounds
 DEFAULT_CELL_MIN_COUNT = 5  # cells with n <= this are excluded
+BLOCK_ROWS = 1024  # rows of the file validated together
 
 
 @dataclass
@@ -310,21 +314,30 @@ def load_survey_file(path: str) -> tuple[list[SurveyRecord], list[FlaggedRow]]:
     return columns.records(), flagged
 
 
-def _read(path: str) -> tuple[bytes, _Columns, list[FlaggedRow]]:
-    """The file's bytes, its validated rows as columns and its flagged rows."""
+def _read(path: str) -> tuple[str, _Columns, list[FlaggedRow]]:
+    """The hex SHA-256 of the file's bytes, its validated rows as columns
+    and its flagged rows."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
-    try:
-        return (raw, *_parse(stream, path))
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{path}: not UTF-8 text ({err.reason})") from None
+        if not fh.seekable():  # a pipe: hold its bytes, since they are read twice
+            fh = io.BytesIO(fh.read())
+        digest = hashlib.sha256()
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+        fh.seek(0)
+        stream = io.TextIOWrapper(fh, encoding="utf-8-sig", newline="")
+        try:
+            return (digest.hexdigest(), *_parse(stream, path))
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: not UTF-8 text ({err.reason})") from None
 
 
 def _parse(fh, path: str) -> tuple[_Columns, list[FlaggedRow]]:
     """Validate every data row of a text stream into columns.
 
-    Rows are numbered from 1, skipping blank lines.
+    Rows are numbered from 1, skipping blank lines.  The reader's rows are
+    validated ``BLOCK_ROWS`` at a time, and no per-row object outlives its
+    block except a flagged row's ``FlaggedRow``: each survey id is held
+    once, however many rows carry it.
     """
     sample = fh.read(4096)
     fh.seek(0)
@@ -335,7 +348,6 @@ def _parse(fh, path: str) -> tuple[_Columns, list[FlaggedRow]]:
     try:
         reader = csv.reader(fh, dialect)
         header = next(reader, None)
-        rows = [row for row in reader if row]
     except csv.Error as err:
         raise ValueError(f"{path}: {err}") from None
     if header is None:
@@ -349,71 +361,101 @@ def _parse(fh, path: str) -> tuple[_Columns, list[FlaggedRow]]:
     if "age" not in position and "birth_year" not in position:
         raise ValueError(f"{path}: need an 'age' or 'birth_year' column")
 
-    width, n = len(header), len(rows)
-    lengths = np.fromiter(map(len, rows), np.intp, n)
-    for k in np.flatnonzero(lengths < width).tolist():
-        rows[k] = rows[k] + [""] * (width - len(rows[k]))
+    block = _BlockValidator(position, len(header))
+    parts = []
+    while True:
+        try:
+            raw = list(itertools.islice(reader, BLOCK_ROWS))
+        except csv.Error as err:
+            raise ValueError(f"{path}: {err}") from None
+        parts.append(block.validate([row for row in raw if row]))
+        if len(raw) < BLOCK_ROWS:
+            break
+    return _Columns(*map(np.concatenate, zip(*parts))), block.flagged
 
-    def get(row, *names):
+
+class _BlockValidator:
+    """Validation of a file's rows one block at a time, with what the
+    blocks share: the header's column positions, the survey ids seen, the
+    flagged rows and the number of rows validated so far."""
+
+    def __init__(self, position: dict, width: int):
+        self.position = position
+        self.width = width
+        self.survey_ids: dict = {}  # each id text to the one str object the rows share
+        self.flagged: list[FlaggedRow] = []
+        self.rows_before = 0
+
+    def get(self, row, *names):
         for name in names:
-            k = position.get(name)
+            k = self.position.get(name)
             if k is not None and row[k] != "":
                 return row[k]
         return None
 
-    def column(name):
-        k = position[name]
-        return [row[k] for row in rows]
+    def validate(self, rows: list) -> tuple:
+        """The next block of non-blank rows as the (survey, exam, age, value)
+        columns of its valid rows; its rejected rows join ``flagged``."""
+        position, width = self.position, self.width
+        n = len(rows)
+        lengths = np.fromiter(map(len, rows), np.intp, n)
+        for k in np.flatnonzero(lengths < width).tolist():
+            rows[k] = rows[k] + [""] * (width - len(rows[k]))
 
-    if "survey" in position and "survey_id" in position:
-        survey = [a or b for a, b in zip(column("survey"), column("survey_id"))]
-    else:
-        survey = column("survey" if "survey" in position else "survey_id")
-    survey = np.array(list(map(str.strip, survey)), dtype=object)
-    ok = (survey != "") & (lengths <= width)
+        def column(name):
+            k = position[name]
+            return [row[k] for row in rows]
 
-    exam, parsed, _ = _floats(column("exam_date"))
-    ok &= parsed & (exam >= EXAM_DATE_WINDOW[0]) & (exam <= EXAM_DATE_WINDOW[1])
-    if "age" in position:
-        age, parsed, _ = _floats(column("age"))
-    else:
-        birth, parsed, _ = _floats(column("birth_year"))
-        with np.errstate(invalid="ignore"):
-            age = exam - birth
-    ok &= parsed & np.isfinite(age) & (age >= 0)
-
-    numbers = {}
-    for name in ("weight", "height", "bmi"):
-        if name in position:
-            values, parsed, empty = _floats(column(name))
-            ok &= parsed | empty
+        if "survey" in position and "survey_id" in position:
+            survey = [a or b for a, b in zip(column("survey"), column("survey_id"))]
         else:
-            values, parsed = np.full(n, np.nan), np.zeros(n, dtype=bool)
-        numbers[name] = values, parsed
-    weight, has_weight = numbers["weight"]
-    height, has_height = numbers["height"]
-    value, has_bmi = numbers["bmi"]
-    derive = np.flatnonzero(ok & ~has_bmi & has_weight & has_height & (height > 0))
-    try:
-        # derive_bmi's arithmetic, row by row
-        value[derive] = [w / h**2 for w, h in zip(weight[derive].tolist(), height[derive].tolist())]
-    except ArithmeticError:  # height**2 overflowed or underflowed: _parse_row flags the row
-        ok[derive] = False
-    ok &= (value > VALUE_WINDOW[0]) & (value < VALUE_WINDOW[1])
+            survey = column("survey" if "survey" in position else "survey_id")
+        ids = self.survey_ids
+        survey = np.array([ids.setdefault(sid, sid) for sid in map(str.strip, survey)], dtype=object)
+        ok = (survey != "") & (lengths <= width)
 
-    flagged: list[FlaggedRow] = []
-    for k in np.flatnonzero(~ok).tolist():
-        row, lineno = rows[k], k + 1
+        exam, parsed, _ = _floats(column("exam_date"))
+        ok &= parsed & (exam >= EXAM_DATE_WINDOW[0]) & (exam <= EXAM_DATE_WINDOW[1])
+        if "age" in position:
+            age, parsed, _ = _floats(column("age"))
+        else:
+            birth, parsed, _ = _floats(column("birth_year"))
+            with np.errstate(invalid="ignore"):
+                age = exam - birth
+        ok &= parsed & np.isfinite(age) & (age >= 0)
+
+        numbers = {}
+        for name in ("weight", "height", "bmi"):
+            if name in position:
+                values, parsed, empty = _floats(column(name))
+                ok &= parsed | empty
+            else:
+                values, parsed = np.full(n, np.nan), np.zeros(n, dtype=bool)
+            numbers[name] = values, parsed
+        weight, has_weight = numbers["weight"]
+        height, has_height = numbers["height"]
+        value, has_bmi = numbers["bmi"]
+        derive = np.flatnonzero(ok & ~has_bmi & has_weight & has_height & (height > 0))
         try:
-            if len(row) > width:
-                raise _RowProblem(f"{len(row)} fields, header has {width}")
-            rec = _parse_row(row, lineno, survey[k], get)
-        except _RowProblem as problem:
-            flagged.append(FlaggedRow(lineno, survey[k], problem.reason, problem.missing_value))
-            continue
-        exam[k], age[k], value[k] = rec.exam_date, rec.age, rec.bmi
-        ok[k] = True
-    return _Columns(survey[ok], exam[ok], age[ok], value[ok]), flagged
+            # derive_bmi's arithmetic, row by row
+            value[derive] = [w / h**2 for w, h in zip(weight[derive].tolist(), height[derive].tolist())]
+        except ArithmeticError:  # height**2 overflowed or underflowed: _parse_row flags the row
+            ok[derive] = False
+        ok &= (value > VALUE_WINDOW[0]) & (value < VALUE_WINDOW[1])
+
+        for k in np.flatnonzero(~ok).tolist():
+            row, lineno = rows[k], self.rows_before + k + 1
+            try:
+                if len(row) > width:
+                    raise _RowProblem(f"{len(row)} fields, header has {width}")
+                rec = _parse_row(row, lineno, survey[k], self.get)
+            except _RowProblem as problem:
+                self.flagged.append(FlaggedRow(lineno, survey[k], problem.reason, problem.missing_value))
+                continue
+            exam[k], age[k], value[k] = rec.exam_date, rec.age, rec.bmi
+            ok[k] = True
+        self.rows_before += n
+        return survey[ok], exam[ok], age[ok], value[ok]
 
 
 class _RowProblem(Exception):
@@ -528,15 +570,15 @@ def _aggregate(columns: _Columns, frame: ObservationalFrame, cell_min_count: int
     order = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
     bounds = starts.tolist() + [len(order)]
-    xs, ys, as_ = x[order].tolist(), y[order].tolist(), a[order].tolist()
+    x, y, a = x[order], y[order], a[order]
     kept, dropped = [], []
     for ci, cj, s, e in zip(i[order][starts].tolist(), j[order][starts].tolist(), bounds, bounds[1:]):
         n = e - s
         stat = CellStat(
             cell=CellIndex(ci, cj),
-            x_mean=math.fsum(xs[s:e]) / n,
-            y_mean=math.fsum(ys[s:e]) / n,
-            a_mean=math.fsum(as_[s:e]) / n,
+            x_mean=math.fsum(x[s:e].tolist()) / n,
+            y_mean=math.fsum(y[s:e].tolist()) / n,
+            a_mean=math.fsum(a[s:e].tolist()) / n,
             n=n,
         )
         (dropped if n <= cell_min_count else kept).append(stat)
@@ -591,7 +633,7 @@ def ingest_file(
     cell_min_count: int = DEFAULT_CELL_MIN_COUNT,
 ) -> IngestResult:
     """Ingest one survey file, recording the SHA-256 of the bytes parsed."""
-    raw, columns, flagged = _read(path)
+    sha256, columns, flagged = _read(path)
     result = _ingest(columns, flagged, frame, cell_min_count, os.path.basename(path))
-    result.sha256 = hashlib.sha256(raw).hexdigest()
+    result.sha256 = sha256
     return result

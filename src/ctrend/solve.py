@@ -163,14 +163,16 @@ class BandedCovariance:
     * ``cov @ x``, a banded solve;
     * ``np.asarray(cov)``, the dense matrix, built only when asked for.
 
-    Raises ``LinAlgError`` when the matrix is not positive definite.
+    A column-major (Fortran-order) ``band`` is factored in place, so it
+    becomes the factor; any other layout is copied first.  Raises
+    ``LinAlgError`` when the matrix is not positive definite.
     """
 
     def __init__(self, band: np.ndarray, order: np.ndarray):
         p = band.shape[1]
         position = np.empty(p, dtype=np.int64)
         position[order] = np.arange(p)
-        self.chol = cholesky_banded(band, lower=True, check_finite=False)
+        self.chol = cholesky_banded(band, lower=True, overwrite_ab=True, check_finite=False)
         self.order = order
         self.position = position
         self.bandwidth = band.shape[0] - 1
@@ -228,38 +230,53 @@ def _selected_inverse(chol: np.ndarray) -> np.ndarray:
     These blocks hold every entry within ``b`` of the diagonal.  Returns an
     array of shape ``(blocks, m, 2m)`` over the banded positions padded to
     a whole number of blocks: row ``x`` of block ``k`` is position
-    ``k m + x``, and its column ``y`` is position ``k m + y``.
+    ``k m + x``, and its column ``y`` is position ``k m + y``.  Beyond that
+    result the work space is a few ``m x m`` blocks: each step needs only
+    the block pair it reads and the previous step's diagonal block.
     """
     width, p = chol.shape
     m = max(width - 1, 1)
     n = -(-p // m)
-    padded = np.zeros((n * m, m + 1))  # row c holds L[c, c], L[c+1, c], ..., L[c+m, c]
-    padded[:p, :width] = chol.T
-    padded[p:, 0] = 1.0  # unit diagonal on the padding keeps it apart
-    # So L[r, c] sits at flat offset c m + r, and each block pair is one slice.
-    rows = padded.reshape(n, m * (m + 1))
-    diag_t = np.triu(rows[:, : m * m].reshape(n, m, m))  # D_k^T
-    sub_t = np.tril(rows[:, m:].reshape(n, m, m))  # C_k^T
+    out = np.zeros((n, m, 2 * m))
 
     # Every LAPACK call (scipy's OpenBLAS) comes first, so only numpy's runs
     # in the recursion.  This matters where both pools have more than one
     # thread, as for library callers that keep their settings: alternating
     # the two pools made the loop ten times slower at b = 120 on 2 cores.
-    # The CLI runs both at one thread (``one_blas_thread``).
-    d_inv_t = np.empty_like(diag_t)  # D_k^-T
+    # The CLI runs both at one thread (``one_blas_thread``).  Each D_k^-T
+    # waits in the right half of its block of ``out``, which the recursion
+    # reads before it writes S[k, k+1] there.
     for k in range(n):
-        d_inv_t[k], info = dtrtri(diag_t[k], lower=0)
+        diag_t = np.triu(_factor_columns(chol, k, m)[: m * m].reshape(m, m))  # D_k^T
+        out[k, :, m:], info = dtrtri(diag_t, lower=0)
         if info:
             raise LinAlgError(f"singular triangular block {k} of the Cholesky factor")
-    own = d_inv_t @ d_inv_t.transpose(0, 2, 1)
-    coupling = d_inv_t @ sub_t  # Y_k
-    out = np.zeros((n, m, 2 * m))
-    out[-1, :, :m] = own[-1]
-    for k in range(n - 2, -1, -1):
-        upper = -coupling[k] @ out[k + 1, :, :m]
+    for k in range(n - 1, -1, -1):
+        d_inv_t = out[k, :, m:].copy()  # D_k^-T
+        own = d_inv_t @ d_inv_t.T
+        if k == n - 1:
+            out[k, :, :m] = own
+            out[k, :, m:] = 0.0
+            continue
+        coupling = d_inv_t @ np.tril(_factor_columns(chol, k, m)[m:].reshape(m, m))  # Y_k
+        upper = -coupling @ out[k + 1, :, :m]
         out[k, :, m:] = upper
-        out[k, :, :m] = own[k] - upper @ coupling[k].T
+        out[k, :, :m] = own - upper @ coupling.T
     return out
+
+
+def _factor_columns(chol: np.ndarray, k: int, m: int) -> np.ndarray:
+    """Block ``k``'s ``m`` columns of ``L``, flat, each as ``L[c, c], ...,
+    L[c+m, c]``.  As ``m x m`` arrays, the first ``m^2`` entries hold
+    ``D_k^T`` in their upper triangle and the last ``m^2`` hold ``C_k^T``
+    in their lower one.  Columns past the matrix get a unit diagonal,
+    which keeps them apart."""
+    width = chol.shape[0]
+    part = chol[:, k * m : (k + 1) * m].T
+    columns = np.zeros((m, m + 1))
+    columns[: len(part), :width] = part
+    columns[len(part) :, 0] = 1.0
+    return columns.ravel()
 
 
 # Thread-count functions of the OpenBLAS that numpy's wheel (64-bit
@@ -315,11 +332,12 @@ def one_blas_thread():
 
 def _one_norm(band: np.ndarray) -> float:
     """1-norm (largest column sum of moduli) of the symmetric matrix whose
-    lower band is ``band``."""
-    a = np.abs(band)
-    sums = a.sum(axis=0)  # each column from the diagonal down
-    for d in range(1, a.shape[0]):
-        sums[d:] += a[d, :-d]  # and the same column above the diagonal
+    lower band is ``band``, read one band row at a time."""
+    sums = np.abs(band[0])
+    for row in band[1:]:
+        sums += np.abs(row)  # each column from the diagonal down
+    for d in range(1, band.shape[0]):
+        sums[d:] += np.abs(band[d, :-d])  # and the same column above the diagonal
     return float(sums.max())
 
 
@@ -388,13 +406,18 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
         )
 
     b0, b1, b2 = system.bands
-    band = b0 + trend_weight * b1 + level_weight * b2
+    # Summed in place into the column-major array that LAPACK factors in
+    # place: the band becomes the factor, so its norm is read first.
+    band = np.multiply(b1, trend_weight, order="F")
+    band += b0
+    band += level_weight * b2
+    norm = _one_norm(band)
     try:
         inverse = BandedCovariance(band, system.order)
     except LinAlgError as err:
         raise SingularSystemError(f"{err}; {IDENTIFIABILITY_HINT}") from None
 
-    condition = _one_norm(band) * _inverse_one_norm(inverse)
+    condition = norm * _inverse_one_norm(inverse)
     if not math.isfinite(condition) or condition > SINGULAR_CONDITION:
         raise SingularSystemError(
             f"normal-matrix condition number {condition:.3g} exceeds "
@@ -482,11 +505,9 @@ def adjacent_correlations(
         total = float(np.cumsum(r)[-1]) if r.size else 0.0
         return total, int(r.size), int(keep.size - r.size)
 
-    # Each cell's link to the right, then its link downwards, cells row-major.
-    right, down = domain.runs(2)
-    order = np.argsort(np.concatenate([2 * right[:, 0], 2 * down[:, 0] + 1]))
-    trend_sum, n_trend, skipped_trend = links(np.concatenate([right, down])[order])
-    level_sum, n_level, skipped_level = links(domain.slot_runs(2))
+    trend_links, level_links = domain.links()
+    trend_sum, n_trend, skipped_trend = links(trend_links)
+    level_sum, n_level, skipped_level = links(level_links)
 
     trend_mean = trend_sum / n_trend if n_trend else math.nan
     if literal_level_denominator:

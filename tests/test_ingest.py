@@ -4,12 +4,16 @@ import csv
 import datetime
 import io
 import math
+import os
 import random
+import threading
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ctrend import ingest
 from ctrend.grid import CellIndex, ObservationalFrame
 from ctrend.ingest import (
     FlaggedRow,
@@ -236,6 +240,30 @@ class TestFileIngestion:
         assert a.cells == b.cells and len(a.cells) == 1
         assert a.flagged == b.flagged == []
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_reads_as_the_file(self, tmp_path):
+        """Input from a pipe, which cannot be read twice, gives the file's
+        cells, flagged rows and digest."""
+        rows = ["survey,exam_date,age,bmi"] + [f"S1,2000.{k + 1},30,24.{k}" for k in range(8)]
+        text = "\n".join(rows + ["S1,2000.5,31,"]) + "\n"
+        path = self.write(tmp_path, text)
+        pipe = str(tmp_path / "pipe")
+        os.mkfifo(pipe)
+
+        def feed():
+            with open(pipe, "w") as fh:
+                fh.write(text)
+
+        writer = threading.Thread(target=feed, daemon=True)  # blocks in open() until read
+        writer.start()
+        try:
+            piped = ingest_file(pipe, cell_min_count=0)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        plain = ingest_file(path, cell_min_count=0)
+        assert (piped.cells, piped.flagged, piped.sha256) == (plain.cells, plain.flagged, plain.sha256)
+
     def test_semicolon_delimiter(self, tmp_path):
         path = self.write(tmp_path, "survey;exam_date;age;bmi\nS1;2000.5;30;24.0\n")
         records, _ = load_survey_file(path)
@@ -375,30 +403,58 @@ _VALID_FIELDS = {  # valid text, some of it on the edges of the test frame
 _TEST_FRAME = ObservationalFrame.from_integer_bounds(1960, 2040, 5, 55)
 
 
-@st.composite
-def _survey_files(draw):
+_ROW_KINDS = ["valid", "one field", "one field", "any", "short", "long", "blank"]
+
+
+def _header(draw):
     names = ["survey", "exam_date", draw(st.sampled_from(["age", "birth_year"]))]
     names += draw(st.lists(st.sampled_from(["survey_id", "bmi", "weight", "height", "id"]), unique=True))
     names = draw(st.permutations(names))
     if draw(st.booleans()):
         names.append(draw(st.sampled_from(names)))  # a repeated column: the last one is read
-    lines = [",".join(draw(st.sampled_from([name, name.upper(), f" {name} "])) for name in names)]
+    return names, ",".join(draw(st.sampled_from([name, name.upper(), f" {name} "])) for name in names)
+
+
+def _line(draw, names, kind):
+    fields = [draw(_VALID_FIELDS[name]) for name in names]
+    if kind == "one field":
+        k = draw(st.integers(0, len(names) - 1))
+        fields[k] = draw(_FIELDS[names[k]])
+    elif kind == "any":
+        fields = [draw(st.one_of(_VALID_FIELDS[name], _FIELDS[name])) for name in names]
+    elif kind == "short":
+        fields = fields[: draw(st.integers(1, len(fields) - 1))]
+    elif kind == "long":
+        fields.append(draw(st.sampled_from(["5", ""])))
+    elif kind == "blank":
+        fields = []
+    return ",".join(fields)
+
+
+@st.composite
+def _survey_files(draw):
+    names, header = _header(draw)
+    lines = [header]
     for _ in range(draw(st.integers(0, 12))):
-        fields = [draw(_VALID_FIELDS[name]) for name in names]
-        kind = draw(st.sampled_from(["valid", "one field", "one field", "any", "short", "long", "blank"]))
-        if kind == "one field":
-            k = draw(st.integers(0, len(names) - 1))
-            fields[k] = draw(_FIELDS[names[k]])
-        elif kind == "any":
-            fields = [draw(st.one_of(_VALID_FIELDS[name], _FIELDS[name])) for name in names]
-        elif kind == "short":
-            fields = fields[: draw(st.integers(1, len(fields) - 1))]
-        elif kind == "long":
-            fields.append(draw(st.sampled_from(["5", ""])))
-        elif kind == "blank":
-            fields = []
-        lines.append(",".join(fields))
+        lines.append(_line(draw, names, draw(st.sampled_from(_ROW_KINDS))))
     return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _block_files(draw):
+    """A file of at least three blocks of ``block_rows`` reader rows, and
+    that block size.  The first and last row of every block is a row the
+    masks reject, a blank line or a ragged row, or a valid one; some files
+    end on a block boundary."""
+    block_rows = draw(st.integers(2, 5))
+    n = draw(st.integers(3, 4)) * block_rows + draw(st.sampled_from([0, 0, 1, block_rows - 1]))
+    names, header = _header(draw)
+    lines = [header]
+    for r in range(n):
+        edge = r % block_rows in (0, block_rows - 1)
+        kinds = ["one field", "any", "blank", "short", "long", "valid"] if edge else _ROW_KINDS
+        lines.append(_line(draw, names, draw(st.sampled_from(kinds))))
+    return "\n".join(lines) + "\n", block_rows
 
 
 class TestColumnarParse:
@@ -418,3 +474,23 @@ class TestColumnarParse:
         assert [tuple(map(_bits, c)) for c in got] == [
             tuple(map(_bits, c)) for c in _reference_cells(used, _TEST_FRAME)
         ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_block_files())
+    @example(("survey,exam_date,age,bmi\n" + "S1,2000.5,30,24.0\n" * 5 + "S1,2000.5,30\n", 3))
+    @example(("survey,exam_date,age,bmi\n" + "S1,2000.5,30,24.0,5\n\nS1,2000.5,30,24.0\n" * 3, 3))
+    def test_blocks_match_one_block(self, file):
+        """Parsed in blocks of a few rows, a file gives the columns and the
+        flagged rows, line numbers included, of the per-row reader and of a
+        parse in one block."""
+        text, block_rows = file
+        with mock.patch.object(ingest, "BLOCK_ROWS", len(text)):
+            whole, flagged_whole = _parse(io.StringIO(text, newline=""), "random.csv")
+        with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
+            columns, flagged = _parse(io.StringIO(text, newline=""), "random.csv")
+        assert flagged == flagged_whole == _reference_parse(text)[1]
+        for got, expected in zip(
+            (columns.survey, columns.exam, columns.age, columns.value),
+            (whole.survey, whole.exam, whole.age, whole.value),
+        ):
+            assert [_bits(x) for x in got.tolist()] == [_bits(x) for x in expected.tolist()]
