@@ -25,9 +25,10 @@ from .grid import ObservationalFrame
 from .ingest import ingest_file
 from .pipeline import FitOptions, batch_fit, build_manifest
 from .report import (
+    comparison_entry,
     manifest_digest,
     render_bundle_svgs,
-    write_comparison_sheet,
+    write_comparison_entries,
     write_fit_bundle,
 )
 from .simulate import (
@@ -145,10 +146,17 @@ def _pair_bundles(outdir: str, specs) -> dict:
     return bundles
 
 
-def _cleanup(paths):
+def _cleanup(paths, made):
+    """Remove the files a failed fit wrote, then the directories it made,
+    deepest first, each only if it is empty."""
     for path in paths:
         try:
             os.unlink(path)
+        except OSError:
+            pass
+    for directory in reversed(made):
+        try:
+            os.rmdir(directory)
         except OSError:
             pass
 
@@ -157,42 +165,46 @@ def cmd_fit(args) -> int:
     """Fit every reference pair and write its bundle.  A plain fit is the
     one pair of the options, written to the output directory itself; with
     ``--pair``, each bundle goes to its own directory beside a comparison
-    sheet."""
+    sheet.  The pairs are fitted in sorted order, and each bundle is written
+    as soon as its pair is fitted; the batch then keeps only the pair's
+    comparison entry, manifest digest and converged flag."""
     outdir = args.out or os.environ.get("CTREND_OUT_DIR") or "ctrend-out"
-    written = []
+    written, made = [], []
+
+    def write(pair, fit):
+        level, trend = pair
+        bundle = bundles[pair]
+        manifest = build_manifest(fit, [os.path.abspath(args.data)], extra={"runtime": args.runtime})
+        written.extend(write_fit_bundle(bundle, fit, manifest))
+        status = "converged" if fit.iteration.converged else fit.iteration.reason
+        done = f"{status} in {fit.iteration.iterations} iteration(s)"
+        r2 = _r2_text(fit.solution.r2)
+        if args.pair:
+            print(f"R({level:g}, {trend:g}): {done}, {r2} -> {bundle}")
+        else:
+            weights = f"({fit.solution.trend_weight:.4g}, {fit.solution.level_weight:.4g})"
+            print(f"{done}; {r2}, weights = {weights}; outputs in {bundle}")
+        return manifest["digest"], fit.iteration.converged, comparison_entry(pair, fit)
+
     try:
         options = _fit_options(args)
         if args.pair:
             bundles = _pair_bundles(outdir, args.pair)
         else:
             bundles = {(options.level_target, options.trend_target): outdir}
+        made = [d for d in dict.fromkeys([outdir, *bundles.values()]) if not os.path.isdir(d)]
         ingest_result = ingest_file(args.data, cell_min_count=options.cell_min_count)
-        runs = batch_fit(ingest_result, options, list(bundles))
-        digests = []
-        for (level, trend), fit in sorted(runs.items()):
-            bundle = bundles[level, trend]
-            manifest = build_manifest(fit, [os.path.abspath(args.data)], extra={"runtime": args.runtime})
-            digests.append(manifest["digest"])
-            written += write_fit_bundle(bundle, fit, manifest)
-            status = "converged" if fit.iteration.converged else fit.iteration.reason
-            done = f"{status} in {fit.iteration.iterations} iteration(s)"
-            r2 = _r2_text(fit.solution.r2)
-            if args.pair:
-                print(f"R({level:g}, {trend:g}): {done}, {r2} -> {bundle}")
-            else:
-                weights = f"({fit.solution.trend_weight:.4g}, {fit.solution.level_weight:.4g})"
-                print(f"{done}; {r2}, weights = {weights}; outputs in {bundle}")
+        kept = batch_fit(ingest_result, options, sorted(bundles), each=write)
+        digests, converged, entries = zip(*kept.values())
         if args.pair:
-            written += write_comparison_sheet(outdir, runs, manifest_digest({"runs": digests}))
-        if not all(fit.iteration.converged for fit in runs.values()):
-            return EXIT_NO_CONVERGENCE
-        return EXIT_OK
+            written += write_comparison_entries(outdir, entries, manifest_digest({"runs": list(digests)}))
+        return EXIT_OK if all(converged) else EXIT_NO_CONVERGENCE
     except SingularSystemError as err:
-        _cleanup(written)
+        _cleanup(written, made)
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SINGULAR
     except (OSError, ValueError, DomainError) as err:
-        _cleanup(written)
+        _cleanup(written, made)
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

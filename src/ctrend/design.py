@@ -128,18 +128,22 @@ def _half_bandwidth(position: np.ndarray, rows: sparse.spmatrix, pairs: np.ndarr
     return int(spans.max(initial=0))
 
 
-def lower_band(matrix: sparse.spmatrix, position: np.ndarray, bandwidth: int) -> np.ndarray:
+def lower_band(
+    matrix: sparse.spmatrix, position: np.ndarray, bandwidth: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """The lower band of the symmetric ``matrix`` in LAPACK lower band storage.
 
     Compact index ``i`` moves to banded position ``position[i]``; entry
     ``[r - c, c]`` of the result holds the matrix at positions ``(r, c)``,
     ``r >= c``.  Every nonzero must lie within ``bandwidth`` of the diagonal.
+    The band is written into ``out``, a zeroed ``(bandwidth + 1, p)`` array,
+    when one is given.
     """
     entries = sparse.coo_matrix(matrix)
     entries.sum_duplicates()
     r, c = position[entries.row], position[entries.col]
     lower = r >= c
-    band = np.zeros((bandwidth + 1, matrix.shape[0]))
+    band = np.zeros((bandwidth + 1, matrix.shape[0])) if out is None else out
     band[r[lower] - c[lower], c[lower]] = entries.data[lower]
     return band
 
@@ -157,9 +161,9 @@ class DesignSystem:
     weight-independent parts of the normal equations.
 
     ``grams`` holds ``(G0, G1, G2)`` in compact order and ``bands`` their
-    lower bands in cohort-major order (shape ``(3, bandwidth + 1, p)``),
-    so the normal matrix at weights ``(w1, w2)`` is
-    ``G0 + w1 G1 + w2 G2`` and its band ``bands[0] + w1 bands[1] +
+    lower bands in cohort-major order (shape ``(3, bandwidth + 1, p)``,
+    each band column-major), so the normal matrix at weights ``(w1, w2)``
+    is ``G0 + w1 G1 + w2 G2`` and its band ``bands[0] + w1 bands[1] +
     w2 bands[2]``.  ``data_rhs`` is ``X0^T W x0``, the right-hand side at
     any weights, since the curvature rows have zero targets.
     """
@@ -201,6 +205,12 @@ class DesignSystem:
             np.concatenate([*domain.runs(2), domain.slot_runs(2)]),
         )
         grams = (_gram(matrix, weights), _gram(trend_penalty), _gram(level_penalty))
+        # Each band is written in place into one array, and each is
+        # column-major, the layout of the band that solve sums and LAPACK
+        # factors, so the sum reads them without a transposing copy.
+        bands = np.zeros((len(grams), domain.compact_size, bandwidth + 1)).transpose(0, 2, 1)
+        for gram, band in zip(grams, bands):
+            lower_band(gram, position, bandwidth, out=band)
         return cls(
             domain=domain,
             data_matrix=matrix,
@@ -211,7 +221,7 @@ class DesignSystem:
             order=order,
             bandwidth=bandwidth,
             grams=grams,
-            bands=np.stack([lower_band(g, position, bandwidth) for g in grams]),
+            bands=bands,
             data_rhs=matrix.T @ (weights * target),
         )
 

@@ -11,6 +11,7 @@ files of a run directory.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -29,6 +30,8 @@ __all__ = [
     "manifest_digest",
     "write_fit_bundle",
     "render_bundle_svgs",
+    "comparison_entry",
+    "write_comparison_entries",
     "write_comparison_sheet",
 ]
 
@@ -428,15 +431,25 @@ TABLE_HEADERS = {
 
 
 def write_fit_bundle(outdir: str, run, manifest: dict) -> list:
-    """Write every artifact for one fit run; returns the paths written."""
-    digest = manifest["digest"]
+    """Write every artifact for one fit run; returns the paths written.
+    When a write fails, the files written before it are removed."""
     written = []
+    try:
+        for name, text in _bundle_texts(run, manifest):
+            path = os.path.join(outdir, name)
+            atomic_write_text(path, text)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
+    return written
 
-    def emit(name, text):
-        path = os.path.join(outdir, name)
-        atomic_write_text(path, text)
-        written.append(path)
 
+def _bundle_texts(run, manifest: dict):
+    """Each file of a fit run's bundle as ``(name, text)``, in write order."""
+    digest = manifest["digest"]
     solution = run.solution
     frame = solution.frame
     levels, trends, trend_se = solution.level_grid(), solution.trend_grid(), solution.trend_se_grid()
@@ -456,15 +469,13 @@ def write_fit_bundle(outdir: str, run, manifest: dict) -> list:
     tables = {}
     for name, table_columns in columns.items():
         text, tables[name] = _table_text(TABLE_HEADERS[name], table_columns, digest)
-        emit(name, text)
+        yield name, text
 
-    emit("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    yield "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     stamped = dict(run.ingest_report, manifest=digest)
-    emit("ingest_report.json", json.dumps(stamped, indent=2, sort_keys=True) + "\n")
+    yield "ingest_report.json", json.dumps(stamped, indent=2, sort_keys=True) + "\n"
 
-    for name, text in render_svg_texts(tables, digest).items():
-        emit(name, text)
-    return written
+    yield from render_svg_texts(tables, digest).items()
 
 
 # Each figure with its renderer and the tables it is drawn from.  A figure is
@@ -511,40 +522,49 @@ def render_bundle_svgs(outdir: str) -> list:
     return written
 
 
-def write_comparison_sheet(outdir: str, runs: dict, digest: str | None = None) -> list:
-    """Batch summary: one row per reference pair plus a panel figure."""
+def comparison_entry(pair, run) -> tuple:
+    """What the comparison sheet keeps of one fitted reference pair: its
+    summary row and its cluster panel."""
+    level_target, trend_target = pair
+    last = run.trace[-1]
+    row = (
+        level_target,
+        trend_target,
+        1 if run.iteration.converged else 0,
+        len(run.trace),
+        run.solution.trend_weight,
+        run.solution.level_weight,
+        run.solution.r2,
+        last.trend_smoothness,
+        last.level_smoothness,
+    )
+    panel = _cluster_panel(clusters_rows(run.clusters), f"R({level_target}, {trend_target}) trend")
+    return row, panel
+
+
+def write_comparison_entries(outdir: str, entries, digest: str | None = None) -> list:
+    """Batch summary from :func:`comparison_entry` results, one row and one
+    panel each, in the order given."""
     header = [
         "level_target", "trend_target", "converged", "iterations",
         "trend_weight", "level_weight", "r2", "trend_smoothness", "level_smoothness",
     ]
-    rows = []
-    panels = []
-    for (level_target, trend_target), run in sorted(runs.items()):
-        last = run.trace[-1]
-        rows.append(
-            (
-                level_target,
-                trend_target,
-                1 if run.iteration.converged else 0,
-                len(run.trace),
-                run.solution.trend_weight,
-                run.solution.level_weight,
-                run.solution.r2,
-                last.trend_smoothness,
-                last.level_smoothness,
-            )
-        )
-        panels.append(
-            _cluster_panel(clusters_rows(run.clusters), f"R({level_target}, {trend_target}) trend")
-        )
     paths = []
     csv_path = os.path.join(outdir, "comparison.csv")
-    atomic_write_text(csv_path, csv_text(header, rows, digest))
+    atomic_write_text(csv_path, csv_text(header, [row for row, _ in entries], digest))
     paths.append(csv_path)
     svg_path = os.path.join(outdir, "comparison.svg")
     atomic_write_text(
         svg_path,
-        plots.svg_series_panels(panels, "Reference-pair comparison", manifest=digest),
+        plots.svg_series_panels(
+            [panel for _, panel in entries], "Reference-pair comparison", manifest=digest
+        ),
     )
     paths.append(svg_path)
     return paths
+
+
+def write_comparison_sheet(outdir: str, runs: dict, digest: str | None = None) -> list:
+    """Batch summary: one row per reference pair plus a panel figure."""
+    entries = [comparison_entry(pair, runs[pair]) for pair in sorted(runs)]
+    return write_comparison_entries(outdir, entries, digest)

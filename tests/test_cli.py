@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from ctrend import cli, iterate
+from ctrend import cli, iterate, pipeline, report
 from ctrend.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_SINGULAR, main
+from ctrend.solve import SingularSystemError
 
 
 @pytest.fixture()
@@ -251,6 +252,66 @@ class TestFit:
         assert "0.7:0.9" in err and "0.70000001:0.9" in err and "R_0.7_0.9" in err
         assert reads == []  # rejected before the file is read
         assert not outdir.exists()
+
+    def test_pair_order_changes_nothing(self, data_file, tmp_path, capsys):
+        pairs = ["0.7:0.7", "0.6:0.8", "0.7:0.85"]
+        seen = []
+        for label, order in (("given", pairs), ("reversed", pairs[::-1])):
+            outdir = tmp_path / label
+            argv = ["fit", data_file, "--out", str(outdir), "--cell-min-count", "0"]
+            for pair in order:
+                argv += ["--pair", pair]
+            code = main(argv)
+            files = {}
+            for path in outdir.rglob("*"):
+                name = str(path.relative_to(outdir))
+                if path.name == "manifest.json":
+                    files[name] = json.loads(path.read_text())
+                    del files[name]["created"]
+                elif path.is_file():
+                    files[name] = path.read_bytes()
+            seen.append((code, capsys.readouterr().out.replace(str(outdir), "OUT"), files))
+        assert seen[0] == seen[1]
+        code, out, files = seen[0]
+        assert code == EXIT_OK
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "R(0.6, 0.8)", "R(0.7, 0.7)", "R(0.7, 0.85)"
+        ]
+        assert len(files) == 2 + 3 * 17  # the comparison sheet and three bundles
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("stage", ["fit", "write"])
+    def test_failed_pair_leaves_nothing_behind(self, data_file, tmp_path, monkeypatch, stage, existing):
+        # the second of three pairs fails after the first pair's bundle is written:
+        # in its weight loop, or at the fourth file of its bundle
+        code_expected, module, name, error, fail_at = {
+            "fit": (EXIT_SINGULAR, pipeline, "run", SingularSystemError, 2),
+            "write": (EXIT_INPUT, report, "atomic_write_text", OSError, 17 + 4),
+        }[stage]
+        real = getattr(module, name)
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == fail_at:
+                raise error("injected")
+            return real(*args)
+
+        monkeypatch.setattr(module, name, failing)
+        outdir = tmp_path / "run"
+        if existing:  # directories the fit did not make stay, and so do other files
+            (outdir / "R_0.6_0.8").mkdir(parents=True)
+            (outdir / "notes.txt").write_text("kept\n")
+        code = main(["fit", data_file, "--out", str(outdir), "--cell-min-count", "0",
+                     "--pair", "0.7:0.85", "--pair", "0.6:0.8", "--pair", "0.7:0.7"])
+        assert code == code_expected
+        assert len(calls) == fail_at
+        if existing:
+            assert sorted(str(path.relative_to(outdir)) for path in outdir.rglob("*")) == [
+                "R_0.6_0.8", "notes.txt"
+            ]
+        else:
+            assert not outdir.exists()
 
     def test_bad_pair_spec(self, data_file, tmp_path):
         assert main(["fit", data_file, "--out", str(tmp_path / "x"),

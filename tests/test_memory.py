@@ -1,13 +1,17 @@
-"""Allocation guards: ingest holds one block of rows at a time, and a solve
-allocates little beyond the factor and the selected inverse it keeps.
+"""Allocation guards: ingest holds one block of rows at a time, a solve
+allocates little beyond the factor and the selected inverse it keeps, and
+a `--pair` batch holds one fitted pair at a time.
 
 ``tracemalloc`` counts the bytes Python and NumPy allocate, and the counts
 repeat exactly from run to run, so a whole-file row list or a batch-wide
 temporary coming back shows as a fixed excess over these bounds.
 """
 
+import contextlib
+import io
 import tracemalloc
 
+from ctrend import cli
 from ctrend.design import DesignSystem
 from ctrend.domain import build_domain
 from ctrend.ingest import BLOCK_ROWS, ingest_file
@@ -55,3 +59,25 @@ def test_solve_allocates_little_beyond_its_result(tmp_path):
     solve(system, 1.0, 1.0)  # the first call loads what later calls share
     _, peak = _traced_peak(lambda: solve(system, 1.0, 1.0))
     assert peak <= 3.0 * MB
+
+
+def test_pair_batch_holds_one_run_at_a_time(tmp_path):
+    """Each bundle is written as soon as its pair is fitted and the run is
+    let go, so a 4-pair fit peaks 0.2 MB above a 1-pair fit (8.3 MB) on a
+    `table` file.  A batch that kept every run, with its factor and
+    inverse blocks, until the last bundle peaked 6.8 MB above it."""
+    path = _table_file(tmp_path, samples_per_age=10)
+    pairs = ["0.7:0.9", "0.5:0.9", "0.7:0.8", "0.6:0.85"]
+
+    def fit(n):
+        argv = ["fit", path, "--out", str(tmp_path / f"pairs{n}")]
+        for pair in pairs[:n]:
+            argv += ["--pair", pair]
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(argv)
+
+    fit(1)  # the first fit loads what later ones share
+    one, one_peak = _traced_peak(lambda: fit(1))
+    four, four_peak = _traced_peak(lambda: fit(4))
+    assert (one, four) == (cli.EXIT_OK, cli.EXIT_OK)
+    assert four_peak <= one_peak + 1.0 * MB
