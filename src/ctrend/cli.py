@@ -6,8 +6,10 @@ preset or file), ``verify`` (run the built-in verification suite),
 ``report`` (summarize a run directory and regenerate its figures).
 
 Exit codes: 0 success, 2 input error, 3 non-convergence, 4 singular system.
-The output directory defaults to ``$CTREND_OUT_DIR`` when set.  Every
-command runs with numpy's and scipy's OpenBLAS at one thread each
+The output directory defaults to ``$CTREND_OUT_DIR`` when set.  No
+command imports scipy: LAPACK comes from numpy's bundled OpenBLAS
+(:mod:`ctrend.solve`).  Every command runs with the OpenBLAS pools that
+numpy's and scipy's wheels bundle at one thread each
 (:func:`ctrend.solve.one_blas_thread`); the manifest records the counts.
 """
 

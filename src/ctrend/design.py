@@ -17,19 +17,23 @@ problem on the stacked matrix.  Its normal matrix is
 ``G0 + w1 G1 + w2 G2``, with the Gram matrices ``G0 = X0^T W X0``,
 ``G1 = B1^T B1`` and ``G2 = B2^T B2`` of the three blocks; only the two
 smoothing weights change between iterations, so :class:`DesignSystem`
-computes the Gram matrices and their bands once.
+computes the bands of the Gram matrices once.  The blocks are
+:class:`~ctrend.grid.SparseRows`.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .domain import AnalysisDomain
-from .grid import CohortPathError, OutOfFrameError, check_paths, cohort_path_rows
+from .grid import CohortPathError, OutOfFrameError, SparseRows, check_paths, cohort_path_rows
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "DesignSystem",
@@ -58,7 +62,7 @@ def data_rows(cells, domain: AnalysisDomain):
 
     Returns
     -------
-    (scipy.sparse.csr_matrix, numpy.ndarray)
+    (SparseRows, numpy.ndarray)
     """
     frame = domain.frame
     ordered = sorted(cells, key=lambda s: s.cell)
@@ -70,22 +74,19 @@ def data_rows(cells, domain: AnalysisDomain):
         check_paths(frame, rows, ci, cj, compact >= 0)
     except (OutOfFrameError, CohortPathError) as err:
         raise AssemblyError(str(err)) from None
-    matrix = sparse.csr_matrix(
-        (rows.data, compact[rows.indices], rows.indptr), shape=(len(ordered), domain.compact_size)
-    )
+    matrix = SparseRows(rows.data, compact[rows.indices], rows.indptr, domain.compact_size)
     return matrix, np.array([s.x_mean for s in ordered], dtype=float)
 
 
-def _second_differences(triples: np.ndarray, columns: int) -> sparse.csr_matrix:
+def _second_differences(triples: np.ndarray, columns: int) -> SparseRows:
     """One (1, -2, 1) row per triple of compact columns."""
     n = len(triples)
-    return sparse.csr_matrix(
-        (np.tile([1.0, -2.0, 1.0], n), triples.ravel(), np.arange(0, 3 * n + 1, 3)),
-        shape=(n, columns),
+    return SparseRows(
+        np.tile([1.0, -2.0, 1.0], n), triples.ravel(), np.arange(0, 3 * n + 1, 3), columns
     )
 
 
-def trend_curvature_rows(domain: AnalysisDomain) -> sparse.csr_matrix:
+def trend_curvature_rows(domain: AnalysisDomain) -> SparseRows:
     """Second-difference rows over trend triples.
 
     One row per triple of :meth:`AnalysisDomain.runs`: the triples along
@@ -95,7 +96,7 @@ def trend_curvature_rows(domain: AnalysisDomain) -> sparse.csr_matrix:
     return _second_differences(np.concatenate(domain.runs(3)), domain.compact_size)
 
 
-def level_curvature_rows(domain: AnalysisDomain) -> sparse.csr_matrix:
+def level_curvature_rows(domain: AnalysisDomain) -> SparseRows:
     """Second-difference rows over interior boundary slots.
 
     A segment shorter than three slots has no interior and yields an empty
@@ -110,49 +111,80 @@ def level_curvature_rows(domain: AnalysisDomain) -> sparse.csr_matrix:
     return _second_differences(domain.slot_runs(3), domain.compact_size)
 
 
-def _half_bandwidth(position: np.ndarray, rows: sparse.spmatrix, pairs: np.ndarray) -> int:
+def _half_bandwidth(position: np.ndarray, blocks, pairs: np.ndarray) -> int:
     """Half-bandwidth, with compact index ``i`` at ``position[i]``, of the
-    normal matrix of ``rows``, widened to hold ``pairs``.
+    normal matrix of the row ``blocks``, widened to hold ``pairs``.
 
     Two columns meet in the normal matrix when they share a row, so the
     widest span of positions within a row bounds it.  The adjacent pairs
     are added because the correlation loop reads their covariances, which
     the selected inverse gives only within the band.
     """
-    rows = rows.tocoo()
-    hi = np.full(rows.shape[0], -1)
-    lo = np.full(rows.shape[0], position.size)
-    np.maximum.at(hi, rows.row, position[rows.col])
-    np.minimum.at(lo, rows.row, position[rows.col])
-    spans = np.concatenate([(hi - lo)[hi >= 0], np.abs(np.diff(position[pairs], axis=1)).ravel()])
-    return int(spans.max(initial=0))
+    spans = [np.abs(np.diff(position[pairs], axis=1)).ravel()]
+    for rows in blocks:
+        hi = np.full(rows.shape[0], -1)
+        lo = np.full(rows.shape[0], position.size)
+        np.maximum.at(hi, rows.entry_rows, position[rows.indices])
+        np.minimum.at(lo, rows.entry_rows, position[rows.indices])
+        spans.append((hi - lo)[hi >= 0])
+    return int(np.concatenate(spans).max(initial=0))
 
 
-def lower_band(
-    matrix: sparse.spmatrix, position: np.ndarray, bandwidth: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """The lower band of the symmetric ``matrix`` in LAPACK lower band storage.
+def lower_band(matrix, position: np.ndarray, bandwidth: int) -> np.ndarray:
+    """The lower band of the symmetric ``matrix`` (a ``scipy.sparse``
+    matrix) in LAPACK lower band storage.
 
     Compact index ``i`` moves to banded position ``position[i]``; entry
     ``[r - c, c]`` of the result holds the matrix at positions ``(r, c)``,
     ``r >= c``.  Every nonzero must lie within ``bandwidth`` of the diagonal.
-    The band is written into ``out``, a zeroed ``(bandwidth + 1, p)`` array,
-    when one is given.
     """
-    entries = sparse.coo_matrix(matrix)
+    entries = matrix.tocoo()
     entries.sum_duplicates()
     r, c = position[entries.row], position[entries.col]
     lower = r >= c
-    band = np.zeros((bandwidth + 1, matrix.shape[0])) if out is None else out
+    band = np.zeros((bandwidth + 1, matrix.shape[0]))
     band[r[lower] - c[lower], c[lower]] = entries.data[lower]
     return band
 
 
-def _gram(rows: sparse.csr_matrix, weights: np.ndarray | None = None) -> sparse.csr_matrix:
-    """``rows^T diag(weights) rows``, made exactly symmetric."""
-    weighted = rows if weights is None else rows.multiply(weights[:, None]).tocsr()
-    gram = (rows.T @ weighted).tocsr()
-    return (0.5 * (gram + gram.T)).tocsr()
+# Row-pair products scattered at once by _add_gram_band: about 0.4 MB of
+# index and value arrays.
+GRAM_CHUNK = 4096
+
+
+def _add_gram_band(band: np.ndarray, rows: SparseRows, position: np.ndarray, weights=None) -> None:
+    """Add the lower band of ``rows^T diag(weights) rows`` to ``band``.
+
+    ``band`` is column-major in LAPACK lower band storage, with compact
+    index ``i`` at position ``position[i]`` (:func:`lower_band`).  Each row
+    adds the products of its entry pairs, one per pair on or below the
+    diagonal.  The rows go in order, a chunk of about ``GRAM_CHUNK``
+    products at a time, and ``np.add.at`` adds in index order, so each
+    band entry sums its terms in row order, as a sparse product
+    ``rows^T @ rows`` does.
+    """
+    lengths = np.diff(rows.indptr)
+    pairs = lengths * (lengths + 1) // 2  # per row, pairs (a, b) of its entries with b <= a
+    ends = np.cumsum(pairs)
+    flat = band.T.reshape(-1)  # a view: entry [d, c] of the band is flat[c * width + d]
+    width = band.shape[0]
+    first = 0
+    while first < len(pairs):
+        # the rows whose products end within GRAM_CHUNK of the chunk's start, at least one
+        last = int(np.searchsorted(ends, ends[first] - pairs[first] + GRAM_CHUNK, "right"))
+        last = max(last, first + 1)
+        counts = pairs[first:last]
+        row = np.repeat(np.arange(first, last), counts)
+        t = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        a = ((np.sqrt(8.0 * t + 1.0) - 1.0) // 2).astype(np.int64)  # t = a (a + 1) / 2 + b
+        b = t - a * (a + 1) // 2
+        ea, eb = rows.indptr[row] + a, rows.indptr[row] + b
+        pa, pb = position[rows.indices[ea]], position[rows.indices[eb]]
+        lo = np.minimum(pa, pb)
+        right = rows.data[eb] if weights is None else rows.data[eb] * weights[row]
+        values = rows.data[ea] * right
+        np.add.at(flat, lo * width + np.abs(pa - pb), values)
+        first = last
 
 
 @dataclass
@@ -160,24 +192,23 @@ class DesignSystem:
     """The three assembled blocks over one analysis domain, with their
     weight-independent parts of the normal equations.
 
-    ``grams`` holds ``(G0, G1, G2)`` in compact order and ``bands`` their
-    lower bands in cohort-major order (shape ``(3, bandwidth + 1, p)``,
-    each band column-major), so the normal matrix at weights ``(w1, w2)``
-    is ``G0 + w1 G1 + w2 G2`` and its band ``bands[0] + w1 bands[1] +
-    w2 bands[2]``.  ``data_rhs`` is ``X0^T W x0``, the right-hand side at
-    any weights, since the curvature rows have zero targets.
+    ``bands`` holds the lower bands of the Gram matrices ``(G0, G1, G2)``
+    in cohort-major order (shape ``(3, bandwidth + 1, p)``, each band
+    column-major), so the band of the normal matrix at weights
+    ``(w1, w2)`` is ``bands[0] + w1 bands[1] + w2 bands[2]``.
+    ``data_rhs`` is ``X0^T W x0``, the right-hand side at any weights,
+    since the curvature rows have zero targets.
     """
 
     domain: AnalysisDomain
-    data_matrix: sparse.csr_matrix
+    data_matrix: SparseRows
     target: np.ndarray
-    trend_penalty: sparse.csr_matrix
-    level_penalty: sparse.csr_matrix
+    trend_penalty: SparseRows
+    level_penalty: SparseRows
     data_row_weights: np.ndarray
     order: np.ndarray  # compact indices in cohort-major order (AnalysisDomain.cohort_major)
     bandwidth: int  # half-bandwidth of the normal matrix in that order
-    grams: tuple  # (G0, G1, G2), sparse, compact order
-    bands: np.ndarray  # their lower bands, cohort-major
+    bands: np.ndarray  # lower bands of G0, G1, G2, cohort-major
     data_rhs: np.ndarray  # X0^T W x0, compact order
 
     @classmethod
@@ -199,18 +230,16 @@ class DesignSystem:
         level_penalty = level_curvature_rows(domain)
         order = domain.cohort_major()
         position = np.argsort(order)
+        blocks = (matrix, trend_penalty, level_penalty)
         bandwidth = _half_bandwidth(
-            position,
-            sparse.vstack([matrix, trend_penalty, level_penalty]),
-            np.concatenate([*domain.runs(2), domain.slot_runs(2)]),
+            position, blocks, np.concatenate([*domain.runs(2), domain.slot_runs(2)])
         )
-        grams = (_gram(matrix, weights), _gram(trend_penalty), _gram(level_penalty))
         # Each band is written in place into one array, and each is
         # column-major, the layout of the band that solve sums and LAPACK
         # factors, so the sum reads them without a transposing copy.
-        bands = np.zeros((len(grams), domain.compact_size, bandwidth + 1)).transpose(0, 2, 1)
-        for gram, band in zip(grams, bands):
-            lower_band(gram, position, bandwidth, out=band)
+        bands = np.zeros((len(blocks), domain.compact_size, bandwidth + 1)).transpose(0, 2, 1)
+        for rows, band, row_weights in zip(blocks, bands, (weights, None, None)):
+            _add_gram_band(band, rows, position, row_weights)
         return cls(
             domain=domain,
             data_matrix=matrix,
@@ -220,9 +249,18 @@ class DesignSystem:
             data_row_weights=weights,
             order=order,
             bandwidth=bandwidth,
-            grams=grams,
             bands=bands,
-            data_rhs=matrix.T @ (weights * target),
+            data_rhs=matrix.rmatvec(weights * target),
+        )
+
+    def normal_product(self, z: np.ndarray, trend_weight: float, level_weight: float) -> np.ndarray:
+        """``(G0 + w1 G1 + w2 G2) z``, as ``X0^T W (X0 z) + w1 B1^T (B1 z) +
+        w2 B2^T (B2 z)`` through the row blocks."""
+        x0, b1, b2 = self.data_matrix, self.trend_penalty, self.level_penalty
+        return (
+            x0.rmatvec(self.data_row_weights * (x0 @ z))
+            + trend_weight * b1.rmatvec(b1 @ z)
+            + level_weight * b2.rmatvec(b2 @ z)
         )
 
     @property
@@ -279,10 +317,16 @@ def check_weights(trend_weight: float, level_weight: float) -> None:
 
 
 def stack(system: DesignSystem, trend_weight: float, level_weight: float) -> StackedSystem:
-    """Stack the blocks with nonnegative smoothing weights on the penalties."""
+    """Stack the blocks with nonnegative smoothing weights on the penalties.
+
+    The stacked matrix is a ``scipy.sparse`` matrix: the stacked system is
+    a reference for checks, and no fit builds it.
+    """
+    from scipy import sparse
+
     check_weights(trend_weight, level_weight)
     matrix = sparse.vstack(
-        [system.data_matrix, system.trend_penalty, system.level_penalty], format="csr"
+        [system.data_matrix.csr, system.trend_penalty.csr, system.level_penalty.csr], format="csr"
     )
     target = np.concatenate(
         [system.target, np.zeros(system.n_trend), np.zeros(system.n_level)]

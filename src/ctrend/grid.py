@@ -20,10 +20,10 @@ prediction, data row and domain path in the package comes from them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 __all__ = [
     "CellIndex",
@@ -31,6 +31,7 @@ __all__ = [
     "ModelVector",
     "OutOfFrameError",
     "CohortPathError",
+    "SparseRows",
     "cohort_path_rows",
     "check_paths",
     "forward_levels",
@@ -273,7 +274,58 @@ class ModelVector:
         return cls(frame, vec[:nb], vec[nb:].reshape(frame.year_cells, frame.age_cells))
 
 
-def cohort_path_rows(frame: ObservationalFrame, ci, cj, offsets=None) -> sparse.csr_matrix:
+class SparseRows:
+    """Rows of a sparse matrix in compressed sparse row (CSR) form: row
+    ``k``'s column ``indices`` and values ``data`` are the entries
+    ``indptr[k]`` to ``indptr[k + 1]``.
+
+    Both products are one weighted ``bincount``, which adds its terms in
+    entry order.  So ``rows @ x`` sums each row left to right and
+    :meth:`rmatvec` adds each column's terms in row order, as scipy's CSR
+    products do, and both give scipy's bits.  ``csr``, ``toarray()``,
+    indexing and ``!=`` go through a ``scipy.sparse`` view, built on first
+    use.
+    """
+
+    def __init__(self, data, indices, indptr, columns: int):
+        self.data = np.asarray(data, dtype=float)
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.shape = (self.indptr.size - 1, int(columns))
+
+    @functools.cached_property
+    def entry_rows(self) -> np.ndarray:
+        """The row of each entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, x) -> np.ndarray:
+        """``A x`` for a vector ``x``."""
+        terms = self.data * np.asarray(x, dtype=float)[self.indices]
+        return np.bincount(self.entry_rows, weights=terms, minlength=self.shape[0])
+
+    def rmatvec(self, y) -> np.ndarray:
+        """``A^T y`` for a vector ``y``."""
+        terms = self.data * np.asarray(y, dtype=float)[self.entry_rows]
+        return np.bincount(self.indices, weights=terms, minlength=self.shape[1])
+
+    @functools.cached_property
+    def csr(self):
+        """The rows as a ``scipy.sparse.csr_matrix`` (imports scipy)."""
+        from scipy import sparse
+
+        return sparse.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+
+    def toarray(self) -> np.ndarray:
+        return self.csr.toarray()
+
+    def __getitem__(self, key):
+        return self.csr[key]
+
+    def __ne__(self, other):
+        return self.csr != other.csr
+
+
+def cohort_path_rows(frame: ObservationalFrame, ci, cj, offsets=None) -> SparseRows:
     """The cohort-path operator: rows mapping ``ModelVector.flat()`` to cells.
 
     Row ``k`` evaluates the level at level-grid cell ``(ci[k], cj[k])``: a
@@ -311,10 +363,10 @@ def cohort_path_rows(frame: ObservationalFrame, ci, cj, offsets=None) -> sparse.
     data = np.ones(indptr[-1])
     if offsets is not None:
         data[indptr[1:] - 1] = offsets
-    return sparse.csr_matrix((data, indices, indptr), shape=(ci.size, frame.param_count))
+    return SparseRows(data, indices, indptr, frame.param_count)
 
 
-def check_paths(frame: ObservationalFrame, rows: sparse.csr_matrix, ci, cj, inside) -> None:
+def check_paths(frame: ObservationalFrame, rows: SparseRows, ci, cj, inside) -> None:
     """Raise :class:`CohortPathError` if a row of :func:`cohort_path_rows`
     uses a component that ``inside`` (a boolean mask over the full parameter
     vector) excludes, naming the first such cell and the component."""

@@ -8,27 +8,141 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .solve import Solution
 
-__all__ = ["prob_f", "ClusterStat", "ClusterComparison", "ClusterReport", "cluster_compare"]
+__all__ = [
+    "prob_f",
+    "f_tails",
+    "ClusterStat",
+    "ClusterComparison",
+    "ClusterReport",
+    "cluster_compare",
+]
 
 CI_FACTOR = 1.96  # normal-approximation 95% interval
+
+# Stirling's series for ln Gamma: ln Gamma(z) = (z - 1/2) ln z - z + ln(2 pi)/2
+# + sum_k B_2k / (2k (2k - 1) z^(2k - 1)).  From z = 8 on, these eight terms
+# leave an error below 1e-16.
+STIRLING_FROM = 8.0
+_STIRLING_TERMS = (
+    1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400,
+)
+# The continued fraction stops for an entry when its last FRACTION_CHECK
+# steps changed it by less than FRACTION_TOL, relative.
+FRACTION_TOL = 1e-15
+FRACTION_CHECK = 4
+FRACTION_MAX_STEPS = 10_000
 
 
 def prob_f(f_value: float, df1: int, df2: int) -> float:
     """Upper-tail probability of the F(df1, df2) distribution.
 
-    Computed through the regularized incomplete beta function.
+    Computed through the regularized incomplete beta function (:func:`f_tails`).
+    """
+    return float(f_tails([f_value], df1, df2)[0])
+
+
+def f_tails(f_values, df1: int, df2: int) -> np.ndarray:
+    """Upper-tail probabilities of F(df1, df2) at each of ``f_values``, in
+    one numpy pass.
+
+    The tail is the regularized incomplete beta ``I_x(a, b)`` with
+    ``x = df2 / (df2 + df1 F)``, ``a = df2 / 2`` and ``b = df1 / 2``
+    (Abramowitz & Stegun 26.6.2): the prefactor ``x^a (1 - x)^b / B(a, b)``
+    (:func:`_log_beta`) times a continued fraction (:func:`_beta_fraction`).
+    For ``F >= 1`` the fraction is that of ``I_x(a, b)``; below, that of
+    ``I_(1-x)(b, a) = 1 - I_x(a, b)``.  The terms near ``x = 1`` are
+    formed from ``1 - x`` directly.
     """
     if not (isinstance(df1, (int, np.integer)) and isinstance(df2, (int, np.integer))):
         raise ValueError(f"degrees of freedom must be integers, got ({df1!r}, {df2!r})")
     if df1 < 1 or df2 < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got ({df1}, {df2})")
-    if not math.isfinite(f_value) or f_value < 0:
-        raise ValueError(f"F value must be finite and nonnegative, got {f_value!r}")
-    return float(special.fdtrc(df1, df2, f_value))
+    f = np.asarray(f_values, dtype=float)
+    bad = ~(np.isfinite(f) & (f >= 0))
+    if bad.any():
+        raise ValueError(f"F value must be finite and nonnegative, got {float(f[bad][0])!r}")
+    a, b = df2 / 2.0, df1 / 2.0
+    total = df2 + df1 * f
+    x, y = df2 / total, df1 * f / total  # y = 1 - x, without the cancellation
+    lam = df1 * df2 * (f - 1.0) / (2.0 * total)  # (a + b) y - b: below the mean, negative
+    with np.errstate(divide="ignore"):  # F = 0: y = 0, so the prefactor is 0
+        front = np.exp(-a * np.log1p(df1 * f / df2) + b * np.log(y) - _log_beta(a, b))
+    out = np.empty_like(f)
+    upper = lam >= 0
+    out[upper] = front[upper] * _beta_fraction(a, b, x[upper], y[upper], lam[upper])
+    below = ~upper
+    out[below] = 1.0 - front[below] * _beta_fraction(b, a, y[below], x[below], -lam[below])
+    return out
+
+
+def _log_beta(a: float, b: float) -> float:
+    """``ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b)``.
+
+    Where the larger argument ``g`` is at least ``STIRLING_FROM``, the rise
+    ``ln Gamma(g + s) - ln Gamma(g)`` comes from Stirling's series as
+    ``(g - 1/2) log1p(s / g) + s ln(g + s) - s`` plus the difference of
+    the series' tails, terms of the size of ``s ln g``.  Two ``lgamma``
+    values near ``g ln g`` would cancel instead, and lose ``g ln g``
+    times the rounding unit (5e-10 at ``g = 5e5``).
+    """
+    g, s = max(a, b), min(a, b)
+    if g < STIRLING_FROM:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    rise = (g - 0.5) * math.log1p(s / g) + s * math.log(g + s) - s
+    rise += _stirling_tail(g + s) - _stirling_tail(g)
+    return math.lgamma(s) - rise
+
+
+def _stirling_tail(z: float) -> float:
+    """The series part of Stirling's ``ln Gamma(z)``, for ``z >= STIRLING_FROM``."""
+    w = 1.0 / (z * z)
+    total = 0.0
+    for term in reversed(_STIRLING_TERMS):
+        total = total * w + term
+    return total / z
+
+
+def _beta_fraction(a: float, b: float, x: np.ndarray, y: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``I_x(a, b) / (x^a y^b / B(a, b))`` at each ``x`` (with ``y = 1 - x``
+    and ``lam = (a + b) y - b >= 0``): the continued fraction of
+    DiDonato & Morris (1992, ACM TOMS 708, routine BFRAC).
+
+    Its terms take ``lam``, ``x`` and ``y`` as given, so no term cancels
+    near the mean.  Every ``FRACTION_CHECK`` steps each entry is checked,
+    and it keeps its value from the first check at which those steps moved
+    it by less than ``FRACTION_TOL``, so it does not depend on the other
+    entries.
+    """
+    c0, c1 = b / a, 1.0 + 1.0 / a
+    xx = x * x
+    an, bn = np.zeros_like(x), np.ones_like(x)
+    anp1, bnp1 = np.ones_like(x), (1.0 + lam) / c1
+    r = c1 / (1.0 + lam)
+    result = r.copy()
+    done = np.zeros(x.shape, dtype=bool)
+    p, s = 1.0, a + 1.0
+    for n in range(1, FRACTION_MAX_STEPS + 1):
+        t, e = n / a, a / s
+        alpha = (p * (p + c0) * e * e * n * (b - n)) * xx
+        e = (1.0 + t) / (c1 + t + t)
+        beta = (n + e + e * n) + (n * (b - n) / s) * x + e * lam + (e * n) * y
+        p, s = 1.0 + t, s + 2.0
+        an, anp1 = anp1, alpha * an + beta * anp1
+        bn, bnp1 = bnp1, alpha * bn + beta * bnp1
+        if n % FRACTION_CHECK:
+            continue
+        r, previous = anp1 / bnp1, r
+        np.copyto(result, r, where=~done)
+        done |= np.abs(r - previous) <= FRACTION_TOL * r
+        if done.all():
+            return result
+        an, bn, anp1, bnp1 = an / bnp1, bn / bnp1, r, np.ones_like(x)  # rescaled
+    raise ArithmeticError(
+        f"incomplete beta fraction did not converge in {FRACTION_MAX_STEPS} steps"
+    )
 
 
 @dataclass(frozen=True)
@@ -123,27 +237,27 @@ def cluster_compare(solution: Solution, age_window: int = 5, year_window: int = 
             )
         )
 
-    comparisons = []
-    for row, (gi, gj) in enumerate(blocks):
-        for neighbour, direction in (((gi, gj + 1), "age"), ((gi + 1, gj), "period")):
-            other = pos.get(neighbour)
-            if other is None:
-                continue
-            denom = block_cov[row, row] - 2.0 * block_cov[row, other] + block_cov[other, other]
-            diff = means[row] - means[other]
-            if denom <= 0 or not math.isfinite(denom):
-                comparisons.append(
-                    ClusterComparison((gi, gj), neighbour, direction, math.nan, math.nan, True)
-                )
-                continue
-            f_value = float(diff * diff / denom)
-            comparisons.append(
-                ClusterComparison(
-                    (gi, gj),
-                    neighbour,
-                    direction,
-                    f_value,
-                    prob_f(f_value, 1, solution.dof),
-                )
-            )
+    # Each block against its older-age and its next-period neighbour, where
+    # that block holds cells; all the tail probabilities in one pass.
+    tests = [
+        (row, pos[neighbour], neighbour, direction)
+        for row, (gi, gj) in enumerate(blocks)
+        for neighbour, direction in (((gi, gj + 1), "age"), ((gi + 1, gj), "period"))
+        if neighbour in pos
+    ]
+    here = np.array([t[0] for t in tests], dtype=np.int64)
+    there = np.array([t[1] for t in tests], dtype=np.int64)
+    denom = block_cov[here, here] - 2.0 * block_cov[here, there] + block_cov[there, there]
+    diff = means[here] - means[there]
+    degenerate = ~((denom > 0) & np.isfinite(denom))
+    f_values = np.full(len(tests), math.nan)
+    probs = np.full(len(tests), math.nan)
+    if not degenerate.all():
+        tested = ~degenerate
+        f_values[tested] = diff[tested] * diff[tested] / denom[tested]
+        probs[tested] = f_tails(f_values[tested], 1, solution.dof)
+    comparisons = [
+        ClusterComparison(blocks[row], neighbour, direction, float(f), float(prob), bool(flag))
+        for (row, _, neighbour, direction), f, prob, flag in zip(tests, f_values, probs, degenerate)
+    ]
     return ClusterReport(age_window, year_window, solution.dof, clusters, comparisons)

@@ -12,15 +12,15 @@ from __future__ import annotations
 import contextlib
 import copy
 import ctypes
+import functools
 import glob
+import importlib.util
 import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.linalg.lapack import dtrtri
+from numpy.linalg import LinAlgError
 
 from .design import DesignSystem, check_weights, objective_parts
 from .domain import AnalysisDomain
@@ -172,7 +172,10 @@ class BandedCovariance:
         p = band.shape[1]
         position = np.empty(p, dtype=np.int64)
         position[order] = np.arange(p)
-        self.chol = cholesky_banded(band, lower=True, overwrite_ab=True, check_finite=False)
+        self.chol = np.asfortranarray(band, dtype=float)
+        info = _lapack().pbtrf(self.chol)
+        if info > 0:
+            raise LinAlgError(f"{info}-th leading minor not positive definite")
         self.order = order
         self.position = position
         self.bandwidth = band.shape[0] - 1
@@ -205,10 +208,17 @@ class BandedCovariance:
 
     def __matmul__(self, x):
         x = np.asarray(x, dtype=float)
-        y = cho_solve_banded((self.chol, True), x[self.order], check_finite=False)
-        out = np.empty_like(y)
-        out[self.order] = y
-        return self.scale * out
+        # One column-major copy in banded order, solved and scaled in place,
+        # and one gathered back to compact order.  ``take`` along the last
+        # axis of the transposes writes them without a buffer; ``clip``
+        # never clips a permutation.
+        y = np.empty(x.shape, order="F")
+        np.take(x.T, self.order, axis=-1, out=y.T, mode="clip")
+        _lapack().pbtrs(self.chol, y)
+        y *= self.scale
+        out = np.empty(x.shape, order="F")
+        np.take(y.T, self.position, axis=-1, out=out.T, mode="clip")
+        return out
 
     def __array__(self, dtype=None, copy=None):
         dense = self @ np.eye(self.shape[0])
@@ -239,18 +249,21 @@ def _selected_inverse(chol: np.ndarray) -> np.ndarray:
     n = -(-p // m)
     out = np.zeros((n, m, 2 * m))
 
-    # Every LAPACK call (scipy's OpenBLAS) comes first, so only numpy's runs
-    # in the recursion.  This matters where both pools have more than one
-    # thread, as for library callers that keep their settings: alternating
-    # the two pools made the loop ten times slower at b = 120 on 2 cores.
-    # The CLI runs both at one thread (``one_blas_thread``).  Each D_k^-T
+    # Every LAPACK call comes first, then the recursion's products.  Both run
+    # in numpy's OpenBLAS where ``_lapack`` binds it; its scipy fallback runs
+    # LAPACK in scipy's own pool, and where both pools have more than one
+    # thread, as for library callers that keep their settings, alternating
+    # two pools made the loop ten times slower at b = 120 on 2 cores.  The
+    # CLI runs every pool at one thread (``one_blas_thread``).  Each D_k^-T
     # waits in the right half of its block of ``out``, which the recursion
     # reads before it writes S[k, k+1] there.
+    lapack = _lapack()
     for k in range(n):
-        diag_t = np.triu(_factor_columns(chol, k, m)[: m * m].reshape(m, m))  # D_k^T
-        out[k, :, m:], info = dtrtri(diag_t, lower=0)
-        if info:
+        # D_k^T, column-major, inverted in place
+        diag_t = np.asfortranarray(np.triu(_factor_columns(chol, k, m)[: m * m].reshape(m, m)))
+        if lapack.trtri(diag_t):
             raise LinAlgError(f"singular triangular block {k} of the Cholesky factor")
+        out[k, :, m:] = diag_t
     for k in range(n - 1, -1, -1):
         d_inv_t = out[k, :, m:].copy()  # D_k^-T
         own = d_inv_t @ d_inv_t.T
@@ -279,6 +292,17 @@ def _factor_columns(chol: np.ndarray, k: int, m: int) -> np.ndarray:
     return columns.ravel()
 
 
+def _bundled_openblas(package: str) -> list:
+    """Paths of the OpenBLAS libraries in ``package``'s wheel (its ``.libs``
+    directory), found without importing the package; empty where it is not
+    installed or bundles none."""
+    spec = importlib.util.find_spec(package)
+    if spec is None or spec.origin is None:
+        return []
+    libs = os.path.dirname(spec.origin) + ".libs"
+    return sorted(glob.glob(os.path.join(libs, "*openblas*")))
+
+
 # Thread-count functions of the OpenBLAS that numpy's wheel (64-bit
 # integers) and scipy's wheel bundle, then those of a plain OpenBLAS.
 _OPENBLAS_THREAD_SYMBOLS = (
@@ -291,20 +315,119 @@ _OPENBLAS_THREAD_SYMBOLS = (
 def openblas_pools() -> dict:
     """The thread-count getter and setter of each OpenBLAS that numpy and
     scipy bundle in their ``.libs`` directories, by package name; empty
-    where none is found (another BLAS, or another wheel layout)."""
+    where none is found (another BLAS, or another wheel layout).  scipy is
+    not imported: a library caller may have loaded its pool."""
     pools = {}
-    for pkg in (np, scipy):
-        libs = os.path.dirname(pkg.__file__) + ".libs"
-        for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+    for package in ("numpy", "scipy"):
+        for path in _bundled_openblas(package):
             lib = ctypes.CDLL(path)
             for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
                 get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
                 if get is not None and set_ is not None:
                     get.argtypes, get.restype = [], ctypes.c_int
                     set_.argtypes, set_.restype = [ctypes.c_int], None
-                    pools[pkg.__name__] = (get, set_)
+                    pools[package] = (get, set_)
                     break
     return pools
+
+
+# The LAPACK routines solve calls, by their exported names in the OpenBLAS
+# of numpy's wheel, each with the integer type of its arguments: numpy 2
+# wheels (scipy-openblas64), numpy 1.22-1.26 wheels (openblas64_), then
+# builds with 32-bit integers.
+_LAPACK_SYMBOLS = (
+    ("scipy_{}_64_", ctypes.c_int64),
+    ("{}_64_", ctypes.c_int64),
+    ("scipy_{}_", ctypes.c_int32),
+    ("{}_", ctypes.c_int32),
+)
+_LAPACK_ROUTINES = ("dpbtrf", "dpbtrs", "dtrtri")
+_F_ARRAY = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS,WRITEABLE")
+
+
+class _OpenblasLapack:
+    """dpbtrf, dpbtrs and dtrtri called through ``ctypes``.  Each works in
+    place on column-major float64 arrays (``ndpointer`` checks the layout)
+    and returns LAPACK's ``info``.  The trailing ``size_t`` arguments are
+    the lengths of the character arguments, which gfortran passes hidden."""
+
+    def __init__(self, routines, integer):
+        self._pbtrf, self._pbtrs, self._trtri = routines
+        self._int = integer
+        ref, char, length = ctypes.POINTER(integer), ctypes.c_char_p, ctypes.c_size_t
+        self._pbtrf.argtypes = [char, ref, ref, _F_ARRAY, ref, ref, length]
+        self._pbtrs.argtypes = [char, ref, ref, ref, _F_ARRAY, ref, _F_ARRAY, ref, ref, length]
+        self._trtri.argtypes = [char, char, ref, _F_ARRAY, ref, ref, length, length]
+        for routine in routines:
+            routine.restype = None
+
+    def pbtrf(self, ab: np.ndarray) -> int:
+        """Cholesky factor of the band ``ab`` (lower storage) over it."""
+        n, info = self._int, self._int(0)
+        self._pbtrf(b"L", n(ab.shape[1]), n(ab.shape[0] - 1), ab, n(ab.shape[0]), info, 1)
+        return _checked(info.value, "dpbtrf")
+
+    def pbtrs(self, ab: np.ndarray, b: np.ndarray) -> int:
+        """Solve with the factor ``ab`` for the columns of ``b``, over them."""
+        n, info = self._int, self._int(0)
+        nrhs = 1 if b.ndim == 1 else b.shape[1]
+        self._pbtrs(b"L", n(ab.shape[1]), n(ab.shape[0] - 1), n(nrhs), ab, n(ab.shape[0]),
+                    b, n(max(b.shape[0], 1)), info, 1)
+        return _checked(info.value, "dpbtrs")
+
+    def trtri(self, a: np.ndarray) -> int:
+        """Inverse of the upper triangular ``a`` over it."""
+        n, info = self._int, self._int(0)
+        self._trtri(b"U", b"N", n(a.shape[0]), a, n(max(a.shape[0], 1)), info, 1, 1)
+        return _checked(info.value, "dtrtri")
+
+
+class _ScipyLapack:
+    """The same routines from ``scipy.linalg.lapack``, with the same
+    in-place contract, for a numpy whose BLAS exports none of the names."""
+
+    def __init__(self):
+        from scipy.linalg import lapack
+
+        self._lapack = lapack
+
+    def pbtrf(self, ab):
+        ab[...], info = self._lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+        return _checked(info, "dpbtrf")
+
+    def pbtrs(self, ab, b):
+        b[...], info = self._lapack.dpbtrs(ab, b, lower=1, overwrite_b=1)
+        return _checked(info, "dpbtrs")
+
+    def trtri(self, a):
+        a[...], info = self._lapack.dtrtri(a, lower=0, overwrite_c=1)
+        return _checked(info, "dtrtri")
+
+
+def _checked(info: int, routine: str) -> int:
+    """LAPACK's ``info``: positive where the matrix fails (not positive
+    definite, or singular); a negative value names an illegal argument."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+    return info
+
+
+def _bind_lapack():
+    """The routines from numpy's bundled OpenBLAS, under the first of
+    ``_LAPACK_SYMBOLS`` it exports all three by; else scipy's."""
+    for path in _bundled_openblas("numpy"):
+        lib = ctypes.CDLL(path)
+        for pattern, integer in _LAPACK_SYMBOLS:
+            routines = [getattr(lib, pattern.format(name), None) for name in _LAPACK_ROUTINES]
+            if all(routine is not None for routine in routines):
+                return _OpenblasLapack(routines, integer)
+    return _ScipyLapack()
+
+
+@functools.cache
+def _lapack():
+    """The LAPACK binding, made at the first solve and kept."""
+    return _bind_lapack()
 
 
 @contextlib.contextmanager
@@ -312,12 +435,13 @@ def one_blas_thread():
     """Run the block with numpy's and scipy's OpenBLAS pools at one thread
     each, and restore their previous counts afterwards, also on an error.
 
-    Each solve factors with scipy's OpenBLAS and selects the inverse with
-    numpy's, and each library keeps its own thread pool.  With two threads
-    each, the pools spin while the other one works: on 2 cores the fit
-    used 1.6-1.7 times the CPU time and took no less wall time.  Yields the counts inside the
-    block by package name, or None (and changes nothing) where no OpenBLAS
-    is found.
+    Each solve factors, inverts and multiplies with numpy's OpenBLAS
+    (scipy's, for LAPACK, where numpy's exports no LAPACK names).  scipy's
+    pool is pinned too, for a library caller that runs scipy in the same
+    process: with two threads each, the two pools spun while the other one
+    worked, and on 2 cores the fit used 1.6-1.7 times the CPU time and took
+    no less wall time.  Yields the counts inside the block by package
+    name, or None (and changes nothing) where no OpenBLAS is found.
     """
     pools = openblas_pools()
     previous = {name: get() for name, (get, _) in pools.items()}
@@ -380,8 +504,9 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
     The normal matrix is ``G0 + w1 G1 + w2 G2`` (:class:`DesignSystem`):
     its band, ordered cohort-major, is the weighted sum of the three bands
     the design computed once, and is factored (Cholesky).  The estimate
-    gets two steps of iterative refinement against the sparse Gram
-    matrices.  The covariance is a :class:`BandedCovariance`: the selected
+    gets two steps of iterative refinement, with the normal matrix applied
+    through the row blocks (:meth:`DesignSystem.normal_product`).  The
+    covariance is a :class:`BandedCovariance`: the selected
     inverse gives the variances and the adjacent covariances the iteration
     loop reads, and banded solves give the rest on request.  ``condition``
     is the 1-norm condition number, ``||N||_1`` read from the band times
@@ -427,11 +552,10 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
     if condition > ILL_CONDITION:
         notes.append(f"ill-conditioned normal matrix (1-norm condition ~ {condition:.3g})")
 
-    g0, g1, g2 = system.grams
     rhs = system.data_rhs
     z = inverse @ rhs
     for _ in range(2):  # iterative refinement sharpens near-consistent systems
-        z = z + inverse @ (rhs - (g0 @ z + trend_weight * (g1 @ z) + level_weight * (g2 @ z)))
+        z = z + inverse @ (rhs - system.normal_product(z, trend_weight, level_weight))
 
     s0, s1, s2 = objective_parts(system, z)
     total = s0 + trend_weight * s1 + level_weight * s2

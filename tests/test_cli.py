@@ -2,8 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
+
+import ctrend
 
 from ctrend import cli, iterate, pipeline, report
 from ctrend.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_SINGULAR, main
@@ -384,3 +389,37 @@ class TestVerify:
         assert main(["verify", "--negative-control"]) != EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+
+def test_no_command_loads_scipy(tmp_path):
+    """scipy is for the tests only: a process that runs every command
+    through ``cli.main`` has no ``scipy`` module loaded at the end."""
+    script = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        from ctrend import cli
+
+        out = sys.argv[1]
+        data = out + "/data.csv"
+        commands = [
+            ["simulate", "--preset", "linear", "--noise", "1.0", "--seed", "5", "--out", data],
+            ["fit", data, "--out", out + "/fit", "--cell-min-count", "0"],
+            ["fit", data, "--out", out + "/pairs", "--cell-min-count", "0",
+             "--pair", "0.7:0.9", "--pair", "0.6:0.85"],
+            ["report", out + "/fit"],
+            ["verify"],
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(argv) for argv in commands]
+        loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+        print(json.dumps({"codes": codes, "scipy": loaded}))
+        """
+    )
+    source = os.path.dirname(os.path.dirname(ctrend.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [EXIT_OK] * 5, "scipy": []}

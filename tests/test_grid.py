@@ -15,6 +15,7 @@ from ctrend.grid import (
     ModelVector,
     ObservationalFrame,
     OutOfFrameError,
+    SparseRows,
     forward_levels,
     predict_observation,
 )
@@ -363,3 +364,36 @@ class TestModelVector:
             ModelVector(frame, np.zeros(3), np.zeros((3, 3)))
         assert frame.param_count == frame.cohort_count + frame.trend_size
         assert frame.cohort_count == (frame.year_cells - 1) + (frame.age_cells - 1) + 3
+
+
+class TestSparseRows:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_rows=st.integers(0, 12),
+        n_cols=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_products_give_scipy_csr_bits(self, n_rows, n_cols, seed):
+        """Both products of random rows (empty rows, structural zeros,
+        negative zeros, NaN and infinite inputs) equal scipy's CSR products
+        bit for bit."""
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(0, n_cols + 1, n_rows)
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        indices = np.concatenate(
+            [np.sort(rng.choice(n_cols, k, replace=False)) for k in lengths] + [np.zeros(0, int)]
+        )
+        special = np.array([0.0, -0.0, 1e300, -1e-300])
+        data = np.where(rng.random(indices.size) < 0.2, rng.choice(special, indices.size),
+                        rng.normal(size=indices.size) * 10.0 ** rng.integers(-8, 9, indices.size))
+        rows = SparseRows(data, indices, indptr, n_cols)
+        x = rng.normal(size=n_cols) * 10.0 ** rng.integers(-8, 9, n_cols)
+        y = rng.normal(size=n_rows)
+        if n_cols > 1:
+            x[rng.integers(n_cols)] = rng.choice([np.nan, np.inf, -0.0])
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and overflow, as in scipy
+            products = [(rows @ x, rows.csr @ x), (rows.rmatvec(y), rows.csr.T @ y)]
+        for got, expected in products:
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))

@@ -1,6 +1,7 @@
-"""Allocation guards: ingest holds one block of rows at a time, a solve
-allocates little beyond the factor and the selected inverse it keeps, and
-a `--pair` batch holds one fitted pair at a time.
+"""Allocation guards: ingest holds one block of rows at a time, the design
+and a solve allocate little beyond the bands, factor and selected inverse
+they keep, the cluster tests copy their averaging map once, and a `--pair`
+batch holds one fitted pair at a time.
 
 ``tracemalloc`` counts the bytes Python and NumPy allocate, and the counts
 repeat exactly from run to run, so a whole-file row list or a batch-wide
@@ -14,7 +15,9 @@ import tracemalloc
 from ctrend import cli
 from ctrend.design import DesignSystem
 from ctrend.domain import build_domain
+from ctrend.inference import cluster_compare
 from ctrend.ingest import BLOCK_ROWS, ingest_file
+from ctrend.pipeline import run_fit
 from ctrend.simulate import preset, simulate, write_records
 from ctrend.solve import solve
 
@@ -59,6 +62,31 @@ def test_solve_allocates_little_beyond_its_result(tmp_path):
     solve(system, 1.0, 1.0)  # the first call loads what later calls share
     _, peak = _traced_peak(lambda: solve(system, 1.0, 1.0))
     assert peak <= 3.0 * MB
+
+
+def test_design_allocates_little_beyond_its_bands(tmp_path):
+    """`DesignSystem.build` on a `table` fit keeps three bands of 0.73 MB
+    each and peaks at 3.0 MB: each row's products go straight into its
+    band.  Forming the sparse Gram matrices and a COO copy of each peaked
+    at 4.7 MB."""
+    ingested = ingest_file(_table_file(tmp_path))
+    domain = build_domain(ingested.cells, ingested.frame)
+    cells = domain.filter_cells(ingested.cells)[0]
+    DesignSystem.build(cells, domain)  # the first call loads what later calls share
+    system, peak = _traced_peak(lambda: DesignSystem.build(cells, domain))
+    assert peak <= system.bands.nbytes + 1.2 * MB
+
+
+def test_cluster_tests_copy_the_averaging_map_once(tmp_path):
+    """`cluster_compare` on a `table` fit averages over a 63 x 1395 map
+    (0.70 MB).  The banded solve takes one column-major copy of it and
+    works in place, and the result is gathered back once: the tests peak
+    at 2.2 MB.  Copying the map three or four times peaked at 2.9 MB."""
+    run = run_fit(ingest_file(_table_file(tmp_path)))
+    cluster_compare(run.solution)  # the first call loads what later calls share
+    report, peak = _traced_peak(lambda: cluster_compare(run.solution))
+    assert len(report.clusters) == 63
+    assert peak <= 2.5 * MB
 
 
 def test_pair_batch_holds_one_run_at_a_time(tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ctrend.grid import ObservationalFrame, predict_observation
+from ctrend.grid import ObservationalFrame, SparseRows, predict_observation
 from ctrend.ingest import aggregate, ingest_records
 from ctrend.simulate import (
     KG_PER_MCAL,
@@ -38,6 +38,15 @@ class TestDeterminism:
         write_records(records, str(p1))
         write_records(simulate(linear_trend_scenario(seed=9, noise_sd=1.0)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_values_are_scipy_csr_products_bit_for_bit(self, monkeypatch):
+        """The exact values are cohort-path rows times the model; with
+        scipy's CSR product in place of the rows' own, the records are the
+        same, bit for bit."""
+        scenario = preset("table", seed=0)
+        records = simulate(scenario)
+        monkeypatch.setattr(SparseRows, "__matmul__", lambda rows, x: rows.csr @ x)
+        assert simulate(scenario) == records
 
     def test_survey_order_invariance(self):
         base = stationary_scenario(seed=3, noise_sd=1.0)

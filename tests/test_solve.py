@@ -1,5 +1,8 @@
 """Solver, covariance, variance estimate, correlations, singularity handling."""
 
+import ctypes
+import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -28,6 +31,8 @@ from ctrend.solve import (
 )
 
 from conftest import make_cell
+
+solve_module = importlib.import_module("ctrend.solve")  # the package exports a function of that name
 
 
 def fitted_instance(seed=9, noise=1.5, n_years=5, n_ages=6, w1=0.7, w2=1.3, samples=3):
@@ -387,3 +392,96 @@ class TestBandedCovariance:
         residual = np.abs(normal @ z - rhs).max()
         scale = np.abs(normal).sum(axis=1).max() * np.abs(z).max() + np.abs(rhs).max()
         assert residual <= 1e-10 * scale
+
+
+def spd_band(rng, p, b):
+    """The lower band (LAPACK storage) of a random symmetric positive
+    definite matrix of order ``p`` and half-bandwidth ``b``."""
+    band = rng.uniform(-1.0, 1.0, size=(b + 1, p))
+    band[0] = 2.0 * (b + 1) + rng.uniform(0.0, 1.0, size=p)  # diagonally dominant
+    for d in range(1, b + 1):
+        band[d, p - d :] = 0.0  # past the last column
+    return band
+
+
+class TestLapackBinding:
+    """The LAPACK routines bound from numpy's OpenBLAS, against the same
+    routines in ``scipy.linalg.lapack``.  The two wheels bundle their own
+    OpenBLAS builds; on the bands here they agree bit for bit (on a band of
+    half-bandwidth 124, as on the biennial frame, the factors of two builds
+    were seen to differ in their last digits)."""
+
+    @pytest.fixture()
+    def bound(self):
+        lapack = solve_module._bind_lapack()
+        if isinstance(lapack, solve_module._ScipyLapack):
+            pytest.skip("numpy's BLAS exports none of the LAPACK names")
+        return lapack
+
+    # b = 0 (a diagonal matrix), p = 1, p < b + 1, and p not a multiple of
+    # b, so the selected inverse pads its last block
+    SHAPES = [(1, 0), (9, 0), (1, 3), (4, 6), (23, 5), (64, 16), (1395, 64)]
+
+    @pytest.mark.parametrize("p, b", SHAPES)
+    def test_routines_match_scipy(self, bound, p, b):
+        from scipy.linalg import lapack
+
+        rng = np.random.default_rng(p * 100 + b)
+        band = spd_band(rng, p, b)
+        factor = np.array(band, order="F")
+        assert bound.pbtrf(factor) == 0
+        expected, info = lapack.dpbtrf(band, lower=1)
+        assert info == 0 and np.array_equal(factor, expected)
+
+        for rhs in (rng.normal(size=p), rng.normal(size=(p, 3))):
+            solved = np.array(rhs, order="F")
+            assert bound.pbtrs(factor, solved) == 0
+            expected, info = lapack.dpbtrs(factor, rhs, lower=1)
+            assert info == 0 and np.array_equal(solved, expected.reshape(rhs.shape))
+
+        upper = np.triu(rng.normal(size=(max(b, 1),) * 2)) + 4.0 * np.eye(max(b, 1))
+        inverse = np.array(upper, order="F")
+        assert bound.trtri(inverse) == 0
+        expected, info = lapack.dtrtri(upper, lower=0)
+        assert info == 0 and np.array_equal(inverse, expected)
+
+    @pytest.mark.parametrize("p, b", SHAPES)
+    def test_covariance_same_under_either_binding(self, bound, p, b, monkeypatch):
+        """Factor, selected inverse (with its padded last block) and solves."""
+        rng = np.random.default_rng(p * 100 + b + 1)
+        band = spd_band(rng, p, b)
+        order = rng.permutation(p)
+        x = rng.normal(size=(p, 2))
+        covs = []
+        for lapack in (bound, solve_module._ScipyLapack()):
+            monkeypatch.setattr(solve_module, "_lapack", lambda lapack=lapack: lapack)
+            covs.append(BandedCovariance(band.copy(), order))
+        ours, theirs = covs
+        assert np.array_equal(ours.chol, theirs.chol)
+        assert np.array_equal(ours._blocks, theirs._blocks)
+        assert np.array_equal(ours.diagonal(), theirs.diagonal())
+        assert np.array_equal(ours @ x, theirs @ x)
+        assert np.array_equal(ours @ x[:, 0], theirs @ x[:, 0])
+
+    def test_no_exported_name_falls_back_to_scipy(self, monkeypatch):
+        _, _, system, bound_solution = fitted_instance()
+        monkeypatch.setattr(solve_module, "_LAPACK_SYMBOLS", (("no_such_{}_", ctypes.c_int64),))
+        lapack = solve_module._bind_lapack()
+        assert isinstance(lapack, solve_module._ScipyLapack)
+        monkeypatch.setattr(solve_module, "_lapack", lambda: lapack)
+        fallback = solve(system, 0.7, 1.3)
+        assert np.array_equal(fallback.estimate, bound_solution.estimate)
+        assert np.array_equal(fallback.cov.diagonal(), bound_solution.cov.diagonal())
+        assert fallback.condition == bound_solution.condition
+
+    @pytest.mark.parametrize("binding", ["bound", "fallback"])
+    def test_band_not_positive_definite_is_singular(self, binding, monkeypatch):
+        if binding == "fallback":
+            monkeypatch.setattr(solve_module, "_lapack", solve_module._ScipyLapack)
+        system = four_point_system(TestIdentifiability.GOOD)
+        negated = dataclasses.replace(system, bands=-system.bands)
+        with pytest.raises(
+            SingularSystemError,
+            match=r"^1-th leading minor not positive definite; the stacked system is singular",
+        ):
+            solve(negated, 1.0, 1.0)
