@@ -5,10 +5,10 @@ figures), ``simulate`` (write a synthetic survey file from a scenario
 preset or file), ``verify`` (run the built-in verification suite),
 ``report`` (summarize a run directory and regenerate its figures).
 
-Exit codes: 0 success, 2 input error, 3 non-convergence, 4 singular system.
-The output directory defaults to ``$CTREND_OUT_DIR`` when set.  No
-command imports scipy: LAPACK comes from numpy's bundled OpenBLAS
-(:mod:`ctrend.solve`).  Every command runs with the OpenBLAS pools that
+Exit codes: 0 success, 2 input error, 3 non-convergence, 4 singular system,
+5 no LAPACK found.  The output directory defaults to ``$CTREND_OUT_DIR``
+when set.  No command imports scipy where numpy's BLAS exports the LAPACK
+routines, as numpy's wheels do (:mod:`ctrend.solve`).  Every command runs with the OpenBLAS pools that
 numpy's and scipy's wheels bundle at one thread each
 (:func:`ctrend.solve.one_blas_thread`); the manifest records the counts.
 """
@@ -42,13 +42,14 @@ from .simulate import (
     simulate,
     write_records,
 )
-from .solve import SingularSystemError, one_blas_thread
+from .solve import LapackUnavailableError, SingularSystemError, one_blas_thread, require_lapack
 from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_SINGULAR = 4
+EXIT_NO_LAPACK = 5
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -300,6 +301,12 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
         "report": cmd_report,
     }[args.command]
+    if args.command in ("fit", "verify"):
+        try:
+            require_lapack()  # before any input is read or output written
+        except LapackUnavailableError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_NO_LAPACK
     with one_blas_thread() as blas_threads:
         args.runtime = {"blas_threads": blas_threads}
         return handler(args)

@@ -31,6 +31,8 @@ __all__ = [
     "BandedCovariance",
     "CorrelationSummary",
     "SingularSystemError",
+    "LapackUnavailableError",
+    "require_lapack",
     "solve",
     "estimate_sigma2",
     "r_squared",
@@ -331,13 +333,16 @@ def openblas_pools() -> dict:
     return pools
 
 
-# The LAPACK routines solve calls, by their exported names in the OpenBLAS
-# of numpy's wheel, each with the integer type of its arguments: numpy 2
-# wheels (scipy-openblas64), numpy 1.22-1.26 wheels (openblas64_), then
-# builds with 32-bit integers.
+# The LAPACK routines solve calls, by their exported names in the LAPACK
+# numpy is linked to, each with the integer type of its arguments: numpy 2
+# wheels (scipy-openblas64), numpy 1.22-1.26 wheels (openblas64_), macOS
+# Accelerate's ILP64 and LP64 interfaces, then builds with 32-bit integers
+# (a system or conda LAPACK, MKL).
 _LAPACK_SYMBOLS = (
     ("scipy_{}_64_", ctypes.c_int64),
     ("{}_64_", ctypes.c_int64),
+    ("{}$NEWLAPACK$ILP64", ctypes.c_int64),
+    ("{}$NEWLAPACK", ctypes.c_int32),
     ("scipy_{}_", ctypes.c_int32),
     ("{}_", ctypes.c_int32),
 )
@@ -345,11 +350,12 @@ _LAPACK_ROUTINES = ("dpbtrf", "dpbtrs", "dtrtri")
 _F_ARRAY = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS,WRITEABLE")
 
 
-class _OpenblasLapack:
+class _CtypesLapack:
     """dpbtrf, dpbtrs and dtrtri called through ``ctypes``.  Each works in
     place on column-major float64 arrays (``ndpointer`` checks the layout)
     and returns LAPACK's ``info``.  The trailing ``size_t`` arguments are
-    the lengths of the character arguments, which gfortran passes hidden."""
+    the lengths of the character arguments, which gfortran passes hidden
+    (a LAPACK that takes none ignores them)."""
 
     def __init__(self, routines, integer):
         self._pbtrf, self._pbtrs, self._trtri = routines
@@ -412,22 +418,52 @@ def _checked(info: int, routine: str) -> int:
     return info
 
 
+class LapackUnavailableError(ImportError):
+    """Neither numpy's BLAS nor scipy provides the LAPACK routines."""
+
+
+def _lapack_libraries() -> list:
+    """Where to look the LAPACK names up: the OpenBLAS in numpy's wheel,
+    then numpy's linear-algebra extension, whose lookups also search the
+    libraries it links (on Linux and macOS), whatever the install layout."""
+    paths = _bundled_openblas("numpy")
+    try:
+        paths.append(importlib.import_module("numpy.linalg._umath_linalg").__file__)
+    except ImportError:  # a private module, which a later numpy may move
+        pass
+    return paths
+
+
 def _bind_lapack():
-    """The routines from numpy's bundled OpenBLAS, under the first of
-    ``_LAPACK_SYMBOLS`` it exports all three by; else scipy's."""
-    for path in _bundled_openblas("numpy"):
+    """The routines from the LAPACK numpy is linked to, under the first of
+    ``_LAPACK_SYMBOLS`` it exports all three by; else scipy's.  Raises
+    :class:`LapackUnavailableError` where neither is found."""
+    for path in _lapack_libraries():
         lib = ctypes.CDLL(path)
         for pattern, integer in _LAPACK_SYMBOLS:
             routines = [getattr(lib, pattern.format(name), None) for name in _LAPACK_ROUTINES]
             if all(routine is not None for routine in routines):
-                return _OpenblasLapack(routines, integer)
-    return _ScipyLapack()
+                return _CtypesLapack(routines, integer)
+    try:
+        return _ScipyLapack()
+    except ImportError as err:
+        raise LapackUnavailableError(
+            f"numpy's BLAS exports none of the LAPACK routines {', '.join(_LAPACK_ROUTINES)} "
+            "under a known name, and scipy, which provides them otherwise, is not installed; "
+            "install scipy (pip install scipy)"
+        ) from err
 
 
 @functools.cache
 def _lapack():
     """The LAPACK binding, made at the first solve and kept."""
     return _bind_lapack()
+
+
+def require_lapack() -> None:
+    """Make the LAPACK binding now rather than at the first solve; raises
+    :class:`LapackUnavailableError` where no LAPACK is found."""
+    _lapack()
 
 
 @contextlib.contextmanager

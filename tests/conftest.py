@@ -1,3 +1,7 @@
+import ctypes
+import importlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -43,3 +47,17 @@ def full_grid():
     ]
     domain = build_domain(cells, frame, mode=1)
     return frame, cells, domain
+
+
+@pytest.fixture
+def no_lapack(monkeypatch):
+    """A process whose numpy exports none of the LAPACK names and where
+    scipy is not installed: every ``import scipy...`` fails until the test
+    ends, and the LAPACK binding is made afresh before and after it."""
+    solve = importlib.import_module("ctrend.solve")
+    monkeypatch.setattr(solve, "_LAPACK_SYMBOLS", (("no_such_{}_", ctypes.c_int64),))
+    for name in [n for n in sys.modules if n.split(".")[0] == "scipy"] + ["scipy"]:
+        monkeypatch.setitem(sys.modules, name, None)
+    solve._lapack.cache_clear()
+    yield
+    solve._lapack.cache_clear()

@@ -11,7 +11,14 @@ import pytest
 import ctrend
 
 from ctrend import cli, iterate, pipeline, report
-from ctrend.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_SINGULAR, main
+from ctrend.cli import (
+    EXIT_INPUT,
+    EXIT_NO_CONVERGENCE,
+    EXIT_NO_LAPACK,
+    EXIT_OK,
+    EXIT_SINGULAR,
+    main,
+)
 from ctrend.solve import SingularSystemError
 
 
@@ -389,6 +396,18 @@ class TestVerify:
         assert main(["verify", "--negative-control"]) != EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+
+@pytest.mark.parametrize("command", ["fit", "verify"])
+def test_no_lapack_exits_before_any_work(command, data_file, tmp_path, capsys, no_lapack):
+    out = tmp_path / "fit"
+    argv = ["fit", data_file, "--out", str(out)] if command == "fit" else ["verify"]
+    assert main(argv) == EXIT_NO_LAPACK
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: numpy's BLAS exports none of the LAPACK routines")
+    assert "install scipy" in captured.err
+    assert not out.exists()
 
 
 def test_no_command_loads_scipy(tmp_path):

@@ -22,6 +22,7 @@ from ctrend.solve import (
     BandedCovariance,
     CorrelationSummary,
     DegreesOfFreedomError,
+    LapackUnavailableError,
     SingularSystemError,
     Solution,
     adjacent_correlations,
@@ -404,12 +405,18 @@ def spd_band(rng, p, b):
     return band
 
 
+def assert_same_digits(actual, expected):
+    """Equal up to rounding: two OpenBLAS builds (numpy's wheel and scipy's
+    bundle their own) may order a sum differently.  On these bands they
+    agreed bit for bit, but on a band of half-bandwidth 124 the factors of
+    two builds were seen to differ in their last digits."""
+    scale = max(np.abs(expected).max(initial=0.0), np.finfo(float).tiny)
+    np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-13 * scale)
+
+
 class TestLapackBinding:
-    """The LAPACK routines bound from numpy's OpenBLAS, against the same
-    routines in ``scipy.linalg.lapack``.  The two wheels bundle their own
-    OpenBLAS builds; on the bands here they agree bit for bit (on a band of
-    half-bandwidth 124, as on the biennial frame, the factors of two builds
-    were seen to differ in their last digits)."""
+    """The LAPACK routines bound from the library numpy is linked to,
+    against the same routines in ``scipy.linalg.lapack``."""
 
     @pytest.fixture()
     def bound(self):
@@ -431,19 +438,22 @@ class TestLapackBinding:
         factor = np.array(band, order="F")
         assert bound.pbtrf(factor) == 0
         expected, info = lapack.dpbtrf(band, lower=1)
-        assert info == 0 and np.array_equal(factor, expected)
+        assert info == 0
+        assert_same_digits(factor, expected)
 
         for rhs in (rng.normal(size=p), rng.normal(size=(p, 3))):
             solved = np.array(rhs, order="F")
             assert bound.pbtrs(factor, solved) == 0
             expected, info = lapack.dpbtrs(factor, rhs, lower=1)
-            assert info == 0 and np.array_equal(solved, expected.reshape(rhs.shape))
+            assert info == 0
+            assert_same_digits(solved, expected.reshape(rhs.shape))
 
         upper = np.triu(rng.normal(size=(max(b, 1),) * 2)) + 4.0 * np.eye(max(b, 1))
         inverse = np.array(upper, order="F")
         assert bound.trtri(inverse) == 0
         expected, info = lapack.dtrtri(upper, lower=0)
-        assert info == 0 and np.array_equal(inverse, expected)
+        assert info == 0
+        assert_same_digits(inverse, expected)
 
     @pytest.mark.parametrize("p, b", SHAPES)
     def test_covariance_same_under_either_binding(self, bound, p, b, monkeypatch):
@@ -457,11 +467,25 @@ class TestLapackBinding:
             monkeypatch.setattr(solve_module, "_lapack", lambda lapack=lapack: lapack)
             covs.append(BandedCovariance(band.copy(), order))
         ours, theirs = covs
-        assert np.array_equal(ours.chol, theirs.chol)
-        assert np.array_equal(ours._blocks, theirs._blocks)
-        assert np.array_equal(ours.diagonal(), theirs.diagonal())
-        assert np.array_equal(ours @ x, theirs @ x)
-        assert np.array_equal(ours @ x[:, 0], theirs @ x[:, 0])
+        assert_same_digits(ours.chol, theirs.chol)
+        assert_same_digits(ours._blocks, theirs._blocks)
+        assert_same_digits(ours.diagonal(), theirs.diagonal())
+        assert_same_digits(ours @ x, theirs @ x)
+        assert_same_digits(ours @ x[:, 0], theirs @ x[:, 0])
+
+    def test_extension_finds_the_bundled_routines(self, bound, monkeypatch):
+        """Looked up through numpy's linear-algebra extension, the names
+        resolve to the very functions of the OpenBLAS in numpy's wheel."""
+        if not solve_module._bundled_openblas("numpy"):
+            pytest.skip("numpy's wheel bundles no OpenBLAS")
+        monkeypatch.setattr(solve_module, "_bundled_openblas", lambda package: [])
+        through_extension = solve_module._bind_lapack()
+
+        def addresses(lapack):
+            routines = (lapack._pbtrf, lapack._pbtrs, lapack._trtri)
+            return [ctypes.cast(routine, ctypes.c_void_p).value for routine in routines]
+
+        assert addresses(through_extension) == addresses(bound)
 
     def test_no_exported_name_falls_back_to_scipy(self, monkeypatch):
         _, _, system, bound_solution = fitted_instance()
@@ -470,9 +494,17 @@ class TestLapackBinding:
         assert isinstance(lapack, solve_module._ScipyLapack)
         monkeypatch.setattr(solve_module, "_lapack", lambda: lapack)
         fallback = solve(system, 0.7, 1.3)
-        assert np.array_equal(fallback.estimate, bound_solution.estimate)
-        assert np.array_equal(fallback.cov.diagonal(), bound_solution.cov.diagonal())
-        assert fallback.condition == bound_solution.condition
+        assert_same_digits(fallback.estimate, bound_solution.estimate)
+        assert_same_digits(fallback.cov.diagonal(), bound_solution.cov.diagonal())
+        assert fallback.condition == pytest.approx(bound_solution.condition, rel=1e-12)
+
+    def test_no_exported_name_and_no_scipy_names_the_remedy(self, no_lapack):
+        with pytest.raises(
+            LapackUnavailableError,
+            match=r"^numpy's BLAS exports none of the LAPACK routines dpbtrf, dpbtrs, dtrtri .*"
+            r"install scipy \(pip install scipy\)$",
+        ):
+            solve_module._bind_lapack()
 
     @pytest.mark.parametrize("binding", ["bound", "fallback"])
     def test_band_not_positive_definite_is_singular(self, binding, monkeypatch):
