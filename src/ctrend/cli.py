@@ -8,9 +8,10 @@ preset or file), ``verify`` (run the built-in verification suite),
 Exit codes: 0 success, 2 input error, 3 non-convergence, 4 singular system,
 5 no LAPACK found.  The output directory defaults to ``$CTREND_OUT_DIR``
 when set.  No command imports scipy where numpy's BLAS exports the LAPACK
-routines, as numpy's wheels do (:mod:`ctrend.solve`).  Every command runs with the OpenBLAS pools that
-numpy's and scipy's wheels bundle at one thread each
-(:func:`ctrend.solve.one_blas_thread`); the manifest records the counts.
+routines, as numpy's wheels do (:mod:`ctrend.solve`).  Every command runs
+with the OpenBLAS pool of numpy's wheel at one thread, and scipy's too
+where scipy is imported (:func:`ctrend.solve.one_blas_thread`); the
+manifest records the counts.
 """
 
 from __future__ import annotations
@@ -303,7 +304,9 @@ def main(argv=None) -> int:
     }[args.command]
     if args.command in ("fit", "verify"):
         try:
-            require_lapack()  # before any input is read or output written
+            # before any input is read or output written, and before the
+            # pin, which finds scipy's pool where the binding imports scipy
+            require_lapack()
         except LapackUnavailableError as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_NO_LAPACK

@@ -167,7 +167,14 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
     Never a silent success: on any other stop the best solution
     seen (the one with the smallest worst gap relative to its accuracy; the
     first solution when no gap is finite) is returned with
-    ``converged=False``.  A singular system on the first solve raises
+    ``converged=False``.
+
+    The loop holds one solution at a time: it lets each go before the next
+    solve and records only the best iteration's weights.  The returned
+    solution is the last solve's where that is the best, as on every
+    converged or degenerate stop; otherwise it is solved again at the best
+    weights, the same deterministic solve, so a stopped loop pays one more
+    solve.  A singular system on the first solve raises
     :class:`SingularSystemError`.  Deterministic: the trace is a pure
     function of the system and configuration.  Each trace row's note names
     the step that produced the next weights.
@@ -182,8 +189,9 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
     trace: list[TraceRecord] = []
 
     best_score = math.inf
-    best: Solution | None = None
+    best_weights = weights
     best_iter = 0
+    solution: Solution | None = None
     converged = False
     reason = "max_iter"
     previous = None  # (log weights, signed gaps) of the last solve
@@ -192,10 +200,11 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
 
     for it in range(1, config.max_iter + 1):
         w1, w2 = weights
+        solution = None  # not held through the next solve
         try:
             solution = solve(system, w1, w2)
         except SingularSystemError:
-            if best is None:
+            if not trace:
                 raise
             # an unreachable target can drive a weight to extremes; stop
             # with the best solution seen rather than failing silently
@@ -211,8 +220,8 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
             checked.trend_gap / config.trend_accuracy,
             checked.level_gap / config.level_accuracy,
         )
-        if best is None or score < best_score or checked.stop:
-            best_score, best, best_iter = score, solution, it
+        if best_iter == 0 or score < best_score or checked.stop:
+            best_score, best_weights, best_iter = score, weights, it
 
         slopes = (PAPER_SLOPE, PAPER_SLOPE)
         if checked.stop:
@@ -247,19 +256,19 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
         if converged or checked.degenerate:
             break
         weights = _step(weights, gaps, slopes)
-        # unless it is the best, this solution is not needed again: do not
-        # hold its factor and covariance bands through the next solve
-        solution = None
 
     if not converged:
         trace[-1].note += f"; stopped: {reason}, best iteration {best_iter}"
+    if solution is None or trace[-1].iteration != best_iter:
+        solution = None  # not held through the solve again
+        solution = solve(system, *best_weights)
     return IterationResult(
-        solution=best,
+        solution=solution,
         trace=trace,
         converged=converged,
         reason=reason,
-        trend_weight=best.trend_weight,
-        level_weight=best.level_weight,
+        trend_weight=best_weights[0],
+        level_weight=best_weights[1],
         best_iteration=best_iter,
         fallback_steps=fallback_steps,
     )

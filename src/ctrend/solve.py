@@ -17,6 +17,7 @@ import glob
 import importlib.util
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,14 +155,17 @@ class BandedCovariance:
     is the compact index at banded position ``k``;
     :meth:`AnalysisDomain.cohort_major`); its row count less one is the
     half-bandwidth ``bandwidth``.  The matrix is held as its Cholesky
-    factor in the same storage.  Factor and solves cost O(p b^2) and
-    O(p b) instead of O(p^3), and the selected inverse supplies every entry
-    of the inverse within the band.  The object offers the part of the
-    ndarray interface that consumers use, in compact order:
+    factor ``chol`` in the same storage, and the selected inverse as
+    ``inverse_band``, the lower band of the unscaled inverse in that
+    storage too (:func:`_selected_inverse`): two arrays of ``(b + 1) x p``
+    floats.  Factor and solves cost O(p b^2) and O(p b) instead of O(p^3).
+    The object offers the part of the ndarray interface that consumers
+    use, in compact order:
 
-    * ``cov.diagonal()``, from the selected inverse;
-    * ``cov[a, b]`` for indices or index arrays inside the band
-      (``IndexError`` for a pair outside it);
+    * ``cov.diagonal()``, row 0 of ``inverse_band``;
+    * ``cov[a, b]`` for indices or index arrays inside the band, entry
+      ``[hi - lo, lo]`` of ``inverse_band`` for banded positions
+      ``lo <= hi`` (``IndexError`` for a pair outside it);
     * ``cov @ x``, a banded solve;
     * ``np.asarray(cov)``, the dense matrix, built only when asked for.
 
@@ -183,9 +187,7 @@ class BandedCovariance:
         self.bandwidth = band.shape[0] - 1
         self.scale = 1.0
         self.shape = (p, p)
-        self._blocks = _selected_inverse(self.chol)
-        m = self._blocks.shape[1]
-        self._diagonal = np.diagonal(self._blocks[:, :, :m], axis1=1, axis2=2).ravel()[position]
+        self.inverse_band = _selected_inverse(self.chol)
 
     def scaled(self, factor: float) -> "BandedCovariance":
         """The same factor with the scale multiplied by ``factor``."""
@@ -194,7 +196,7 @@ class BandedCovariance:
         return out
 
     def diagonal(self) -> np.ndarray:
-        return self.scale * self._diagonal
+        return self.scale * self.inverse_band[0, self.position]
 
     def __getitem__(self, key):
         a, b = key
@@ -204,9 +206,7 @@ class BandedCovariance:
             raise IndexError(
                 f"covariance entry outside the band (half-bandwidth {self.bandwidth})"
             )
-        m = self._blocks.shape[1]
-        k = lo // m
-        return self.scale * self._blocks[k, lo - k * m, hi - k * m]
+        return self.scale * self.inverse_band[hi - lo, lo]
 
     def __matmul__(self, x):
         x = np.asarray(x, dtype=float)
@@ -228,8 +228,9 @@ class BandedCovariance:
 
 
 def _selected_inverse(chol: np.ndarray) -> np.ndarray:
-    """Entries of ``N^-1`` near the diagonal, from ``N = L L^T`` with ``L``
-    in lower band storage (Takahashi, Fagan & Chin 1973).
+    """The lower band of ``N^-1``, from ``N = L L^T`` with ``L`` in lower
+    band storage (Takahashi, Fagan & Chin 1973), in the same storage:
+    entry ``[d, c]`` is the inverse at positions ``(c + d, c)``.
 
     In blocks of ``m = max(b, 1)`` rows, a band-``b`` ``L`` is block lower
     bidiagonal, with diagonal blocks ``D_k`` and sub-diagonal blocks
@@ -239,44 +240,47 @@ def _selected_inverse(chol: np.ndarray) -> np.ndarray:
         S[k, k+1] = -Y_k S[k+1, k+1]
         S[k, k]   = D_k^-T D_k^-1 - S[k, k+1] Y_k^T
 
-    These blocks hold every entry within ``b`` of the diagonal.  Returns an
-    array of shape ``(blocks, m, 2m)`` over the banded positions padded to
-    a whole number of blocks: row ``x`` of block ``k`` is position
-    ``k m + x``, and its column ``y`` is position ``k m + y``.  Beyond that
-    result the work space is a few ``m x m`` blocks: each step needs only
-    the block pair it reads and the previous step's diagonal block.
+    Row ``x`` of the pair ``[S[k, k] | S[k, k+1]]`` holds, from its own
+    diagonal on, the ``b + 1`` entries ``S[km + x, km + x + d]`` of position
+    ``km + x``: each block's band columns are read from the upper triangle
+    of ``S[k, k]`` and from ``S[k, k+1]``.  In floating point the computed
+    ``S[k, k]`` is not exactly symmetric, and the upper triangle is the one
+    the band has always been read from.  One sweep, from the last block,
+    writes the band: each step needs only its own ``m x 2m`` pair and the
+    diagonal block of the previous one, so two pairs take turns as the
+    work space.  Each step inverts its ``D_k`` (LAPACK ``dtrtri``) before
+    its products, all in numpy's OpenBLAS pool where ``_lapack`` binds it.
     """
     width, p = chol.shape
     m = max(width - 1, 1)
     n = -(-p // m)
-    out = np.zeros((n, m, 2 * m))
-
-    # Every LAPACK call comes first, then the recursion's products.  Both run
-    # in numpy's OpenBLAS where ``_lapack`` binds it; its scipy fallback runs
-    # LAPACK in scipy's own pool, and where both pools have more than one
-    # thread, as for library callers that keep their settings, alternating
-    # two pools made the loop ten times slower at b = 120 on 2 cores.  The
-    # CLI runs every pool at one thread (``one_blas_thread``).  Each D_k^-T
-    # waits in the right half of its block of ``out``, which the recursion
-    # reads before it writes S[k, k+1] there.
+    out = np.empty((width, p))
     lapack = _lapack()
-    for k in range(n):
+    pair, below = np.empty((m, 2 * m)), np.empty((m, 2 * m))
+    for k in range(n - 1, -1, -1):
+        columns = _factor_columns(chol, k, m)
         # D_k^T, column-major, inverted in place
-        diag_t = np.asfortranarray(np.triu(_factor_columns(chol, k, m)[: m * m].reshape(m, m)))
+        diag_t = np.asfortranarray(np.triu(columns[: m * m].reshape(m, m)))
         if lapack.trtri(diag_t):
             raise LinAlgError(f"singular triangular block {k} of the Cholesky factor")
-        out[k, :, m:] = diag_t
-    for k in range(n - 1, -1, -1):
-        d_inv_t = out[k, :, m:].copy()  # D_k^-T
+        d_inv_t = np.ascontiguousarray(diag_t)  # D_k^-T
         own = d_inv_t @ d_inv_t.T
         if k == n - 1:
-            out[k, :, :m] = own
-            out[k, :, m:] = 0.0
-            continue
-        coupling = d_inv_t @ np.tril(_factor_columns(chol, k, m)[m:].reshape(m, m))  # Y_k
-        upper = -coupling @ out[k + 1, :, :m]
-        out[k, :, m:] = upper
-        out[k, :, :m] = own - upper @ coupling.T
+            pair[:, :m] = own
+            pair[:, m:] = 0.0
+        else:
+            coupling = d_inv_t @ np.tril(columns[m:].reshape(m, m))  # Y_k
+            upper = -coupling @ below[:, :m]
+            pair[:, m:] = upper
+            pair[:, :m] = own - upper @ coupling.T
+        # row x of the pair from its column x on: entry [x, x + d] is
+        # (x (2m + 1) + d) floats from the start
+        rows = np.lib.stride_tricks.as_strided(
+            pair, (width, m), (pair.itemsize, (2 * m + 1) * pair.itemsize), writeable=False
+        )
+        start = k * m
+        out[:, start : start + m] = rows[:, : p - start]
+        pair, below = below, pair
     return out
 
 
@@ -315,12 +319,17 @@ _OPENBLAS_THREAD_SYMBOLS = (
 
 
 def openblas_pools() -> dict:
-    """The thread-count getter and setter of each OpenBLAS that numpy and
-    scipy bundle in their ``.libs`` directories, by package name; empty
-    where none is found (another BLAS, or another wheel layout).  scipy is
-    not imported: a library caller may have loaded its pool."""
+    """The thread-count getter and setter of the OpenBLAS in numpy's wheel
+    (its ``.libs`` directory), and of the one in scipy's where scipy is
+    imported, by package name; empty where none is found (another BLAS, or
+    another wheel layout).  No command imports scipy, so a command loads
+    and pins numpy's library alone; scipy's pool is pinned where its LAPACK
+    is the fallback binding (:class:`_ScipyLapack`), or where a library
+    caller has imported scipy in the same process."""
     pools = {}
     for package in ("numpy", "scipy"):
+        if sys.modules.get(package) is None:
+            continue
         for path in _bundled_openblas(package):
             lib = ctypes.CDLL(path)
             for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
@@ -468,16 +477,18 @@ def require_lapack() -> None:
 
 @contextlib.contextmanager
 def one_blas_thread():
-    """Run the block with numpy's and scipy's OpenBLAS pools at one thread
-    each, and restore their previous counts afterwards, also on an error.
+    """Run the block with each OpenBLAS pool of :func:`openblas_pools` at
+    one thread, and restore their previous counts afterwards, also on an
+    error.
 
-    Each solve factors, inverts and multiplies with numpy's OpenBLAS
-    (scipy's, for LAPACK, where numpy's exports no LAPACK names).  scipy's
-    pool is pinned too, for a library caller that runs scipy in the same
-    process: with two threads each, the two pools spun while the other one
-    worked, and on 2 cores the fit used 1.6-1.7 times the CPU time and took
-    no less wall time.  Yields the counts inside the block by package
-    name, or None (and changes nothing) where no OpenBLAS is found.
+    Each solve factors, inverts and multiplies in numpy's OpenBLAS pool.
+    scipy's pool is pinned too where scipy is imported: for the fallback
+    binding, whose LAPACK runs in it, and for a library caller that runs
+    scipy in the same process.  With two threads each, the two pools spun
+    while the other one worked, and on 2 cores the fit used 1.6-1.7 times
+    the CPU time and took no less wall time.  Yields the counts inside the
+    block by package name, or None (and changes nothing) where no OpenBLAS
+    is found.
     """
     pools = openblas_pools()
     previous = {name: get() for name, (get, _) in pools.items()}

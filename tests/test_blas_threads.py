@@ -2,8 +2,10 @@
 recorded in the manifest, and without effect on the bundle's tables."""
 
 import csv
+import ctypes
 import importlib
 import json
+import sys
 
 import pytest
 
@@ -71,10 +73,24 @@ def _record_solve_threads(monkeypatch, pools):
     return seen
 
 
+@pytest.fixture()
+def scipy_binding(monkeypatch):
+    """LAPACK from scipy, as where numpy's BLAS exports none of the names:
+    the binding is made (and scipy imported) before the test's pools are
+    looked up, as ``cli.main`` makes it before the pin."""
+    monkeypatch.setattr(solve, "_LAPACK_SYMBOLS", (("no_such_{}_", ctypes.c_int64),))
+    solve._lapack.cache_clear()
+    assert isinstance(solve._lapack(), solve._ScipyLapack)
+    yield
+    solve._lapack.cache_clear()
+
+
 def test_pin_sets_one_thread_and_restores(real_pools):
     with solve.one_blas_thread() as threads:
         assert threads == {name: 1 for name in real_pools}
-        assert set(threads) >= {"numpy", "scipy"}
+        # scipy's pool only where scipy is imported, as the tests do
+        imported = {name for name in ("numpy", "scipy") if sys.modules.get(name) is not None}
+        assert set(threads) == imported
         assert _counts(real_pools) == threads
     assert _counts(real_pools) == {name: 2 for name in real_pools}
 
@@ -87,6 +103,26 @@ def test_cli_fit_runs_pinned_and_restores(real_pools, data_file, tmp_path, monke
     assert _counts(real_pools) == {name: 2 for name in real_pools}
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["runtime"] == {"blas_threads": {name: 1 for name in real_pools}}
+
+
+def test_fallback_binding_pins_scipy_pool(scipy_binding, real_pools, data_file, tmp_path,
+                                         monkeypatch):
+    """Under the scipy binding the factor and solves run in scipy's pool,
+    and the pin holds it at one thread with numpy's."""
+    if "scipy" not in real_pools:
+        pytest.skip("scipy's wheel bundles no OpenBLAS")
+    with solve.one_blas_thread() as threads:
+        assert threads == {"numpy": 1, "scipy": 1}
+        assert _counts(real_pools) == threads
+    assert _counts(real_pools) == {"numpy": 2, "scipy": 2}
+
+    seen = _record_solve_threads(monkeypatch, real_pools)
+    outdir = tmp_path / "run"
+    assert main(["fit", data_file, "--out", str(outdir), "--cell-min-count", "0"]) == EXIT_OK
+    assert seen and all(counts == {"numpy": 1, "scipy": 1} for counts in seen)
+    assert _counts(real_pools) == {"numpy": 2, "scipy": 2}
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["runtime"] == {"blas_threads": {"numpy": 1, "scipy": 1}}
 
 
 def test_cli_restores_after_input_error(real_pools, tmp_path, capsys):

@@ -412,7 +412,8 @@ def test_no_lapack_exits_before_any_work(command, data_file, tmp_path, capsys, n
 
 def test_no_command_loads_scipy(tmp_path):
     """scipy is for the tests only: a process that runs every command
-    through ``cli.main`` has no ``scipy`` module loaded at the end."""
+    through ``cli.main`` has no ``scipy`` module loaded at the end, and its
+    fit pinned numpy's OpenBLAS pool alone (``null`` where none is found)."""
     script = textwrap.dedent(
         """
         import contextlib, io, json, sys
@@ -442,3 +443,5 @@ def test_no_command_loads_scipy(tmp_path):
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result == {"codes": [EXIT_OK] * 5, "scipy": []}
+    manifest = json.loads((tmp_path / "fit" / "manifest.json").read_text())
+    assert manifest["runtime"]["blas_threads"] in ({"numpy": 1}, None)

@@ -12,7 +12,7 @@ from ctrend.domain import build_domain
 from ctrend.ingest import ingest_records
 from ctrend import iterate
 from ctrend.iterate import IterationConfig, check_stop, run, signed_gap
-from ctrend.simulate import linear_trend_scenario, simulate
+from ctrend.simulate import linear_trend_scenario, preset, simulate
 from ctrend.solve import adjacent_correlations, solve
 
 
@@ -23,6 +23,27 @@ def small_system(seed=2, noise=1.0):
     res = ingest_records(records, frame=scenario.frame, cell_min_count=0)
     domain = build_domain(res.cells, res.frame, mode=1)
     return DesignSystem.build(res.cells, domain)
+
+
+def table_system():
+    """The design of a `table` fit (seed 0, p = 1395)."""
+    scenario = preset("table", seed=0)
+    res = ingest_records(simulate(scenario), frame=scenario.frame)
+    domain = build_domain(res.cells, res.frame)
+    return DesignSystem.build(domain.filter_cells(res.cells)[0], domain)
+
+
+def recorded_solves(monkeypatch):
+    """The weights of every solve the loop makes, in order."""
+    weights = []
+    real_solve = iterate.solve
+
+    def recording_solve(system, trend_weight, level_weight):
+        weights.append((trend_weight, level_weight))
+        return real_solve(system, trend_weight, level_weight)
+
+    monkeypatch.setattr(iterate, "solve", recording_solve)
+    return weights
 
 
 def degenerate_first(monkeypatch, solves_before=0, **values):
@@ -245,3 +266,43 @@ class TestRun:
         assert len(result.trace) == 2 and result.best_iteration == 1
         assert result.reason.startswith("correlation not measurable (trend ")
         assert result.reason.endswith(", level 1)")
+
+
+class TestOneHeldSolution:
+    """The loop keeps the best iteration's weights, not its solution."""
+
+    def test_converged_loop_solves_once_per_iteration(self, monkeypatch):
+        solves = recorded_solves(monkeypatch)
+        result = run(small_system(seed=10, noise=1.5),
+                     IterationConfig(trend_target=0.8, level_target=0.7, max_iter=50))
+        assert result.converged and result.best_iteration == result.iterations
+        assert solves == [(rec.trend_weight, rec.level_weight) for rec in result.trace]
+
+    def test_stopped_loop_solves_its_best_again(self, monkeypatch):
+        """`table` at (level 0.3, trend 0.6) is out of reach; stopped by its
+        budget after its best iteration, the loop solves once more at the
+        best weights, and returns that solve digit for digit.  Each trace
+        row is the measurement of its own solve."""
+        system = table_system()
+        solves = recorded_solves(monkeypatch)
+        result = run(system, IterationConfig(trend_target=0.6, level_target=0.3, max_iter=10))
+        assert not result.converged and result.reason == "max_iter"
+        assert result.best_iteration < result.iterations == 10
+        best = result.trace[result.best_iteration - 1]
+        weights = (best.trend_weight, best.level_weight)
+        assert (result.trend_weight, result.level_weight) == weights
+        assert solves == [(rec.trend_weight, rec.level_weight) for rec in result.trace] + [weights]
+
+        expected = solve(system, *weights)
+        got = result.solution
+        for name in ("estimate", "sigma2", "r2", "data_misfit", "trend_curvature",
+                     "level_curvature", "condition"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(expected, name), err_msg=name)
+        np.testing.assert_array_equal(got.cov.chol, expected.cov.chol)
+        np.testing.assert_array_equal(got.cov.inverse_band, expected.cov.inverse_band)
+        assert got.cov.scale == expected.cov.scale
+
+        for rec in result.trace:
+            corr = adjacent_correlations(solve(system, rec.trend_weight, rec.level_weight))
+            assert (rec.trend_smoothness, rec.level_smoothness) == (
+                corr.trend_smoothness, corr.level_smoothness)

@@ -1,7 +1,8 @@
 """Allocation guards: ingest holds one block of rows at a time, the design
 and a solve allocate little beyond the bands, factor and selected inverse
-they keep, the cluster tests copy their averaging map once, and a `--pair`
-batch holds one fitted pair at a time.
+they keep, the weight loop holds one solution at a time, the cluster tests
+copy their averaging map once, and a `--pair` batch holds one fitted pair
+at a time.
 
 ``tracemalloc`` counts the bytes Python and NumPy allocate, and the counts
 repeat exactly from run to run, so a whole-file row list or a batch-wide
@@ -17,7 +18,8 @@ from ctrend.design import DesignSystem
 from ctrend.domain import build_domain
 from ctrend.inference import cluster_compare
 from ctrend.ingest import BLOCK_ROWS, ingest_file
-from ctrend.pipeline import run_fit
+from ctrend.iterate import run
+from ctrend.pipeline import FitOptions, run_fit
 from ctrend.simulate import preset, simulate, write_records
 from ctrend.solve import solve
 
@@ -51,17 +53,39 @@ def test_ingest_holds_one_block_of_rows(tmp_path):
     assert peak <= 2.0 * MB
 
 
+def _table_system(directory):
+    ingested = ingest_file(_table_file(directory))
+    domain = build_domain(ingested.cells, ingested.frame)
+    return DesignSystem.build(domain.filter_cells(ingested.cells)[0], domain)
+
+
 def test_solve_allocates_little_beyond_its_result(tmp_path):
     """One `table` solve (p = 1395, half-bandwidth 64) keeps a 0.7 MB factor
-    and 1.4 MB of inverse blocks, and peaks at 2.4 MB.  With the band sum's
-    temporaries, the factor's copy and the inverse's batch-wide blocks
-    (0.7 MB each) it peaked at 7.3 MB."""
-    ingested = ingest_file(_table_file(tmp_path))
-    domain = build_domain(ingested.cells, ingested.frame)
-    system = DesignSystem.build(domain.filter_cells(ingested.cells)[0], domain)
+    and the 0.7 MB band of its selected inverse, in the factor's storage,
+    and peaks at 1.9 MB.  With 1.4 MB of inverse blocks (twice the band)
+    it peaked at 2.4 MB, and with the band sum's temporaries, the factor's
+    copy and the inverse's batch-wide blocks (0.7 MB each) at 7.3 MB."""
+    system = _table_system(tmp_path)
     solve(system, 1.0, 1.0)  # the first call loads what later calls share
     _, peak = _traced_peak(lambda: solve(system, 1.0, 1.0))
-    assert peak <= 3.0 * MB
+    assert peak <= 2.2 * MB
+
+
+def test_weight_loop_holds_one_solution(tmp_path):
+    """The loop over a `table` design lets each solution go before the next
+    solve and keeps the best iteration's weights, so it peaks at 2.0 MB,
+    about one solve's peak.  Holding the best solution through each solve
+    peaked at 4.7 MB.  A loop stopped by its budget after its best
+    iteration solves that one again, after letting the last one go."""
+    system = _table_system(tmp_path)
+    converging = FitOptions().iteration_config()
+    stopped = FitOptions(level_target=0.3, trend_target=0.6, max_iter=10).iteration_config()
+    run(system, converging)  # the first call loads what later calls share
+    for config in (converging, stopped):
+        result, peak = _traced_peak(lambda: run(system, config))
+        assert result.converged == (config is converging)
+        assert result.best_iteration < result.iterations or result.converged
+        assert peak <= 2.5 * MB
 
 
 def test_design_allocates_little_beyond_its_bands(tmp_path):
