@@ -195,6 +195,12 @@ class BandedCovariance:
         out.scale = self.scale * factor
         return out
 
+    def unscaled(self) -> "BandedCovariance":
+        """The same factor at scale 1: the inverse itself."""
+        out = copy.copy(self)
+        out.scale = 1.0
+        return out
+
     def diagonal(self) -> np.ndarray:
         return self.scale * self.inverse_band[0, self.position]
 
@@ -654,6 +660,10 @@ def adjacent_correlations(
     Trend links pair horizontally and vertically adjacent included cells;
     level links pair consecutive boundary slots in the estimated segment.
     Links touching a zero-variance component are skipped and counted.
+    sigma^2 cancels from a correlation, so a :class:`BandedCovariance`'s
+    correlations are read from the unscaled inverse, whose digits do not
+    follow those of the estimate; an undefined (NaN) sigma^2 still leaves
+    every correlation undefined.
 
     ``literal_level_denominator`` divides the boundary-level sum by the
     slot count instead of the link count (compatibility switch; the link
@@ -662,6 +672,10 @@ def adjacent_correlations(
     domain = solution.domain
     cov = solution.cov
     var = cov.diagonal()
+    inverse = cov
+    if isinstance(cov, BandedCovariance) and not math.isnan(solution.sigma2):
+        inverse = cov.unscaled()
+    unit_var = inverse.diagonal()
 
     def links(pairs):
         """Sum of the link correlations, their count, and the skipped links.
@@ -672,7 +686,7 @@ def adjacent_correlations(
         a, b = pairs[:, 0], pairs[:, 1]
         keep = ~((var[a] <= 0.0) | (var[b] <= 0.0))
         a, b = a[keep], b[keep]
-        r = cov[a, b] / np.sqrt(var[a] * var[b])
+        r = inverse[a, b] / np.sqrt(unit_var[a] * unit_var[b])
         total = float(np.cumsum(r)[-1]) if r.size else 0.0
         return total, int(r.size), int(keep.size - r.size)
 

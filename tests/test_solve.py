@@ -250,6 +250,20 @@ class TestAdjacentCorrelations:
         )
         assert corr.trend_smoothness == pytest.approx(expected, rel=1e-8)
 
+    def test_independent_of_sigma2(self):
+        """sigma^2 cancels from a correlation: the same inverse at another
+        scale gives the same correlations bit for bit, and an undefined
+        sigma^2 leaves them undefined."""
+        _, _, _, sol = fitted_instance(seed=13, n_years=4, n_ages=4)
+        corr = adjacent_correlations(sol)
+        for sigma2 in (1.0, 2.5, 1e-7):
+            rescaled = dataclasses.replace(sol, cov=sol.cov.unscaled().scaled(sigma2), sigma2=sigma2)
+            assert adjacent_correlations(rescaled) == corr
+        undefined = dataclasses.replace(sol, cov=sol.cov.unscaled().scaled(math.nan),
+                                        sigma2=math.nan)
+        corr = adjacent_correlations(undefined)
+        assert math.isnan(corr.trend_smoothness) and math.isnan(corr.level_smoothness)
+
     def test_literal_denominator_switch(self):
         domain = two_cell_domain()
         p = domain.compact_size
