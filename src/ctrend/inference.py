@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solve import Solution
+from .solve import BandedCovariance, Solution
 
 __all__ = [
     "prob_f",
@@ -178,6 +178,7 @@ class ClusterReport:
     df2: int
     clusters: list
     comparisons: list
+    covariance: np.ndarray  # of the cluster means, in the order of ``clusters``
 
     def cluster_at(self, block):
         for c in self.clusters:
@@ -213,12 +214,15 @@ def cluster_compare(solution: Solution, age_window: int = 5, year_window: int = 
         (ii // year_window) * age_blocks + jj // age_window, return_inverse=True, return_counts=True
     )
     blocks = [(int(k), int(m)) for k, m in zip(*np.divmod(keys, age_blocks))]
-    # The averaging map over compact columns: one banded solve per block.
-    averaging = np.zeros((len(blocks), domain.compact_size))
-    averaging[block_rows, columns] = 1.0 / n_cells[block_rows]
-
-    means = averaging @ solution.estimate
-    block_cov = averaging @ (solution.cov @ averaging.T)
+    # Each block's mean is the exactly rounded sum of its cells' trends
+    # (``math.fsum``) over their count, the same whatever the summation order
+    # of a BLAS kernel; its covariance comes from the averaging map, 1/n at
+    # (block, column) for each of a block's n cells.
+    values = solution.estimate[columns[np.argsort(block_rows, kind="stable")]].tolist()
+    ends = np.cumsum(n_cells).tolist()
+    means = np.array([math.fsum(values[a:b]) for a, b in zip([0, *ends], ends)]) / n_cells
+    weights = 1.0 / n_cells[block_rows]
+    block_cov = _map_covariance(solution.cov, block_rows, columns, weights, len(blocks))
 
     clusters = []
     pos = {block: row for row, block in enumerate(blocks)}
@@ -260,4 +264,16 @@ def cluster_compare(solution: Solution, age_window: int = 5, year_window: int = 
         ClusterComparison(blocks[row], neighbour, direction, float(f), float(prob), bool(flag))
         for (row, _, neighbour, direction), f, prob, flag in zip(tests, f_values, probs, degenerate)
     ]
-    return ClusterReport(age_window, year_window, solution.dof, clusters, comparisons)
+    return ClusterReport(age_window, year_window, solution.dof, clusters, comparisons, block_cov)
+
+
+def _map_covariance(cov, rows, columns, values, count: int) -> np.ndarray:
+    """Covariance of ``A z`` for the ``count x p`` map ``A`` with entries
+    ``values`` at ``(rows, columns)``: from the factor of a
+    :class:`BandedCovariance` (:meth:`~BandedCovariance.map_covariance`),
+    else ``A cov A^T`` with ``A`` dense, for a dense covariance."""
+    if isinstance(cov, BandedCovariance):
+        return cov.map_covariance(rows, columns, values, count)
+    averaging = np.zeros((count, cov.shape[0]))
+    averaging[rows, columns] = values
+    return averaging @ (cov @ averaging.T)

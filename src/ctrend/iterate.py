@@ -28,6 +28,7 @@ __all__ = [
     "TraceRecord",
     "StopCheck",
     "IterationResult",
+    "Measurement",
     "check_stop",
     "signed_gap",
     "run",
@@ -126,6 +127,30 @@ class TraceRecord:
     note: str = ""  # the step that produced the next weights, and any stop
 
 
+@dataclass(frozen=True)
+class Measurement:
+    """What the loop reads of one solve: its smoothness and objective parts
+    for the trace, and its residual degrees of freedom."""
+
+    trend_smoothness: float
+    level_smoothness: float
+    data_misfit: float
+    trend_curvature: float
+    level_curvature: float
+    r2: float | None
+    dof: int
+
+
+def _measure(solution: Solution, config: IterationConfig) -> Measurement:
+    corr = adjacent_correlations(
+        solution, literal_level_denominator=config.literal_level_denominator
+    )
+    return Measurement(
+        corr.trend_smoothness, corr.level_smoothness, solution.data_misfit,
+        solution.trend_curvature, solution.level_curvature, solution.r2, solution.dof,
+    )
+
+
 @dataclass
 class IterationResult:
     solution: Solution
@@ -160,7 +185,7 @@ def _step(weights, gaps, slopes) -> tuple:
     )
 
 
-def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
+def run(system: DesignSystem, config: IterationConfig, measurements: dict | None = None) -> IterationResult:
     """Run the loop to convergence, iteration budget, a singular system or
     an unmeasurable correlation.
 
@@ -183,6 +208,16 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
     1 in magnitude) stops the loop after that solve: no weight makes a
     structurally undefined correlation measurable, as when sigma^2 is
     undefined because the stacked rows equal the parameters.
+
+    ``measurements`` holds the :class:`Measurement` of each solve over
+    ``system``, keyed by its exact weights and measuring rule, and gains
+    one for each solve the loop makes.  Loops over one system, such as a
+    ``--pair`` batch's, share it: a loop reads a weight pair that another
+    has solved instead of solving it again, as every pair's first
+    iteration at the initial weights.  It holds floats only, never a
+    solution; a loop whose best iteration was read from it solves that one
+    again at the end, like a stopped loop.  The solves are deterministic,
+    so the trace is the same either way.
     """
     weights = (config.trend_weight_init, config.level_weight_init)
     targets = (config.trend_target, config.level_target)
@@ -197,23 +232,25 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
     previous = None  # (log weights, signed gaps) of the last solve
     previous_score = math.inf
     fallback_steps = 0
+    measurements = {} if measurements is None else measurements
 
     for it in range(1, config.max_iter + 1):
         w1, w2 = weights
         solution = None  # not held through the next solve
-        try:
-            solution = solve(system, w1, w2)
-        except SingularSystemError:
-            if not trace:
-                raise
-            # an unreachable target can drive a weight to extremes; stop
-            # with the best solution seen rather than failing silently
-            reason = f"singular system at iteration {it} (weights {w1:.3g}, {w2:.3g})"
-            break
-        corr = adjacent_correlations(
-            solution, literal_level_denominator=config.literal_level_denominator
-        )
-        measured = (corr.trend_smoothness, corr.level_smoothness)
+        key = (w1, w2, config.literal_level_denominator)
+        seen = measurements.get(key)
+        if seen is None:
+            try:
+                solution = solve(system, w1, w2)
+            except SingularSystemError:
+                if not trace:
+                    raise
+                # an unreachable target can drive a weight to extremes; stop
+                # with the best solution seen rather than failing silently
+                reason = f"singular system at iteration {it} (weights {w1:.3g}, {w2:.3g})"
+                break
+            seen = measurements[key] = _measure(solution, config)
+        measured = (seen.trend_smoothness, seen.level_smoothness)
         checked = check_stop(*measured, config)
         # infinite when the measurement is degenerate
         score = max(
@@ -229,7 +266,7 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
         elif checked.degenerate:
             note = "degenerate correlation measurement"
             reason = (
-                f"sigma^2 undefined: n_total = p = {system.param_count}" if solution.dof == 0
+                f"sigma^2 undefined: n_total = p = {system.param_count}" if seen.dof == 0
                 else f"correlation not measurable (trend {measured[0]:.4g}, level {measured[1]:.4g})"
             )
         else:
@@ -248,9 +285,8 @@ def run(system: DesignSystem, config: IterationConfig) -> IterationResult:
 
         trace.append(
             TraceRecord(
-                it, w1, w2, *measured,
-                solution.data_misfit, solution.trend_curvature,
-                solution.level_curvature, solution.r2, converged, note,
+                it, w1, w2, *measured, seen.data_misfit, seen.trend_curvature,
+                seen.level_curvature, seen.r2, converged, note,
             )
         )
         if converged or checked.degenerate:

@@ -107,9 +107,10 @@ def _prepare(ingest_result: IngestResult, options: FitOptions) -> _Prepared:
     )
 
 
-def _fit(prepared: _Prepared, options: FitOptions) -> FitRun:
-    """The weight loop and the inference over a prepared design."""
-    iteration = run(prepared.system, options.iteration_config())
+def _fit(prepared: _Prepared, options: FitOptions, measurements: dict | None = None) -> FitRun:
+    """The weight loop and the inference over a prepared design;
+    ``measurements`` as for :func:`ctrend.iterate.run`."""
+    iteration = run(prepared.system, options.iteration_config(), measurements)
     clusters = cluster_compare(
         iteration.solution,
         age_window=options.age_window,
@@ -128,29 +129,33 @@ def batch_fit(ingest_result: IngestResult, options: FitOptions, pairs, each=None
     ``{pair: each(pair, run)}`` in the order of ``pairs``.
 
     ``each`` consumes a run as soon as it is fitted; the default keeps the
-    run itself.  A run holds its Cholesky factor and selected-inverse
-    blocks (2 MB on `table` preset data), so a consumer that keeps less,
-    such as one that writes the bundle, lets each run go before the next
-    pair is fitted and the batch's memory does not grow with its length.
+    run itself.  A run holds its Cholesky factor and selected inverse, so a
+    consumer that keeps less, such as one that writes the bundle, lets each
+    run go before the next pair is fitted and the batch's memory does not
+    grow with its length.
 
     The reference pair enters only the weight loop, so the domain, the
     design and the ingest report are built once and every run shares them
-    (nothing downstream mutates them).  The runs go one after another:
-    most of an iteration is Python holding the interpreter lock, so a
-    thread pool only adds CPU time.  With one BLAS thread on a 2-core
-    host, four pairs on `table` preset data took 0.22-0.28 s in this loop
-    (fastest of 7, in each of three rounds), 0.26-0.29 s in a pool of two
-    threads and 0.30-0.35 s in one of four, using 0.22-0.28, 0.29-0.34
-    and 0.33-0.40 CPU-s.
+    (nothing downstream mutates them).  The loops also share the
+    measurements of their solves (trace values and correlations, floats
+    only; :func:`ctrend.iterate.run`): every loop starts at the same
+    initial weights, so that first solve is made once per batch.  The
+    runs go one after another: most of an iteration is Python holding the
+    interpreter lock, so a thread pool only adds CPU time.
     """
     each = each or (lambda pair, run: run)
     prepared = _prepare(ingest_result, options)
+    measurements = {}
     # Each run is passed straight to ``each``, never bound to a name here,
     # so nothing in this frame holds it while the next pair is fitted.
     return {
         (level_target, trend_target): each(
             (level_target, trend_target),
-            _fit(prepared, replace(options, level_target=level_target, trend_target=trend_target)),
+            _fit(
+                prepared,
+                replace(options, level_target=level_target, trend_target=trend_target),
+                measurements,
+            ),
         )
         for level_target, trend_target in pairs
     }

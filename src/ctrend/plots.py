@@ -1,6 +1,6 @@
 """Self-contained SVG emitters.
 
-Every plot is a pure function of tabular data (the same rows that go into
+Every plot is a pure function of tabular data (the same columns that go into
 the CSV outputs), so figures can be regenerated from the CSVs at any time.
 No plotting dependencies; deterministic output.
 """

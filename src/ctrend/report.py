@@ -3,10 +3,12 @@
 All files are written atomically (temp file + rename) with the mode a plain
 ``open`` would give, so the umask applies.  Every table and figure carries
 the manifest digest, a hash of the effective inputs and configuration, so
-outputs can be traced back to the run that produced them.  SVGs are derived
-from the CSV text rows alone: ``write_fit_bundle`` draws them from the rows
-it has just written, and ``render_bundle_svgs`` regenerates them from the
-files of a run directory.
+outputs can be traced back to the run that produced them.  SVGs are drawn
+from the tables' numeric columns alone: ``write_fit_bundle`` draws them from
+the columns it has just written, and ``render_bundle_svgs`` from the columns
+it parses back from the files of a run directory.  A number's cell text (a
+float's ``repr``, an integer's digits) parses back to the same number, so
+both draw the same bytes.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .grid import CellIndex
 __all__ = [
     "atomic_write_text",
     "read_table",
+    "read_columns",
     "manifest_digest",
     "write_fit_bundle",
     "render_bundle_svgs",
@@ -68,15 +71,27 @@ def _column_text(column) -> list:
     ]
 
 
+def _numeric(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype.kind in "fiub"
+
+
 def _table_text(header, columns, digest: str | None = None):
-    """CSV text of a table given as columns, and its rows of cell texts."""
+    """CSV text of a table given as columns, and its rows of cell texts.
+
+    A table of numeric arrays only is written by joining its cell texts,
+    which never need quoting (a lone empty cell would, so a one-column
+    table goes through ``csv.writer`` too, as does any table with a text
+    column)."""
     rows = list(zip(*map(_column_text, columns)))
     buf = io.StringIO()
     if digest:
         buf.write(f"# manifest: {digest}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    if len(columns) > 1 and all(map(_numeric, columns)):
+        buf.write("\n".join([*map(",".join, rows), ""]))  # each row ends in a newline
+    else:
+        writer.writerows(rows)
     return buf.getvalue(), rows
 
 
@@ -114,8 +129,21 @@ def read_table(path):
     return header, rows
 
 
-def _f(cell: str):
-    return float(cell) if cell not in ("", None) else None
+def read_columns(path) -> list:
+    """One of our CSVs as columns (:func:`read_table`): each a float array,
+    with NaN for an empty cell, or the cell texts where a cell is not a
+    number (a text column)."""
+    header, rows = read_table(path)
+    if not rows:
+        return [np.empty(0) for _ in header]
+    return list(map(_parsed, zip(*rows)))
+
+
+def _parsed(cells):
+    try:
+        return np.array([float(cell) if cell else math.nan for cell in cells])
+    except ValueError:
+        return list(cells)
 
 
 def manifest_digest(payload: dict) -> str:
@@ -126,10 +154,15 @@ def manifest_digest(payload: dict) -> str:
 # --- table builders -------------------------------------------------------------
 
 
-def observed_rows(cells, frame):
+def observed_columns(cells, frame):
+    ordered = sorted(cells, key=lambda s: s.cell)
+    ii = np.array([s.cell.i for s in ordered], dtype=np.int64)
+    jj = np.array([s.cell.j for s in ordered], dtype=np.int64)
     return [
-        (frame.year_of(s.cell.i), frame.age_of(s.cell.j), s.x_mean, s.n)
-        for s in sorted(cells, key=lambda s: s.cell)
+        frame.year_of(ii),
+        frame.age_of(jj),
+        np.array([s.x_mean for s in ordered], dtype=float),
+        np.array([s.n for s in ordered], dtype=np.int64),
     ]
 
 
@@ -180,43 +213,45 @@ def boundary_levels_columns(solution):
     return [slots, solution.frame.birth_year(slots), levels[slots], se]
 
 
-def clusters_rows(report):
-    rows = []
-    for c in report.clusters:
-        rows.append(
-            (
-                c.year_start,
-                c.year_end,
-                c.age_start,
-                c.age_end,
-                c.mean,
-                c.se,
-                c.mean - c.ci_half,
-                c.mean + c.ci_half,
-                c.n_cells,
-            )
-        )
-    return rows
+def clusters_columns(report):
+    def column(name, dtype):
+        return np.array([getattr(c, name) for c in report.clusters], dtype=dtype)
+
+    mean, half = column("mean", float), column("ci_half", float)
+    return [
+        column("year_start", np.int64),
+        column("year_end", np.int64),
+        column("age_start", np.int64),
+        column("age_end", np.int64),
+        mean,
+        column("se", float),
+        mean - half,
+        mean + half,
+        column("n_cells", np.int64),
+    ]
 
 
-def cluster_tests_rows(report, clusters_by_block):
-    rows = []
-    for comp in report.comparisons:
-        a = clusters_by_block[comp.block]
-        b = clusters_by_block[comp.neighbour]
-        rows.append(
-            (
-                a.year_start,
-                a.age_start,
-                comp.direction,
-                b.year_start,
-                b.age_start,
-                comp.f_value if not comp.degenerate else None,
-                comp.prob if not comp.degenerate else None,
-                1 if comp.degenerate else 0,
-            )
-        )
-    return rows
+def cluster_tests_columns(report):
+    """Each comparison's blocks, direction and test (empty where degenerate)."""
+    by_block = {c.block: c for c in report.clusters}
+    comparisons = report.comparisons
+    here = [by_block[comp.block] for comp in comparisons]
+    there = [by_block[comp.neighbour] for comp in comparisons]
+    degenerate = np.array([comp.degenerate for comp in comparisons], dtype=bool)
+
+    def tested(values):
+        return np.where(degenerate, np.nan, np.array(values, dtype=float))
+
+    return [
+        np.array([c.year_start for c in here], dtype=np.int64),
+        np.array([c.age_start for c in here], dtype=np.int64),
+        [comp.direction for comp in comparisons],
+        np.array([c.year_start for c in there], dtype=np.int64),
+        np.array([c.age_start for c in there], dtype=np.int64),
+        tested([comp.f_value for comp in comparisons]),
+        tested([comp.prob for comp in comparisons]),
+        degenerate.astype(int),
+    ]
 
 
 def trace_rows(trace):
@@ -262,7 +297,7 @@ def cohort_track_columns(run, levels, trends, trend_se):
     trend = _finite(trends[ii, jj])
     tse = _finite(trend_se[ii, jj])
     return [
-        [frame.birth_year(run.track_slot)] * ii.size,
+        np.full(ii.size, frame.birth_year(run.track_slot)),
         frame.year_of(ii),
         frame.age_of(jj),
         data,
@@ -275,30 +310,37 @@ def cohort_track_columns(run, levels, trends, trend_se):
     ]
 
 
-# --- SVG renderers from tables ---------------------------------------------------
+# --- SVG renderers from table columns ------------------------------------------
+#
+# Each renderer takes its tables as lists of columns: numeric ones as float
+# or integer arrays (NaN for an empty cell), text ones as lists.
 
 def _labels(column):
     """Sorted distinct whole-number labels of a year or age column, and each
     row's index into them."""
-    values = np.array(column, dtype=float)
+    values = np.asarray(column, dtype=float)
     if not np.isfinite(values).all():
         raise ValueError("a year or age label is not a finite number")
     return np.unique(values.astype(int), return_inverse=True)
 
 
-def _grid_from_rows(rows, year_col, age_col, value_col):
+def _grid(columns, year_col, age_col, value_col):
     """Year x age grid of one column (NaN where no row or an empty cell), the
     sorted year and age labels, and each row's year and age index."""
-    columns = list(zip(*rows))
     years, yi = _labels(columns[year_col])
     ages, ai = _labels(columns[age_col])
     grid = np.full((years.size, ages.size), np.nan)
-    grid[yi, ai] = [float(v) if v else math.nan for v in columns[value_col]]
+    grid[yi, ai] = np.asarray(columns[value_col], dtype=float)
     return grid, years.tolist(), ages.tolist(), yi, ai
 
 
-def svg_from_observed(rows, digest=None):
-    grid, years, ages, _, _ = _grid_from_rows(rows, 0, 1, 2)
+def _floats(columns, *indices):
+    """The given columns as lists of floats, for row-wise iteration."""
+    return [np.asarray(columns[k], dtype=float).tolist() for k in indices]
+
+
+def svg_from_observed(columns, digest=None):
+    grid, years, ages, _, _ = _grid(columns, 0, 1, 2)
     return plots.svg_heatmap(
         grid, years, ages,
         "Observed cell means (cohort shading)",
@@ -308,16 +350,16 @@ def svg_from_observed(rows, digest=None):
     )
 
 
-def svg_from_levels(rows, digest=None):
-    grid, years, ages, _, _ = _grid_from_rows(rows, 0, 1, 2)
+def svg_from_levels(columns, digest=None):
+    grid, years, ages, _, _ = _grid(columns, 0, 1, 2)
     return plots.svg_heatmap(
         grid, years, ages, "Estimated mean levels", "level", manifest=digest
     )
 
 
-def svg_from_trends(rows, digest=None):
-    grid, years, ages, yi, ai = _grid_from_rows(rows, 0, 1, 2)
-    edge = np.array([r[6] for r in rows]) == "1"
+def svg_from_trends(columns, digest=None):
+    grid, years, ages, yi, ai = _grid(columns, 0, 1, 2)
+    edge = np.asarray(columns[6], dtype=float) == 1
     marks = list(zip(yi[edge].tolist(), ai[edge].tolist()))
     return plots.svg_heatmap(
         grid, years, ages,
@@ -328,39 +370,35 @@ def svg_from_trends(rows, digest=None):
     )
 
 
-def _cluster_panel(rows, ylabel):
+def _cluster_panel(columns, ylabel):
     """Cluster mean trends with 95% intervals, one series per year block,
-    from ``clusters.csv`` rows given as cell texts or as numbers."""
+    from the columns of ``clusters.csv``."""
     groups = {}
-    for r in rows:
-        label = f"{int(float(r[0]))}-{int(float(r[1]))}"
-        mid_age = 0.5 * (float(r[2]) + float(r[3]))
-        groups.setdefault(label, []).append(
-            (mid_age, _f(r[4]), _f(r[6]), _f(r[7]))
-        )
+    for y0, y1, a0, a1, mean, lo, hi in zip(*_floats(columns, 0, 1, 2, 3, 4, 6, 7)):
+        groups.setdefault(f"{int(y0)}-{int(y1)}", []).append((0.5 * (a0 + a1), mean, lo, hi))
     series = [
         {"label": label, "points": pts} for label, pts in sorted(groups.items())
     ]
     return {"ylabel": ylabel, "xlabel": "age (cluster midpoint)", "series": series}
 
 
-def svg_from_clusters(rows, digest=None):
+def svg_from_clusters(columns, digest=None):
     return plots.svg_series_panels(
-        [_cluster_panel(rows, "mean trend, units/yr")],
+        [_cluster_panel(columns, "mean trend, units/yr")],
         "Cluster mean trends with 95% intervals",
         manifest=digest,
     )
 
 
-def svg_from_cluster_chart(cluster_rows, test_rows, digest=None):
-    grid, years, ages, _, _ = _grid_from_rows(cluster_rows, 0, 2, 4)
+def svg_from_cluster_chart(cluster_columns, test_columns, digest=None):
+    grid, years, ages, _, _ = _grid(cluster_columns, 0, 2, 4)
     yi = {y: k for k, y in enumerate(years)}
     ai = {a: k for k, a in enumerate(ages)}
-    marks = []
-    for r in test_rows:
-        prob = _f(r[6])
-        if prob is not None and prob < 0.05:
-            marks.append((yi[int(float(r[0]))], ai[int(float(r[1]))]))
+    marks = [
+        (yi[int(year)], ai[int(age)])
+        for year, age, prob in zip(*_floats(test_columns, 0, 1, 6))
+        if prob < 0.05
+    ]
     return plots.svg_heatmap(
         grid, years, ages,
         "Cluster mean trends (dot: differs from a neighbour, p < 0.05)",
@@ -370,20 +408,23 @@ def svg_from_cluster_chart(cluster_rows, test_rows, digest=None):
     )
 
 
-def svg_from_cohort_track(rows, digest=None):
-    birth = rows[0][0] if rows else "?"
+def svg_from_cohort_track(columns, digest=None):
+    birth = int(columns[0][0]) if len(columns[0]) else "?"
+    age, data, data_lo, data_hi, level, trend, trend_lo, trend_hi = _floats(
+        columns, 2, 3, 4, 5, 6, 7, 8, 9
+    )
     level_panel = {
         "ylabel": "level",
         "xlabel": "age",
         "series": [
             {
                 "label": "observed mean",
-                "points": [(float(r[2]), _f(r[3]), _f(r[4]), _f(r[5])) for r in rows],
+                "points": list(zip(age, data, data_lo, data_hi)),
                 "points_only": True,
             },
             {
                 "label": "fitted level",
-                "points": [(float(r[2]), _f(r[6]), None, None) for r in rows],
+                "points": [(a, v, None, None) for a, v in zip(age, level)],
             },
         ],
     }
@@ -393,7 +434,7 @@ def svg_from_cohort_track(rows, digest=None):
         "series": [
             {
                 "label": "trend (95% CI)",
-                "points": [(float(r[2]), _f(r[7]), _f(r[8]), _f(r[9])) for r in rows],
+                "points": list(zip(age, trend, trend_lo, trend_hi)),
             }
         ],
     }
@@ -454,28 +495,24 @@ def _bundle_texts(run, manifest: dict):
     frame = solution.frame
     levels, trends, trend_se = solution.level_grid(), solution.trend_grid(), solution.trend_se_grid()
     columns = {
-        "observed.csv": _columns(observed_rows(run.cells, frame)),
+        "observed.csv": observed_columns(run.cells, frame),
         "levels.csv": levels_columns(frame, levels),
         "trends.csv": trends_columns(solution, trends, trend_se),
         "boundary_levels.csv": boundary_levels_columns(solution),
-        "clusters.csv": _columns(clusters_rows(run.clusters)),
-        "cluster_tests.csv": _columns(
-            cluster_tests_rows(run.clusters, {c.block: c for c in run.clusters.clusters})
-        ),
+        "clusters.csv": clusters_columns(run.clusters),
+        "cluster_tests.csv": cluster_tests_columns(run.clusters),
         "trace.csv": _columns(trace_rows(run.trace)),
         "domain.csv": domain_columns(solution.domain),
         "cohort_track.csv": cohort_track_columns(run, levels, trends, trend_se),
     }
-    tables = {}
     for name, table_columns in columns.items():
-        text, tables[name] = _table_text(TABLE_HEADERS[name], table_columns, digest)
-        yield name, text
+        yield name, _table_text(TABLE_HEADERS[name], table_columns, digest)[0]
 
     yield "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     stamped = dict(run.ingest_report, manifest=digest)
     yield "ingest_report.json", json.dumps(stamped, indent=2, sort_keys=True) + "\n"
 
-    yield from render_svg_texts(tables, digest).items()
+    yield from render_svg_texts(columns, digest).items()
 
 
 # Each figure with its renderer and the tables it is drawn from.  A figure is
@@ -491,13 +528,13 @@ FIGURES = {
 
 
 def render_svg_texts(tables: dict, digest: str | None = None) -> dict:
-    """Build every SVG from tables given as ``{name: text rows}``; a figure
-    whose tables are absent, or whose first table is empty, is skipped."""
+    """Build every SVG from tables given as ``{name: columns}``; a figure
+    whose tables are absent, or whose first table has no rows, is skipped."""
     out = {}
     for name, (render, sources) in FIGURES.items():
-        rows = [tables.get(source) for source in sources]
-        if rows[0] and all(r is not None for r in rows):
-            out[name] = render(*rows, digest)
+        found = [tables.get(source) for source in sources]
+        if all(t is not None for t in found) and len(found[0][0]):
+            out[name] = render(*found, digest)
     return out
 
 
@@ -510,7 +547,7 @@ def render_bundle_svgs(outdir: str) -> list:
             digest = json.load(fh).get("digest")
     sources = dict.fromkeys(source for _, names in FIGURES.values() for source in names)
     tables = {
-        name: read_table(path)[1]
+        name: read_columns(path)
         for name in sources
         if os.path.exists(path := os.path.join(outdir, name))
     }
@@ -538,7 +575,7 @@ def comparison_entry(pair, run) -> tuple:
         last.trend_smoothness,
         last.level_smoothness,
     )
-    panel = _cluster_panel(clusters_rows(run.clusters), f"R({level_target}, {trend_target}) trend")
+    panel = _cluster_panel(clusters_columns(run.clusters), f"R({level_target}, {trend_target}) trend")
     return row, panel
 
 

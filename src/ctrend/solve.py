@@ -100,7 +100,7 @@ class Solution:
     trend_weight: float
     level_weight: float
     estimate: np.ndarray
-    cov: BandedCovariance | np.ndarray  # consumers use only the interface both share
+    cov: BandedCovariance | np.ndarray  # consumers use the interface both share
     sigma2: float
     r2: float | None
     data_misfit: float  # weighted data RSS at the estimate
@@ -169,6 +169,9 @@ class BandedCovariance:
     * ``cov @ x``, a banded solve;
     * ``np.asarray(cov)``, the dense matrix, built only when asked for.
 
+    Beyond that interface, :meth:`map_covariance` gives the covariance of a
+    sparse linear map of the estimate from one forward solve.
+
     A column-major (Fortran-order) ``band`` is factored in place, so it
     becomes the factor; any other layout is copied first.  Raises
     ``LinAlgError`` when the matrix is not positive definite.
@@ -228,6 +231,21 @@ class BandedCovariance:
         np.take(y.T, self.position, axis=-1, out=out.T, mode="clip")
         return out
 
+    def map_covariance(self, rows, columns, values, count: int) -> np.ndarray:
+        """``scale * A N^-1 A^T`` for the ``count x p`` map ``A`` whose
+        nonzero entries are ``values`` at ``(rows, columns)``, in compact
+        columns.  With ``N = P^T L L^T P`` (``P`` the banded order), this is
+        ``scale * V^T V`` for ``V = L^-1 P A^T``: ``A^T`` is written straight
+        into banded rows and solved forward in place (LAPACK ``dtbtrs``), so
+        neither a dense ``A`` nor a back substitution is formed.  The factor
+        has a positive diagonal, so the solve cannot fail."""
+        v = np.zeros((self.shape[0], count), order="F")
+        v[self.position[columns], rows] = values
+        _lapack().tbtrs(self.chol, v)
+        out = v.T @ v
+        out *= self.scale
+        return out
+
     def __array__(self, dtype=None, copy=None):
         dense = self @ np.eye(self.shape[0])
         return np.asarray(0.5 * (dense + dense.T), dtype=dtype)
@@ -274,40 +292,44 @@ def _selected_inverse(chol: np.ndarray) -> np.ndarray:
         )
         for work in (pair, below)
     )
+    # Block k's columns of L, one per row, each as L[c, c], ..., L[c + m, c]
+    # (a column past the matrix keeps the unit diagonal it starts with, which
+    # keeps it apart).  Read m wide, the first m^2 entries hold D_k^T in their
+    # upper triangle and the last m^2 hold C_k^T in their lower one.
+    columns = np.zeros((m, m + 1))
+    columns[:, 0] = 1.0
+    flat = columns.ravel()
+    diag_source, coupling_source = flat[: m * m].reshape(m, m), flat[m:].reshape(m, m)
+    upper_mask = np.triu(np.ones((m, m), dtype=bool))
+    lower_mask = upper_mask.T
+    # The other work arrays, each made once; the zero triangles are never written.
+    diag_t = np.empty((m, m), order="F")  # D_k^T, inverted in place (upper triangle)
+    d_inv_t = np.zeros((m, m))  # D_k^-T, row-major: the products round by layout
+    coupling_t = np.zeros((m, m))  # C_k^T
+    own, coupling, product = np.empty((m, m)), np.empty((m, m)), np.empty((m, m))
     for k in range(n - 1, -1, -1):
-        columns = _factor_columns(chol, k, m)
-        # D_k^T, column-major, inverted in place
-        diag_t = np.asfortranarray(np.triu(columns[: m * m].reshape(m, m)))
+        part = chol[:, k * m : (k + 1) * m].T
+        columns[: len(part), :width] = part
+        np.copyto(diag_t, diag_source, where=upper_mask)
         if lapack.trtri(diag_t):
             raise LinAlgError(f"singular triangular block {k} of the Cholesky factor")
-        d_inv_t = np.ascontiguousarray(diag_t)  # D_k^-T; the products round by layout
-        own = d_inv_t @ d_inv_t.T
+        np.copyto(d_inv_t, diag_t, where=upper_mask)
+        np.matmul(d_inv_t, d_inv_t.T, out=own)
         if k == n - 1:
             pair[:, :m] = own
             pair[:, m:] = 0.0
         else:
-            coupling = d_inv_t @ np.tril(columns[m:].reshape(m, m))  # Y_k
-            upper = -coupling @ below[:, :m]
-            pair[:, m:] = upper
-            pair[:, :m] = own - upper @ coupling.T
+            np.copyto(coupling_t, coupling_source, where=lower_mask)
+            np.matmul(d_inv_t, coupling_t, out=coupling)  # Y_k
+            upper = pair[:, m:]
+            np.matmul(coupling, below[:, :m], out=upper)
+            np.negative(upper, out=upper)
+            np.matmul(upper, coupling.T, out=product)
+            np.subtract(own, product, out=pair[:, :m])
         start = k * m
         out[:, start : start + m] = rows[:, : p - start]
         pair, below, rows, rows_below = below, pair, rows_below, rows
     return out
-
-
-def _factor_columns(chol: np.ndarray, k: int, m: int) -> np.ndarray:
-    """Block ``k``'s ``m`` columns of ``L``, flat, each as ``L[c, c], ...,
-    L[c+m, c]``.  As ``m x m`` arrays, the first ``m^2`` entries hold
-    ``D_k^T`` in their upper triangle and the last ``m^2`` hold ``C_k^T``
-    in their lower one.  Columns past the matrix get a unit diagonal,
-    which keeps them apart."""
-    width = chol.shape[0]
-    part = chol[:, k * m : (k + 1) * m].T
-    columns = np.zeros((m, m + 1))
-    columns[: len(part), :width] = part
-    columns[len(part) :, 0] = 1.0
-    return columns.ravel()
 
 
 def _bundled_openblas(package: str) -> list:
@@ -367,24 +389,26 @@ _LAPACK_SYMBOLS = (
     ("scipy_{}_", ctypes.c_int32),
     ("{}_", ctypes.c_int32),
 )
-_LAPACK_ROUTINES = ("dpbtrf", "dpbtrs", "dtrtri")
+_LAPACK_ROUTINES = ("dpbtrf", "dpbtrs", "dtrtri", "dtbtrs")
 _F_ARRAY = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS,WRITEABLE")
 
 
 class _CtypesLapack:
-    """dpbtrf, dpbtrs and dtrtri called through ``ctypes``.  Each works in
+    """dpbtrf, dpbtrs, dtrtri and dtbtrs called through ``ctypes``.  Each works in
     place on column-major float64 arrays (``ndpointer`` checks the layout)
     and returns LAPACK's ``info``.  The trailing ``size_t`` arguments are
     the lengths of the character arguments, which gfortran passes hidden
     (a LAPACK that takes none ignores them)."""
 
     def __init__(self, routines, integer):
-        self._pbtrf, self._pbtrs, self._trtri = routines
+        self._pbtrf, self._pbtrs, self._trtri, self._tbtrs = routines
         self._int = integer
         ref, char, length = ctypes.POINTER(integer), ctypes.c_char_p, ctypes.c_size_t
         self._pbtrf.argtypes = [char, ref, ref, _F_ARRAY, ref, ref, length]
         self._pbtrs.argtypes = [char, ref, ref, ref, _F_ARRAY, ref, _F_ARRAY, ref, ref, length]
         self._trtri.argtypes = [char, char, ref, _F_ARRAY, ref, ref, length, length]
+        self._tbtrs.argtypes = [char, char, char, ref, ref, ref, _F_ARRAY, ref, _F_ARRAY, ref, ref,
+                                length, length, length]
         for routine in routines:
             routine.restype = None
 
@@ -408,6 +432,15 @@ class _CtypesLapack:
         self._trtri(b"U", b"N", n(a.shape[0]), a, n(max(a.shape[0], 1)), info, 1, 1)
         return _checked(info.value, "dtrtri")
 
+    def tbtrs(self, ab: np.ndarray, b: np.ndarray) -> int:
+        """Solve ``L x = b`` with the lower band ``L`` in ``ab`` (a factor
+        from :meth:`pbtrf`) for the columns of ``b``, over them."""
+        n, info = self._int, self._int(0)
+        nrhs = 1 if b.ndim == 1 else b.shape[1]
+        self._tbtrs(b"L", b"N", b"N", n(ab.shape[1]), n(ab.shape[0] - 1), n(nrhs), ab,
+                    n(ab.shape[0]), b, n(max(b.shape[0], 1)), info, 1, 1, 1)
+        return _checked(info.value, "dtbtrs")
+
 
 class _ScipyLapack:
     """The same routines from ``scipy.linalg.lapack``, with the same
@@ -429,6 +462,11 @@ class _ScipyLapack:
     def trtri(self, a):
         a[...], info = self._lapack.dtrtri(a, lower=0, overwrite_c=1)
         return _checked(info, "dtrtri")
+
+    def tbtrs(self, ab, b):
+        x, info = self._lapack.dtbtrs(ab, b.reshape(len(b), -1), uplo="L", overwrite_b=1)
+        b[...] = x.reshape(b.shape)
+        return _checked(info, "dtbtrs")
 
 
 def _checked(info: int, routine: str) -> int:
@@ -457,7 +495,7 @@ def _lapack_libraries() -> list:
 
 def _bind_lapack():
     """The routines from the LAPACK numpy is linked to, under the first of
-    ``_LAPACK_SYMBOLS`` it exports all three by; else scipy's.  Raises
+    ``_LAPACK_SYMBOLS`` it exports all four by; else scipy's.  Raises
     :class:`LapackUnavailableError` where neither is found."""
     for path in _lapack_libraries():
         lib = ctypes.CDLL(path)
@@ -469,7 +507,8 @@ def _bind_lapack():
         return _ScipyLapack()
     except ImportError as err:
         raise LapackUnavailableError(
-            f"numpy's BLAS exports none of the LAPACK routines {', '.join(_LAPACK_ROUTINES)} "
+            f"numpy's BLAS exports none of the LAPACK routines {', '.join(_LAPACK_ROUTINES[:-1])} "
+            f"and {_LAPACK_ROUTINES[-1]} "
             "under a known name, and scipy, which provides them otherwise, is not installed; "
             "install scipy (pip install scipy)"
         ) from err
@@ -516,11 +555,12 @@ def one_blas_thread():
 def _one_norm(band: np.ndarray) -> float:
     """1-norm (largest column sum of moduli) of the symmetric matrix whose
     lower band is ``band``, read one band row at a time."""
-    sums = np.abs(band[0])
-    for row in band[1:]:
-        sums += np.abs(row)  # each column from the diagonal down
+    moduli = np.abs(band)
+    sums = moduli[0].copy()
+    for row in moduli[1:]:
+        sums += row  # each column from the diagonal down
     for d in range(1, band.shape[0]):
-        sums[d:] += np.abs(band[d, :-d])  # and the same column above the diagonal
+        sums[d:] += moduli[d, :-d]  # and the same column above the diagonal
     return float(sums.max())
 
 

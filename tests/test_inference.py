@@ -9,7 +9,7 @@ from ctrend.domain import AnalysisDomain, build_domain
 from ctrend.grid import CellIndex, ObservationalFrame
 from ctrend.inference import cluster_compare, f_tails, prob_f
 from ctrend.ingest import ingest_records
-from ctrend.simulate import linear_trend_scenario, simulate
+from ctrend.simulate import linear_trend_scenario, preset, simulate
 from ctrend.design import DesignSystem
 from ctrend.solve import solve
 
@@ -154,6 +154,30 @@ class TestClusterCompare:
             a = np.zeros(cov_uu.shape[0])
             a[idx] = 1.0 / len(idx)
             assert stat.se == pytest.approx(math.sqrt(a @ cov_uu @ a), rel=1e-10)
+
+    @pytest.mark.parametrize("name", ["table", "linear"])
+    def test_block_covariances_from_the_factor(self, name):
+        """The block covariances from one forward solve over the averaging
+        map (``sigma^2 V^T V``) equal ``A C A^T`` from the dense covariance
+        and an averaging map ``A`` rebuilt cell by cell."""
+        scenario = preset(name, seed=0)
+        res = ingest_records(simulate(scenario), frame=scenario.frame, cell_min_count=0)
+        domain = build_domain(res.cells, res.frame)
+        sol = solve(DesignSystem.build(domain.filter_cells(res.cells)[0], domain), 1.0, 1.0)
+        report = cluster_compare(sol, age_window=5, year_window=5)
+
+        members = {}
+        for cell in domain.trend_cells():
+            members.setdefault((cell.i // 5, cell.j // 5), []).append(domain.trend_index(cell))
+        averaging = np.zeros((len(report.clusters), domain.compact_size))
+        for row, stat in enumerate(report.clusters):
+            averaging[row, members[stat.block]] = 1.0 / len(members[stat.block])
+        dense = averaging @ np.asarray(sol.cov) @ averaging.T
+        assert len(report.clusters) > 1
+        assert np.abs(report.covariance - dense).max() <= 1e-12 * np.abs(dense).max()
+        np.testing.assert_allclose(
+            [stat.se for stat in report.clusters], np.sqrt(np.diag(dense)), rtol=1e-12
+        )
 
     def test_absolute_labels(self):
         frame = ObservationalFrame.from_integer_bounds(1972, 1981, 25, 34)

@@ -113,6 +113,19 @@ def test_cluster_tests_copy_the_averaging_map_once(tmp_path):
     assert peak <= 2.5 * MB
 
 
+def test_cluster_tests_hold_one_forward_solve(tmp_path):
+    """The block covariances of a `table` fit come from one forward solve
+    over the averaging map, written straight into a 1395 x 63 array in
+    banded order (0.70 MB) and solved in place: no dense 63 x 1395 map and
+    no copy of it.  The tests peak at 0.8 MB; with the dense map and a
+    two-sided solve over its copy they peaked at 2.16 MB."""
+    run = run_fit(ingest_file(_table_file(tmp_path)))
+    cluster_compare(run.solution)  # the first call loads what later calls share
+    report, peak = _traced_peak(lambda: cluster_compare(run.solution))
+    assert len(report.clusters) == 63
+    assert peak <= 1.2 * MB
+
+
 def test_pair_batch_holds_one_run_at_a_time(tmp_path):
     """Each bundle is written as soon as its pair is fitted and the run is
     let go, so a 4-pair fit peaks 0.2 MB above a 1-pair fit (8.3 MB) on a

@@ -1,15 +1,41 @@
-"""Fit orchestration: batch fits share one design, equal separate fits and
-let each run go before the next pair is fitted."""
+"""Fit orchestration: batch fits share one design and the first solve,
+equal separate fits and let each run go before the next pair is fitted."""
 
 import gc
 import weakref
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
+from ctrend import iterate
 from ctrend.ingest import ingest_file
 from ctrend.pipeline import FitOptions, batch_fit, run_fit
-from ctrend.simulate import linear_trend_scenario, simulate, write_records
+from ctrend.simulate import linear_trend_scenario, preset, simulate, write_records
+from ctrend.solve import solve
+
+# the benchmark's pair-sweep pairs, as (level target, trend target)
+PAIR_SWEEP = [(0.7, 0.9), (0.5, 0.9), (0.7, 0.8), (0.6, 0.85)]
+
+
+@pytest.fixture(scope="module")
+def table_data(tmp_path_factory):
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    write_records(simulate(preset("table", seed=0)), str(path))
+    return ingest_file(str(path))
+
+
+def recorded_solves(monkeypatch):
+    """The weights of every solve the weight loops make, in order."""
+    weights = []
+    real_solve = iterate.solve
+
+    def recording_solve(system, trend_weight, level_weight):
+        weights.append((trend_weight, level_weight))
+        return real_solve(system, trend_weight, level_weight)
+
+    monkeypatch.setattr(iterate, "solve", recording_solve)
+    return weights
 
 
 def test_batch_fit_equals_separate_fits(tmp_path):
@@ -57,3 +83,42 @@ def test_batch_fit_releases_each_run_before_the_next(tmp_path):
         gc.enable()
     assert list(kept) == pairs
     assert alive == [[], [False], [False, False]]
+
+
+def test_pair_sweep_solves_the_initial_weights_once(table_data, monkeypatch):
+    """Alone, the four pairs take 8 + 5 + 4 + 5 = 22 solves on `table`; in
+    one batch each loop after the first reads the first solve at the
+    initial weights (1, 1) instead of solving it, so the batch makes 19.
+    Every run is still the pair fitted alone, bit for bit."""
+    solves = recorded_solves(monkeypatch)
+    runs = batch_fit(table_data, FitOptions(), PAIR_SWEEP)
+    assert len(solves) == 19
+    assert solves.count((1.0, 1.0)) == 1
+    assert sum(run.iteration.iterations for run in runs.values()) == 22
+    for (level_target, trend_target), batched in runs.items():
+        alone = run_fit(table_data, FitOptions(level_target=level_target, trend_target=trend_target))
+        assert batched.trace == alone.trace
+        assert (batched.iteration.trend_weight, batched.iteration.level_weight) == (
+            alone.iteration.trend_weight, alone.iteration.level_weight)
+        np.testing.assert_array_equal(batched.solution.estimate, alone.solution.estimate)
+
+
+def test_pair_converged_at_the_shared_solve_solves_it_again(table_data, monkeypatch):
+    """A pair whose targets are the correlations at the initial weights
+    converges at iteration 1, which it read from the batch's first loop;
+    it solves that iteration again and returns that solve bit for bit."""
+    first = run_fit(table_data).trace[0]
+    pair = (first.level_smoothness, first.trend_smoothness)
+    solves = recorded_solves(monkeypatch)
+    runs = batch_fit(table_data, FitOptions(), [(0.7, 0.9), pair])
+    run = runs[pair]
+    assert run.iteration.converged and run.iteration.iterations == run.iteration.best_iteration == 1
+    assert run.trace[0] == replace(first, converged=True, note="converged")
+    assert solves[-1] == (1.0, 1.0) and len(solves) == runs[0.7, 0.9].iteration.iterations + 1
+
+    expected = solve(run.system, 1.0, 1.0)
+    got = run.solution
+    for name in ("estimate", "sigma2", "r2", "condition"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(expected, name), err_msg=name)
+    np.testing.assert_array_equal(got.cov.chol, expected.cov.chol)
+    np.testing.assert_array_equal(got.cov.inverse_band, expected.cov.inverse_band)

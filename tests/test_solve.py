@@ -470,6 +470,24 @@ class TestLapackBinding:
         assert_same_digits(inverse, expected)
 
     @pytest.mark.parametrize("p, b", SHAPES)
+    @pytest.mark.parametrize("binding", ["bound", "fallback"])
+    def test_forward_solve_matches_scipy(self, bound, binding, p, b):
+        """``tbtrs`` solves with the lower band factor, one or several
+        right-hand sides, under either binding."""
+        from scipy.linalg import lapack
+
+        rng = np.random.default_rng(p * 100 + b + 2)
+        factor = np.array(spd_band(rng, p, b), order="F")
+        assert bound.pbtrf(factor) == 0
+        ours = bound if binding == "bound" else solve_module._ScipyLapack()
+        for rhs in (rng.normal(size=p), rng.normal(size=(p, 3))):
+            solved = np.array(rhs, order="F")
+            assert ours.tbtrs(factor, solved) == 0
+            expected, info = lapack.dtbtrs(factor, rhs.reshape(p, -1), uplo="L")
+            assert info == 0
+            assert_same_digits(solved, expected.reshape(rhs.shape))
+
+    @pytest.mark.parametrize("p, b", SHAPES)
     def test_covariance_same_under_either_binding(self, bound, p, b, monkeypatch):
         """Factor, every in-band entry of the selected inverse (with its
         padded last block) and solves."""
@@ -489,6 +507,27 @@ class TestLapackBinding:
         assert_same_digits(ours.diagonal(), theirs.diagonal())
         assert_same_digits(ours @ x, theirs @ x)
         assert_same_digits(ours @ x[:, 0], theirs @ x[:, 0])
+
+    @pytest.mark.parametrize("p, b", SHAPES)
+    def test_map_covariance_same_under_either_binding(self, bound, p, b, monkeypatch):
+        """The covariance of a sparse map from the forward solve, against
+        the dense ``A N^-1 A^T`` too."""
+        rng = np.random.default_rng(p * 100 + b + 3)
+        band = spd_band(rng, p, b)
+        order = rng.permutation(p)
+        rows, columns = rng.integers(0, 3, size=2 * p), rng.integers(0, p, size=2 * p)
+        rows, columns = np.unique(np.stack([rows, columns]), axis=1)
+        values = rng.uniform(0.1, 1.0, size=rows.size)
+        covs = []
+        for lapack in (bound, solve_module._ScipyLapack()):
+            monkeypatch.setattr(solve_module, "_lapack", lambda lapack=lapack: lapack)
+            covs.append(BandedCovariance(band.copy(), order).scaled(2.5))
+            covs.append(covs[-1].map_covariance(rows, columns, values, 3))
+        ours, ours_map, theirs, theirs_map = covs
+        assert_same_digits(ours_map, theirs_map)
+        dense = np.zeros((3, p))
+        dense[rows, columns] = values
+        assert_same_digits(ours_map, dense @ np.asarray(ours) @ dense.T)
 
     def test_extension_finds_the_bundled_routines(self, bound, monkeypatch):
         """Looked up through numpy's linear-algebra extension, the names
@@ -522,6 +561,11 @@ class TestLapackBinding:
             r"install scipy \(pip install scipy\)$",
         ):
             solve_module._bind_lapack()
+
+    def test_no_lapack_message_names_every_routine(self, no_lapack):
+        with pytest.raises(LapackUnavailableError) as raised:
+            solve_module._bind_lapack()
+        assert "routines dpbtrf, dpbtrs, dtrtri and dtbtrs under a known name" in str(raised.value)
 
     @pytest.mark.parametrize("binding", ["bound", "fallback"])
     def test_band_not_positive_definite_is_singular(self, binding, monkeypatch):
