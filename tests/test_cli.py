@@ -397,6 +397,18 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("negative_control", [False, True])
+    def test_cluster_covariances_against_the_oracle(self, negative_control):
+        """Check 1 compares the cluster block covariances from the factor
+        with the oracle's A C A^T; the negative control breaks them too."""
+        from ctrend.verify import ORACLE_TOL_COV, run_verification
+
+        lines = []
+        run_verification(negative_control=negative_control, emit=lines.append)
+        detail = next(line for line in lines if "oracle equivalence" in line)
+        deviation = float(detail.split("max cluster covariance deviation ")[1].split()[0])
+        assert (deviation > ORACLE_TOL_COV) == negative_control
+
 
 @pytest.mark.parametrize("command", ["fit", "verify"])
 def test_no_lapack_exits_before_any_work(command, data_file, tmp_path, capsys, no_lapack):

@@ -15,6 +15,7 @@ from ctrend.report import (
     atomic_write_text,
     csv_text,
     manifest_digest,
+    read_columns,
     read_table,
     render_bundle_svgs,
     write_fit_bundle,
@@ -53,6 +54,18 @@ class TestCsvRoundtrip:
         path.write_text(text)
         header, rows = read_table(str(path))
         assert header == ["a"] and rows == [["1"]]
+
+    def test_columns_parse_back_to_the_numbers(self, tmp_path):
+        """What the figures of ``ctrend report`` are drawn from: numbers as
+        floats with NaN for an empty cell, a text column as its texts."""
+        path = tmp_path / "t.csv"
+        path.write_text(csv_text(["a", "b", "c"], [(0.1, None, "age"), (math.nan, 3, "period")], "d"))
+        a, b, c = read_columns(str(path))
+        np.testing.assert_array_equal(a, [0.1, math.nan])
+        np.testing.assert_array_equal(b, [math.nan, 3.0])
+        assert c == ["age", "period"]
+        path.write_text(csv_text(["a", "b"], [], "d"))
+        assert [column.size for column in read_columns(str(path))] == [0, 0]
 
     def test_atomic_write_replaces(self, tmp_path):
         path = tmp_path / "f.txt"
