@@ -1,5 +1,9 @@
 """Cluster-level inference: mean trends over age-year blocks and pairwise
 F-tests between neighbouring blocks.
+
+:func:`cluster_compare` returns a :class:`ClusterReport` of columns: one
+row per block (its labels, mean, SE and cell count) and one row per test
+(the two block rows, the direction, F and its tail probability).
 """
 
 from __future__ import annotations
@@ -14,13 +18,9 @@ from .solve import BandedCovariance, Solution
 __all__ = [
     "prob_f",
     "f_tails",
-    "ClusterStat",
-    "ClusterComparison",
     "ClusterReport",
     "cluster_compare",
 ]
-
-CI_FACTOR = 1.96  # normal-approximation 95% interval
 
 # Stirling's series for ln Gamma: ln Gamma(z) = (z - 1/2) ln z - z + ln(2 pi)/2
 # + sum_k B_2k / (2k (2k - 1) z^(2k - 1)).  From z = 8 on, these eight terms
@@ -145,46 +145,29 @@ def _beta_fraction(a: float, b: float, x: np.ndarray, y: np.ndarray, lam: np.nda
     )
 
 
-@dataclass(frozen=True)
-class ClusterStat:
-    block: tuple[int, int]  # (year block, age block)
-    year_start: int  # absolute calendar year of the block's first row
-    year_end: int
-    age_start: int
-    age_end: int
-    mean: float  # mean trend over included cells, units per year
-    se: float
-    n_cells: int
-
-    @property
-    def ci_half(self) -> float:
-        return CI_FACTOR * self.se
-
-
-@dataclass(frozen=True)
-class ClusterComparison:
-    block: tuple[int, int]
-    neighbour: tuple[int, int]
-    direction: str  # "age": older-age neighbour; "period": next calendar period
-    f_value: float
-    prob: float
-    degenerate: bool = False
-
-
 @dataclass
 class ClusterReport:
-    age_window: int
-    year_window: int
-    df2: int
-    clusters: list
-    comparisons: list
-    covariance: np.ndarray  # of the cluster means, in the order of ``clusters``
+    """Cluster means and neighbour tests as columns.
 
-    def cluster_at(self, block):
-        for c in self.clusters:
-            if c.block == block:
-                return c
-        return None
+    Row ``k`` of the block columns is block ``clusters[k]``, in scan order;
+    row ``t`` of the test columns compares block row ``comparisons[t, 0]``
+    with its neighbour's row ``comparisons[t, 1]``.
+    """
+
+    clusters: np.ndarray  # (n, 2): (year block, age block)
+    year_start: np.ndarray  # absolute calendar year of each block's first row
+    year_end: np.ndarray
+    age_start: np.ndarray
+    age_end: np.ndarray
+    mean: np.ndarray  # mean trend over included cells, units per year
+    se: np.ndarray
+    n_cells: np.ndarray
+    covariance: np.ndarray  # of the cluster means, in the order of ``clusters``
+    comparisons: np.ndarray  # (m, 2): (block row, neighbour row)
+    direction: np.ndarray  # "age": older-age neighbour; "period": next calendar period
+    f_value: np.ndarray  # NaN where degenerate
+    prob: np.ndarray  # NaN where degenerate
+    degenerate: np.ndarray
 
 
 def cluster_compare(solution: Solution, age_window: int = 5, year_window: int = 5) -> ClusterReport:
@@ -213,7 +196,7 @@ def cluster_compare(solution: Solution, age_window: int = 5, year_window: int = 
     keys, block_rows, n_cells = np.unique(
         (ii // year_window) * age_blocks + jj // age_window, return_inverse=True, return_counts=True
     )
-    blocks = [(int(k), int(m)) for k, m in zip(*np.divmod(keys, age_blocks))]
+    gi, gj = np.divmod(keys, age_blocks)
     # Each block's mean is the exactly rounded sum of its cells' trends
     # (``math.fsum``) over their count, the same whatever the summation order
     # of a BLAS kernel; its covariance comes from the averaging map, 1/n at
@@ -222,49 +205,42 @@ def cluster_compare(solution: Solution, age_window: int = 5, year_window: int = 
     ends = np.cumsum(n_cells).tolist()
     means = np.array([math.fsum(values[a:b]) for a, b in zip([0, *ends], ends)]) / n_cells
     weights = 1.0 / n_cells[block_rows]
-    block_cov = _map_covariance(solution.cov, block_rows, columns, weights, len(blocks))
-
-    clusters = []
-    pos = {block: row for row, block in enumerate(blocks)}
-    for row, (gi, gj) in enumerate(blocks):
-        var = block_cov[row, row]
-        clusters.append(
-            ClusterStat(
-                block=(gi, gj),
-                year_start=frame.year_of(gi * year_window),
-                year_end=frame.year_of(min((gi + 1) * year_window, frame.year_cells) - 1),
-                age_start=frame.age_of(gj * age_window),
-                age_end=frame.age_of(min((gj + 1) * age_window, frame.age_cells) - 1),
-                mean=float(means[row]),
-                se=math.sqrt(var) if var > 0 else 0.0,
-                n_cells=int(n_cells[row]),
-            )
-        )
+    block_cov = _map_covariance(solution.cov, block_rows, columns, weights, len(keys))
+    var = block_cov.diagonal()
 
     # Each block against its older-age and its next-period neighbour, where
-    # that block holds cells; all the tail probabilities in one pass.
-    tests = [
-        (row, pos[neighbour], neighbour, direction)
-        for row, (gi, gj) in enumerate(blocks)
-        for neighbour, direction in (((gi, gj + 1), "age"), ((gi + 1, gj), "period"))
-        if neighbour in pos
-    ]
-    here = np.array([t[0] for t in tests], dtype=np.int64)
-    there = np.array([t[1] for t in tests], dtype=np.int64)
+    # that block holds cells, by block row with the age test first.  A
+    # neighbour is found by its key among the sorted block keys; -1 (no key)
+    # stands for the older-age neighbour of a block in the last age column.
+    candidates = np.column_stack([np.where(gj + 1 < age_blocks, keys + 1, -1), keys + age_blocks])
+    rows = np.minimum(np.searchsorted(keys, candidates), len(keys) - 1)
+    here, side = np.nonzero(keys[rows] == candidates)
+    there = rows[here, side]
     denom = block_cov[here, here] - 2.0 * block_cov[here, there] + block_cov[there, there]
     diff = means[here] - means[there]
     degenerate = ~((denom > 0) & np.isfinite(denom))
-    f_values = np.full(len(tests), math.nan)
-    probs = np.full(len(tests), math.nan)
+    f_values = np.full(here.size, math.nan)
+    probs = np.full(here.size, math.nan)
     if not degenerate.all():
         tested = ~degenerate
         f_values[tested] = diff[tested] * diff[tested] / denom[tested]
         probs[tested] = f_tails(f_values[tested], 1, solution.dof)
-    comparisons = [
-        ClusterComparison(blocks[row], neighbour, direction, float(f), float(prob), bool(flag))
-        for (row, _, neighbour, direction), f, prob, flag in zip(tests, f_values, probs, degenerate)
-    ]
-    return ClusterReport(age_window, year_window, solution.dof, clusters, comparisons, block_cov)
+    return ClusterReport(
+        clusters=np.column_stack([gi, gj]),
+        year_start=frame.year_of(gi * year_window),
+        year_end=frame.year_of(np.minimum((gi + 1) * year_window, frame.year_cells) - 1),
+        age_start=frame.age_of(gj * age_window),
+        age_end=frame.age_of(np.minimum((gj + 1) * age_window, frame.age_cells) - 1),
+        mean=means,
+        se=np.sqrt(np.where(var > 0, var, 0.0)),
+        n_cells=n_cells,
+        covariance=block_cov,
+        comparisons=np.column_stack([here, there]),
+        direction=np.array(["age", "period"])[side],
+        f_value=f_values,
+        prob=probs,
+        degenerate=degenerate,
+    )
 
 
 def _map_covariance(cov, rows, columns, values, count: int) -> np.ndarray:

@@ -172,7 +172,7 @@ def build_manifest(run: FitRun, inputs: list, extra: dict | None = None) -> dict
     digest = manifest_digest(core)
     last = run.trace[-1]
     warnings = list(run.solution.warnings)
-    if not run.clusters.comparisons:
+    if not len(run.clusters.comparisons):
         warnings.append("no adjacent cluster pairs to compare: cluster_tests.csv has no rows")
     manifest = {
         "digest": digest,

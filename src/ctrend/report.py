@@ -38,6 +38,8 @@ __all__ = [
     "write_comparison_sheet",
 ]
 
+CI_FACTOR = 1.96  # normal-approximation 95% interval
+
 
 def atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
@@ -198,8 +200,8 @@ def trends_columns(solution, trends, trend_se):
         frame.age_of(jj),
         value,
         se,
-        value - 1.96 * se,
-        value + 1.96 * se,
+        value - CI_FACTOR * se,
+        value + CI_FACTOR * se,
         edge.astype(int),
     ]
 
@@ -214,43 +216,32 @@ def boundary_levels_columns(solution):
 
 
 def clusters_columns(report):
-    def column(name, dtype):
-        return np.array([getattr(c, name) for c in report.clusters], dtype=dtype)
-
-    mean, half = column("mean", float), column("ci_half", float)
+    half = CI_FACTOR * report.se
     return [
-        column("year_start", np.int64),
-        column("year_end", np.int64),
-        column("age_start", np.int64),
-        column("age_end", np.int64),
-        mean,
-        column("se", float),
-        mean - half,
-        mean + half,
-        column("n_cells", np.int64),
+        report.year_start,
+        report.year_end,
+        report.age_start,
+        report.age_end,
+        report.mean,
+        report.se,
+        report.mean - half,
+        report.mean + half,
+        report.n_cells,
     ]
 
 
 def cluster_tests_columns(report):
     """Each comparison's blocks, direction and test (empty where degenerate)."""
-    by_block = {c.block: c for c in report.clusters}
-    comparisons = report.comparisons
-    here = [by_block[comp.block] for comp in comparisons]
-    there = [by_block[comp.neighbour] for comp in comparisons]
-    degenerate = np.array([comp.degenerate for comp in comparisons], dtype=bool)
-
-    def tested(values):
-        return np.where(degenerate, np.nan, np.array(values, dtype=float))
-
+    here, there = report.comparisons.T
     return [
-        np.array([c.year_start for c in here], dtype=np.int64),
-        np.array([c.age_start for c in here], dtype=np.int64),
-        [comp.direction for comp in comparisons],
-        np.array([c.year_start for c in there], dtype=np.int64),
-        np.array([c.age_start for c in there], dtype=np.int64),
-        tested([comp.f_value for comp in comparisons]),
-        tested([comp.prob for comp in comparisons]),
-        degenerate.astype(int),
+        report.year_start[here],
+        report.age_start[here],
+        report.direction,
+        report.year_start[there],
+        report.age_start[there],
+        report.f_value,
+        report.prob,
+        report.degenerate.astype(int),
     ]
 
 
@@ -293,7 +284,7 @@ def cohort_track_columns(run, levels, trends, trend_se):
     row_weight = dict(zip(sorted(mean), run.system.data_row_weights.tolist()))  # rows in cell order
     data = np.array([mean.get(cell, np.nan) for cell in track])
     weight = np.array([row_weight.get(cell, np.nan) for cell in track])
-    half = _finite(1.96 * np.sqrt(solution.sigma2 / weight))
+    half = _finite(CI_FACTOR * np.sqrt(solution.sigma2 / weight))
     trend = _finite(trends[ii, jj])
     tse = _finite(trend_se[ii, jj])
     return [
@@ -305,8 +296,8 @@ def cohort_track_columns(run, levels, trends, trend_se):
         data + half,
         _finite(levels[ii, jj]),
         trend,
-        trend - 1.96 * tse,
-        trend + 1.96 * tse,
+        trend - CI_FACTOR * tse,
+        trend + CI_FACTOR * tse,
     ]
 
 

@@ -9,6 +9,7 @@ from ctrend.domain import AnalysisDomain, build_domain
 from ctrend.grid import CellIndex, ObservationalFrame
 from ctrend.inference import cluster_compare, f_tails, prob_f
 from ctrend.ingest import ingest_records
+from ctrend.report import clusters_columns
 from ctrend.simulate import linear_trend_scenario, preset, simulate
 from ctrend.design import DesignSystem
 from ctrend.solve import solve
@@ -93,26 +94,24 @@ class TestClusterCompare:
     def test_hand_example_f_eight(self):
         sol = strip_solution([0.5, 0.1], np.diag([0.01, 0.01]))
         report = cluster_compare(sol, age_window=1, year_window=1)
-        comp = report.comparisons[0]
-        assert comp.direction == "age"
-        assert comp.f_value == pytest.approx(8.0, abs=1e-12)
-        assert comp.prob == pytest.approx(prob_f(8.0, 1, 40))
+        assert report.comparisons.tolist() == [[0, 1]]
+        assert report.direction[0] == "age"
+        assert report.f_value[0] == pytest.approx(8.0, abs=1e-12)
+        assert report.prob[0] == pytest.approx(prob_f(8.0, 1, 40))
 
     def test_identical_means_give_f_zero(self):
         sol = strip_solution([0.3, 0.3], np.diag([0.02, 0.05]))
         report = cluster_compare(sol, age_window=1, year_window=1)
-        comp = report.comparisons[0]
-        assert comp.f_value == 0.0
-        assert comp.prob == 1.0
+        assert report.f_value[0] == 0.0
+        assert report.prob[0] == 1.0
 
     def test_degenerate_denominator_marked(self):
         # perfectly correlated equal-variance blocks: denominator is zero
         cov = np.array([[0.01, 0.01], [0.01, 0.01]])
         sol = strip_solution([0.5, 0.1], cov)
         report = cluster_compare(sol, age_window=1, year_window=1)
-        comp = report.comparisons[0]
-        assert comp.degenerate
-        assert math.isnan(comp.f_value)
+        assert report.degenerate[0]
+        assert math.isnan(report.f_value[0])
 
     def test_cluster_means_average_included_cells_only(self):
         frame = ObservationalFrame.from_integer_bounds(0, 4, 0, 3)
@@ -124,14 +123,14 @@ class TestClusterCompare:
         est = rng.normal(0.2, 0.05, p)
         sol = manual_solution(domain, est, np.eye(p) * 1e-4)
         report = cluster_compare(sol, age_window=2, year_window=2)
-        block00 = report.cluster_at((0, 0))
+        assert report.clusters[0].tolist() == [0, 0]
         members = [
             domain.trend_index(CellIndex(i, j)) for i, j in [(0, 0), (0, 1), (1, 0), (1, 1)]
             if domain.contains(CellIndex(i, j))
         ]
         expected = np.mean([est[m] for m in members])
-        assert block00.mean == pytest.approx(expected, rel=1e-12)
-        assert block00.n_cells == len(members)
+        assert report.mean[0] == pytest.approx(expected, rel=1e-12)
+        assert report.n_cells[0] == len(members)
 
     def test_block_covariance_via_averaging_map(self):
         scenario = linear_trend_scenario(seed=2, noise_sd=1.0, samples_per_age=3,
@@ -149,11 +148,11 @@ class TestClusterCompare:
                 domain.trend_index(cell) - domain.slot_count
             )
         cov_uu = np.asarray(sol.cov)[domain.slot_count:, domain.slot_count:]
-        for stat in report.clusters:
-            idx = blocks[stat.block]
+        for block, se in zip(report.clusters.tolist(), report.se):
+            idx = blocks[tuple(block)]
             a = np.zeros(cov_uu.shape[0])
             a[idx] = 1.0 / len(idx)
-            assert stat.se == pytest.approx(math.sqrt(a @ cov_uu @ a), rel=1e-10)
+            assert se == pytest.approx(math.sqrt(a @ cov_uu @ a), rel=1e-10)
 
     @pytest.mark.parametrize("name", ["table", "linear"])
     def test_block_covariances_from_the_factor(self, name):
@@ -170,14 +169,12 @@ class TestClusterCompare:
         for cell in domain.trend_cells():
             members.setdefault((cell.i // 5, cell.j // 5), []).append(domain.trend_index(cell))
         averaging = np.zeros((len(report.clusters), domain.compact_size))
-        for row, stat in enumerate(report.clusters):
-            averaging[row, members[stat.block]] = 1.0 / len(members[stat.block])
+        for row, block in enumerate(map(tuple, report.clusters.tolist())):
+            averaging[row, members[block]] = 1.0 / len(members[block])
         dense = averaging @ np.asarray(sol.cov) @ averaging.T
         assert len(report.clusters) > 1
         assert np.abs(report.covariance - dense).max() <= 1e-12 * np.abs(dense).max()
-        np.testing.assert_allclose(
-            [stat.se for stat in report.clusters], np.sqrt(np.diag(dense)), rtol=1e-12
-        )
+        np.testing.assert_allclose(report.se, np.sqrt(np.diag(dense)), rtol=1e-12)
 
     def test_absolute_labels(self):
         frame = ObservationalFrame.from_integer_bounds(1972, 1981, 25, 34)
@@ -186,14 +183,17 @@ class TestClusterCompare:
         p = domain.compact_size
         sol = manual_solution(domain, np.zeros(p), np.eye(p))
         report = cluster_compare(sol, age_window=5, year_window=5)
-        first = report.cluster_at((0, 0))
-        assert (first.year_start, first.year_end) == (1972, 1976)
-        assert (first.age_start, first.age_end) == (25, 29)
+        assert report.clusters[0].tolist() == [0, 0]
+        assert (report.year_start[0], report.year_end[0]) == (1972, 1976)
+        assert (report.age_start[0], report.age_end[0]) == (25, 29)
 
     def test_ci_half_width(self):
         sol = strip_solution([0.5, 0.1], np.diag([0.04, 0.01]))
         report = cluster_compare(sol, age_window=1, year_window=1)
-        assert report.cluster_at((0, 0)).ci_half == pytest.approx(1.96 * 0.2)
+        mean, se, ci_low, ci_high = clusters_columns(report)[4:8]
+        assert se[0] == pytest.approx(0.2)
+        assert ci_high[0] - mean[0] == pytest.approx(1.96 * 0.2)
+        assert mean[0] - ci_low[0] == pytest.approx(1.96 * 0.2)
 
     def test_window_validation(self):
         sol = strip_solution([0.5, 0.1], np.diag([0.01, 0.01]))

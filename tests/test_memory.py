@@ -101,18 +101,6 @@ def test_design_allocates_little_beyond_its_bands(tmp_path):
     assert peak <= system.bands.nbytes + 1.2 * MB
 
 
-def test_cluster_tests_copy_the_averaging_map_once(tmp_path):
-    """`cluster_compare` on a `table` fit averages over a 63 x 1395 map
-    (0.70 MB).  The banded solve takes one column-major copy of it and
-    works in place, and the result is gathered back once: the tests peak
-    at 2.2 MB.  Copying the map three or four times peaked at 2.9 MB."""
-    run = run_fit(ingest_file(_table_file(tmp_path)))
-    cluster_compare(run.solution)  # the first call loads what later calls share
-    report, peak = _traced_peak(lambda: cluster_compare(run.solution))
-    assert len(report.clusters) == 63
-    assert peak <= 2.5 * MB
-
-
 def test_cluster_tests_hold_one_forward_solve(tmp_path):
     """The block covariances of a `table` fit come from one forward solve
     over the averaging map, written straight into a 1395 x 63 array in

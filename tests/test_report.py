@@ -9,10 +9,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ctrend.inference import cluster_compare
 from ctrend.ingest import ingest_file, ingest_records
 from ctrend.pipeline import FitOptions, build_manifest, run_fit
 from ctrend.report import (
+    TABLE_HEADERS,
+    _table_text,
     atomic_write_text,
+    cluster_tests_columns,
     csv_text,
     manifest_digest,
     read_columns,
@@ -22,6 +26,8 @@ from ctrend.report import (
 )
 from ctrend.design import stack
 from ctrend.simulate import linear_trend_scenario, simulate, write_records
+
+from test_inference import strip_solution
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +85,33 @@ class TestCsvRoundtrip:
         b = manifest_digest({"y": [1, 2], "x": 1})
         assert a == b
         assert a != manifest_digest({"x": 2, "y": [1, 2]})
+
+
+class TestClusterTestsTable:
+    def test_rows_name_their_blocks_and_leave_a_degenerate_test_empty(self, tmp_path):
+        """Three blocks along one age strip, the first two perfectly
+        correlated with equal variances: the first test has no variance of
+        the difference, so its F and tail are empty cells and it is flagged;
+        each row names the neighbour its direction points to."""
+        cov = np.array([[0.01, 0.01, 0.0], [0.01, 0.01, 0.0], [0.0, 0.0, 0.02]])
+        report = cluster_compare(strip_solution([0.5, 0.1, 0.3], cov), age_window=1, year_window=1)
+        header = TABLE_HEADERS["cluster_tests.csv"]
+        path = tmp_path / "cluster_tests.csv"
+        path.write_text(_table_text(header, cluster_tests_columns(report))[0])
+        read_header, rows = read_table(str(path))
+        assert read_header == header
+        table = [dict(zip(header, row)) for row in rows]
+        assert len(table) == 2
+        assert [row["degenerate"] for row in table] == ["1", "0"]
+        assert (table[0]["f_value"], table[0]["prob"]) == ("", "")
+        assert float(table[1]["f_value"]) == pytest.approx(0.04 / 0.03)
+        assert 0.0 < float(table[1]["prob"]) < 1.0
+        step = {"age": (0, 1), "period": (1, 0)}
+        for row in table:
+            dy, da = step[row["direction"]]
+            assert int(row["neighbour_year_start"]) == int(row["year_start"]) + dy
+            assert int(row["neighbour_age_start"]) == int(row["age_start"]) + da
+        assert [(row["year_start"], row["age_start"]) for row in table] == [("0", "0"), ("0", "1")]
 
 
 class TestBundle:
