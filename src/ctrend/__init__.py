@@ -19,7 +19,7 @@ from .grid import (
     predict_observation,
 )
 from .inference import ClusterReport, cluster_compare, prob_f
-from .ingest import CellStat, SurveyRecord, aggregate, frame_from_data, ingest_file
+from .ingest import CellTable, SurveyRecord, aggregate, frame_from_data, ingest_file
 from .iterate import IterationConfig, IterationResult, check_stop, run
 from .oracle import brute_force_fit
 from .simulate import Scenario, SurveyPlan, energy_balance_to_trend, preset, simulate
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisDomain",
     "CellIndex",
-    "CellStat",
+    "CellTable",
     "ClusterReport",
     "DesignSystem",
     "IterationConfig",

@@ -106,6 +106,16 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The JSON values a config entry takes, by its FitOptions field's annotation:
+# a boolean only where the field is a flag, never where it is a number.
+_CONFIG_TYPES = {
+    "bool": ((bool,), "a boolean"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "int | None": ((int, type(None)), "an integer or null"),
+}
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -113,9 +123,14 @@ def _load_config(path: str | None) -> dict:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = set(config) - {f.name for f in fields(FitOptions)}
+    annotation = {f.name: f.type for f in fields(FitOptions)}
+    unknown = set(config) - set(annotation)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
+    for key, value in config.items():
+        accepted, kind = _CONFIG_TYPES[annotation[key]]
+        if isinstance(value, bool) != (annotation[key] == "bool") or not isinstance(value, accepted):
+            raise ValueError(f"{path}: config entry {key!r} must be {kind}, got {json.dumps(value)}")
     return config
 
 
@@ -216,35 +231,35 @@ def cmd_fit(args) -> int:
 def _scenario_from_file(path: str, seed: int) -> Scenario:
     with open(path) as fh:
         spec = json.load(fh)
-    frame = ObservationalFrame(
-        float(spec["frame"]["y_min"]),
-        float(spec["frame"]["y_max"]),
-        float(spec["frame"]["a_min"]),
-        float(spec["frame"]["a_max"]),
-    )
-    surveys = [
-        SurveyPlan(
-            year=int(s["year"]),
-            age_min=int(s["age_min"]),
-            age_max=int(s["age_max"]),
-            samples_per_age=int(s.get("samples_per_age", 10)),
-            start_month=int(s.get("start_month", 1)),
-            duration_months=int(s.get("duration_months", 4)),
+    if not isinstance(spec, dict):
+        raise ValueError(f"{path}: scenario must be a JSON object")
+    try:
+        frame = ObservationalFrame(*(float(spec["frame"][k]) for k in ("y_min", "y_max", "a_min", "a_max")))
+        surveys = [
+            SurveyPlan(
+                year=int(s["year"]),
+                age_min=int(s["age_min"]),
+                age_max=int(s["age_max"]),
+                samples_per_age=int(s.get("samples_per_age", 10)),
+                start_month=int(s.get("start_month", 1)),
+                duration_months=int(s.get("duration_months", 4)),
+            )
+            for s in spec["surveys"]
+        ]
+        lv = spec.get("initial_levels", {})
+        tr = spec.get("trends", {})
+        return affine_scenario(
+            frame,
+            surveys,
+            level_base=float(lv.get("base", 24.0)), per_slot=float(lv.get("per_slot", 0.0)),
+            trend_base=float(tr.get("base", 0.1)),
+            per_year=float(tr.get("per_year", 0.0)), per_age=float(tr.get("per_age", 0.0)),
+            noise_sd=float(spec.get("noise_sd", 0.0)),
+            seed=int(spec.get("seed", seed)),
+            label=spec.get("label", os.path.basename(path)),
         )
-        for s in spec["surveys"]
-    ]
-    lv = spec.get("initial_levels", {})
-    tr = spec.get("trends", {})
-    return affine_scenario(
-        frame,
-        surveys,
-        level_base=float(lv.get("base", 24.0)), per_slot=float(lv.get("per_slot", 0.0)),
-        trend_base=float(tr.get("base", 0.1)),
-        per_year=float(tr.get("per_year", 0.0)), per_age=float(tr.get("per_age", 0.0)),
-        noise_sd=float(spec.get("noise_sd", 0.0)),
-        seed=int(spec.get("seed", seed)),
-        label=spec.get("label", os.path.basename(path)),
-    )
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"{path}: malformed scenario ({type(err).__name__}: {err})") from None
 
 
 def cmd_simulate(args) -> int:
@@ -277,15 +292,20 @@ def cmd_report(args) -> int:
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-        result = manifest.get("result", {})
-        print(f"run {manifest.get('digest', '?')} (ctrend {manifest.get('tool', {}).get('version', '?')})")
-        print(f"  inputs:     {', '.join(manifest.get('inputs', []))}")
-        ref = manifest.get("references", {})
-        print(f"  references: trend {ref.get('trend_target')}, level {ref.get('level_target')}")
-        print(f"  status:     {'converged' if result.get('converged') else result.get('reason')}"
-              f" in {result.get('iterations')} iteration(s)")
-        print(f"  R^2:        {result.get('r2')}")
-        print(f"  weights:    trend {result.get('trend_weight')}, level {result.get('level_weight')}")
+        try:
+            result, ref = manifest.get("result", {}), manifest.get("references", {})
+            summary = (
+                f"run {manifest.get('digest', '?')} (ctrend {manifest.get('tool', {}).get('version', '?')})\n"
+                f"  inputs:     {', '.join(manifest.get('inputs', []))}\n"
+                f"  references: trend {ref.get('trend_target')}, level {ref.get('level_target')}\n"
+                f"  status:     {'converged' if result.get('converged') else result.get('reason')}"
+                f" in {result.get('iterations')} iteration(s)\n"
+                f"  R^2:        {result.get('r2')}\n"
+                f"  weights:    trend {result.get('trend_weight')}, level {result.get('level_weight')}"
+            )
+        except (AttributeError, TypeError) as err:
+            raise ValueError(f"{manifest_path}: malformed manifest ({type(err).__name__}: {err})") from None
+        print(summary)
         rendered = render_bundle_svgs(args.rundir)
         print(f"  regenerated {len(rendered)} figure(s)")
         return EXIT_OK

@@ -56,18 +56,17 @@ class AssemblyError(ValueError):
 def data_rows(cells, domain: AnalysisDomain):
     """Build the data block and its target vector.
 
-    Row order follows cell scan order.  Each row is the cell's cohort-path
-    operator row (:func:`~ctrend.grid.cohort_path_rows`, with the mean exam
-    date's within-cell offset) mapped to compact columns.
+    Row ``k`` is cell ``k`` of the :class:`~ctrend.ingest.CellTable`: the
+    cell's cohort-path operator row (:func:`~ctrend.grid.cohort_path_rows`,
+    with the mean exam date's within-cell offset) over compact columns.
 
     Returns
     -------
     (SparseRows, numpy.ndarray)
     """
     frame = domain.frame
-    ordered = sorted(cells, key=lambda s: s.cell)
-    ci, cj = np.array([(s.cell.i, s.cell.j) for s in ordered], dtype=np.int64).reshape(-1, 2).T
-    offsets = [s.offset(frame) for s in ordered]  # of the mean exam date
+    ci, cj = cells.i, cells.j
+    offsets = cells.y_mean - frame.year_of(ci)  # of the mean exam date
     compact = domain.full_to_compact()
     try:
         rows = cohort_path_rows(frame, ci, cj, offsets)
@@ -75,7 +74,7 @@ def data_rows(cells, domain: AnalysisDomain):
     except (OutOfFrameError, CohortPathError) as err:
         raise AssemblyError(str(err)) from None
     matrix = SparseRows(rows.data, compact[rows.indices], rows.indptr, domain.compact_size)
-    return matrix, np.array([s.x_mean for s in ordered], dtype=float)
+    return matrix, cells.x_mean.copy()
 
 
 def _second_differences(triples: np.ndarray, columns: int) -> SparseRows:
@@ -219,13 +218,8 @@ class DesignSystem:
         instead of treating aggregated cells as unit-weight observations
         (the default, which matches the aggregated formulation).
         """
-        ordered = sorted(cells, key=lambda s: s.cell)
-        matrix, target = data_rows(ordered, domain)
-        weights = (
-            np.array([float(s.n) for s in ordered])
-            if weight_by_count
-            else np.ones(len(ordered))
-        )
+        matrix, target = data_rows(cells, domain)
+        weights = cells.n.astype(float) if weight_by_count else np.ones(len(cells))
         trend_penalty = trend_curvature_rows(domain)
         level_penalty = level_curvature_rows(domain)
         order = domain.cohort_major()

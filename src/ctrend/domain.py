@@ -5,7 +5,8 @@ populated cell pulls in its whole cohort path back to the frame boundary,
 optionally cohorts carrying a single data cell are dropped, and internal
 gaps in rows and columns are filled so that the included cells form
 contiguous horizontal and vertical runs.  The boundary-level segment is the
-slot range spanned by the included cells.
+slot range spanned by the included cells.  The populated cells come in as a
+:class:`~ctrend.ingest.CellTable`; the included cells are a boolean ``mask``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ class AnalysisDomain:
     last_slot: int
     _compact: np.ndarray = field(init=False, repr=False, compare=False)
     _trend_compact: np.ndarray = field(init=False, repr=False, compare=False)
-    _trend_cells: tuple = field(init=False, repr=False, compare=False)
     _links: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -66,7 +66,6 @@ class AnalysisDomain:
         object.__setattr__(self, "_compact", compact)
         object.__setattr__(self, "_trend_compact", compact[self.frame.cohort_count :])
         ii, jj = np.nonzero(mask)  # row-major
-        object.__setattr__(self, "_trend_cells", tuple(map(CellIndex, ii.tolist(), jj.tolist())))
         slots = self.frame.cohort_slots(ii, jj)
         bad = np.flatnonzero((slots < self.first_slot) | (slots > self.last_slot))
         if bad.size:
@@ -90,20 +89,13 @@ class AnalysisDomain:
 
     @property
     def trend_count(self) -> int:
-        return len(self._trend_cells)
+        return int(np.count_nonzero(self.mask))
 
     @property
     def compact_size(self) -> int:
         return self.slot_count + self.trend_count
 
     # --- index maps ------------------------------------------------------------
-
-    def trend_cells(self) -> tuple:
-        """Included trend cells in row-major scan order."""
-        return self._trend_cells
-
-    def contains(self, cell: CellIndex) -> bool:
-        return bool(self.mask[cell.i, cell.j])
 
     def trend_index(self, cell: CellIndex) -> int:
         """Compact index of a trend cell, or -1 when excluded."""
@@ -195,11 +187,10 @@ class AnalysisDomain:
         return full[self.compact_to_full()]
 
     def filter_cells(self, cells):
-        """Split cell statistics into (inside domain, outside domain)."""
-        inside, outside = [], []
-        for stat in cells:
-            (inside if self.contains(stat.cell) else outside).append(stat)
-        return inside, outside
+        """Split a :class:`~ctrend.ingest.CellTable` into the cells inside
+        the domain and those outside it, each in scan order."""
+        inside = self.mask[cells.i, cells.j]
+        return cells.take(inside), cells.take(~inside)
 
     def summary(self) -> dict:
         return {
@@ -229,7 +220,7 @@ def build_domain(cells, frame: ObservationalFrame, mode: int = 1) -> AnalysisDom
 
     Parameters
     ----------
-    cells : iterable of CellStat
+    cells : CellTable
         Kept cells (already thresholded by the ingest step).
     frame : ObservationalFrame
     mode : {1, 2}
@@ -244,14 +235,13 @@ def build_domain(cells, frame: ObservationalFrame, mode: int = 1) -> AnalysisDom
     """
     if mode not in (1, 2):
         raise ValueError(f"domain mode must be 1 or 2, got {mode}")
-    data_cells = sorted({stat.cell for stat in cells})
-    if not data_cells:
+    if not len(cells):
         raise DomainError("no populated cells")
-    for cell in data_cells:
-        if cell.i >= frame.year_cells or cell.j >= frame.age_cells:
-            raise ValueError(f"data cell ({cell.i}, {cell.j}) outside the trend grid")
+    ci, cj = cells.i, cells.j
+    off = np.flatnonzero((ci >= frame.year_cells) | (cj >= frame.age_cells))
+    if off.size:
+        raise ValueError(f"data cell ({ci[off[0]]}, {cj[off[0]]}) outside the trend grid")
 
-    ci, cj = np.array([(c.i, c.j) for c in data_cells]).T
     if mode == 2:
         slots = frame.cohort_slots(ci, cj)
         shared = np.bincount(slots)[slots] >= 2

@@ -33,7 +33,9 @@ from ``birth_year`` where ``age`` is empty, a value field such as ``.``).
 The masks may reject a valid row but never accept one that ``_parse_row``
 rejects.  Record lists (``load_survey_file``, ``ingest_records``,
 ``aggregate``) go through the same columns, so there is one aggregator and
-one report builder.
+one report builder.  The cell means come out as one :class:`CellTable` of
+columns in scan order, which the domain, the design and the bundle read
+with no object per cell.
 """
 
 from __future__ import annotations
@@ -45,15 +47,15 @@ import io
 import itertools
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .grid import CellIndex, ObservationalFrame
+from .grid import ObservationalFrame
 
 __all__ = [
     "SurveyRecord",
-    "CellStat",
+    "CellTable",
     "FlaggedRow",
     "IngestResult",
     "derive_bmi",
@@ -84,19 +86,40 @@ class SurveyRecord:
     sex: str = ""
 
 
-@dataclass(frozen=True)
-class CellStat:
-    """Aggregated observations for one unit year-age cell."""
+@dataclass(frozen=True, eq=False)
+class CellTable:
+    """Aggregated unit year-age cells as columns, one row per cell.
 
-    cell: CellIndex
-    x_mean: float  # state-variable units
-    y_mean: float  # calendar years (absolute)
-    a_mean: float  # years (absolute)
-    n: int
+    Rows are in scan order: by year index ``i``, then age index ``j``, each
+    cell at most once, with non-negative indices.  The columns are read-only.
+    """
 
-    def offset(self, frame: ObservationalFrame) -> float:
-        """Within-cell year offset of the mean exam date, in [0, 1)."""
-        return self.y_mean - frame.year_of(self.cell.i)
+    i: np.ndarray  # relative year index
+    j: np.ndarray  # relative age index
+    x_mean: np.ndarray  # state-variable units
+    y_mean: np.ndarray  # calendar years (absolute)
+    a_mean: np.ndarray  # years (absolute)
+    n: np.ndarray  # records in the cell
+
+    def __post_init__(self):
+        for f, dtype in zip(fields(self), (np.int64, np.int64, float, float, float, np.int64)):
+            column = np.array(getattr(self, f.name), dtype=dtype)
+            column.setflags(write=False)
+            object.__setattr__(self, f.name, column)
+        if len({getattr(self, f.name).shape for f in fields(self)}) > 1:
+            raise ValueError("cell columns of unequal lengths")
+        if (self.i < 0).any() or (self.j < 0).any():
+            raise ValueError("cell indices must be non-negative")
+        step_i, step_j = np.diff(self.i), np.diff(self.j)
+        if not ((step_i > 0) | (step_i == 0) & (step_j > 0)).all():
+            raise ValueError("cells repeated or out of scan order")
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def take(self, rows) -> "CellTable":
+        """The cells at ``rows`` (indices or a boolean mask), in their order."""
+        return CellTable(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -139,9 +162,9 @@ class _Columns:
 @dataclass
 class IngestResult:
     frame: ObservationalFrame
-    cells: list  # kept CellStat, cell scan order
+    cells: CellTable  # kept cells
     flagged: list  # FlaggedRow
-    excluded_cells: list  # CellStat for cells with n <= threshold
+    excluded_cells: CellTable  # cells with n <= threshold
     surveys: list  # per-survey report rows, sorted by survey id
     n_records: int  # validated rows
     n_out_of_frame: int = 0
@@ -155,7 +178,7 @@ class IngestResult:
 
     @property
     def n_used(self) -> int:
-        return sum(c.n for c in self.cells)
+        return int(self.cells.n.sum())
 
     @property
     def n_flagged(self) -> int:
@@ -163,7 +186,7 @@ class IngestResult:
 
     @property
     def n_excluded(self) -> int:
-        return sum(c.n for c in self.excluded_cells) + self.n_out_of_frame
+        return int(self.excluded_cells.n.sum()) + self.n_out_of_frame
 
     def report(self) -> dict:
         """JSON-ready ingestion report; per-survey rows mirror the usual
@@ -180,7 +203,7 @@ class IngestResult:
                 "n_flagged_missing": sum(1 for f in self.flagged if f.missing_value),
                 "n_flagged_invalid": sum(1 for f in self.flagged if not f.missing_value),
                 "n_excluded": self.n_excluded,
-                "n_excluded_cell_records": sum(c.n for c in self.excluded_cells),
+                "n_excluded_cell_records": int(self.excluded_cells.n.sum()),
                 "n_out_of_frame": self.n_out_of_frame,
                 "n_cells_kept": len(self.cells),
                 "n_cells_excluded": len(self.excluded_cells),
@@ -547,8 +570,8 @@ def _frame(exam, age) -> ObservationalFrame:
 
 @dataclass
 class AggregationResult:
-    cells: list
-    excluded_cells: list
+    cells: CellTable
+    excluded_cells: CellTable
     n_out_of_frame: int = 0
 
 
@@ -565,24 +588,20 @@ def aggregate(records, frame: ObservationalFrame, cell_min_count: int = DEFAULT_
 
 def _aggregate(columns: _Columns, frame: ObservationalFrame, cell_min_count: int) -> AggregationResult:
     inside, i, j = frame.locate(columns.exam, columns.age)
-    y, a, x = columns.exam[inside], columns.age[inside], columns.value[inside]
     key = i * frame.age_cells + j
     order = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
     bounds = starts.tolist() + [len(order)]
-    x, y, a = x[order], y[order], a[order]
-    kept, dropped = [], []
-    for ci, cj, s, e in zip(i[order][starts].tolist(), j[order][starts].tolist(), bounds, bounds[1:]):
-        n = e - s
-        stat = CellStat(
-            cell=CellIndex(ci, cj),
-            x_mean=math.fsum(x[s:e].tolist()) / n,
-            y_mean=math.fsum(y[s:e].tolist()) / n,
-            a_mean=math.fsum(a[s:e].tolist()) / n,
-            n=n,
-        )
-        (dropped if n <= cell_min_count else kept).append(stat)
-    return AggregationResult(kept, dropped, int(np.count_nonzero(~inside)))
+    n = np.diff(bounds)
+
+    def means(values):
+        values = values[inside][order].tolist()
+        return np.array([math.fsum(values[s:e]) for s, e in zip(bounds, bounds[1:])]) / n
+
+    x, y, a = means(columns.value), means(columns.exam), means(columns.age)
+    cells = CellTable(i[order][starts], j[order][starts], x, y, a, n)
+    kept = n > cell_min_count
+    return AggregationResult(cells.take(kept), cells.take(~kept), int(np.count_nonzero(~inside)))
 
 
 def ingest_records(
@@ -609,7 +628,7 @@ def _ingest(
     if frame is None:
         frame = _frame(columns.exam, columns.age)
     agg = _aggregate(columns, frame, cell_min_count)
-    if not agg.cells:
+    if not len(agg.cells):
         raise ValueError(
             "no analyzable cells: every populated cell fell at or below "
             f"the count threshold {cell_min_count}"

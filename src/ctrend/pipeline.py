@@ -11,7 +11,7 @@ from . import __version__
 from .design import DesignSystem
 from .domain import build_domain
 from .inference import cluster_compare
-from .ingest import IngestResult
+from .ingest import CellTable, IngestResult
 from .iterate import IterationConfig, IterationResult, run
 from .report import manifest_digest
 
@@ -66,8 +66,8 @@ def _pick_track_slot(domain, birth_year: int | None):
 class _Prepared:
     """What a fit needs that does not depend on the reference pair."""
 
-    cells: list  # cells that entered the data block
-    dropped_cells: list  # in kept cells but outside the analysis domain
+    cells: CellTable  # cells that entered the data block
+    dropped_cells: CellTable  # in kept cells but outside the analysis domain
     system: DesignSystem
     track_slot: int
     ingest_report: dict

@@ -24,7 +24,6 @@ import os
 import numpy as np
 
 from . import plots
-from .grid import CellIndex
 
 __all__ = [
     "atomic_write_text",
@@ -157,15 +156,7 @@ def manifest_digest(payload: dict) -> str:
 
 
 def observed_columns(cells, frame):
-    ordered = sorted(cells, key=lambda s: s.cell)
-    ii = np.array([s.cell.i for s in ordered], dtype=np.int64)
-    jj = np.array([s.cell.j for s in ordered], dtype=np.int64)
-    return [
-        frame.year_of(ii),
-        frame.age_of(jj),
-        np.array([s.x_mean for s in ordered], dtype=float),
-        np.array([s.n for s in ordered], dtype=np.int64),
-    ]
+    return [frame.year_of(cells.i), frame.age_of(cells.j), cells.x_mean, cells.n]
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -279,11 +270,9 @@ def cohort_track_columns(run, levels, trends, trend_se):
     solution = run.solution
     frame = solution.frame
     ii, jj = frame.diagonal(run.track_slot)
-    track = [CellIndex(i, j) for i, j in zip(ii.tolist(), jj.tolist())]
-    mean = {s.cell: s.x_mean for s in run.cells}
-    row_weight = dict(zip(sorted(mean), run.system.data_row_weights.tolist()))  # rows in cell order
-    data = np.array([mean.get(cell, np.nan) for cell in track])
-    weight = np.array([row_weight.get(cell, np.nan) for cell in track])
+    grid = np.full((2, frame.year_cells, frame.age_cells), np.nan)  # data row k is cell k
+    grid[:, run.cells.i, run.cells.j] = run.cells.x_mean, run.system.data_row_weights
+    data, weight = grid[:, ii, jj]
     half = _finite(CI_FACTOR * np.sqrt(solution.sigma2 / weight))
     trend = _finite(trends[ii, jj])
     tse = _finite(trend_se[ii, jj])

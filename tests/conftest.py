@@ -1,24 +1,34 @@
 import ctypes
 import importlib
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from ctrend.domain import AnalysisDomain, build_domain
 from ctrend.grid import CellIndex, ObservationalFrame
-from ctrend.ingest import CellStat
+from ctrend.ingest import CellTable
 
 
 def make_cell(frame, i, j, x_mean, offset=0.0, n=1, a_off=0.0):
-    """CellStat at relative cell (i, j) with a chosen within-cell year offset."""
-    return CellStat(
-        cell=CellIndex(i, j),
-        x_mean=x_mean,
-        y_mean=frame.year_base + i + offset,
-        a_mean=frame.age_base + j + a_off,
-        n=n,
+    """One-row CellTable at relative cell (i, j) with a chosen within-cell year offset."""
+    return CellTable(
+        i=[i],
+        j=[j],
+        x_mean=[x_mean],
+        y_mean=[frame.year_base + i + offset],
+        a_mean=[frame.age_base + j + a_off],
+        n=[n],
     )
+
+
+def cell_table(tables):
+    """The rows of several CellTables (such as ``make_cell``'s) as one table,
+    sorted into scan order."""
+    columns = [np.concatenate([[], *(getattr(t, f.name) for t in tables)]) for f in fields(CellTable)]
+    order = np.lexsort((columns[1], columns[0]))
+    return CellTable(*(column[order] for column in columns))
 
 
 @pytest.fixture
@@ -40,11 +50,11 @@ def full_grid():
     """Fully covered 4x4 trend grid: one data cell everywhere."""
     frame = ObservationalFrame.from_integer_bounds(0, 3, 0, 3)
     rng = np.random.default_rng(42)
-    cells = [
+    cells = cell_table([
         make_cell(frame, i, j, x_mean=float(rng.normal(25, 1)), offset=float(rng.uniform(0, 0.95)))
         for i in range(frame.year_cells)
         for j in range(frame.age_cells)
-    ]
+    ])
     domain = build_domain(cells, frame, mode=1)
     return frame, cells, domain
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 
 import pytest
 
@@ -66,6 +67,25 @@ class TestSimulate:
                                                  "age_max": 35}]}))
         out = tmp_path / "sim.csv"
         assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ([1], "must be a JSON object"),
+            ({"frame": None, "surveys": []}, "NoneType"),
+            ({"frame": {"y_min": 2000, "y_max": 2002, "a_min": 30, "a_max": 32}, "surveys": 5},
+             "not iterable"),
+        ],
+        ids=["list", "null frame", "number surveys"],
+    )
+    def test_malformed_scenario_structure(self, tmp_path, capsys, spec, message):
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(spec))
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scen}: ") and message in err
+        assert not out.exists()
 
 
 class TestFit:
@@ -212,6 +232,36 @@ class TestFit:
         assert main(["fit", data_file, "--config", str(config),
                      "--out", str(tmp_path / "run")]) == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "entry, kind",
+        [
+            ({"max_iter": "ten"}, "an integer"),
+            ({"age_window": "5"}, "an integer"),
+            ({"trend_target": "0.9"}, "a number"),
+            ({"cohort_birth_year": "1950"}, "an integer or null"),
+            ({"cell_min_count": None}, "an integer"),
+            ({"weight_by_count": "no"}, "a boolean"),
+            ({"max_iter": True}, "an integer"),
+            ({"level_target": False}, "a number"),
+        ],
+    )
+    def test_mistyped_config_entry(self, data_file, tmp_path, capsys, entry, kind):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(entry))
+        outdir = tmp_path / "run"
+        assert main(["fit", data_file, "--config", str(config), "--out", str(outdir)]) == EXIT_INPUT
+        (key, value), = entry.items()
+        assert f"{config}: config entry {key!r} must be {kind}, got {json.dumps(value)}" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_config_types_cover_every_option(self, data_file, tmp_path):
+        assert {f.type for f in fields(pipeline.FitOptions)} <= set(cli._CONFIG_TYPES)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"trend_target": 1, "level_target": 0.7, "max_iter": 100,
+                                      "weight_by_count": False, "cohort_birth_year": None}))
+        assert main(["fit", data_file, "--config", str(config), "--cell-min-count", "0",
+                     "--trend-target", "0.85", "--out", str(tmp_path / "run")]) == EXIT_OK
+
     @pytest.mark.parametrize("pairs", [[], ["--pair", "0.7:0.9", "--pair", "0.7:0.85"]])
     def test_undefined_r2_is_reported(self, pairs, tmp_path, capsys):
         # The stationary preset's cell means have no variance, so R^2 is undefined.
@@ -351,6 +401,15 @@ class TestReport:
 
     def test_report_missing_dir(self, tmp_path):
         assert main(["report", str(tmp_path / "nothing")]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("manifest", [[1], {"digest": "0", "result": []}], ids=["list", "list result"])
+    def test_report_malformed_manifest(self, tmp_path, capsys, manifest):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["report", str(tmp_path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: malformed manifest")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("table", ["trends.csv", "levels.csv"])
     def test_report_damaged_table(self, data_file, tmp_path, capsys, table):

@@ -18,7 +18,7 @@ from ctrend.domain import AnalysisDomain, build_domain
 from ctrend.grid import CellIndex, ModelVector, ObservationalFrame, predict_observation
 from ctrend.report import _domain_boundary
 
-from conftest import make_cell
+from conftest import cell_table, make_cell
 
 
 def full_domain(y_span, a_span):
@@ -31,7 +31,7 @@ class TestDataRows:
     def test_corner_cell_row(self):
         frame, domain = full_domain(3, 3)
         cell = make_cell(frame, 0, 0, x_mean=25.0, offset=0.4)
-        matrix, target = data_rows([cell], domain)
+        matrix, target = data_rows(cell, domain)
         row = matrix.toarray()[0]
         slot_col = domain.slot_index(frame.cohort_slot(CellIndex(0, 0)))
         assert row[slot_col] == 1.0
@@ -42,7 +42,7 @@ class TestDataRows:
     def test_deep_cell_row_with_structural_zero(self):
         frame, domain = full_domain(3, 3)
         cell = make_cell(frame, 2, 2, x_mean=26.0, offset=0.0)
-        matrix, _ = data_rows([cell], domain)
+        matrix, _ = data_rows(cell, domain)
         row = matrix.toarray()[0]
         assert row[domain.slot_index(frame.cohort_slot(CellIndex(2, 2)))] == 1.0
         assert row[domain.trend_index(CellIndex(0, 0))] == 1.0
@@ -54,16 +54,16 @@ class TestDataRows:
     def test_row_sum_is_one_plus_depth(self):
         frame, domain = full_domain(4, 4)
         rng = np.random.default_rng(8)
-        cells = [
+        cells = cell_table([
             make_cell(frame, i, j, x_mean=25.0, offset=float(rng.uniform(0, 0.99)))
             for i in range(frame.year_cells)
             for j in range(frame.age_cells)
-        ]
+        ])
         matrix, _ = data_rows(cells, domain)
         dense = matrix.toarray()
-        for row, stat in zip(dense, sorted(cells, key=lambda s: s.cell)):
-            depth = min(stat.cell.i, stat.cell.j)
-            offset = stat.offset(frame)
+        for row, i, j, y_mean in zip(dense, cells.i, cells.j, cells.y_mean):
+            depth = min(i, j)
+            offset = y_mean - frame.year_of(i)
             assert 0.0 <= offset < 1.0
             assert row.sum() == pytest.approx(1 + depth + offset, abs=1e-12)
             unit_part = row.sum() - offset
@@ -73,32 +73,34 @@ class TestDataRows:
         frame, full = full_domain(4, 5)
         rng = np.random.default_rng(3)
         # keep the last year row empty: data there would need offset 0
-        cells = [
+        cells = cell_table([
             make_cell(frame, i, j, x_mean=25.0, offset=float(rng.uniform(0, 0.99)))
             for i in range(frame.year_cells - 1)
             for j in range(frame.age_cells)
-        ]
+        ])
         # second input: three cells whose domain has holes beside their paths
-        picked = [c for c in cells if (c.cell.i, c.cell.j) in {(1, 4), (3, 2), (3, 5)}]
+        picked = cells.take([
+            k for k, ij in enumerate(zip(cells.i.tolist(), cells.j.tolist()))
+            if ij in {(1, 4), (3, 2), (3, 5)}
+        ])
         gappy = build_domain(picked, frame)
         assert not gappy.mask[:-1].all()
         for domain, data in ((full, cells), (gappy, picked)):
             matrix, _ = data_rows(data, domain)
-            ordered = sorted(data, key=lambda s: s.cell)
             for _ in range(100):
                 z_full = rng.normal(size=frame.param_count)
                 model = ModelVector.from_flat(frame, z_full)
                 z_compact = domain.gather(z_full)
                 predicted = matrix @ z_compact
-                for k, stat in enumerate(ordered):
-                    direct = predict_observation(model, stat.y_mean, stat.a_mean, domain=domain)
+                for k, (y_mean, a_mean) in enumerate(zip(data.y_mean, data.a_mean)):
+                    direct = predict_observation(model, y_mean, a_mean, domain=domain)
                     assert predicted[k] == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
     def test_cell_outside_domain_rejected(self, simple_domain):
         domain, frame = simple_domain
         orphan = make_cell(frame, 1, 0, x_mean=25.0)
         with pytest.raises(AssemblyError, match=r"\(1, 0\)"):
-            data_rows([orphan], domain)
+            data_rows(orphan, domain)
 
 
 class TestTrendCurvature:
@@ -211,7 +213,7 @@ class TestStack:
     def build_system(self, seed=0):
         frame, domain = full_domain(3, 3)
         rng = np.random.default_rng(seed)
-        cells = [
+        cells = cell_table([
             make_cell(
                 frame, i, j,
                 x_mean=float(rng.normal(25, 1)),
@@ -219,7 +221,7 @@ class TestStack:
             )
             for i in range(frame.year_cells)
             for j in range(frame.age_cells)
-        ]
+        ])
         return DesignSystem.build(cells, domain), domain
 
     def test_zero_weights_reduce_to_data_misfit(self):
@@ -263,12 +265,12 @@ class TestStack:
 
     def test_weight_by_count(self):
         frame, domain = full_domain(2, 2)
-        cells = [
+        cells = cell_table([
             make_cell(frame, i, j, x_mean=25.0, offset=0.3, n=(i + 2 * j + 1))
             for i in range(frame.year_cells)
             for j in range(frame.age_cells)
-        ]
+        ])
         system = DesignSystem.build(cells, domain, weight_by_count=True)
         assert sorted(system.data_row_weights) == sorted(
-            float(c.n) for c in cells
+            float(n) for n in cells.n
         )

@@ -6,7 +6,7 @@ import pytest
 from ctrend.domain import AnalysisDomain, DomainError, build_domain
 from ctrend.grid import CellIndex, ObservationalFrame
 
-from conftest import make_cell
+from conftest import cell_table, make_cell
 
 
 def frame66():
@@ -15,7 +15,12 @@ def frame66():
 
 def cells_at(frame, coords, values=None):
     values = values or [25.0] * len(coords)
-    return [make_cell(frame, i, j, x) for (i, j), x in zip(coords, values)]
+    return cell_table([make_cell(frame, i, j, x) for (i, j), x in zip(coords, values)])
+
+
+def included(domain):
+    """The (i, j) of every included trend cell."""
+    return set(zip(*(axis.tolist() for axis in np.nonzero(domain.mask))))
 
 
 def gap_fill_oracle(mask):
@@ -39,14 +44,13 @@ class TestCohortSegments:
     def test_single_cell_pulls_its_path(self):
         frame = frame66()
         domain = build_domain(cells_at(frame, [(2, 3)]), frame)
-        included = {(c.i, c.j) for c in domain.trend_cells()}
-        assert included == {(2, 3), (1, 2), (0, 1)}
+        assert included(domain) == {(2, 3), (1, 2), (0, 1)}
         assert domain.first_slot == domain.last_slot == frame.cohort_slot(CellIndex(2, 3))
 
     def test_boundary_cell_is_its_own_segment(self):
         frame = frame66()
         domain = build_domain(cells_at(frame, [(0, 4)]), frame)
-        assert {(c.i, c.j) for c in domain.trend_cells()} == {(0, 4)}
+        assert included(domain) == {(0, 4)}
 
     def test_every_data_cell_path_included(self):
         frame = frame66()
@@ -62,9 +66,8 @@ class TestSelectionModes:
         frame = frame66()
         # (1, 1) and (3, 3) share a cohort; (0, 3) is alone on its own
         domain = build_domain(cells_at(frame, [(1, 1), (3, 3), (0, 3)]), frame, mode=2)
-        included = {(c.i, c.j) for c in domain.trend_cells()}
-        assert (0, 3) not in included
-        assert {(0, 0), (1, 1), (2, 2), (3, 3)} <= included
+        assert (0, 3) not in included(domain)
+        assert {(0, 0), (1, 1), (2, 2), (3, 3)} <= included(domain)
 
     def test_mode2_drops_single_point_cohorts(self):
         frame = frame66()
@@ -136,7 +139,7 @@ class TestSlotSegment:
         rng = np.random.default_rng(2)
         coords = sorted({(int(rng.integers(0, 6)), int(rng.integers(0, 6))) for _ in range(6)})
         domain = build_domain(cells_at(frame, coords), frame)
-        slots = [frame.cohort_slot(c) for c in domain.trend_cells()]
+        slots = frame.cohort_slots(*np.nonzero(domain.mask))
         assert domain.first_slot == min(slots)
         assert domain.last_slot == max(slots)
         for s in slots:
@@ -171,3 +174,27 @@ class TestCompactMaps:
         rng = np.random.default_rng(0)
         compact = rng.normal(size=domain.compact_size)
         assert np.array_equal(domain.gather(domain.scatter(compact)), compact)
+
+
+class TestFilterCells:
+    def test_split_is_disjoint_and_complete(self, simple_domain):
+        domain, frame = simple_domain
+        coords = [(i, j) for i in range(frame.year_cells) for j in range(frame.age_cells)]
+        cells = cells_at(frame, coords, [float(k) for k in range(len(coords))])
+        inside, outside = domain.filter_cells(cells)
+        assert len(inside) + len(outside) == len(cells)
+        assert set(zip(inside.i.tolist(), inside.j.tolist())) == included(domain)
+        assert not domain.mask[outside.i, outside.j].any()
+        # every cell lands in one part with its own values, each part in scan order
+        parts = np.concatenate([inside.x_mean, outside.x_mean])
+        assert sorted(parts.tolist()) == cells.x_mean.tolist()
+        for part in (inside, outside):
+            keys = part.i * frame.age_cells + part.j
+            assert np.array_equal(part.x_mean, cells.x_mean[keys])
+
+    def test_empty_parts_are_tables(self, simple_domain):
+        domain, frame = simple_domain
+        cells = cells_at(frame, [(0, 0), (2, 2)])
+        inside, outside = domain.filter_cells(cells)
+        assert (len(inside), len(outside)) == (2, 0)
+        assert outside.i.dtype == np.int64 and outside.x_mean.dtype == float

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_cell
+from conftest import cell_table, make_cell
 from ctrend.domain import DomainError, build_domain
 from ctrend.grid import (
     CellIndex,
@@ -242,7 +242,8 @@ class TestForwardLevels:
             )
         )
         try:
-            domain = build_domain([make_cell(frame, i, j, 25.0) for i, j in picks], frame, mode)
+            cells = cell_table([make_cell(frame, i, j, 25.0) for i, j in set(picks)])
+            domain = build_domain(cells, frame, mode)
         except DomainError:
             assume(False)
         rng = np.random.default_rng(seed)

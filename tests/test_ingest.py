@@ -7,8 +7,10 @@ import math
 import os
 import random
 import threading
+from dataclasses import fields
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from ctrend import ingest
 from ctrend.grid import CellIndex, ObservationalFrame
 from ctrend.ingest import (
+    CellTable,
     FlaggedRow,
     SurveyRecord,
     _aggregate,
@@ -38,6 +41,11 @@ def rec(exam, age, bmi=None, weight=None, height=None, survey="S1", sid="x"):
         subject_id=sid, survey_id=survey, exam_date=exam, age=age,
         weight=weight, height=height, bmi=bmi,
     )
+
+
+def column_bytes(table):
+    """Each column of a CellTable as bytes, to compare tables bit for bit."""
+    return [getattr(table, f.name).tobytes() for f in fields(CellTable)]
 
 
 class TestDeriveBmi:
@@ -110,17 +118,17 @@ class TestAggregate:
         frame = self.frame()
         records = [rec(2000.5, 31, bmi=v, sid=str(k)) for k, v in enumerate((24.0, 25.0, 26.0))]
         result = aggregate(records, frame, cell_min_count=0)
-        assert len(result.cells) == 1
-        stat = result.cells[0]
-        assert stat.x_mean == 25.0
-        assert stat.n == 3
-        assert stat.cell == frame.cell_of(2000.5, 31)
+        cells = result.cells
+        assert len(cells) == 1
+        assert cells.x_mean[0] == 25.0
+        assert cells.n[0] == 3
+        assert CellIndex(cells.i[0], cells.j[0]) == frame.cell_of(2000.5, 31)
 
     def test_threshold_is_strict(self):
         frame = self.frame()
         five = [rec(2000.5, 31, bmi=24.0, sid=str(k)) for k in range(5)]
         six = five + [rec(2000.5, 31, bmi=24.0, sid="5")]
-        assert aggregate(five, frame, cell_min_count=5).cells == []
+        assert len(aggregate(five, frame, cell_min_count=5).cells) == 0
         assert len(aggregate(six, frame, cell_min_count=5).cells) == 1
 
     def test_permutation_invariance_exact(self):
@@ -131,11 +139,11 @@ class TestAggregate:
                 survey=f"S{rng.randrange(3)}", sid=str(k))
             for k in range(300)
         ]
-        base = aggregate(records, frame, cell_min_count=0).cells
+        base = column_bytes(aggregate(records, frame, cell_min_count=0).cells)
         for trial in range(3):
             shuffled = records[:]
             rng.shuffle(shuffled)
-            again = aggregate(shuffled, frame, cell_min_count=0).cells
+            again = column_bytes(aggregate(shuffled, frame, cell_min_count=0).cells)
             assert again == base  # exact equality, including float bits
 
     def test_means_stay_in_own_cell(self):
@@ -145,8 +153,9 @@ class TestAggregate:
             rec(2000 + rng.random() * 3.99, 30 + rng.random() * 3.99, bmi=25.0, sid=str(k))
             for k in range(200)
         ]
-        for stat in aggregate(records, frame, cell_min_count=0).cells:
-            assert frame.cell_of(stat.y_mean, stat.a_mean) == stat.cell
+        cells = aggregate(records, frame, cell_min_count=0).cells
+        for i, j, y_mean, a_mean in zip(cells.i, cells.j, cells.y_mean, cells.a_mean):
+            assert frame.cell_of(y_mean, a_mean) == CellIndex(i, j)
 
     def test_conservation(self):
         frame = self.frame()
@@ -159,9 +168,51 @@ class TestAggregate:
         # push a few records outside the frame
         records += [rec(2010.5, 31, bmi=24.0, sid="of1"), rec(2001.5, 60, bmi=24.0, sid="of2")]
         result = aggregate(records, frame, cell_min_count=2)
-        used = sum(c.n for c in result.cells)
-        dropped = sum(c.n for c in result.excluded_cells)
+        used = result.cells.n.sum()
+        dropped = result.excluded_cells.n.sum()
         assert used + dropped + result.n_out_of_frame == len(records)
+
+
+class TestCellTable:
+    def table(self, i, j):
+        n = len(i)
+        return CellTable(i, j, [25.0] * n, [2000.5] * n, [30.5] * n, [6] * n)
+
+    def test_columns_in_scan_order(self):
+        cells = self.table([0, 0, 1, 3], [2, 4, 0, 1])
+        assert len(cells) == 4
+        assert cells.i.dtype == cells.n.dtype == np.int64 and cells.x_mean.dtype == float
+        with pytest.raises(ValueError, match="read-only"):
+            cells.x_mean[0] = 1.0
+
+    def test_rejects_unequal_columns(self):
+        with pytest.raises(ValueError, match="unequal lengths"):
+            CellTable([0, 1], [0, 0], [25.0], [2000.5, 2001.5], [30.5, 30.5], [6, 6])
+
+    @pytest.mark.parametrize("i, j", [([-1, 0], [3, 0]), ([0, 1], [-2, 0])])
+    def test_rejects_negative_indices(self, i, j):
+        with pytest.raises(ValueError, match="non-negative"):
+            self.table(i, j)
+
+    @pytest.mark.parametrize(
+        "i, j",
+        [([0, 0], [1, 1]), ([2, 0, 2], [0, 3, 0]), ([0, 0], [2, 1]), ([1, 0], [0, 5])],
+        ids=["repeated", "repeated apart", "age out of order", "year out of order"],
+    )
+    def test_rejects_repeated_and_unordered_cells(self, i, j):
+        with pytest.raises(ValueError, match="repeated or out of scan order"):
+            self.table(i, j)
+
+    def test_take_keeps_row_order(self):
+        cells = CellTable([0, 0, 1, 2], [1, 3, 0, 0], [1.0, 2.0, 3.0, 4.0], [2000.5] * 4, [30.5] * 4, [6, 7, 8, 9])
+        picked = cells.take([0, 2, 3])
+        assert (picked.i.tolist(), picked.j.tolist()) == ([0, 1, 2], [1, 0, 0])
+        assert (picked.x_mean.tolist(), picked.n.tolist()) == ([1.0, 3.0, 4.0], [6, 8, 9])
+        masked = cells.take(np.array([False, True, False, True]))
+        assert (masked.x_mean.tolist(), masked.n.tolist()) == ([2.0, 4.0], [7, 9])
+        assert len(cells.take([])) == 0
+        with pytest.raises(ValueError, match="scan order"):
+            cells.take([2, 0])  # rows out of scan order make no table
 
 
 class TestFileIngestion:
@@ -237,7 +288,7 @@ class TestFileIngestion:
         bom = tmp_path / "bom.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
         a, b = ingest_file(str(plain), cell_min_count=0), ingest_file(str(bom), cell_min_count=0)
-        assert a.cells == b.cells and len(a.cells) == 1
+        assert column_bytes(a.cells) == column_bytes(b.cells) and len(a.cells) == 1
         assert a.flagged == b.flagged == []
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
@@ -262,7 +313,8 @@ class TestFileIngestion:
             writer.join(timeout=10)
         assert not writer.is_alive()
         plain = ingest_file(path, cell_min_count=0)
-        assert (piped.cells, piped.flagged, piped.sha256) == (plain.cells, plain.flagged, plain.sha256)
+        assert column_bytes(piped.cells) == column_bytes(plain.cells)
+        assert (piped.flagged, piped.sha256) == (plain.flagged, plain.sha256)
 
     def test_semicolon_delimiter(self, tmp_path):
         path = self.write(tmp_path, "survey;exam_date;age;bmi\nS1;2000.5;30;24.0\n")
@@ -470,10 +522,10 @@ class TestColumnarParse:
         bulk = list(zip(*(col.tolist() for col in (columns.survey, columns.exam, columns.age, columns.value))))
         assert [tuple(map(_bits, r)) for r in bulk] == [tuple(map(_bits, r)) for r in used]
         cells = _aggregate(columns, _TEST_FRAME, cell_min_count=0).cells
-        got = [(c.cell, c.x_mean, c.y_mean, c.a_mean, c.n) for c in cells]
-        assert [tuple(map(_bits, c)) for c in got] == [
-            tuple(map(_bits, c)) for c in _reference_cells(used, _TEST_FRAME)
-        ]
+        where, *expected = list(zip(*_reference_cells(used, _TEST_FRAME))) or [()] * 5
+        assert list(zip(cells.i.tolist(), cells.j.tolist())) == [(c.i, c.j) for c in where]
+        for got, column in zip((cells.x_mean, cells.y_mean, cells.a_mean, cells.n), expected):
+            assert [_bits(x) for x in got.tolist()] == [_bits(x) for x in column]
 
     @settings(max_examples=300, deadline=None)
     @given(_block_files())

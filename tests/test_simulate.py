@@ -75,8 +75,8 @@ class TestNoiseModel:
         records = simulate(scenario)
         result = aggregate(records, scenario.frame, cell_min_count=0)
         bound = 3 * 3.0 / math.sqrt(30)
-        for stat in result.cells:
-            assert abs(stat.x_mean - 25.0) < bound
+        for x_mean in result.cells.x_mean:
+            assert abs(x_mean - 25.0) < bound
 
     @pytest.mark.parametrize("n", [10, 100, 1000])
     def test_cell_mean_consistency_rate(self, n):
@@ -92,9 +92,9 @@ class TestNoiseModel:
         records = simulate(scenario)
         model = scenario.model()
         cells = aggregate(records, frame, cell_min_count=0).cells
-        for stat in cells:
-            predicted = predict_observation(model, stat.y_mean, stat.a_mean)
-            assert abs(stat.x_mean - predicted) < 4 * 2.0 / math.sqrt(n)
+        for x_mean, y_mean, a_mean in zip(cells.x_mean, cells.y_mean, cells.a_mean):
+            predicted = predict_observation(model, y_mean, a_mean)
+            assert abs(x_mean - predicted) < 4 * 2.0 / math.sqrt(n)
 
     def test_weight_height_consistent_with_value(self):
         for rec in simulate(stationary_scenario(seed=2, noise_sd=1.0))[::53]:

@@ -31,7 +31,7 @@ from ctrend.solve import (
     solve,
 )
 
-from conftest import make_cell
+from conftest import cell_table, make_cell
 
 solve_module = importlib.import_module("ctrend.solve")  # the package exports a function of that name
 
@@ -95,7 +95,7 @@ class TestSolve:
 
     def test_underdetermined_raises(self):
         frame = ObservationalFrame.from_integer_bounds(0, 3, 0, 3)
-        cells = [make_cell(frame, 2, 3, 25.0, offset=0.5)]
+        cells = make_cell(frame, 2, 3, 25.0, offset=0.5)
         domain = build_domain(cells, frame)
         system = DesignSystem.build(cells, domain)
         with pytest.raises(SingularSystemError, match="straight line"):
@@ -313,7 +313,7 @@ def random_design(shape, data, generic=False):
     slots = frame.year_cells - ii + jj
     domain = AnalysisDomain(frame, mask, int(slots.min()), int(slots.max()))
     # Data on every cell whose cohort path stays inside the domain.
-    cells = [
+    cells = cell_table([
         make_cell(frame, i, j, x_mean=float(25 + i - j), offset=0.3)
         if not generic
         else make_cell(
@@ -321,7 +321,7 @@ def random_design(shape, data, generic=False):
         )
         for i, j in zip(ii, jj)
         if all(mask[i - m, j - m] for m in range(1, min(i, j) + 1))
-    ]
+    ])
     return DesignSystem.build(cells, domain)
 
 
