@@ -228,11 +228,30 @@ def cmd_fit(args) -> int:
         return EXIT_INPUT
 
 
+# The keys a scenario file may hold, at its top level and in each section.
+_SCENARIO_KEYS = {
+    "": {"frame", "surveys", "initial_levels", "trends", "noise_sd", "seed", "label"},
+    "frame": {"y_min", "y_max", "a_min", "a_max"},
+    "surveys": {"year", "age_min", "age_max", "samples_per_age", "start_month", "duration_months"},
+    "initial_levels": {"base", "per_slot"},
+    "trends": {"base", "per_year", "per_age"},
+}
+
+
 def _scenario_from_file(path: str, seed: int) -> Scenario:
     with open(path) as fh:
         spec = json.load(fh)
     if not isinstance(spec, dict):
         raise ValueError(f"{path}: scenario must be a JSON object")
+    # A misspelt key would otherwise leave its field at the default.
+    sections = [("", "", spec)]
+    sections += [(name, f"{name}.", spec.get(name)) for name in ("frame", "initial_levels", "trends")]
+    if isinstance(spec.get("surveys"), list):
+        sections += [("surveys", f"surveys[{k}].", s) for k, s in enumerate(spec["surveys"])]
+    unknown = [prefix + key for name, prefix, section in sections if isinstance(section, dict)
+               for key in section if key not in _SCENARIO_KEYS[name]]
+    if unknown:
+        raise ValueError(f"{path}: unknown scenario keys {unknown}")
     try:
         frame = ObservationalFrame(*(float(spec["frame"][k]) for k in ("y_min", "y_max", "a_min", "a_max")))
         surveys = [

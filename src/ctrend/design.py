@@ -1,7 +1,8 @@
 """Assembly of the stacked least-squares system.
 
-Three row blocks over the compact parameter vector (boundary slots first,
-then included trend cells in scan order):
+Three row blocks over the compact parameter vector (cohort-major: each
+boundary slot, then its cohort's included trend cells in year order;
+:class:`~ctrend.domain.AnalysisDomain`):
 
 * data rows: one per aggregated cell, the cell's cohort-path operator row
   (:func:`ctrend.grid.cohort_path_rows`) over compact columns: its cohort's
@@ -17,7 +18,8 @@ problem on the stacked matrix.  Its normal matrix is
 ``G0 + w1 G1 + w2 G2``, with the Gram matrices ``G0 = X0^T W X0``,
 ``G1 = B1^T B1`` and ``G2 = B2^T B2`` of the three blocks; only the two
 smoothing weights change between iterations, so :class:`DesignSystem`
-computes the bands of the Gram matrices once.  The blocks are
+computes the bands of the Gram matrices once; the compact order keeps
+them banded, with a compact index as the banded position.  The blocks are
 :class:`~ctrend.grid.SparseRows`.
 """
 
@@ -110,36 +112,35 @@ def level_curvature_rows(domain: AnalysisDomain) -> SparseRows:
     return _second_differences(domain.slot_runs(3), domain.compact_size)
 
 
-def _half_bandwidth(position: np.ndarray, blocks, pairs: np.ndarray) -> int:
-    """Half-bandwidth, with compact index ``i`` at ``position[i]``, of the
-    normal matrix of the row ``blocks``, widened to hold ``pairs``.
+def _half_bandwidth(blocks, pairs: np.ndarray) -> int:
+    """Half-bandwidth of the normal matrix of the row ``blocks``, widened
+    to hold ``pairs``.
 
     Two columns meet in the normal matrix when they share a row, so the
-    widest span of positions within a row bounds it.  The adjacent pairs
+    widest span of columns within a row bounds it.  The adjacent pairs
     are added because the correlation loop reads their covariances, which
     the selected inverse gives only within the band.
     """
-    spans = [np.abs(np.diff(position[pairs], axis=1)).ravel()]
+    spans = [np.abs(np.diff(pairs, axis=1)).ravel()]
     for rows in blocks:
         hi = np.full(rows.shape[0], -1)
-        lo = np.full(rows.shape[0], position.size)
-        np.maximum.at(hi, rows.entry_rows, position[rows.indices])
-        np.minimum.at(lo, rows.entry_rows, position[rows.indices])
+        lo = np.full(rows.shape[0], rows.shape[1])
+        np.maximum.at(hi, rows.entry_rows, rows.indices)
+        np.minimum.at(lo, rows.entry_rows, rows.indices)
         spans.append((hi - lo)[hi >= 0])
     return int(np.concatenate(spans).max(initial=0))
 
 
-def lower_band(matrix, position: np.ndarray, bandwidth: int) -> np.ndarray:
+def lower_band(matrix, bandwidth: int) -> np.ndarray:
     """The lower band of the symmetric ``matrix`` (a ``scipy.sparse``
     matrix) in LAPACK lower band storage.
 
-    Compact index ``i`` moves to banded position ``position[i]``; entry
-    ``[r - c, c]`` of the result holds the matrix at positions ``(r, c)``,
+    Entry ``[r - c, c]`` of the result holds the matrix at ``(r, c)``,
     ``r >= c``.  Every nonzero must lie within ``bandwidth`` of the diagonal.
     """
     entries = matrix.tocoo()
     entries.sum_duplicates()
-    r, c = position[entries.row], position[entries.col]
+    r, c = entries.row, entries.col
     lower = r >= c
     band = np.zeros((bandwidth + 1, matrix.shape[0]))
     band[r[lower] - c[lower], c[lower]] = entries.data[lower]
@@ -151,16 +152,15 @@ def lower_band(matrix, position: np.ndarray, bandwidth: int) -> np.ndarray:
 GRAM_CHUNK = 4096
 
 
-def _add_gram_band(band: np.ndarray, rows: SparseRows, position: np.ndarray, weights=None) -> None:
+def _add_gram_band(band: np.ndarray, rows: SparseRows, weights=None) -> None:
     """Add the lower band of ``rows^T diag(weights) rows`` to ``band``.
 
-    ``band`` is column-major in LAPACK lower band storage, with compact
-    index ``i`` at position ``position[i]`` (:func:`lower_band`).  Each row
-    adds the products of its entry pairs, one per pair on or below the
-    diagonal.  The rows go in order, a chunk of about ``GRAM_CHUNK``
-    products at a time, and ``np.add.at`` adds in index order, so each
-    band entry sums its terms in row order, as a sparse product
-    ``rows^T @ rows`` does.
+    ``band`` is column-major in LAPACK lower band storage
+    (:func:`lower_band`).  Each row adds the products of its entry pairs,
+    one per pair on or below the diagonal.  The rows go in order, a chunk
+    of about ``GRAM_CHUNK`` products at a time, and ``np.add.at`` adds in
+    index order, so each band entry sums its terms in row order, as a
+    sparse product ``rows^T @ rows`` does.
     """
     lengths = np.diff(rows.indptr)
     pairs = lengths * (lengths + 1) // 2  # per row, pairs (a, b) of its entries with b <= a
@@ -178,7 +178,7 @@ def _add_gram_band(band: np.ndarray, rows: SparseRows, position: np.ndarray, wei
         a = ((np.sqrt(8.0 * t + 1.0) - 1.0) // 2).astype(np.int64)  # t = a (a + 1) / 2 + b
         b = t - a * (a + 1) // 2
         ea, eb = rows.indptr[row] + a, rows.indptr[row] + b
-        pa, pb = position[rows.indices[ea]], position[rows.indices[eb]]
+        pa, pb = rows.indices[ea], rows.indices[eb]
         lo = np.minimum(pa, pb)
         right = rows.data[eb] if weights is None else rows.data[eb] * weights[row]
         values = rows.data[ea] * right
@@ -192,9 +192,9 @@ class DesignSystem:
     weight-independent parts of the normal equations.
 
     ``bands`` holds the lower bands of the Gram matrices ``(G0, G1, G2)``
-    in cohort-major order (shape ``(3, bandwidth + 1, p)``, each band
-    column-major), so the band of the normal matrix at weights
-    ``(w1, w2)`` is ``bands[0] + w1 bands[1] + w2 bands[2]``.
+    (shape ``(3, bandwidth + 1, p)``, each band column-major), so the band
+    of the normal matrix at weights ``(w1, w2)`` is
+    ``bands[0] + w1 bands[1] + w2 bands[2]``.
     ``data_rhs`` is ``X0^T W x0``, the right-hand side at any weights,
     since the curvature rows have zero targets.
     """
@@ -205,10 +205,9 @@ class DesignSystem:
     trend_penalty: SparseRows
     level_penalty: SparseRows
     data_row_weights: np.ndarray
-    order: np.ndarray  # compact indices in cohort-major order (AnalysisDomain.cohort_major)
-    bandwidth: int  # half-bandwidth of the normal matrix in that order
-    bands: np.ndarray  # lower bands of G0, G1, G2, cohort-major
-    data_rhs: np.ndarray  # X0^T W x0, compact order
+    bandwidth: int  # half-bandwidth of the normal matrix
+    bands: np.ndarray  # lower bands of G0, G1, G2
+    data_rhs: np.ndarray  # X0^T W x0
 
     @classmethod
     def build(cls, cells, domain: AnalysisDomain, weight_by_count: bool = False) -> "DesignSystem":
@@ -222,18 +221,14 @@ class DesignSystem:
         weights = cells.n.astype(float) if weight_by_count else np.ones(len(cells))
         trend_penalty = trend_curvature_rows(domain)
         level_penalty = level_curvature_rows(domain)
-        order = domain.cohort_major()
-        position = np.argsort(order)
         blocks = (matrix, trend_penalty, level_penalty)
-        bandwidth = _half_bandwidth(
-            position, blocks, np.concatenate([*domain.runs(2), domain.slot_runs(2)])
-        )
+        bandwidth = _half_bandwidth(blocks, np.concatenate([*domain.runs(2), domain.slot_runs(2)]))
         # Each band is written in place into one array, and each is
         # column-major, the layout of the band that solve sums and LAPACK
         # factors, so the sum reads them without a transposing copy.
         bands = np.zeros((len(blocks), domain.compact_size, bandwidth + 1)).transpose(0, 2, 1)
         for rows, band, row_weights in zip(blocks, bands, (weights, None, None)):
-            _add_gram_band(band, rows, position, row_weights)
+            _add_gram_band(band, rows, row_weights)
         return cls(
             domain=domain,
             data_matrix=matrix,
@@ -241,7 +236,6 @@ class DesignSystem:
             trend_penalty=trend_penalty,
             level_penalty=level_penalty,
             data_row_weights=weights,
-            order=order,
             bandwidth=bandwidth,
             bands=bands,
             data_rhs=matrix.rmatvec(weights * target),

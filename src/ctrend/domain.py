@@ -7,6 +7,8 @@ gaps in rows and columns are filled so that the included cells form
 contiguous horizontal and vertical runs.  The boundary-level segment is the
 slot range spanned by the included cells.  The populated cells come in as a
 :class:`~ctrend.ingest.CellTable`; the included cells are a boolean ``mask``.
+The domain also fixes the one compact parameter order, cohort-major, that
+the design, the banded solver and the covariance share.
 """
 
 from __future__ import annotations
@@ -30,14 +32,19 @@ class AnalysisDomain:
     """Included trend cells plus the estimated boundary-level segment.
 
     ``mask[i, j]`` flags trend cells entering the analysis.  Boundary slots
-    ``first_slot .. last_slot`` (inclusive) are estimated.  Compact parameter
-    ordering: boundary slots first, then included trend cells row-major.
+    ``first_slot .. last_slot`` (inclusive) are estimated.  The compact
+    parameter order is cohort-major: each estimated boundary slot, then its
+    cohort's included trend cells in year order.  A cohort's data rows stay
+    within its run, and the curvature triples reach two cohorts either way,
+    so this order keeps the normal matrix banded (a bandwidth-reducing
+    ordering, George & Liu 1981), and a compact index is a banded position.
     """
 
     frame: ObservationalFrame
     mask: np.ndarray
     first_slot: int
     last_slot: int
+    _full: np.ndarray = field(init=False, repr=False, compare=False)
     _compact: np.ndarray = field(init=False, repr=False, compare=False)
     _trend_compact: np.ndarray = field(init=False, repr=False, compare=False)
     _links: tuple = field(init=False, repr=False, compare=False)
@@ -58,13 +65,6 @@ class AnalysisDomain:
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
 
-        inside = np.zeros(self.frame.param_count, dtype=bool)
-        inside[self.first_slot : self.last_slot + 1] = True
-        inside[self.frame.cohort_count :] = mask.ravel()
-        compact = np.where(inside, np.cumsum(inside) - 1, -1)
-        compact.setflags(write=False)
-        object.__setattr__(self, "_compact", compact)
-        object.__setattr__(self, "_trend_compact", compact[self.frame.cohort_count :])
         ii, jj = np.nonzero(mask)  # row-major
         slots = self.frame.cohort_slots(ii, jj)
         bad = np.flatnonzero((slots < self.first_slot) | (slots > self.last_slot))
@@ -74,8 +74,22 @@ class AnalysisDomain:
                 f"included cell ({ii[k]}, {jj[k]}) has slot {slots[k]} outside "
                 f"segment [{self.first_slot}, {self.last_slot}]"
             )
+        # Sorted by (slot, -1) for slots and (cohort slot, year) for cells.
+        segment = np.arange(self.first_slot, self.last_slot + 1)
+        years = np.append(np.full(segment.size, -1), ii)
+        full = np.append(segment, self.frame.cohort_count + np.flatnonzero(mask))
+        full = full[np.lexsort((years, np.append(segment, slots)))]
+        compact = np.full(self.frame.param_count, -1)
+        compact[full] = np.arange(full.size)
+        for array in (full, compact):
+            array.setflags(write=False)
+        object.__setattr__(self, "_full", full)
+        object.__setattr__(self, "_compact", compact)
+        object.__setattr__(self, "_trend_compact", compact[self.frame.cohort_count :])
+        # The trend links go row-major by their first cell's full index, the
+        # next-age link first: the correlation sums add in this order.
         right, down = self.runs(2)
-        order = np.argsort(np.concatenate([2 * right[:, 0], 2 * down[:, 0] + 1]))
+        order = np.argsort(np.concatenate([2 * full[right[:, 0]], 2 * full[down[:, 0]] + 1]))
         links = (np.concatenate([right, down])[order], self.slot_runs(2))
         for pairs in links:
             pairs.setflags(write=False)
@@ -101,9 +115,6 @@ class AnalysisDomain:
         """Compact index of a trend cell, or -1 when excluded."""
         return int(self._trend_compact[cell.i * self.frame.age_cells + cell.j])
 
-    def trend_index_at(self, i: int, j: int) -> int:
-        return int(self._trend_compact[i * self.frame.age_cells + j])
-
     def runs(self, length: int) -> tuple[np.ndarray, np.ndarray]:
         """Compact indices of every ``length`` consecutive included trend cells.
 
@@ -126,8 +137,10 @@ class AnalysisDomain:
         return complete(1), complete(0)
 
     def slot_runs(self, length: int) -> np.ndarray:
-        """Compact indices of every ``length`` consecutive estimated boundary slots."""
-        return np.arange(self.slot_count - length + 1)[:, None] + np.arange(length)
+        """Compact indices of every ``length`` consecutive estimated boundary
+        slots, in slot order; shape ``(0, length)`` for a shorter segment."""
+        slots = self._compact[self.first_slot : self.last_slot + 1]
+        return slots[np.arange(self.slot_count - length + 1)[:, None] + np.arange(length)]
 
     def links(self) -> tuple[np.ndarray, np.ndarray]:
         """The adjacent pairs whose correlations the weight loop reads, as
@@ -136,35 +149,14 @@ class AnalysisDomain:
         row-major; and each boundary slot's link to the next."""
         return self._links
 
-    def cohort_major(self) -> np.ndarray:
-        """Compact indices in cohort-major order: each boundary slot, then the
-        trend cells of its cohort in year order.
-
-        Sorted by ``(slot, -1)`` for slots and ``(cohort slot, i)`` for
-        cells.  A cohort's data rows stay within its run, and the curvature
-        triples reach two cohorts either way, so this order keeps the normal
-        matrix banded.
-        """
-        ii, jj = np.nonzero(self.mask)  # row-major, the compact trend order
-        slots = np.concatenate(
-            [np.arange(self.first_slot, self.last_slot + 1), self.frame.cohort_slots(ii, jj)]
-        )
-        years = np.concatenate([np.full(self.slot_count, -1), ii])
-        return np.lexsort((years, slots))
-
-    def slot_index(self, slot: int) -> int:
-        """Compact index of a boundary slot, or -1 when outside the segment."""
-        if self.first_slot <= slot <= self.last_slot:
-            return slot - self.first_slot
-        return -1
-
     def full_to_compact(self) -> np.ndarray:
         """Compact position of each full-vector component; -1 if it does not participate."""
         return self._compact
 
     def compact_to_full(self) -> np.ndarray:
-        """Full-vector position of each compact component."""
-        return np.flatnonzero(self._compact >= 0)
+        """Full-vector position of each compact component, sorted by
+        (cohort slot, year) with each slot before its cells."""
+        return self._full
 
     def scatter(self, compact: np.ndarray, fill=np.nan) -> np.ndarray:
         """Embed a compact vector into the full parameter vector.

@@ -403,7 +403,7 @@ class _BlockValidator:
     flagged rows and the number of rows validated so far."""
 
     def __init__(self, position: dict, width: int):
-        self.position = position
+        self.columns = position
         self.width = width
         self.survey_ids: dict = {}  # each id text to the one str object the rows share
         self.flagged: list[FlaggedRow] = []
@@ -411,7 +411,7 @@ class _BlockValidator:
 
     def get(self, row, *names):
         for name in names:
-            k = self.position.get(name)
+            k = self.columns.get(name)
             if k is not None and row[k] != "":
                 return row[k]
         return None
@@ -419,7 +419,7 @@ class _BlockValidator:
     def validate(self, rows: list) -> tuple:
         """The next block of non-blank rows as the (survey, exam, age, value)
         columns of its valid rows; its rejected rows join ``flagged``."""
-        position, width = self.position, self.width
+        position, width = self.columns, self.width
         n = len(rows)
         lengths = np.fromiter(map(len, rows), np.intp, n)
         for k in np.flatnonzero(lengths < width).tolist():

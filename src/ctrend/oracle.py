@@ -3,9 +3,12 @@
 This module re-derives the whole estimation problem with textbook dense
 linear algebra and its own cell/cohort arithmetic.  It shares no code with
 the sparse assembly or the production solver, so agreement between the two
-is evidence for both.  Parameter ordering follows the shared contract:
-estimated boundary slots first (ascending), then included trend cells in
-row-major scan order.
+is evidence for both.  Its parameter order is the full vector's
+(:meth:`ctrend.grid.ModelVector.flat`) restricted to the domain: estimated
+boundary slots first (ascending), then included trend cells in row-major
+scan order.  The production fit orders its compact vector cohort-major, so
+callers map between the two through
+:meth:`ctrend.domain.AnalysisDomain.compact_to_full`.
 """
 
 from __future__ import annotations

@@ -43,6 +43,8 @@ class FitOptions:
             raise ValueError(
                 f"cluster windows must be >= 1, got ({self.age_window}, {self.year_window})"
             )
+        if self.cell_min_count < 0:
+            raise ValueError(f"cell_min_count must be >= 0, got {self.cell_min_count}")
 
     def iteration_config(self) -> IterationConfig:
         return IterationConfig(**{f.name: getattr(self, f.name) for f in fields(IterationConfig)})

@@ -4,7 +4,9 @@ The point estimate minimizes the stacked weighted objective; the parameter
 covariance is the residual variance times the inverse of the weighted
 normal matrix.  Everything downstream (adjacent-estimate correlations,
 goodness of fit, cluster inference) is derived from the compact estimate
-and covariance held by :class:`Solution`.
+and covariance held by :class:`Solution`.  The compact order is the banded
+one (:class:`~ctrend.domain.AnalysisDomain`), so the solver factors and
+solves in it with no permutation.
 """
 
 from __future__ import annotations
@@ -91,9 +93,9 @@ class CorrelationSummary:
 class Solution:
     """Point estimates with covariance over one analysis domain.
 
-    ``estimate`` and ``cov`` are in compact ordering (boundary slots first,
-    then included trend cells in scan order); full-scale views carry NaN
-    for non-participating components.
+    ``estimate`` and ``cov`` are in the compact order, cohort-major
+    (:class:`~ctrend.domain.AnalysisDomain`); full-scale views carry NaN for
+    non-participating components.
     """
 
     domain: AnalysisDomain
@@ -151,21 +153,19 @@ class BandedCovariance:
     ``scale`` (1, or the factor given to :meth:`scaled`).
 
     ``band`` is the matrix's lower band in LAPACK lower band storage
-    (:func:`ctrend.design.lower_band`), ordered by ``order`` (``order[k]``
-    is the compact index at banded position ``k``;
-    :meth:`AnalysisDomain.cohort_major`); its row count less one is the
-    half-bandwidth ``bandwidth``.  The matrix is held as its Cholesky
-    factor ``chol`` in the same storage, and the selected inverse as
-    ``inverse_band``, the lower band of the unscaled inverse in that
-    storage too (:func:`_selected_inverse`): two arrays of ``(b + 1) x p``
-    floats.  Factor and solves cost O(p b^2) and O(p b) instead of O(p^3).
-    The object offers the part of the ndarray interface that consumers
-    use, in compact order:
+    (:func:`ctrend.design.lower_band`), in the compact order, which is the
+    banded one; its row count less one is the half-bandwidth ``bandwidth``.
+    The matrix is held as its Cholesky factor ``chol`` in the same storage,
+    and the selected inverse as ``inverse_band``, the lower band of the
+    unscaled inverse in that storage too (:func:`_selected_inverse`): two
+    arrays of ``(b + 1) x p`` floats.  Factor and solves cost O(p b^2) and
+    O(p b) instead of O(p^3).  The object offers the part of the ndarray
+    interface that consumers use:
 
     * ``cov.diagonal()``, row 0 of ``inverse_band``;
-    * ``cov[a, b]`` for indices or index arrays inside the band, entry
-      ``[hi - lo, lo]`` of ``inverse_band`` for banded positions
-      ``lo <= hi`` (``IndexError`` for a pair outside it);
+    * ``cov[a, b]`` for nonnegative indices or index arrays inside the
+      band, entry ``[hi - lo, lo]`` of ``inverse_band`` for ``lo <= hi``
+      (``IndexError`` for a pair outside it or a negative index);
     * ``cov @ x``, a banded solve;
     * ``np.asarray(cov)``, the dense matrix, built only when asked for.
 
@@ -177,19 +177,14 @@ class BandedCovariance:
     ``LinAlgError`` when the matrix is not positive definite.
     """
 
-    def __init__(self, band: np.ndarray, order: np.ndarray):
-        p = band.shape[1]
-        position = np.empty(p, dtype=np.int64)
-        position[order] = np.arange(p)
+    def __init__(self, band: np.ndarray):
         self.chol = np.asfortranarray(band, dtype=float)
         info = _lapack().pbtrf(self.chol)
         if info > 0:
             raise LinAlgError(f"{info}-th leading minor not positive definite")
-        self.order = order
-        self.position = position
         self.bandwidth = band.shape[0] - 1
         self.scale = 1.0
-        self.shape = (p, p)
+        self.shape = (band.shape[1],) * 2
         self.inverse_band = _selected_inverse(self.chol)
 
     def scaled(self, factor: float) -> "BandedCovariance":
@@ -205,42 +200,35 @@ class BandedCovariance:
         return out
 
     def diagonal(self) -> np.ndarray:
-        return self.scale * self.inverse_band[0, self.position]
+        return self.scale * self.inverse_band[0]
 
     def __getitem__(self, key):
         a, b = key
-        pa, pb = self.position[a], self.position[b]
-        lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
-        if np.any(hi - lo > self.bandwidth):
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        if np.any(lo < 0) or np.any(hi - lo > self.bandwidth):
             raise IndexError(
-                f"covariance entry outside the band (half-bandwidth {self.bandwidth})"
+                f"covariance entry outside the band (half-bandwidth {self.bandwidth}) "
+                "or at a negative index"
             )
         return self.scale * self.inverse_band[hi - lo, lo]
 
     def __matmul__(self, x):
-        x = np.asarray(x, dtype=float)
-        # One column-major copy in banded order, solved and scaled in place,
-        # and one gathered back to compact order.  ``take`` along the last
-        # axis of the transposes writes them without a buffer; ``clip``
-        # never clips a permutation.
-        y = np.empty(x.shape, order="F")
-        np.take(x.T, self.order, axis=-1, out=y.T, mode="clip")
+        # One column-major copy, solved and scaled in place.
+        y = np.array(x, dtype=float, order="F")
         _lapack().pbtrs(self.chol, y)
         y *= self.scale
-        out = np.empty(x.shape, order="F")
-        np.take(y.T, self.position, axis=-1, out=out.T, mode="clip")
-        return out
+        return y
 
     def map_covariance(self, rows, columns, values, count: int) -> np.ndarray:
         """``scale * A N^-1 A^T`` for the ``count x p`` map ``A`` whose
-        nonzero entries are ``values`` at ``(rows, columns)``, in compact
-        columns.  With ``N = P^T L L^T P`` (``P`` the banded order), this is
-        ``scale * V^T V`` for ``V = L^-1 P A^T``: ``A^T`` is written straight
-        into banded rows and solved forward in place (LAPACK ``dtbtrs``), so
-        neither a dense ``A`` nor a back substitution is formed.  The factor
-        has a positive diagonal, so the solve cannot fail."""
+        nonzero entries are ``values`` at ``(rows, columns)``.  With
+        ``N = L L^T``, this is ``scale * V^T V`` for ``V = L^-1 A^T``:
+        ``A^T`` is written straight into its rows and solved forward in
+        place (LAPACK ``dtbtrs``), so neither a dense ``A`` nor a back
+        substitution is formed.  The factor has a positive diagonal, so the
+        solve cannot fail."""
         v = np.zeros((self.shape[0], count), order="F")
-        v[self.position[columns], rows] = values
+        v[columns, rows] = values
         _lapack().tbtrs(self.chol, v)
         out = v.T @ v
         out *= self.scale
@@ -601,7 +589,7 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
     """Minimize the stacked weighted objective and attach inference outputs.
 
     The normal matrix is ``G0 + w1 G1 + w2 G2`` (:class:`DesignSystem`):
-    its band, ordered cohort-major, is the weighted sum of the three bands
+    its band is the weighted sum of the three bands
     the design computed once, and is factored (Cholesky).  The estimate
     gets two steps of iterative refinement, with the normal matrix applied
     through the row blocks (:meth:`DesignSystem.normal_product`).  The
@@ -637,7 +625,7 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
     band += level_weight * b2
     norm = _one_norm(band)
     try:
-        inverse = BandedCovariance(band, system.order)
+        inverse = BandedCovariance(band)
     except LinAlgError as err:
         raise SingularSystemError(f"{err}; {IDENTIFIABILITY_HINT}") from None
 

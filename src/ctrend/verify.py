@@ -94,11 +94,14 @@ def run_verification(negative_control: bool = False, emit=print) -> bool:
         if negative_control:  # test hook: simulate a broken solver
             sol = replace(sol, estimate=sol.estimate + 1e-6, cov=sol.cov.scaled(1.0 + 1e-5))
         oracle = brute_force_fit(records, w1, w2, frame=scenario.frame, domain=domain)
-        worst_z = max(worst_z, deviation(sol.estimate, oracle.estimate))
-        worst_cov = max(worst_cov, deviation(np.asarray(sol.cov), oracle.cov))
+        # the oracle orders as the full vector does: compact component c is its rank[c]
+        rank = np.argsort(np.argsort(domain.compact_to_full()))
+        oracle_cov = oracle.cov[np.ix_(rank, rank)]
+        worst_z = max(worst_z, deviation(sol.estimate, oracle.estimate[rank]))
+        worst_cov = max(worst_cov, deviation(np.asarray(sol.cov), oracle_cov))
         blocks, oracle_blocks = (
             cluster_compare(replace(sol, cov=cov), age_window=2, year_window=2).covariance
-            for cov in (sol.cov, oracle.cov)
+            for cov in (sol.cov, oracle_cov)
         )
         worst_blocks = max(worst_blocks, deviation(blocks, oracle_blocks))
         compared += 1
@@ -133,12 +136,10 @@ def run_verification(negative_control: bool = False, emit=print) -> bool:
     # 3. curvature blocks annihilate constant / affine inputs exactly
     b1 = trend_curvature_rows(domain)
     b2 = level_curvature_rows(domain)
-    z = np.zeros(domain.compact_size)
-    z[domain.slot_count:] = 5.25
-    exact1 = not np.any(b1 @ z)
-    z[:] = 0.0
-    z[: domain.slot_count] = 1.5 + 0.25 * np.arange(domain.slot_count)
-    exact2 = not np.any(b2 @ z)
+    levels = np.zeros(domain.frame.param_count)
+    levels[: domain.frame.cohort_count] = 1.5 + 0.25 * np.arange(domain.frame.cohort_count)
+    exact1 = not np.any(b1 @ np.full(domain.compact_size, 5.25))
+    exact2 = not np.any(b2 @ domain.gather(levels))
     report("curvature annihilators", exact1 and exact2, "constant and affine inputs map to zero")
 
     # 4. F upper-tail values against frozen high-precision references

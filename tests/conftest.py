@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ctrend.domain import AnalysisDomain, build_domain
+from ctrend.domain import AnalysisDomain
 from ctrend.grid import CellIndex, ObservationalFrame
 from ctrend.ingest import CellTable
 
@@ -43,20 +43,6 @@ def simple_domain():
     slots = [frame.cohort_slot(CellIndex(i, j)) for i, j in included]
     domain = AnalysisDomain(frame, mask, min(slots), max(slots))
     return domain, frame
-
-
-@pytest.fixture
-def full_grid():
-    """Fully covered 4x4 trend grid: one data cell everywhere."""
-    frame = ObservationalFrame.from_integer_bounds(0, 3, 0, 3)
-    rng = np.random.default_rng(42)
-    cells = cell_table([
-        make_cell(frame, i, j, x_mean=float(rng.normal(25, 1)), offset=float(rng.uniform(0, 0.95)))
-        for i in range(frame.year_cells)
-        for j in range(frame.age_cells)
-    ])
-    domain = build_domain(cells, frame, mode=1)
-    return frame, cells, domain
 
 
 @pytest.fixture

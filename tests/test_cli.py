@@ -75,8 +75,16 @@ class TestSimulate:
             ({"frame": None, "surveys": []}, "NoneType"),
             ({"frame": {"y_min": 2000, "y_max": 2002, "a_min": 30, "a_max": 32}, "surveys": 5},
              "not iterable"),
+            ({"frame": {"y_min": 2000, "y_max": 2002, "a_min": 30, "a_max": 32},
+              "surveys": [{"year": 2000, "age_min": 30, "age_max": 32, "sample_per_age": 50}],
+              "nosie_sd": 1.0},
+             "unknown scenario keys ['nosie_sd', 'surveys[0].sample_per_age']"),
+            ({"frame": {"y_min": 2000, "y_max": 2002, "a_min": 30, "a_max": 32, "amax": 33},
+              "surveys": [], "initial_levels": {"bsae": 20.0}, "trends": {"per_yaer": 0.1}},
+             "unknown scenario keys ['frame.amax', 'initial_levels.bsae', 'trends.per_yaer']"),
         ],
-        ids=["list", "null frame", "number surveys"],
+        ids=["list", "null frame", "number surveys", "misspelt noise and samples",
+             "misspelt section keys"],
     )
     def test_malformed_scenario_structure(self, tmp_path, capsys, spec, message):
         scen = tmp_path / "scenario.json"
@@ -203,6 +211,22 @@ class TestFit:
         assert code == EXIT_INPUT
         assert solves == []
         assert not outdir.exists() or not list(outdir.iterdir())
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_cell_min_count(self, data_file, tmp_path, capsys, monkeypatch, source):
+        """A negative record threshold is an input error, found before the
+        data file is read."""
+        reads = []
+        monkeypatch.setattr(cli, "ingest_file", lambda *args, **kwargs: reads.append(args))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"cell_min_count": -3}))
+        option = ["--cell-min-count", "-1"] if source == "flag" else ["--config", str(config)]
+        outdir = tmp_path / "run"
+        assert main(["fit", data_file, "--out", str(outdir)] + option) == EXIT_INPUT
+        value = -1 if source == "flag" else -3
+        assert capsys.readouterr().err == f"error: cell_min_count must be >= 0, got {value}\n"
+        assert reads == []
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--trend-accuracy", "nan"), ("--level-accuracy", "inf"),

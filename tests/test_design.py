@@ -33,7 +33,7 @@ class TestDataRows:
         cell = make_cell(frame, 0, 0, x_mean=25.0, offset=0.4)
         matrix, target = data_rows(cell, domain)
         row = matrix.toarray()[0]
-        slot_col = domain.slot_index(frame.cohort_slot(CellIndex(0, 0)))
+        slot_col = domain.full_to_compact()[frame.cohort_slot(CellIndex(0, 0))]
         assert row[slot_col] == 1.0
         assert row[domain.trend_index(CellIndex(0, 0))] == pytest.approx(0.4)
         assert np.count_nonzero(row) == 2
@@ -44,7 +44,7 @@ class TestDataRows:
         cell = make_cell(frame, 2, 2, x_mean=26.0, offset=0.0)
         matrix, _ = data_rows(cell, domain)
         row = matrix.toarray()[0]
-        assert row[domain.slot_index(frame.cohort_slot(CellIndex(2, 2)))] == 1.0
+        assert row[domain.full_to_compact()[frame.cohort_slot(CellIndex(2, 2))]] == 1.0
         assert row[domain.trend_index(CellIndex(0, 0))] == 1.0
         assert row[domain.trend_index(CellIndex(1, 1))] == 1.0
         assert row[domain.trend_index(CellIndex(2, 2))] == 0.0
@@ -118,11 +118,11 @@ class TestTrendCurvature:
         assert matrix.shape[0] == frame.age_cells - 2
 
     def test_annihilates_constant(self):
-        _, domain = full_domain(3, 4)
+        frame, domain = full_domain(3, 4)
         matrix = trend_curvature_rows(domain)
-        z = np.zeros(domain.compact_size)
-        z[domain.slot_count :] = 3.7
-        assert np.all(matrix @ z == 0.0)
+        z = np.zeros(frame.param_count)
+        z[frame.cohort_count :] = 3.7
+        assert np.all(matrix @ domain.gather(z) == 0.0)
 
     def test_rows_touching_excluded_cells_omitted(self, simple_domain):
         domain, _ = simple_domain
@@ -163,7 +163,7 @@ class TestTrendCurvature:
         expected = np.zeros((len(triples), domain.compact_size))
         for row, cells in enumerate(triples):
             for coeff, (i, j) in zip((1.0, -2.0, 1.0), cells):
-                expected[row, domain.trend_index_at(i, j)] = coeff
+                expected[row, domain.trend_index(CellIndex(i, j))] = coeff
         matrix = trend_curvature_rows(domain)
         assert matrix.shape == expected.shape
         assert np.array_equal(matrix.toarray(), expected)
@@ -180,11 +180,11 @@ class TestTrendCurvature:
 class TestLevelCurvature:
     def test_annihilates_affine(self):
         # dyadic slope so the affine sequence is exactly representable
-        _, domain = full_domain(3, 3)
+        frame, domain = full_domain(3, 3)
         matrix = level_curvature_rows(domain)
-        z = np.zeros(domain.compact_size)
-        z[: domain.slot_count] = 2.0 + 0.25 * np.arange(domain.slot_count)
-        assert np.all(matrix @ z == 0.0)
+        z = np.zeros(frame.param_count)
+        z[: frame.cohort_count] = 2.0 + 0.25 * np.arange(frame.cohort_count)
+        assert np.all(matrix @ domain.gather(z) == 0.0)
 
     def test_row_count_for_segment_length_five(self):
         frame = ObservationalFrame.from_integer_bounds(0, 3, 0, 3)

@@ -198,3 +198,86 @@ class TestFilterCells:
         inside, outside = domain.filter_cells(cells)
         assert (len(inside), len(outside)) == (2, 0)
         assert outside.i.dtype == np.int64 and outside.x_mean.dtype == float
+
+
+def order_domain(case):
+    """A domain to check the parameter orders on: case 0 is a full grid,
+    case 1 a single cohort, and the others gappy domains built from random
+    data cells."""
+    if case == 0:
+        frame = ObservationalFrame.from_integer_bounds(0, 4, 0, 4)
+        mask = np.ones((frame.year_cells, frame.age_cells), dtype=bool)
+        return AnalysisDomain(frame, mask, 0, frame.cohort_count - 1)
+    if case == 1:
+        return build_domain(cells_at(frame66(), [(3, 2)]), frame66())
+    rng = np.random.default_rng(case)
+    frame = ObservationalFrame.from_integer_bounds(0, 8, 0, 7)
+    picks = rng.integers(0, 8, size=(rng.integers(1, 8), 2)).tolist()
+    return build_domain(cells_at(frame, sorted({(i, j) for i, j in picks})), frame)
+
+
+class TestParameterOrder:
+    """The orders the output bytes depend on: the compact order of the
+    estimate and the covariance, and the order in which the curvature rows
+    and the adjacent-correlation sums visit the cells."""
+
+    @pytest.mark.parametrize("case", range(14))
+    def test_compact_order_is_cohort_major(self, case):
+        domain = order_domain(case)
+        frame = domain.frame
+        # (cohort slot, year, full index): -1 puts a slot before its cells
+        keys = [(s, -1, s) for s in range(domain.first_slot, domain.last_slot + 1)]
+        for i, j in included(domain):
+            full = frame.cohort_count + i * frame.age_cells + j
+            keys.append((frame.cohort_slot(CellIndex(i, j)), i, full))
+        expected = [full for _, _, full in sorted(keys)]
+        assert domain.compact_to_full().tolist() == expected
+        to_compact = domain.full_to_compact()
+        assert np.array_equal(to_compact[domain.compact_to_full()], np.arange(domain.compact_size))
+        assert np.count_nonzero(to_compact >= 0) == domain.compact_size
+
+    @pytest.mark.parametrize("case", range(14))
+    def test_links_and_runs_stay_row_major_by_full_index(self, case):
+        """Each cell's next-age link, then its next-year link, cells in
+        row-major order; the triples likewise by their first cell."""
+        domain = order_domain(case)
+        frame, to_full = domain.frame, domain.compact_to_full()
+        cells = included(domain)
+
+        def full(i, j):
+            return frame.cohort_count + i * frame.age_cells + j
+
+        links, along_rows, along_columns = [], [], []
+        for i, j in sorted(cells):
+            if (i, j + 1) in cells:
+                links.append([full(i, j), full(i, j + 1)])
+            if (i + 1, j) in cells:
+                links.append([full(i, j), full(i + 1, j)])
+            if {(i, j + 1), (i, j + 2)} <= cells:
+                along_rows.append([full(i, j), full(i, j + 1), full(i, j + 2)])
+            if {(i + 1, j), (i + 2, j)} <= cells:
+                along_columns.append([full(i, j), full(i + 1, j), full(i + 2, j)])
+        trend, level = domain.links()
+        assert to_full[trend].tolist() == links
+        rows, columns = domain.runs(3)
+        assert to_full[rows].tolist() == along_rows
+        assert to_full[columns].tolist() == along_columns
+        first, last = domain.first_slot, domain.last_slot
+        assert to_full[level].tolist() == [[s, s + 1] for s in range(first, last)]
+        triples = [[s, s + 1, s + 2] for s in range(first, last - 1)]
+        assert to_full[domain.slot_runs(3)].tolist() == triples
+
+    def test_slot_runs_of_a_short_segment_are_empty(self):
+        frame = frame66()
+        one = build_domain(cells_at(frame, [(0, 4)]), frame)
+        mask = np.zeros((frame.year_cells, frame.age_cells), dtype=bool)
+        mask[1, 1] = mask[1, 2] = True
+        two = AnalysisDomain(frame, mask, frame.cohort_slot(CellIndex(1, 1)),
+                             frame.cohort_slot(CellIndex(1, 2)))
+        assert (one.slot_count, two.slot_count) == (1, 2)
+        for domain in (one, two):
+            runs = domain.slot_runs(3)
+            assert runs.shape == (0, 3) and runs.dtype.kind == "i"
+        assert one.slot_runs(2).shape == (0, 2)
+        slots = two.full_to_compact()[two.first_slot : two.last_slot + 1]
+        assert two.slot_runs(2).tolist() == [slots.tolist()]

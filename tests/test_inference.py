@@ -83,10 +83,11 @@ def strip_domain(n_cells):
 def strip_solution(means, cov_uu, dof=40):
     domain = strip_domain(len(means))
     p = domain.compact_size
+    trend = domain.full_to_compact()[domain.frame.cohort_count :]  # the strip's cells
     est = np.zeros(p)
-    est[domain.slot_count :] = means
+    est[trend] = means
     cov = np.eye(p) * 1e-4
-    cov[domain.slot_count :, domain.slot_count :] = cov_uu
+    cov[np.ix_(trend, trend)] = cov_uu
     return manual_solution(domain, est, cov, dof=dof)
 
 
@@ -144,15 +145,13 @@ class TestClusterCompare:
         # rebuild the averaging map independently and compare one variance
         blocks = {}
         for i, j in zip(*(axis.tolist() for axis in np.nonzero(domain.mask))):
-            blocks.setdefault((i // 2, j // 2), []).append(
-                domain.trend_index(CellIndex(i, j)) - domain.slot_count
-            )
-        cov_uu = np.asarray(sol.cov)[domain.slot_count:, domain.slot_count:]
+            blocks.setdefault((i // 2, j // 2), []).append(domain.trend_index(CellIndex(i, j)))
+        cov = np.asarray(sol.cov)
         for block, se in zip(report.clusters.tolist(), report.se):
             idx = blocks[tuple(block)]
-            a = np.zeros(cov_uu.shape[0])
+            a = np.zeros(cov.shape[0])
             a[idx] = 1.0 / len(idx)
-            assert se == pytest.approx(math.sqrt(a @ cov_uu @ a), rel=1e-10)
+            assert se == pytest.approx(math.sqrt(a @ cov @ a), rel=1e-10)
 
     @pytest.mark.parametrize("name", ["table", "linear"])
     def test_block_covariances_from_the_factor(self, name):

@@ -61,10 +61,12 @@ class TestSolve:
         oracle = brute_force_fit(
             records, 0.7, 1.3, frame=scenario.frame, domain=system.domain
         )
+        order = np.argsort(system.domain.compact_to_full())  # the oracle's order
         scale = np.max(np.abs(oracle.estimate))
-        assert np.max(np.abs(sol.estimate - oracle.estimate)) / scale < 1e-8
+        assert np.max(np.abs(sol.estimate[order] - oracle.estimate)) / scale < 1e-8
         cscale = np.max(np.abs(oracle.cov))
-        assert np.max(np.abs(sol.cov - oracle.cov)) / cscale < 1e-6
+        cov = np.asarray(sol.cov)[np.ix_(order, order)]
+        assert np.max(np.abs(cov - oracle.cov)) / cscale < 1e-6
         assert sol.sigma2 == pytest.approx(oracle.sigma2, rel=1e-10)
         assert sol.r2 == pytest.approx(oracle.r2, rel=1e-10)
 
@@ -210,8 +212,8 @@ class TestAdjacentCorrelations:
         domain = two_cell_domain()
         p = domain.compact_size  # 2 slots + 2 trend cells
         cov = np.eye(p)
-        s = domain.slot_count
-        cov[s, s + 1] = cov[s + 1, s] = 0.9
+        a, b = domain.full_to_compact()[domain.frame.cohort_count :]
+        cov[a, b] = cov[b, a] = 0.9
         sol = manual_solution(domain, np.zeros(p), cov)
         corr = adjacent_correlations(sol)
         assert corr.trend_smoothness == pytest.approx(0.9)
@@ -221,8 +223,8 @@ class TestAdjacentCorrelations:
         domain = two_cell_domain()
         p = domain.compact_size
         cov = np.eye(p)
-        s = domain.slot_count
-        cov[s + 1, s + 1] = 0.0
+        b = domain.full_to_compact()[-1]  # the second trend cell
+        cov[b, b] = 0.0
         sol = manual_solution(domain, np.zeros(p), cov)
         corr = adjacent_correlations(sol)
         assert math.isnan(corr.trend_smoothness)
@@ -233,18 +235,19 @@ class TestAdjacentCorrelations:
         oracle = brute_force_fit(records, 0.7, 1.3, frame=scenario.frame, domain=system.domain)
         corr = adjacent_correlations(sol)
         domain = system.domain
-        cov = oracle.cov
+        rank = np.argsort(np.argsort(domain.compact_to_full()))  # from the oracle's order
+        cov = oracle.cov[np.ix_(rank, rank)]
         links = []
         mask = domain.mask
         for i in range(mask.shape[0]):
             for j in range(mask.shape[1]):
                 if not mask[i, j]:
                     continue
-                a = domain.trend_index_at(i, j)
+                a = domain.trend_index(CellIndex(i, j))
                 if j + 1 < mask.shape[1] and mask[i, j + 1]:
-                    links.append((a, domain.trend_index_at(i, j + 1)))
+                    links.append((a, domain.trend_index(CellIndex(i, j + 1))))
                 if i + 1 < mask.shape[0] and mask[i + 1, j]:
-                    links.append((a, domain.trend_index_at(i + 1, j)))
+                    links.append((a, domain.trend_index(CellIndex(i + 1, j))))
         expected = np.mean(
             [cov[a, b] / math.sqrt(cov[a, a] * cov[b, b]) for a, b in links]
         )
@@ -268,7 +271,8 @@ class TestAdjacentCorrelations:
         domain = two_cell_domain()
         p = domain.compact_size
         cov = np.eye(p)
-        cov[0, 1] = cov[1, 0] = 0.5
+        a, b = domain.slot_runs(2)[0]  # the two slots
+        cov[a, b] = cov[b, a] = 0.5
         sol = manual_solution(domain, np.zeros(p), cov)
         default = adjacent_correlations(sol)
         literal = adjacent_correlations(sol, literal_level_denominator=True)
@@ -345,11 +349,10 @@ class TestBandedCovariance:
         normal = a.T @ a.multiply(stacked.row_weights[:, None]).tocsr()
         normal = normal + sparse.identity(domain.compact_size)  # positive definite on any domain
         dense = np.linalg.inv(normal.toarray())
-        cov = BandedCovariance(lower_band(normal, np.argsort(system.order), system.bandwidth),
-                               system.order)
+        cov = BandedCovariance(lower_band(normal, system.bandwidth))
 
-        position = np.argsort(system.order)
-        distance = np.abs(position[:, None] - position[None, :])
+        index = np.arange(domain.compact_size)
+        distance = np.abs(index[:, None] - index[None, :])
         rows, cols = normal.nonzero()
         assert distance[rows, cols].max(initial=0) <= system.bandwidth
         scale = np.abs(dense).max()
@@ -388,11 +391,10 @@ class TestBandedCovariance:
         normal = a.T @ (stacked.row_weights[:, None] * a)
         rhs = a.T @ (stacked.row_weights * stacked.target)
 
-        permuted = normal[np.ix_(system.order, system.order)]
         p, b = system.param_count, system.bandwidth
         expected = np.zeros((b + 1, p))
         for d in range(min(b + 1, p)):
-            expected[d, : p - d] = np.diagonal(permuted, -d)
+            expected[d, : p - d] = np.diagonal(normal, -d)
         b0, b1, b2 = system.bands
         band = b0 + weights[0] * b1 + weights[1] * b2
         np.testing.assert_allclose(band, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
@@ -407,6 +409,14 @@ class TestBandedCovariance:
         residual = np.abs(normal @ z - rhs).max()
         scale = np.abs(normal).sum(axis=1).max() * np.abs(z).max() + np.abs(rhs).max()
         assert residual <= 1e-10 * scale
+
+    @pytest.mark.parametrize("key", [(-1, 0), (0, -1), (np.array([0, -1]), np.array([1, 0]))])
+    def test_negative_index_raises(self, key):
+        """A negative index would read another column's band entry, so it is
+        refused, as a pair outside the band is."""
+        cov = BandedCovariance(spd_band(np.random.default_rng(5), 6, 2))
+        with pytest.raises(IndexError, match="negative index"):
+            cov[key]
 
 
 def spd_band(rng, p, b):
@@ -493,17 +503,15 @@ class TestLapackBinding:
         padded last block) and solves."""
         rng = np.random.default_rng(p * 100 + b + 1)
         band = spd_band(rng, p, b)
-        order = rng.permutation(p)
         x = rng.normal(size=(p, 2))
         covs = []
         for lapack in (bound, solve_module._ScipyLapack()):
             monkeypatch.setattr(solve_module, "_lapack", lambda lapack=lapack: lapack)
-            covs.append(BandedCovariance(band.copy(), order))
+            covs.append(BandedCovariance(band.copy()))
         ours, theirs = covs
         assert_same_digits(ours.chol, theirs.chol)
-        lo, hi = np.nonzero(np.abs(np.subtract.outer(np.arange(p), np.arange(p))) <= b)
-        rows, cols = order[lo], order[hi]  # every in-band pair, in compact indices
-        assert_same_digits(ours[rows, cols], theirs[rows, cols])
+        rows, cols = np.nonzero(np.abs(np.subtract.outer(np.arange(p), np.arange(p))) <= b)
+        assert_same_digits(ours[rows, cols], theirs[rows, cols])  # every in-band pair
         assert_same_digits(ours.diagonal(), theirs.diagonal())
         assert_same_digits(ours @ x, theirs @ x)
         assert_same_digits(ours @ x[:, 0], theirs @ x[:, 0])
@@ -514,14 +522,13 @@ class TestLapackBinding:
         the dense ``A N^-1 A^T`` too."""
         rng = np.random.default_rng(p * 100 + b + 3)
         band = spd_band(rng, p, b)
-        order = rng.permutation(p)
         rows, columns = rng.integers(0, 3, size=2 * p), rng.integers(0, p, size=2 * p)
         rows, columns = np.unique(np.stack([rows, columns]), axis=1)
         values = rng.uniform(0.1, 1.0, size=rows.size)
         covs = []
         for lapack in (bound, solve_module._ScipyLapack()):
             monkeypatch.setattr(solve_module, "_lapack", lambda lapack=lapack: lapack)
-            covs.append(BandedCovariance(band.copy(), order).scaled(2.5))
+            covs.append(BandedCovariance(band.copy()).scaled(2.5))
             covs.append(covs[-1].map_covariance(rows, columns, values, 3))
         ours, ours_map, theirs, theirs_map = covs
         assert_same_digits(ours_map, theirs_map)
