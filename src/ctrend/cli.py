@@ -28,11 +28,11 @@ from .grid import ObservationalFrame
 from .ingest import ingest_file
 from .pipeline import FitOptions, batch_fit, build_manifest
 from .report import (
+    BundleWriter,
     comparison_entry,
     manifest_digest,
     render_bundle_svgs,
     write_comparison_entries,
-    write_fit_bundle,
 )
 from .simulate import (
     PRESETS,
@@ -186,15 +186,18 @@ def cmd_fit(args) -> int:
     ``--pair``, each bundle goes to its own directory beside a comparison
     sheet.  The pairs are fitted in sorted order, and each bundle is written
     as soon as its pair is fitted; the batch then keeps only the pair's
-    comparison entry, manifest digest and converged flag."""
+    comparison entry, manifest digest and converged flag.  One writer
+    serves the call, so the files that do not depend on the pair are
+    rendered once (:class:`~ctrend.report.BundleWriter`)."""
     outdir = args.out or os.environ.get("CTREND_OUT_DIR") or "ctrend-out"
     written, made = [], []
+    writer = BundleWriter()
 
     def write(pair, fit):
         level, trend = pair
         bundle = bundles[pair]
         manifest = build_manifest(fit, [os.path.abspath(args.data)], extra={"runtime": args.runtime})
-        written.extend(write_fit_bundle(bundle, fit, manifest))
+        written.extend(writer.write(bundle, fit, manifest))
         status = "converged" if fit.iteration.converged else fit.iteration.reason
         done = f"{status} in {fit.iteration.iterations} iteration(s)"
         r2 = _r2_text(fit.solution.r2)
@@ -236,6 +239,18 @@ _SCENARIO_KEYS = {
     "initial_levels": {"base", "per_slot"},
     "trends": {"base", "per_year", "per_age"},
 }
+# The JSON values of the numeric keys among them, as for a config entry: int()
+# would truncate a real number, and float() would take a boolean or a text.
+_SCENARIO_NUMBERS = {
+    **dict.fromkeys(
+        ("seed", "year", "age_min", "age_max", "samples_per_age", "start_month", "duration_months"),
+        _CONFIG_TYPES["int"],
+    ),
+    **dict.fromkeys(
+        ("y_min", "y_max", "a_min", "a_max", "base", "per_slot", "per_year", "per_age", "noise_sd"),
+        _CONFIG_TYPES["float"],
+    ),
+}
 
 
 def _scenario_from_file(path: str, seed: int) -> Scenario:
@@ -248,20 +263,28 @@ def _scenario_from_file(path: str, seed: int) -> Scenario:
     sections += [(name, f"{name}.", spec.get(name)) for name in ("frame", "initial_levels", "trends")]
     if isinstance(spec.get("surveys"), list):
         sections += [("surveys", f"surveys[{k}].", s) for k, s in enumerate(spec["surveys"])]
-    unknown = [prefix + key for name, prefix, section in sections if isinstance(section, dict)
-               for key in section if key not in _SCENARIO_KEYS[name]]
+    entries = [(name, prefix, key, value) for name, prefix, section in sections
+               if isinstance(section, dict) for key, value in section.items()]
+    unknown = [prefix + key for name, prefix, key, _ in entries if key not in _SCENARIO_KEYS[name]]
     if unknown:
         raise ValueError(f"{path}: unknown scenario keys {unknown}")
+    for _, prefix, key, value in entries:
+        if key in _SCENARIO_NUMBERS:
+            accepted, kind = _SCENARIO_NUMBERS[key]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValueError(
+                    f"{path}: scenario entry {prefix + key!r} must be {kind}, got {json.dumps(value)}"
+                )
     try:
         frame = ObservationalFrame(*(float(spec["frame"][k]) for k in ("y_min", "y_max", "a_min", "a_max")))
         surveys = [
             SurveyPlan(
-                year=int(s["year"]),
-                age_min=int(s["age_min"]),
-                age_max=int(s["age_max"]),
-                samples_per_age=int(s.get("samples_per_age", 10)),
-                start_month=int(s.get("start_month", 1)),
-                duration_months=int(s.get("duration_months", 4)),
+                year=s["year"],
+                age_min=s["age_min"],
+                age_max=s["age_max"],
+                samples_per_age=s.get("samples_per_age", 10),
+                start_month=s.get("start_month", 1),
+                duration_months=s.get("duration_months", 4),
             )
             for s in spec["surveys"]
         ]
@@ -274,7 +297,7 @@ def _scenario_from_file(path: str, seed: int) -> Scenario:
             trend_base=float(tr.get("base", 0.1)),
             per_year=float(tr.get("per_year", 0.0)), per_age=float(tr.get("per_age", 0.0)),
             noise_sd=float(spec.get("noise_sd", 0.0)),
-            seed=int(spec.get("seed", seed)),
+            seed=spec.get("seed", seed),
             label=spec.get("label", os.path.basename(path)),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as err:

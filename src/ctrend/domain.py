@@ -48,6 +48,7 @@ class AnalysisDomain:
     _compact: np.ndarray = field(init=False, repr=False, compare=False)
     _trend_compact: np.ndarray = field(init=False, repr=False, compare=False)
     _links: tuple = field(init=False, repr=False, compare=False)
+    _edge: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mask = np.asarray(self.mask, dtype=bool)
@@ -94,6 +95,11 @@ class AnalysisDomain:
         for pairs in links:
             pairs.setflags(write=False)
         object.__setattr__(self, "_links", links)
+        padded = np.pad(mask, 1)
+        inner = padded[1:-1, :-2] & padded[1:-1, 2:] & padded[:-2, 1:-1] & padded[2:, 1:-1]
+        edge = mask & ~inner
+        edge.setflags(write=False)
+        object.__setattr__(self, "_edge", edge)
 
     # --- sizes ---------------------------------------------------------------
 
@@ -148,6 +154,12 @@ class AnalysisDomain:
         included cell's link to the next age, then to the next year, cells
         row-major; and each boundary slot's link to the next."""
         return self._links
+
+    def edge(self) -> np.ndarray:
+        """The domain boundary as a grid flag, computed once: the included
+        trend cells missing one of their four neighbours, which are those
+        that are not the middle of both a row triple and a column triple."""
+        return self._edge
 
     def full_to_compact(self) -> np.ndarray:
         """Compact position of each full-vector component; -1 if it does not participate."""

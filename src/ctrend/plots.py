@@ -33,9 +33,9 @@ def _viridis(t) -> list:
     k = np.searchsorted(_VIRIDIS_KNOTS[1:], t)
     f = (t - _VIRIDIS_KNOTS[k]) / (_VIRIDIS_KNOTS[k + 1] - _VIRIDIS_KNOTS[k])
     c0 = _VIRIDIS_RGB[k]
-    rgb = np.rint(c0 + f[:, None] * (_VIRIDIS_RGB[k + 1] - c0)).astype(int)
-    packed = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
-    return [f"#{v:06x}" for v in packed.tolist()]
+    rgb = np.rint(c0 + f[:, None] * (_VIRIDIS_RGB[k + 1] - c0))
+    hexes = rgb.astype(np.uint8).tobytes().hex()  # six digits per value
+    return ["#" + hexes[s : s + 6] for s in range(0, len(hexes), 6)]
 
 
 def _cohort_color(diagonal: int, t: float) -> str:
@@ -109,13 +109,14 @@ def svg_heatmap(
         ]
     else:
         fills[finite] = _viridis(t)
-    parts = []
-    for i, row in enumerate(fills.tolist()):
-        y = margin_t + (ni - 1 - i) * cell
-        for j, fill in enumerate(row):
-            parts.append(
-                f'<rect x="{margin_l + j * cell}" y="{y}" width="{cell}" height="{cell}" fill="{fill}"/>'
-            )
+    # One <rect> per cell, row by row: its text up to the fill is made from
+    # the cell's column and row texts, then joined with the fills.
+    columns = [f'<rect x="{margin_l + j * cell}" y="' for j in range(nj)]
+    rows = [f'{margin_t + (ni - 1 - i) * cell}" width="{cell}" height="{cell}" fill="' for i in range(ni)]
+    rects = [None] * (2 * grid.size)
+    rects[0::2] = [x + y for y in rows for x in columns]
+    rects[1::2] = [fill + '"/>' for fill in fills.ravel().tolist()]
+    parts = ["".join(rects)]
     if annotations:
         for i, j in annotations:
             cx = margin_l + j * cell + cell / 2

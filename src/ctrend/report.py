@@ -4,8 +4,8 @@ All files are written atomically (temp file + rename) with the mode a plain
 ``open`` would give, so the umask applies.  Every table and figure carries
 the manifest digest, a hash of the effective inputs and configuration, so
 outputs can be traced back to the run that produced them.  SVGs are drawn
-from the tables' numeric columns alone: ``write_fit_bundle`` draws them from
-the columns it has just written, and ``render_bundle_svgs`` from the columns
+from the tables' numeric columns alone: :class:`BundleWriter` draws them
+from the columns it has just made, and ``render_bundle_svgs`` from the columns
 it parses back from the files of a run directory.  A number's cell text (a
 float's ``repr``, an integer's digits) parses back to the same number, so
 both draw the same bytes.
@@ -31,6 +31,7 @@ __all__ = [
     "read_columns",
     "manifest_digest",
     "write_fit_bundle",
+    "BundleWriter",
     "render_bundle_svgs",
     "comparison_entry",
     "write_comparison_entries",
@@ -169,15 +170,6 @@ def levels_columns(frame, levels):
     return [frame.year_of(ii), frame.age_of(jj), levels[ii, jj]]
 
 
-def _domain_boundary(domain):
-    """Included trend cells missing one of their four neighbours: those that
-    are not the middle of both a row triple and a column triple."""
-    along_rows, along_columns = domain.runs(3)
-    interior = np.intersect1d(along_rows[:, 1], along_columns[:, 1])
-    trend_compact = domain.full_to_compact()[domain.frame.cohort_count :]
-    return domain.mask & ~np.isin(trend_compact, interior).reshape(domain.mask.shape)
-
-
 def trends_columns(solution, trends, trend_se):
     """Every finite trend with its SE and 95% interval (empty where the SE is
     not finite) and its domain-boundary flag, row-major."""
@@ -185,7 +177,7 @@ def trends_columns(solution, trends, trend_se):
     ii, jj = np.nonzero(np.isfinite(trends))
     value = trends[ii, jj]
     se = _finite(trend_se[ii, jj])
-    edge = _domain_boundary(solution.domain)[ii, jj]
+    edge = solution.domain.edge()[ii, jj]
     return [
         frame.year_of(ii),
         frame.age_of(jj),
@@ -452,47 +444,99 @@ TABLE_HEADERS = {
 
 
 def write_fit_bundle(outdir: str, run, manifest: dict) -> list:
-    """Write every artifact for one fit run; returns the paths written.
-    When a write fails, the files written before it are removed."""
-    written = []
-    try:
-        for name, text in _bundle_texts(run, manifest):
-            path = os.path.join(outdir, name)
-            atomic_write_text(path, text)
-            written.append(path)
-    except BaseException:
-        for path in written:
-            with contextlib.suppress(OSError):
-                os.unlink(path)
-        raise
-    return written
+    """Write every artifact for one fit run, a batch of one
+    (:class:`BundleWriter`); returns the paths written."""
+    return BundleWriter().write(outdir, run, manifest)
 
 
-def _bundle_texts(run, manifest: dict):
-    """Each file of a fit run's bundle as ``(name, text)``, in write order."""
-    digest = manifest["digest"]
-    solution = run.solution
-    frame = solution.frame
-    levels, trends, trend_se = solution.level_grid(), solution.trend_grid(), solution.trend_se_grid()
-    columns = {
-        "observed.csv": observed_columns(run.cells, frame),
-        "levels.csv": levels_columns(frame, levels),
-        "trends.csv": trends_columns(solution, trends, trend_se),
-        "boundary_levels.csv": boundary_levels_columns(solution),
-        "clusters.csv": clusters_columns(run.clusters),
-        "cluster_tests.csv": cluster_tests_columns(run.clusters),
-        "trace.csv": _columns(trace_rows(run.trace)),
-        "domain.csv": domain_columns(solution.domain),
-        "cohort_track.csv": cohort_track_columns(run, levels, trends, trend_se),
+# The shared files are rendered with this stand-in digest and cut where it
+# stands: after the first "manifest: " of a CSV (its comment line) or an SVG
+# (its <desc>), and at the "manifest" key of ingest_report.json.  A JSON
+# string escapes its quotes, so the key's text occurs nowhere else.
+_SLOT = "@digest@"
+
+
+class BundleWriter:
+    """Writes the bundles of the runs of one batch (:func:`ctrend.pipeline.batch_fit`).
+
+    The runs of a batch share their cells, domain and ingest report, so
+    ``observed.csv``, ``domain.csv``, ``observed.svg`` and
+    ``ingest_report.json`` differ between their bundles only in the manifest
+    digest.  The writer renders those files once, with the digest left as a
+    slot, and fills the slot for each bundle; a run that does not share
+    them with the run before renders them afresh.
+    """
+
+    def __init__(self):
+        self._source = (None, None, None)  # the cells, domain and ingest report of _shared
+        self._shared = {}  # file name -> (text before the digest, text after it)
+
+    def write(self, outdir: str, run, manifest: dict) -> list:
+        """Write every artifact for one fit run; returns the paths written.
+        When a write fails, the files written before it are removed."""
+        written = []
+        try:
+            for name, text in self._texts(run, manifest):
+                path = os.path.join(outdir, name)
+                atomic_write_text(path, text)
+                written.append(path)
+        except BaseException:
+            for path in written:
+                with contextlib.suppress(OSError):
+                    os.unlink(path)
+            raise
+        return written
+
+    def _texts(self, run, manifest: dict) -> list:
+        """Each file of a fit run's bundle as ``(name, text)``, in write order."""
+        source = (run.cells, run.solution.domain, run.ingest_report)
+        if any(new is not old for new, old in zip(source, self._source)):
+            self._shared = _shared_texts(run)
+            self._source = source
+        digest = manifest["digest"]
+        solution = run.solution
+        frame = solution.frame
+        levels, trends, trend_se = solution.level_grid(), solution.trend_grid(), solution.trend_se_grid()
+        columns = {
+            "levels.csv": levels_columns(frame, levels),
+            "trends.csv": trends_columns(solution, trends, trend_se),
+            "boundary_levels.csv": boundary_levels_columns(solution),
+            "clusters.csv": clusters_columns(run.clusters),
+            "cluster_tests.csv": cluster_tests_columns(run.clusters),
+            "trace.csv": _columns(trace_rows(run.trace)),
+            "cohort_track.csv": cohort_track_columns(run, levels, trends, trend_se),
+        }
+        texts = {name: head + digest + tail for name, (head, tail) in self._shared.items()}
+        for name, table_columns in columns.items():
+            texts[name] = _table_text(TABLE_HEADERS[name], table_columns, digest)[0]
+        texts["manifest.json"] = _json_text(manifest)
+        texts.update(render_svg_texts(columns, digest))
+        return [(name, texts[name]) for name in BUNDLE_FILES if name in texts]
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _shared_texts(run) -> dict:
+    """The bundle files drawn from the run's cells, domain and ingest report
+    alone, each as its text before and after the manifest digest."""
+    tables = {
+        "observed.csv": observed_columns(run.cells, run.solution.frame),
+        "domain.csv": domain_columns(run.solution.domain),
     }
-    for name, table_columns in columns.items():
-        yield name, _table_text(TABLE_HEADERS[name], table_columns, digest)[0]
+    texts = {name: _table_text(TABLE_HEADERS[name], columns, _SLOT)[0] for name, columns in tables.items()}
+    texts.update(render_svg_texts(tables, _SLOT))  # observed.svg: domain.csv draws none
+    shared = {name: _around_slot(text, "manifest: ") for name, text in texts.items()}
+    stamped = _json_text(dict(run.ingest_report, manifest=_SLOT))
+    shared["ingest_report.json"] = _around_slot(stamped, '"manifest": "')
+    return shared
 
-    yield "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    stamped = dict(run.ingest_report, manifest=digest)
-    yield "ingest_report.json", json.dumps(stamped, indent=2, sort_keys=True) + "\n"
 
-    yield from render_svg_texts(columns, digest).items()
+def _around_slot(text: str, before: str) -> tuple:
+    """``text`` cut at the digest slot that follows the first ``before``."""
+    head, _, tail = text.partition(before + _SLOT)
+    return head + before, tail
 
 
 # Each figure with its renderer and the tables it is drawn from.  A figure is
@@ -505,6 +549,11 @@ FIGURES = {
     "cluster_chart.svg": (svg_from_cluster_chart, ("clusters.csv", "cluster_tests.csv")),
     "cohort_track.svg": (svg_from_cohort_track, ("cohort_track.csv",)),
 }
+
+
+# A bundle's files in write order: the tables, the manifest and the ingest
+# report, then the figures.
+BUNDLE_FILES = (*TABLE_HEADERS, "manifest.json", "ingest_report.json", *FIGURES)
 
 
 def render_svg_texts(tables: dict, digest: str | None = None) -> dict:

@@ -82,9 +82,32 @@ class TestSimulate:
             ({"frame": {"y_min": 2000, "y_max": 2002, "a_min": 30, "a_max": 32, "amax": 33},
               "surveys": [], "initial_levels": {"bsae": 20.0}, "trends": {"per_yaer": 0.1}},
              "unknown scenario keys ['frame.amax', 'initial_levels.bsae', 'trends.per_yaer']"),
+            # int() would make these 2000, 2 and 1: six records and exit 0
+            ({"frame": {"y_min": 2000, "y_max": 2002, "a_min": 30, "a_max": 32},
+              "surveys": [{"year": 2000.9, "age_min": 30, "age_max": 32, "samples_per_age": 2.9}],
+              "seed": 1.7},
+             "scenario entry 'seed' must be an integer, got 1.7"),
+            ({"frame": {"y_min": 2000, "y_max": 2002, "a_min": 30, "a_max": 32},
+              "surveys": [{"year": 2000, "age_min": 30, "age_max": 32},
+                          {"year": 2001.0, "age_min": 30, "age_max": 32}]},
+             "scenario entry 'surveys[1].year' must be an integer, got 2001.0"),
+            ({"frame": {"y_min": 2000, "y_max": 2002, "a_min": 30, "a_max": 32},
+              "surveys": [{"year": 2000, "age_min": 30, "age_max": 32, "samples_per_age": True}]},
+             "scenario entry 'surveys[0].samples_per_age' must be an integer, got true"),
+            ({"frame": {"y_min": 2000, "y_max": 2002, "a_min": 30, "a_max": 32},
+              "surveys": [{"year": 2000, "age_min": 30, "age_max": 32, "duration_months": "4"}]},
+             "scenario entry 'surveys[0].duration_months' must be an integer, got \"4\""),
+            # float() would take these as 2000.0 and 1.0
+            ({"frame": {"y_min": "2000", "y_max": 2002, "a_min": 30, "a_max": 32},
+              "surveys": [{"year": 2000, "age_min": 30, "age_max": 32}]},
+             "scenario entry 'frame.y_min' must be a number, got \"2000\""),
+            ({"frame": {"y_min": 2000, "y_max": 2002, "a_min": 30, "a_max": 32},
+              "surveys": [{"year": 2000, "age_min": 30, "age_max": 32}], "noise_sd": True},
+             "scenario entry 'noise_sd' must be a number, got true"),
         ],
         ids=["list", "null frame", "number surveys", "misspelt noise and samples",
-             "misspelt section keys"],
+             "misspelt section keys", "real integers", "real survey year", "boolean samples",
+             "text duration", "text frame bound", "boolean noise"],
     )
     def test_malformed_scenario_structure(self, tmp_path, capsys, spec, message):
         scen = tmp_path / "scenario.json"
@@ -325,6 +348,32 @@ class TestFit:
         for manifest in manifests:
             del manifest["created"]
         assert manifests[0] == manifests[1]
+
+    def test_every_pair_is_its_plain_fit(self, data_file, tmp_path):
+        # the batch renders its pair-independent files once and stamps each
+        # bundle's digest into them: each bundle must still be its pair's plain fit
+        flags = ["--cell-min-count", "0", "--age-window", "3", "--year-window", "3"]
+        pairs = ["0.7:0.9", "0.5:0.9", "0.6:0.85"]
+        batch = tmp_path / "batch"
+        argv = ["fit", data_file, "--out", str(batch)] + flags
+        for pair in pairs:
+            argv += ["--pair", pair]
+        assert main(argv) == EXIT_OK
+        digests = set()
+        for pair in pairs:
+            level, trend = pair.split(":")
+            plain = tmp_path / f"plain-{pair}"
+            argv = ["fit", data_file, "--out", str(plain), "--level-target", level,
+                    "--trend-target", trend] + flags
+            assert main(argv) == EXIT_OK
+            bundle = batch / f"R_{level}_{trend}"
+            names = sorted(p.name for p in plain.iterdir())
+            assert names == sorted(p.name for p in bundle.iterdir())
+            for name in names:
+                if name != "manifest.json":
+                    assert (plain / name).read_bytes() == (bundle / name).read_bytes(), (pair, name)
+            digests.add(json.loads((bundle / "manifest.json").read_text())["digest"])
+        assert len(digests) == len(pairs)
 
     def test_pairs_sharing_a_bundle_directory(self, data_file, tmp_path, capsys, monkeypatch):
         # both pairs format to R_0.7_0.9: the second bundle would overwrite the first

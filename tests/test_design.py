@@ -16,7 +16,6 @@ from ctrend.design import (
 )
 from ctrend.domain import AnalysisDomain, build_domain
 from ctrend.grid import CellIndex, ModelVector, ObservationalFrame, predict_observation
-from ctrend.report import _domain_boundary
 
 from conftest import cell_table, make_cell
 
@@ -168,7 +167,7 @@ class TestTrendCurvature:
         assert matrix.shape == expected.shape
         assert np.array_equal(matrix.toarray(), expected)
 
-        edge = _domain_boundary(domain)
+        edge = domain.edge()
         for i, j in np.ndindex(ni, nj):
             neighbours = [(i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)]
             missing = any(

@@ -1,14 +1,16 @@
-"""The bulk cell formatter and the vector viridis map against per-value references."""
+"""The bulk cell formatter, the vector viridis map and the heatmap's cells
+against per-value references."""
 
 import csv
 import io
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ctrend.plots import _viridis
+from ctrend.plots import _cohort_color, _viridis, svg_heatmap
 from ctrend.report import _table_text, csv_text
 
 
@@ -146,3 +148,72 @@ def test_viridis_knots_ties_and_clipping():
 @given(st.lists(st.floats(-0.5, 1.5, allow_subnormal=True), max_size=30))
 def test_viridis_matches_scalar(t):
     assert _viridis(np.array(t, dtype=float)) == [viridis_scalar(v) for v in t]
+
+
+def reference_cells(grid, cohort_shading) -> str:
+    """Reference: the heatmap's cell rects, row by row, each formatted on its own."""
+    ni, nj = grid.shape
+    cell = max(6, min(22, int(640 / max(ni, nj))))
+    finite = np.isfinite(grid)
+    lo, hi = float(grid[finite].min()), float(grid[finite].max())
+    span = hi - lo if hi > lo else 1.0
+    rects = []
+    for i in range(ni):
+        for j in range(nj):
+            t = (float(grid[i, j]) - lo) / span
+            if not finite[i, j]:
+                fill = "#eeeeee"
+            elif cohort_shading:
+                fill = _cohort_color(j - i, t)
+            else:
+                fill = viridis_scalar(t)
+            rects.append(
+                f'<rect x="{70 + j * cell}" y="{40 + (ni - 1 - i) * cell}" '
+                f'width="{cell}" height="{cell}" fill="{fill}"/>'
+            )
+    return "".join(rects)
+
+
+def check_heatmap(grid, cohort_shading, annotations):
+    ni, nj = grid.shape
+    svg = svg_heatmap(
+        grid, list(range(2000, 2000 + ni)), list(range(30, 30 + nj)), "title", "value",
+        cohort_shading=cohort_shading, manifest="abc123", annotations=annotations,
+    )
+    head, found, tail = svg.partition(reference_cells(grid, cohort_shading))
+    assert found
+    # the cells come right after the title and before the dots and the labels
+    assert head.endswith(">title</text>")
+    assert tail.startswith("<circle" if annotations else "<text")
+    assert svg.count("<rect") == 1 + ni * nj + 24  # the background and the colour key
+
+
+def heatmap_grid(rng, shape, nan_share):
+    grid = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
+    grid[rng.random(shape) < nan_share] = np.nan
+    grid.flat[rng.integers(grid.size)] = rng.normal()  # at least one finite value
+    return grid
+
+
+def test_heatmap_cells_match_reference():
+    rng = np.random.default_rng(7)
+    shapes = [(1, 1), (1, 6), (5, 1), (3, 7), (29, 30), (45, 40), (80, 3)]
+    for shape in shapes:
+        for nan_share in (0.0, 0.3):
+            grid = heatmap_grid(rng, shape, nan_share)
+            marks = [tuple(cell) for cell in np.argwhere(rng.random(shape) < 0.1).tolist()]
+            for cohort_shading in (False, True):
+                check_heatmap(grid, cohort_shading, marks)
+    check_heatmap(np.array([[np.nan, 2.0], [2.0, np.nan]]), False, [(0, 1)])  # one value: span 1
+    check_heatmap(np.array([[-0.0]]), True, None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+           elements=st.one_of(st.floats(-1e6, 1e6), st.just(math.nan))),
+    st.booleans(),
+)
+def test_heatmap_cells_match_reference_on_small_grids(grid, cohort_shading):
+    assume(np.isfinite(grid).any())
+    check_heatmap(grid, cohort_shading, [(0, 0)])

@@ -21,6 +21,7 @@ from ctrend.report import (
     manifest_digest,
     read_columns,
     read_table,
+    BundleWriter,
     render_bundle_svgs,
     write_fit_bundle,
 )
@@ -253,6 +254,44 @@ class TestBundle:
         header, rows = read_table(os.path.join(outdir, "trace.csv"))
         assert len(rows) == len(run.trace)
         assert float(rows[-1][3]) == pytest.approx(run.trace[-1].trend_smoothness)
+
+
+class TestBundleWriter:
+    OPTIONS = FitOptions(trend_target=0.85, cell_min_count=0, age_window=3, year_window=3)
+
+    def fit(self, seed, source=""):
+        scenario = linear_trend_scenario(seed=seed, noise_sd=1.0)
+        result = ingest_records(simulate(scenario), frame=scenario.frame, cell_min_count=0,
+                                source=source)
+        run = run_fit(result, self.OPTIONS)
+        return run, build_manifest(run, [f"seed {seed}"])
+
+    @staticmethod
+    def files(directory):
+        return {p.name: p.read_bytes() for p in directory.iterdir() if p.name != "manifest.json"}
+
+    def test_runs_of_other_data_get_their_own_files(self, tmp_path):
+        # one writer, three runs: the shared files of the first run must not
+        # reach the second, which fits other cells, nor leak back to the third
+        fits = [self.fit(41), self.fit(42), self.fit(41)]
+        writer = BundleWriter()
+        for k, (run, manifest) in enumerate(fits):
+            alone, shared = tmp_path / f"alone{k}", tmp_path / f"shared{k}"
+            write_fit_bundle(str(alone), run, manifest)
+            writer.write(str(shared), run, manifest)
+            assert self.files(alone) == self.files(shared), k
+        assert self.files(tmp_path / "shared0") != self.files(tmp_path / "shared1")
+
+    def test_digest_slot_text_in_the_source_name(self, tmp_path):
+        # the ingest report is cut at its "manifest" key: the same text inside
+        # a string elsewhere is escaped, so it is not taken for the slot
+        source = '"manifest": "@digest@" manifest: @digest@'
+        run, manifest = self.fit(43, source=source)
+        write_fit_bundle(str(tmp_path), run, manifest)
+        report = json.loads((tmp_path / "ingest_report.json").read_text())
+        assert report["manifest"] == manifest["digest"]
+        assert report["source"] == source
+        assert report == dict(run.ingest_report, manifest=manifest["digest"])
 
 
 class TestDeterminism:
