@@ -47,6 +47,7 @@ __all__ = [
     "stack",
     "objective_parts",
     "lower_band",
+    "band_one_norm",
     "check_weights",
 ]
 
@@ -147,6 +148,19 @@ def lower_band(matrix, bandwidth: int) -> np.ndarray:
     return band
 
 
+def band_one_norm(row_moduli, width: int) -> float:
+    """1-norm (largest column sum of moduli) of a symmetric band matrix
+    from ``row_moduli(d)``, a new array of the moduli of row ``d`` of its
+    lower band (LAPACK lower band storage, ``width`` rows), read one band
+    row at a time, so no band-sized array is made."""
+    sums = row_moduli(0)
+    for d in range(1, width):
+        sums += row_moduli(d)  # each column from the diagonal down
+    for d in range(1, width):
+        sums[d:] += row_moduli(d)[:-d]  # and the same column above the diagonal
+    return float(sums.max())
+
+
 # Row-pair products scattered at once by _add_gram_band: about 0.4 MB of
 # index and value arrays.
 GRAM_CHUNK = 4096
@@ -196,7 +210,9 @@ class DesignSystem:
     of the normal matrix at weights ``(w1, w2)`` is
     ``bands[0] + w1 bands[1] + w2 bands[2]``.
     ``data_rhs`` is ``X0^T W x0``, the right-hand side at any weights,
-    since the curvature rows have zero targets.
+    since the curvature rows have zero targets.  ``band_norms`` holds the
+    1-norms of ``G0``, ``G1`` and ``G2``, so ``||N||_1 <= band_norms[0] +
+    w1 band_norms[1] + w2 band_norms[2]`` at any weights.
     """
 
     domain: AnalysisDomain
@@ -208,6 +224,7 @@ class DesignSystem:
     bandwidth: int  # half-bandwidth of the normal matrix
     bands: np.ndarray  # lower bands of G0, G1, G2
     data_rhs: np.ndarray  # X0^T W x0
+    band_norms: tuple[float, float, float]  # 1-norms of G0, G1, G2
 
     @classmethod
     def build(cls, cells, domain: AnalysisDomain, weight_by_count: bool = False) -> "DesignSystem":
@@ -239,6 +256,9 @@ class DesignSystem:
             bandwidth=bandwidth,
             bands=bands,
             data_rhs=matrix.rmatvec(weights * target),
+            band_norms=tuple(
+                band_one_norm(lambda d, band=band: np.abs(band[d]), bandwidth + 1) for band in bands
+            ),
         )
 
     def normal_product(self, z: np.ndarray, trend_weight: float, level_weight: float) -> np.ndarray:

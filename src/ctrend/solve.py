@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .design import DesignSystem, check_weights, objective_parts
+from .design import DesignSystem, band_one_norm, check_weights, objective_parts
 from .domain import AnalysisDomain
 from .grid import ModelVector, forward_levels
 
@@ -47,6 +47,11 @@ __all__ = [
 # only attaches a warning, both on the estimated 1-norm condition number.
 SINGULAR_CONDITION = 1e14
 ILL_CONDITION = 1e12
+# A solve skips the estimate where this multiple of the O(p) bound on the
+# condition number (:func:`_condition_bound`) is at most ILL_CONDITION: a
+# margin for the rounding of the band sum and of the banded solves that
+# the estimate reads, neither of which the exact bound sees.
+BOUND_MARGIN = 2.0
 
 IDENTIFIABILITY_HINT = (
     "the stacked system is singular: the data do not identify the model. "
@@ -89,13 +94,35 @@ class CorrelationSummary:
     n_skipped_level: int = 0
 
 
+class _EstimatedOnFirstRead:
+    """The ``condition`` field of :class:`Solution`: the value given, or,
+    where none was (None, the field's default), the estimate made on the
+    first read and kept."""
+
+    def __get__(self, solution, owner=None):
+        if solution is None:
+            return None  # the field's default
+        if solution._condition is None:
+            solution._condition = _estimated_condition(
+                solution.bands, solution.trend_weight, solution.level_weight,
+                solution.cov.unscaled(),
+            )
+        return solution._condition
+
+    def __set__(self, solution, value):
+        solution._condition = value
+
+
 @dataclass
 class Solution:
     """Point estimates with covariance over one analysis domain.
 
     ``estimate`` and ``cov`` are in the compact order, cohort-major
     (:class:`~ctrend.domain.AnalysisDomain`); full-scale views carry NaN for
-    non-participating components.
+    non-participating components.  ``condition``, where not given, is
+    estimated from ``bands`` (the design's :attr:`DesignSystem.bands`) and
+    the factor when first read, so a solution nobody reports never pays
+    for the estimate.
     """
 
     domain: AnalysisDomain
@@ -110,8 +137,9 @@ class Solution:
     level_curvature: float  # squared boundary-level second differences
     n_rows: tuple[int, int, int]
     dof: int
-    condition: float  # estimated 1-norm condition number of the normal matrix
+    condition: float = _EstimatedOnFirstRead()  # estimated 1-norm condition number of N
     warnings: list = field(default_factory=list)
+    bands: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     # --- scattered views -----------------------------------------------------
 
@@ -201,6 +229,18 @@ class BandedCovariance:
 
     def diagonal(self) -> np.ndarray:
         return self.scale * self.inverse_band[0]
+
+    def inverse_norm_bound(self) -> float:
+        """An upper bound on ``||N^-1||_1`` (scale 1) from the variances
+        alone: ``|S_ij| <= sqrt(S_ii S_jj)`` for the positive definite
+        ``S = N^-1``, so each column sum of moduli is at most
+        ``sqrt(max S_ii) * sum sqrt(S_ii)``.  Infinite unless every
+        variance is positive."""
+        variances = self.inverse_band[0]
+        if not variances.min() > 0.0:  # NaN fails the test too
+            return math.inf
+        roots = np.sqrt(variances)
+        return float(roots.max() * roots.sum())
 
     def __getitem__(self, key):
         a, b = key
@@ -540,18 +580,6 @@ def one_blas_thread():
             set_threads(previous[name])
 
 
-def _one_norm(band: np.ndarray) -> float:
-    """1-norm (largest column sum of moduli) of the symmetric matrix whose
-    lower band is ``band``, read one band row at a time."""
-    moduli = np.abs(band)
-    sums = moduli[0].copy()
-    for row in moduli[1:]:
-        sums += row  # each column from the diagonal down
-    for d in range(1, band.shape[0]):
-        sums[d:] += moduli[d, :-d]  # and the same column above the diagonal
-    return float(sums.max())
-
-
 def _inverse_one_norm(inverse: BandedCovariance) -> float:
     """Estimate of ``||N^-1||_1`` from products ``inverse @ x``.
 
@@ -585,6 +613,37 @@ def _inverse_one_norm(inverse: BandedCovariance) -> float:
     return max(estimate, 2.0 * float(np.abs(inverse @ alternating).sum()) / (3.0 * p))
 
 
+def _estimated_condition(bands, trend_weight: float, level_weight: float,
+                         inverse: BandedCovariance) -> float:
+    """The 1-norm condition number of the normal matrix: ``||N||_1`` read
+    from its band, summed again since the factor overwrote it, times
+    Hager's estimate of ``||N^-1||_1`` from the unscaled ``inverse``.
+    Each band row is summed where the norm reads it, with the arithmetic
+    of the band sum in :func:`solve`, so no band-sized array is made
+    after the fit: one there raised the peak RSS of a process repeating
+    `table` fits by about 0.3 MB."""
+    b0, b1, b2 = bands
+
+    def row_moduli(d):
+        row = np.multiply(b1[d], trend_weight)
+        row += b0[d]
+        row += level_weight * b2[d]
+        return np.abs(row, out=row)
+
+    return band_one_norm(row_moduli, len(b0)) * _inverse_one_norm(inverse)
+
+
+def _condition_bound(system: DesignSystem, trend_weight: float, level_weight: float,
+                     inverse: BandedCovariance) -> float:
+    """An upper bound on the 1-norm condition number in O(p): the design's
+    band norms bound ``||N||_1`` by the triangle inequality, and the
+    variances bound ``||N^-1||_1`` (:meth:`BandedCovariance.inverse_norm_bound`).
+    Hager's estimate is a lower bound on ``||N^-1||_1``, so the estimated
+    condition number is at most this, up to rounding."""
+    n0, n1, n2 = system.band_norms
+    return (n0 + trend_weight * n1 + level_weight * n2) * inverse.inverse_norm_bound()
+
+
 def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Solution:
     """Minimize the stacked weighted objective and attach inference outputs.
 
@@ -597,7 +656,11 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
     inverse gives the variances and the adjacent covariances the iteration
     loop reads, and banded solves give the rest on request.  ``condition``
     is the 1-norm condition number, ``||N||_1`` read from the band times
-    Hager's estimate of ``||N^-1||_1``.
+    Hager's estimate of ``||N^-1||_1``.  A solve first checks an O(p)
+    upper bound on it (:func:`_condition_bound`); where the bound proves it
+    below ``ILL_CONDITION``, neither the warning nor the singular stop can
+    apply, and the estimate is left to the first read of ``condition``.
+    Otherwise it is estimated here, before the solve returns.
 
     Raises
     ------
@@ -619,25 +682,25 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
 
     b0, b1, b2 = system.bands
     # Summed in place into the column-major array that LAPACK factors in
-    # place: the band becomes the factor, so its norm is read first.
+    # place: the band becomes the factor.
     band = np.multiply(b1, trend_weight, order="F")
     band += b0
     band += level_weight * b2
-    norm = _one_norm(band)
     try:
         inverse = BandedCovariance(band)
     except LinAlgError as err:
         raise SingularSystemError(f"{err}; {IDENTIFIABILITY_HINT}") from None
 
-    condition = norm * _inverse_one_norm(inverse)
-    if not math.isfinite(condition) or condition > SINGULAR_CONDITION:
-        raise SingularSystemError(
-            f"normal-matrix condition number {condition:.3g} exceeds "
-            f"{SINGULAR_CONDITION:.0e}; " + IDENTIFIABILITY_HINT
-        )
-    notes = []
-    if condition > ILL_CONDITION:
-        notes.append(f"ill-conditioned normal matrix (1-norm condition ~ {condition:.3g})")
+    condition, notes = None, []
+    if not BOUND_MARGIN * _condition_bound(system, trend_weight, level_weight, inverse) <= ILL_CONDITION:
+        condition = _estimated_condition(system.bands, trend_weight, level_weight, inverse)
+        if not math.isfinite(condition) or condition > SINGULAR_CONDITION:
+            raise SingularSystemError(
+                f"normal-matrix condition number {condition:.3g} exceeds "
+                f"{SINGULAR_CONDITION:.0e}; " + IDENTIFIABILITY_HINT
+            )
+        if condition > ILL_CONDITION:
+            notes.append(f"ill-conditioned normal matrix (1-norm condition ~ {condition:.3g})")
 
     rhs = system.data_rhs
     z = inverse @ rhs
@@ -668,6 +731,7 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
         dof=n_total - p,
         condition=condition,
         warnings=notes,
+        bands=system.bands,
     )
 
 

@@ -7,16 +7,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from ctrend.design import DesignSystem, lower_band, stack
+from ctrend import iterate
+from ctrend.design import DesignSystem, band_one_norm, lower_band, stack
 from ctrend.domain import AnalysisDomain, build_domain
 from ctrend.grid import CellIndex, ObservationalFrame
 from ctrend.ingest import SurveyRecord, ingest_records
 from ctrend.oracle import brute_force_fit
-from ctrend.simulate import linear_trend_scenario, simulate
+from ctrend.pipeline import FitOptions
+from ctrend.simulate import linear_trend_scenario, preset, simulate
 from ctrend.solve import (
     ILL_CONDITION,
     BandedCovariance,
@@ -585,3 +587,113 @@ class TestLapackBinding:
             match=r"^1-th leading minor not positive definite; the stacked system is singular",
         ):
             solve(negated, 1.0, 1.0)
+
+
+def summed_band_one_norm(band):
+    """The 1-norm of the symmetric matrix whose lower band is ``band``,
+    column sums added in the solver's order, from a full array of moduli."""
+    moduli = np.abs(band)
+    sums = moduli[0].copy()
+    for row in moduli[1:]:
+        sums += row
+    for d in range(1, band.shape[0]):
+        sums[d:] += moduli[d, :-d]
+    return float(sums.max())
+
+
+def counted_estimates(monkeypatch):
+    """How many times the full condition estimate has run so far."""
+    count = [0]
+    real = solve_module._estimated_condition
+
+    def counting(*args):
+        count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(solve_module, "_estimated_condition", counting)
+    return count
+
+
+class TestConditionOnRead:
+    @pytest.mark.parametrize("level_target, trend_target", [(0.7, 0.9), (0.3, 0.6)])
+    def test_loop_solves_defer_the_estimate(self, level_target, trend_target, monkeypatch):
+        """Every solve of a `table` seed 0 loop, at the default targets and
+        at (level 0.3, trend 0.6), where the level weight falls to about
+        1e-33, is proved below ILL_CONDITION by the O(p) bound and returns
+        without the estimate.  Read afterwards, ``condition`` is bit for bit
+        the band's 1-norm times Hager's estimate from the unscaled inverse,
+        is estimated once and kept, and is at most the bound."""
+        scenario = preset("table", seed=0)
+        res = ingest_records(simulate(scenario), frame=scenario.frame)
+        domain = build_domain(res.cells, res.frame)
+        system = DesignSystem.build(domain.filter_cells(res.cells)[0], domain)
+        estimates = counted_estimates(monkeypatch)
+        level_weights = []
+        real_solve = iterate.solve
+
+        def checking_solve(system, w1, w2):
+            sol = real_solve(system, w1, w2)
+            assert estimates[0] == 0 and not sol.warnings
+            b0, b1, b2 = system.bands
+            band = np.multiply(b1, w1, order="F") + b0 + w2 * b2
+            expected = summed_band_one_norm(band) * solve_module._inverse_one_norm(sol.cov.unscaled())
+            assert sol.condition == expected
+            assert sol.condition == expected and estimates[0] == 1  # estimated once, then kept
+            assert solve_module._condition_bound(system, w1, w2, sol.cov) >= sol.condition
+            estimates[0] = 0
+            level_weights.append(w2)
+            return sol
+
+        monkeypatch.setattr(iterate, "solve", checking_solve)
+        options = FitOptions(level_target=level_target, trend_target=trend_target)
+        result = iterate.run(system, options.iteration_config())
+        assert len(level_weights) == result.iterations + (not result.converged)
+        assert (min(level_weights) < 1e-30) == (level_target == 0.3)
+
+    def test_ill_conditioned_note_comes_out_of_solve(self, monkeypatch):
+        """Above ILL_CONDITION the estimate is made in ``solve``, which
+        attaches the note; the value read later is the one it made."""
+        _, _, system, _ = fitted_instance(seed=3, noise=0.0)
+        estimates = counted_estimates(monkeypatch)
+        sol = solve(system, 3e-12, 3e-12)
+        assert estimates[0] == 1
+        assert any("ill-conditioned" in w for w in sol.warnings)
+        assert sol.condition > 1e12 and estimates[0] == 1
+
+    def test_singular_condition_raises_in_solve(self):
+        """Above SINGULAR_CONDITION ``solve`` raises itself: the factor
+        exists, but no solution is returned whose first read would fail."""
+        _, _, system, _ = fitted_instance(seed=3, noise=0.0)
+        with pytest.raises(SingularSystemError, match=r"^normal-matrix condition number .* exceeds 1e\+14"):
+            solve(system, 1e-14, 1e-14)
+
+    def test_given_condition_is_kept(self):
+        """A solution made with a condition number reads that one, and
+        ``dataclasses.replace`` carries a read one over."""
+        _, _, system, sol = fitted_instance()
+        given_one = manual_solution(two_cell_domain(), [1.0, 2.0], np.eye(2))
+        assert given_one.condition == 1.0
+        assert dataclasses.replace(sol, sigma2=2.0).condition == sol.condition
+        assert dataclasses.replace(sol, condition=3.0).condition == 3.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_bound_is_at_least_the_condition_number(self, p, seed, data):
+        """On random SPD band matrices with diagonal scales from 1e-10 to 1,
+        the band's 1-norm times the O(p) bound on the inverse's 1-norm is at
+        least the dense 1-norm condition number."""
+        b = data.draw(st.integers(0, min(6, p - 1)))
+        exponents = data.draw(st.lists(st.floats(-10.0, 0.0), min_size=p, max_size=p))
+        scales = 10.0 ** np.array(exponents)
+        band = spd_band(np.random.default_rng(seed), p, b)
+        for d in range(b + 1):
+            band[d, : p - d] *= scales[d:] * scales[: p - d]  # D N D
+        dense = np.zeros((p, p))
+        for d in range(b + 1):
+            dense += np.diag(band[d, : p - d], -d)
+            if d:
+                dense += np.diag(band[d, : p - d], d)
+        norm = band_one_norm(lambda d: np.abs(band[d]), b + 1)
+        assert norm == summed_band_one_norm(band)
+        bound = norm * BandedCovariance(band.copy(order="F")).inverse_norm_bound()
+        assert bound >= np.linalg.cond(dense, 1) * (1.0 - 1e-12)
