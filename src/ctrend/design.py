@@ -46,6 +46,7 @@ __all__ = [
     "level_curvature_rows",
     "stack",
     "objective_parts",
+    "residual_parts",
     "lower_band",
     "band_one_norm",
     "check_weights",
@@ -356,7 +357,11 @@ def objective_parts(system: DesignSystem, z: np.ndarray) -> tuple[float, float, 
     ``parts[0] + w1 * parts[1] + w2 * parts[2]``.
     """
     z = np.asarray(z, dtype=float)
-    resid = system.data_matrix @ z - system.target
+    return residual_parts(system, z, system.data_matrix @ z - system.target)
+
+
+def residual_parts(system: DesignSystem, z: np.ndarray, resid: np.ndarray) -> tuple[float, float, float]:
+    """:func:`objective_parts` at ``z`` from its data residual ``resid = X0 z - x0``."""
     s0 = float(np.dot(system.data_row_weights * resid, resid))
     t1 = system.trend_penalty @ z
     s1 = float(np.dot(t1, t1))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solve import BandedCovariance, Solution
+from .solve import Solution
 
 __all__ = [
     "prob_f",
@@ -199,13 +199,13 @@ def cluster_compare(solution: Solution, age_window: int = 5, year_window: int = 
     gi, gj = np.divmod(keys, age_blocks)
     # Each block's mean is the exactly rounded sum of its cells' trends
     # (``math.fsum``) over their count, the same whatever the summation order
-    # of a BLAS kernel; its covariance comes from the averaging map, 1/n at
-    # (block, column) for each of a block's n cells.
+    # of a BLAS kernel; its covariance is sigma^2 A N^-1 A^T for the averaging
+    # map A, 1/n at (block, column) for each of a block's n cells.
     values = solution.estimate[columns[np.argsort(block_rows, kind="stable")]].tolist()
     ends = np.cumsum(n_cells).tolist()
     means = np.array([math.fsum(values[a:b]) for a, b in zip([0, *ends], ends)]) / n_cells
     weights = 1.0 / n_cells[block_rows]
-    block_cov = _map_covariance(solution.cov, block_rows, columns, weights, len(keys))
+    block_cov = solution.sigma2 * solution.inverse.map_covariance(block_rows, columns, weights, len(keys))
     var = block_cov.diagonal()
 
     # Each block against its older-age and its next-period neighbour, where
@@ -242,14 +242,3 @@ def cluster_compare(solution: Solution, age_window: int = 5, year_window: int = 
         degenerate=degenerate,
     )
 
-
-def _map_covariance(cov, rows, columns, values, count: int) -> np.ndarray:
-    """Covariance of ``A z`` for the ``count x p`` map ``A`` with entries
-    ``values`` at ``(rows, columns)``: from the factor of a
-    :class:`BandedCovariance` (:meth:`~BandedCovariance.map_covariance`),
-    else ``A cov A^T`` with ``A`` dense, for a dense covariance."""
-    if isinstance(cov, BandedCovariance):
-        return cov.map_covariance(rows, columns, values, count)
-    averaging = np.zeros((count, cov.shape[0]))
-    averaging[rows, columns] = values
-    return averaging @ (cov @ averaging.T)

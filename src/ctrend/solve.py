@@ -1,18 +1,17 @@
 """Weighted least-squares solver and estimate diagnostics.
 
 The point estimate minimizes the stacked weighted objective; the parameter
-covariance is the residual variance times the inverse of the weighted
-normal matrix.  Everything downstream (adjacent-estimate correlations,
-goodness of fit, cluster inference) is derived from the compact estimate
-and covariance held by :class:`Solution`.  The compact order is the banded
-one (:class:`~ctrend.domain.AnalysisDomain`), so the solver factors and
-solves in it with no permutation.
+covariance is the residual variance sigma^2 times the inverse of the
+weighted normal matrix.  Everything downstream (adjacent-estimate
+correlations, goodness of fit, cluster inference) is derived from the
+compact estimate, the inverse and sigma^2 held by :class:`Solution`.  The
+compact order is the banded one (:class:`~ctrend.domain.AnalysisDomain`),
+so the solver factors and solves in it with no permutation.
 """
 
 from __future__ import annotations
 
 import contextlib
-import copy
 import ctypes
 import functools
 import glob
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .design import DesignSystem, band_one_norm, check_weights, objective_parts
+from .design import DesignSystem, band_one_norm, check_weights, residual_parts
 from .domain import AnalysisDomain
 from .grid import ModelVector, forward_levels
 
@@ -37,7 +36,6 @@ __all__ = [
     "LapackUnavailableError",
     "require_lapack",
     "solve",
-    "estimate_sigma2",
     "r_squared",
     "adjacent_correlations",
     "one_blas_thread",
@@ -65,25 +63,6 @@ class SingularSystemError(RuntimeError):
     pass
 
 
-class DegreesOfFreedomError(ValueError):
-    pass
-
-
-def estimate_sigma2(weighted_rss: float, n_total: int, param_count: int) -> float:
-    """Residual variance: weighted residual sum of squares over (n - p).
-
-    ``n`` counts all stacked rows (data plus both curvature blocks) and
-    ``p`` the compact parameter count; the same convention feeds the
-    F-test denominator degrees of freedom.
-    """
-    dof = n_total - param_count
-    if dof <= 0:
-        raise DegreesOfFreedomError(
-            f"nonpositive degrees of freedom: {n_total} rows, {param_count} parameters"
-        )
-    return weighted_rss / dof
-
-
 @dataclass
 class CorrelationSummary:
     trend_smoothness: float  # mean correlation over adjacent trend pairs
@@ -104,8 +83,7 @@ class _EstimatedOnFirstRead:
             return None  # the field's default
         if solution._condition is None:
             solution._condition = _estimated_condition(
-                solution.bands, solution.trend_weight, solution.level_weight,
-                solution.cov.unscaled(),
+                solution.bands, solution.trend_weight, solution.level_weight, solution.inverse
             )
         return solution._condition
 
@@ -117,9 +95,11 @@ class _EstimatedOnFirstRead:
 class Solution:
     """Point estimates with covariance over one analysis domain.
 
-    ``estimate`` and ``cov`` are in the compact order, cohort-major
-    (:class:`~ctrend.domain.AnalysisDomain`); full-scale views carry NaN for
-    non-participating components.  ``condition``, where not given, is
+    ``estimate`` and ``inverse`` (``N^-1``) are in the compact order,
+    cohort-major (:class:`~ctrend.domain.AnalysisDomain`); full-scale views
+    carry NaN for non-participating components.  The covariance is
+    ``sigma2 * N^-1``, formed only where read (:meth:`standard_errors`, the
+    cluster block covariances).  ``condition``, where not given, is
     estimated from ``bands`` (the design's :attr:`DesignSystem.bands`) and
     the factor when first read, so a solution nobody reports never pays
     for the estimate.
@@ -129,7 +109,7 @@ class Solution:
     trend_weight: float
     level_weight: float
     estimate: np.ndarray
-    cov: BandedCovariance | np.ndarray  # consumers use the interface both share
+    inverse: BandedCovariance  # N^-1, without sigma2
     sigma2: float
     r2: float | None
     data_misfit: float  # weighted data RSS at the estimate
@@ -154,7 +134,7 @@ class Solution:
         return ModelVector.from_flat(self.frame, self.full_vector())
 
     def standard_errors(self) -> np.ndarray:
-        return np.sqrt(np.clip(self.cov.diagonal(), 0.0, None))
+        return np.sqrt(np.clip(self.sigma2 * self.inverse.diagonal(), 0.0, None))
 
     def trend_grid(self) -> np.ndarray:
         return self.model().trends
@@ -177,28 +157,25 @@ class Solution:
 
 
 class BandedCovariance:
-    """The inverse of a symmetric positive definite band matrix, times
-    ``scale`` (1, or the factor given to :meth:`scaled`).
+    """The inverse of a symmetric positive definite band matrix.
 
     ``band`` is the matrix's lower band in LAPACK lower band storage
     (:func:`ctrend.design.lower_band`), in the compact order, which is the
     banded one; its row count less one is the half-bandwidth ``bandwidth``.
     The matrix is held as its Cholesky factor ``chol`` in the same storage,
     and the selected inverse as ``inverse_band``, the lower band of the
-    unscaled inverse in that storage too (:func:`_selected_inverse`): two
+    inverse in that storage too (:func:`_selected_inverse`): two
     arrays of ``(b + 1) x p`` floats.  Factor and solves cost O(p b^2) and
-    O(p b) instead of O(p^3).  The object offers the part of the ndarray
-    interface that consumers use:
+    O(p b) instead of O(p^3).  The object offers:
 
-    * ``cov.diagonal()``, row 0 of ``inverse_band``;
-    * ``cov[a, b]`` for nonnegative indices or index arrays inside the
+    * ``inverse.diagonal()``, a copy of row 0 of ``inverse_band``;
+    * ``inverse[a, b]`` for nonnegative indices or index arrays inside the
       band, entry ``[hi - lo, lo]`` of ``inverse_band`` for ``lo <= hi``
       (``IndexError`` for a pair outside it or a negative index);
-    * ``cov @ x``, a banded solve;
-    * ``np.asarray(cov)``, the dense matrix, built only when asked for.
-
-    Beyond that interface, :meth:`map_covariance` gives the covariance of a
-    sparse linear map of the estimate from one forward solve.
+    * ``inverse @ x``, a banded solve;
+    * ``np.asarray(inverse)``, the dense matrix, built only when asked for;
+    * :meth:`map_covariance`, ``A N^-1 A^T`` for a sparse map ``A``, from
+      one forward solve.
 
     A column-major (Fortran-order) ``band`` is factored in place, so it
     becomes the factor; any other layout is copied first.  Raises
@@ -211,27 +188,14 @@ class BandedCovariance:
         if info > 0:
             raise LinAlgError(f"{info}-th leading minor not positive definite")
         self.bandwidth = band.shape[0] - 1
-        self.scale = 1.0
         self.shape = (band.shape[1],) * 2
         self.inverse_band = _selected_inverse(self.chol)
 
-    def scaled(self, factor: float) -> "BandedCovariance":
-        """The same factor with the scale multiplied by ``factor``."""
-        out = copy.copy(self)
-        out.scale = self.scale * factor
-        return out
-
-    def unscaled(self) -> "BandedCovariance":
-        """The same factor at scale 1: the inverse itself."""
-        out = copy.copy(self)
-        out.scale = 1.0
-        return out
-
     def diagonal(self) -> np.ndarray:
-        return self.scale * self.inverse_band[0]
+        return self.inverse_band[0].copy()
 
     def inverse_norm_bound(self) -> float:
-        """An upper bound on ``||N^-1||_1`` (scale 1) from the variances
+        """An upper bound on ``||N^-1||_1`` from the variances
         alone: ``|S_ij| <= sqrt(S_ii S_jj)`` for the positive definite
         ``S = N^-1``, so each column sum of moduli is at most
         ``sqrt(max S_ii) * sum sqrt(S_ii)``.  Infinite unless every
@@ -250,19 +214,18 @@ class BandedCovariance:
                 f"covariance entry outside the band (half-bandwidth {self.bandwidth}) "
                 "or at a negative index"
             )
-        return self.scale * self.inverse_band[hi - lo, lo]
+        return self.inverse_band[hi - lo, lo]
 
     def __matmul__(self, x):
-        # One column-major copy, solved and scaled in place.
+        # One column-major copy, solved in place.
         y = np.array(x, dtype=float, order="F")
         _lapack().pbtrs(self.chol, y)
-        y *= self.scale
         return y
 
     def map_covariance(self, rows, columns, values, count: int) -> np.ndarray:
-        """``scale * A N^-1 A^T`` for the ``count x p`` map ``A`` whose
-        nonzero entries are ``values`` at ``(rows, columns)``.  With
-        ``N = L L^T``, this is ``scale * V^T V`` for ``V = L^-1 A^T``:
+        """``A N^-1 A^T`` for the ``count x p`` map ``A`` whose nonzero
+        entries are ``values`` at ``(rows, columns)``.  With ``N = L L^T``,
+        this is ``V^T V`` for ``V = L^-1 A^T``:
         ``A^T`` is written straight into its rows and solved forward in
         place (LAPACK ``dtbtrs``), so neither a dense ``A`` nor a back
         substitution is formed.  The factor has a positive diagonal, so the
@@ -270,9 +233,7 @@ class BandedCovariance:
         v = np.zeros((self.shape[0], count), order="F")
         v[columns, rows] = values
         _lapack().tbtrs(self.chol, v)
-        out = v.T @ v
-        out *= self.scale
-        return out
+        return v.T @ v
 
     def __array__(self, dtype=None, copy=None):
         dense = self @ np.eye(self.shape[0])
@@ -617,7 +578,7 @@ def _estimated_condition(bands, trend_weight: float, level_weight: float,
                          inverse: BandedCovariance) -> float:
     """The 1-norm condition number of the normal matrix: ``||N||_1`` read
     from its band, summed again since the factor overwrote it, times
-    Hager's estimate of ``||N^-1||_1`` from the unscaled ``inverse``.
+    Hager's estimate of ``||N^-1||_1`` from ``inverse``.
     Each band row is summed where the norm reads it, with the arithmetic
     of the band sum in :func:`solve`, so no band-sized array is made
     after the fit: one there raised the peak RSS of a process repeating
@@ -652,9 +613,10 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
     the design computed once, and is factored (Cholesky).  The estimate
     gets two steps of iterative refinement, with the normal matrix applied
     through the row blocks (:meth:`DesignSystem.normal_product`).  The
-    covariance is a :class:`BandedCovariance`: the selected
-    inverse gives the variances and the adjacent covariances the iteration
-    loop reads, and banded solves give the rest on request.  ``condition``
+    inverse ``N^-1`` is a :class:`BandedCovariance`: the selected inverse
+    gives the variances and the adjacent covariances the iteration loop
+    reads, and banded solves give the rest on request.  The solution keeps
+    it apart from ``sigma2``.  ``condition``
     is the 1-norm condition number, ``||N||_1`` read from the band times
     Hager's estimate of ``||N^-1||_1``.  A solve first checks an O(p)
     upper bound on it (:func:`_condition_bound`); where the bound proves it
@@ -707,23 +669,25 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
     for _ in range(2):  # iterative refinement sharpens near-consistent systems
         z = z + inverse @ (rhs - system.normal_product(z, trend_weight, level_weight))
 
-    s0, s1, s2 = objective_parts(system, z)
-    total = s0 + trend_weight * s1 + level_weight * s2
+    resid = system.data_matrix @ z - system.target
+    s0, s1, s2 = residual_parts(system, z, resid)
     if n_total == p:
         # saturated system: unique interpolant, no residual information
         sigma2 = math.nan
         notes.append("saturated system: zero residual degrees of freedom, variance undefined")
     else:
-        sigma2 = estimate_sigma2(total, n_total, p)
+        # n - p, n counting every stacked row (data and both curvature
+        # blocks): also the F-test denominator's degrees of freedom
+        sigma2 = (s0 + trend_weight * s1 + level_weight * s2) / (n_total - p)
 
     return Solution(
         domain=system.domain,
         trend_weight=trend_weight,
         level_weight=level_weight,
         estimate=z,
-        cov=inverse.scaled(sigma2),
+        inverse=inverse,
         sigma2=sigma2,
-        r2=r_squared(z, system),
+        r2=_r_squared(resid, system.target),
         data_misfit=s0,
         trend_curvature=s1,
         level_curvature=s2,
@@ -740,10 +704,13 @@ def r_squared(z: np.ndarray, system: DesignSystem) -> float | None:
 
     Undefined (None) with fewer than two data rows or zero target variance.
     """
-    x0 = system.target
+    return _r_squared(system.data_matrix @ np.asarray(z, dtype=float) - system.target, system.target)
+
+
+def _r_squared(resid: np.ndarray, x0: np.ndarray) -> float | None:
+    """:func:`r_squared` from the data residual ``resid`` against the targets ``x0``."""
     if x0.size < 2:
         return None
-    resid = system.data_matrix @ np.asarray(z, dtype=float) - x0
     tss = float(np.sum((x0 - x0.mean()) ** 2))
     if tss == 0.0:
         return None
@@ -757,23 +724,20 @@ def adjacent_correlations(
 
     Trend links pair horizontally and vertically adjacent included cells;
     level links pair consecutive boundary slots in the estimated segment.
-    Links touching a zero-variance component are skipped and counted.
-    sigma^2 cancels from a correlation, so a :class:`BandedCovariance`'s
-    correlations are read from the unscaled inverse, whose digits do not
-    follow those of the estimate; an undefined (NaN) sigma^2 still leaves
-    every correlation undefined.
+    Links touching a component of zero variance ``sigma^2 N^-1_ii`` are
+    skipped and counted.  sigma^2 cancels from a correlation, so the
+    correlations are read from ``N^-1``, whose digits do not follow those of
+    the estimate; an undefined (NaN) sigma^2 still leaves every correlation
+    undefined.
 
     ``literal_level_denominator`` divides the boundary-level sum by the
     slot count instead of the link count (compatibility switch; the link
     count is the default since it matches the number of summed terms).
     """
     domain = solution.domain
-    cov = solution.cov
-    var = cov.diagonal()
-    inverse = cov
-    if isinstance(cov, BandedCovariance) and not math.isnan(solution.sigma2):
-        inverse = cov.unscaled()
+    inverse = solution.inverse
     unit_var = inverse.diagonal()
+    var = solution.sigma2 * unit_var
 
     def links(pairs):
         """Sum of the link correlations, their count, and the skipped links.
@@ -785,6 +749,8 @@ def adjacent_correlations(
         keep = ~((var[a] <= 0.0) | (var[b] <= 0.0))
         a, b = a[keep], b[keep]
         r = inverse[a, b] / np.sqrt(unit_var[a] * unit_var[b])
+        if math.isnan(solution.sigma2):
+            r[:] = math.nan
         total = float(np.cumsum(r)[-1]) if r.size else 0.0
         return total, int(r.size), int(keep.size - r.size)
 

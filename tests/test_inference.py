@@ -1,5 +1,6 @@
 """F-tail probabilities and cluster-level comparisons."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from ctrend.ingest import ingest_records
 from ctrend.report import clusters_columns
 from ctrend.simulate import linear_trend_scenario, preset, simulate
 from ctrend.design import DesignSystem
-from ctrend.solve import solve
+from ctrend.solve import adjacent_correlations, solve
 
 from conftest import cell_table, make_cell
 from test_solve import manual_solution
@@ -107,12 +108,12 @@ class TestClusterCompare:
         assert report.prob[0] == 1.0
 
     def test_degenerate_denominator_marked(self):
-        # perfectly correlated equal-variance blocks: denominator is zero
-        cov = np.array([[0.01, 0.01], [0.01, 0.01]])
-        sol = strip_solution([0.5, 0.1], cov)
-        report = cluster_compare(sol, age_window=1, year_window=1)
-        assert report.degenerate[0]
-        assert math.isnan(report.f_value[0])
+        # sigma^2 = 0 makes the denominator zero, and an undefined one NaN
+        sol = strip_solution([0.5, 0.1], np.diag([0.01, 0.01]))
+        for sigma2 in (0.0, math.nan):
+            report = cluster_compare(dataclasses.replace(sol, sigma2=sigma2), age_window=1, year_window=1)
+            assert report.degenerate[0]
+            assert math.isnan(report.f_value[0])
 
     def test_cluster_means_average_included_cells_only(self):
         frame = ObservationalFrame.from_integer_bounds(0, 4, 0, 3)
@@ -146,7 +147,7 @@ class TestClusterCompare:
         blocks = {}
         for i, j in zip(*(axis.tolist() for axis in np.nonzero(domain.mask))):
             blocks.setdefault((i // 2, j // 2), []).append(domain.trend_index(CellIndex(i, j)))
-        cov = np.asarray(sol.cov)
+        cov = sol.sigma2 * np.asarray(sol.inverse)
         for block, se in zip(report.clusters.tolist(), report.se):
             idx = blocks[tuple(block)]
             a = np.zeros(cov.shape[0])
@@ -170,10 +171,30 @@ class TestClusterCompare:
         averaging = np.zeros((len(report.clusters), domain.compact_size))
         for row, block in enumerate(map(tuple, report.clusters.tolist())):
             averaging[row, members[block]] = 1.0 / len(members[block])
-        dense = averaging @ np.asarray(sol.cov) @ averaging.T
+        dense = averaging @ (sol.sigma2 * np.asarray(sol.inverse)) @ averaging.T
         assert len(report.clusters) > 1
         assert np.abs(report.covariance - dense).max() <= 1e-12 * np.abs(dense).max()
         np.testing.assert_allclose(report.se, np.sqrt(np.diag(dense)), rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [0.5, 4.0])
+    def test_sigma2_enters_each_covariance_once(self, k):
+        """A solution replaced with sigma^2 times ``k`` has its standard
+        errors times sqrt(k), its block covariances times ``k`` and its F
+        values over ``k``, and the same correlations bit for bit.  (``k`` is
+        a power of two, so the scaled products round as the unscaled ones.)"""
+        scenario = linear_trend_scenario(seed=2, noise_sd=1.0, samples_per_age=3,
+                                         n_years=5, n_ages=6)
+        res = ingest_records(simulate(scenario), frame=scenario.frame, cell_min_count=0)
+        domain = build_domain(res.cells, res.frame)
+        sol = solve(DesignSystem.build(res.cells, domain), 1.0, 1.0)
+        scaled = dataclasses.replace(sol, sigma2=k * sol.sigma2)
+        np.testing.assert_allclose(scaled.standard_errors(), math.sqrt(k) * sol.standard_errors(),
+                                   rtol=1e-15)
+        report, scaled_report = (cluster_compare(s, age_window=2, year_window=2) for s in (sol, scaled))
+        assert not report.degenerate.any()
+        np.testing.assert_array_equal(scaled_report.covariance, k * report.covariance)
+        np.testing.assert_array_equal(scaled_report.f_value, report.f_value / k)
+        assert adjacent_correlations(scaled) == adjacent_correlations(sol)
 
     def test_absolute_labels(self):
         frame = ObservationalFrame.from_integer_bounds(1972, 1981, 25, 34)

@@ -298,9 +298,8 @@ class TestOneHeldSolution:
         for name in ("estimate", "sigma2", "r2", "data_misfit", "trend_curvature",
                      "level_curvature", "condition"):
             np.testing.assert_array_equal(getattr(got, name), getattr(expected, name), err_msg=name)
-        np.testing.assert_array_equal(got.cov.chol, expected.cov.chol)
-        np.testing.assert_array_equal(got.cov.inverse_band, expected.cov.inverse_band)
-        assert got.cov.scale == expected.cov.scale
+        np.testing.assert_array_equal(got.inverse.chol, expected.inverse.chol)
+        np.testing.assert_array_equal(got.inverse.inverse_band, expected.inverse.inverse_band)
 
         for rec in result.trace:
             corr = adjacent_correlations(solve(system, rec.trend_weight, rec.level_weight))

@@ -64,7 +64,7 @@ class TestOracleEquivalence:
             dz = np.max(np.abs(sol.estimate[order] - oracle.estimate)) / np.max(
                 np.abs(oracle.estimate)
             )
-            cov = np.asarray(sol.cov)[np.ix_(order, order)]
+            cov = (sol.sigma2 * np.asarray(sol.inverse))[np.ix_(order, order)]
             dcov = np.max(np.abs(cov - oracle.cov)) / np.max(np.abs(oracle.cov))
             worst_z, worst_cov = max(worst_z, dz), max(worst_cov, dcov)
         assert worst_z < 1e-8

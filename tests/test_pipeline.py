@@ -73,7 +73,7 @@ def test_batch_fit_releases_each_run_before_the_next(tmp_path):
 
     def each(pair, run):
         alive.append([cov() is not None for cov in covariances])
-        covariances.append(weakref.ref(run.solution.cov))
+        covariances.append(weakref.ref(run.solution.inverse))
         return run.iteration.converged
 
     gc.disable()
@@ -120,5 +120,5 @@ def test_pair_converged_at_the_shared_solve_solves_it_again(table_data, monkeypa
     got = run.solution
     for name in ("estimate", "sigma2", "r2", "condition"):
         np.testing.assert_array_equal(getattr(got, name), getattr(expected, name), err_msg=name)
-    np.testing.assert_array_equal(got.cov.chol, expected.cov.chol)
-    np.testing.assert_array_equal(got.cov.inverse_band, expected.cov.inverse_band)
+    np.testing.assert_array_equal(got.inverse.chol, expected.inverse.chol)
+    np.testing.assert_array_equal(got.inverse.inverse_band, expected.inverse.inverse_band)

@@ -90,12 +90,15 @@ class TestCsvRoundtrip:
 
 class TestClusterTestsTable:
     def test_rows_name_their_blocks_and_leave_a_degenerate_test_empty(self, tmp_path):
-        """Three blocks along one age strip, the first two perfectly
-        correlated with equal variances: the first test has no variance of
-        the difference, so its F and tail are empty cells and it is flagged;
-        each row names the neighbour its direction points to."""
-        cov = np.array([[0.01, 0.01, 0.0], [0.01, 0.01, 0.0], [0.0, 0.0, 0.02]])
+        """Three blocks along one age strip, the first test marked degenerate
+        as :func:`cluster_compare` marks one with no variance of the
+        difference (NaN F and tail): its F and tail are empty cells and it
+        is flagged; each row names the neighbour its direction points to."""
+        cov = np.diag([0.01, 0.01, 0.02])
         report = cluster_compare(strip_solution([0.5, 0.1, 0.3], cov), age_window=1, year_window=1)
+        # a positive definite covariance at sigma^2 > 0 leaves no test degenerate
+        report.f_value[0] = report.prob[0] = math.nan
+        report.degenerate[0] = True
         header = TABLE_HEADERS["cluster_tests.csv"]
         path = tmp_path / "cluster_tests.csv"
         path.write_text(_table_text(header, cluster_tests_columns(report))[0])

@@ -23,12 +23,10 @@ from ctrend.solve import (
     ILL_CONDITION,
     BandedCovariance,
     CorrelationSummary,
-    DegreesOfFreedomError,
     LapackUnavailableError,
     SingularSystemError,
     Solution,
     adjacent_correlations,
-    estimate_sigma2,
     r_squared,
     solve,
 )
@@ -67,7 +65,7 @@ class TestSolve:
         scale = np.max(np.abs(oracle.estimate))
         assert np.max(np.abs(sol.estimate[order] - oracle.estimate)) / scale < 1e-8
         cscale = np.max(np.abs(oracle.cov))
-        cov = np.asarray(sol.cov)[np.ix_(order, order)]
+        cov = (sol.sigma2 * np.asarray(sol.inverse))[np.ix_(order, order)]
         assert np.max(np.abs(cov - oracle.cov)) / cscale < 1e-6
         assert sol.sigma2 == pytest.approx(oracle.sigma2, rel=1e-10)
         assert sol.r2 == pytest.approx(oracle.r2, rel=1e-10)
@@ -145,19 +143,6 @@ class TestIdentifiability:
             solve(system, 1.0, 1.0)
 
 
-class TestEstimateSigma2:
-    def test_zero_residual(self):
-        assert estimate_sigma2(0.0, 10, 4) == 0.0
-
-    def test_hand_arithmetic(self):
-        # residual vector (1, -1) with two residual degrees of freedom
-        assert estimate_sigma2(2.0, 4, 2) == 1.0
-
-    def test_nonpositive_dof(self):
-        with pytest.raises(DegreesOfFreedomError):
-            estimate_sigma2(1.0, 3, 3)
-
-
 class TestRSquared:
     def test_perfect_fit(self):
         scenario, _, system, sol = fitted_instance(seed=3, noise=0.0, w1=1e-9, w2=1e-9)
@@ -176,12 +161,16 @@ class TestRSquared:
 
 
 def manual_solution(domain, estimate, cov, dof=50):
+    """A solution with sigma^2 = 1 whose covariance is the positive definite
+    ``cov``: its inverse is that of the normal matrix ``inv(cov)``, held
+    on the full band."""
+    normal = np.linalg.inv(np.asarray(cov, dtype=float))
     return Solution(
         domain=domain,
         trend_weight=1.0,
         level_weight=1.0,
         estimate=np.asarray(estimate, dtype=float),
-        cov=np.asarray(cov, dtype=float),
+        inverse=BandedCovariance(lower_band(sparse.csr_array(normal), len(normal) - 1)),
         sigma2=1.0,
         r2=None,
         data_misfit=0.0,
@@ -222,12 +211,10 @@ class TestAdjacentCorrelations:
         assert corr.n_trend_links == 1
 
     def test_zero_variance_links_skipped(self):
+        # sigma^2 = 0: every variance sigma^2 N^-1_ii is zero
         domain = two_cell_domain()
         p = domain.compact_size
-        cov = np.eye(p)
-        b = domain.full_to_compact()[-1]  # the second trend cell
-        cov[b, b] = 0.0
-        sol = manual_solution(domain, np.zeros(p), cov)
+        sol = dataclasses.replace(manual_solution(domain, np.zeros(p), np.eye(p)), sigma2=0.0)
         corr = adjacent_correlations(sol)
         assert math.isnan(corr.trend_smoothness)
         assert corr.n_skipped_trend == 1
@@ -262,12 +249,12 @@ class TestAdjacentCorrelations:
         _, _, _, sol = fitted_instance(seed=13, n_years=4, n_ages=4)
         corr = adjacent_correlations(sol)
         for sigma2 in (1.0, 2.5, 1e-7):
-            rescaled = dataclasses.replace(sol, cov=sol.cov.unscaled().scaled(sigma2), sigma2=sigma2)
-            assert adjacent_correlations(rescaled) == corr
-        undefined = dataclasses.replace(sol, cov=sol.cov.unscaled().scaled(math.nan),
-                                        sigma2=math.nan)
-        corr = adjacent_correlations(undefined)
-        assert math.isnan(corr.trend_smoothness) and math.isnan(corr.level_smoothness)
+            assert adjacent_correlations(dataclasses.replace(sol, sigma2=sigma2)) == corr
+        undefined = adjacent_correlations(dataclasses.replace(sol, sigma2=math.nan))
+        assert math.isnan(undefined.trend_smoothness) and math.isnan(undefined.level_smoothness)
+        assert (undefined.n_trend_links, undefined.n_level_links) == (corr.n_trend_links, corr.n_level_links)
+        assert (undefined.n_skipped_trend, undefined.n_skipped_level) == (
+            corr.n_skipped_trend, corr.n_skipped_level)
 
     def test_literal_denominator_switch(self):
         domain = two_cell_domain()
@@ -285,8 +272,9 @@ class TestAdjacentCorrelations:
 class TestScatteredViews:
     def test_covariance_psd(self):
         _, _, _, sol = fitted_instance(seed=17)
-        eig = np.linalg.eigvalsh(sol.cov)
-        assert eig.min() >= -1e-8 * np.trace(sol.cov)
+        cov = sol.sigma2 * np.asarray(sol.inverse)
+        eig = np.linalg.eigvalsh(cov)
+        assert eig.min() >= -1e-8 * np.trace(cov)
 
     def test_trend_se_grid_shape(self):
         _, _, system, sol = fitted_instance(seed=17)
@@ -360,10 +348,11 @@ class TestBandedCovariance:
         scale = np.abs(dense).max()
         r, c = np.nonzero(distance <= system.bandwidth)
         np.testing.assert_allclose(cov[r, c], dense[r, c], rtol=1e-10, atol=1e-10 * scale)
+        cov.diagonal()[:] = 0.0  # a copy: the band keeps its variances
         np.testing.assert_allclose(cov.diagonal(), np.diag(dense), rtol=1e-10)
         x = np.arange(domain.compact_size, dtype=float)
         np.testing.assert_allclose(
-            cov.scaled(2.0) @ x, 2.0 * dense @ x, rtol=1e-10, atol=1e-10 * scale * x.sum()
+            cov @ x, dense @ x, rtol=1e-10, atol=1e-10 * scale * x.sum()
         )
         np.testing.assert_allclose(np.asarray(cov), dense, rtol=1e-10, atol=1e-10 * scale)
 
@@ -530,7 +519,7 @@ class TestLapackBinding:
         covs = []
         for lapack in (bound, solve_module._ScipyLapack()):
             monkeypatch.setattr(solve_module, "_lapack", lambda lapack=lapack: lapack)
-            covs.append(BandedCovariance(band.copy()).scaled(2.5))
+            covs.append(BandedCovariance(band.copy()))
             covs.append(covs[-1].map_covariance(rows, columns, values, 3))
         ours, ours_map, theirs, theirs_map = covs
         assert_same_digits(ours_map, theirs_map)
@@ -560,7 +549,7 @@ class TestLapackBinding:
         monkeypatch.setattr(solve_module, "_lapack", lambda: lapack)
         fallback = solve(system, 0.7, 1.3)
         assert_same_digits(fallback.estimate, bound_solution.estimate)
-        assert_same_digits(fallback.cov.diagonal(), bound_solution.cov.diagonal())
+        assert_same_digits(fallback.inverse.diagonal(), bound_solution.inverse.diagonal())
         assert fallback.condition == pytest.approx(bound_solution.condition, rel=1e-12)
 
     def test_no_exported_name_and_no_scipy_names_the_remedy(self, no_lapack):
@@ -621,7 +610,7 @@ class TestConditionOnRead:
         at (level 0.3, trend 0.6), where the level weight falls to about
         1e-33, is proved below ILL_CONDITION by the O(p) bound and returns
         without the estimate.  Read afterwards, ``condition`` is bit for bit
-        the band's 1-norm times Hager's estimate from the unscaled inverse,
+        the band's 1-norm times Hager's estimate from the inverse,
         is estimated once and kept, and is at most the bound."""
         scenario = preset("table", seed=0)
         res = ingest_records(simulate(scenario), frame=scenario.frame)
@@ -636,10 +625,10 @@ class TestConditionOnRead:
             assert estimates[0] == 0 and not sol.warnings
             b0, b1, b2 = system.bands
             band = np.multiply(b1, w1, order="F") + b0 + w2 * b2
-            expected = summed_band_one_norm(band) * solve_module._inverse_one_norm(sol.cov.unscaled())
+            expected = summed_band_one_norm(band) * solve_module._inverse_one_norm(sol.inverse)
             assert sol.condition == expected
             assert sol.condition == expected and estimates[0] == 1  # estimated once, then kept
-            assert solve_module._condition_bound(system, w1, w2, sol.cov) >= sol.condition
+            assert solve_module._condition_bound(system, w1, w2, sol.inverse) >= sol.condition
             estimates[0] = 0
             level_weights.append(w2)
             return sol
