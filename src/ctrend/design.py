@@ -46,7 +46,6 @@ __all__ = [
     "level_curvature_rows",
     "stack",
     "objective_parts",
-    "residual_parts",
     "lower_band",
     "band_one_norm",
     "check_weights",
