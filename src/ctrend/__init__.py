@@ -11,15 +11,9 @@ independent dense solver serve as verification oracles.
 
 from .design import DesignSystem, stack
 from .domain import AnalysisDomain, build_domain
-from .grid import (
-    CellIndex,
-    ModelVector,
-    ObservationalFrame,
-    forward_levels,
-    predict_observation,
-)
+from .grid import ModelVector, ObservationalFrame, forward_levels, predict_observation
 from .inference import ClusterReport, cluster_compare, prob_f
-from .ingest import CellTable, SurveyRecord, aggregate, frame_from_data, ingest_file
+from .ingest import CellTable, SurveyRecord, aggregate, ingest_file
 from .iterate import IterationConfig, IterationResult, check_stop, run
 from .oracle import brute_force_fit
 from .simulate import Scenario, SurveyPlan, energy_balance_to_trend, preset, simulate
@@ -29,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisDomain",
-    "CellIndex",
     "CellTable",
     "ClusterReport",
     "DesignSystem",
@@ -50,7 +43,6 @@ __all__ = [
     "cluster_compare",
     "energy_balance_to_trend",
     "forward_levels",
-    "frame_from_data",
     "ingest_file",
     "predict_observation",
     "preset",

@@ -142,8 +142,8 @@ def _fit_options(args) -> FitOptions:
 
 
 def _r2_text(r2) -> str:
-    """Summary text for R^2, which :func:`~ctrend.solve.r_squared` leaves
-    undefined (None) for fewer than two cells or targets with no variance."""
+    """Summary text for R^2, which a solve leaves undefined (None) for
+    fewer than two cells or targets with no variance."""
     return "R^2 undefined" if r2 is None else f"R^2 = {r2:.4f}"
 
 

@@ -45,8 +45,6 @@ __all__ = [
     "trend_curvature_rows",
     "level_curvature_rows",
     "stack",
-    "objective_parts",
-    "lower_band",
     "band_one_norm",
     "check_weights",
 ]
@@ -132,22 +130,6 @@ def _half_bandwidth(blocks, pairs: np.ndarray) -> int:
     return int(np.concatenate(spans).max(initial=0))
 
 
-def lower_band(matrix, bandwidth: int) -> np.ndarray:
-    """The lower band of the symmetric ``matrix`` (a ``scipy.sparse``
-    matrix) in LAPACK lower band storage.
-
-    Entry ``[r - c, c]`` of the result holds the matrix at ``(r, c)``,
-    ``r >= c``.  Every nonzero must lie within ``bandwidth`` of the diagonal.
-    """
-    entries = matrix.tocoo()
-    entries.sum_duplicates()
-    r, c = entries.row, entries.col
-    lower = r >= c
-    band = np.zeros((bandwidth + 1, matrix.shape[0]))
-    band[r[lower] - c[lower], c[lower]] = entries.data[lower]
-    return band
-
-
 def band_one_norm(row_moduli, width: int) -> float:
     """1-norm (largest column sum of moduli) of a symmetric band matrix
     from ``row_moduli(d)``, a new array of the moduli of row ``d`` of its
@@ -169,12 +151,13 @@ GRAM_CHUNK = 4096
 def _add_gram_band(band: np.ndarray, rows: SparseRows, weights=None) -> None:
     """Add the lower band of ``rows^T diag(weights) rows`` to ``band``.
 
-    ``band`` is column-major in LAPACK lower band storage
-    (:func:`lower_band`).  Each row adds the products of its entry pairs,
-    one per pair on or below the diagonal.  The rows go in order, a chunk
-    of about ``GRAM_CHUNK`` products at a time, and ``np.add.at`` adds in
-    index order, so each band entry sums its terms in row order, as a
-    sparse product ``rows^T @ rows`` does.
+    ``band`` is column-major in LAPACK lower band storage: entry
+    ``[r - c, c]`` holds the matrix at ``(r, c)``, ``r >= c``.  Each row
+    adds the products of its entry pairs, one per pair on or below the
+    diagonal.  The rows go in order, a chunk of about ``GRAM_CHUNK``
+    products at a time, and ``np.add.at`` adds in index order, so each band
+    entry sums its terms in row order, as a sparse product ``rows^T @ rows``
+    does.
     """
     lengths = np.diff(rows.indptr)
     pairs = lengths * (lengths + 1) // 2  # per row, pairs (a, b) of its entries with b <= a
@@ -311,10 +294,6 @@ class StackedSystem:
     def param_count(self) -> int:
         return self.matrix.shape[1]
 
-    def weighted_rss(self, z: np.ndarray) -> float:
-        resid = self.matrix @ z - self.target
-        return float(np.dot(self.row_weights * resid, resid))
-
 
 def check_weights(trend_weight: float, level_weight: float) -> None:
     """Raise ``ValueError`` unless both smoothing weights are nonnegative."""
@@ -349,18 +328,11 @@ def stack(system: DesignSystem, trend_weight: float, level_weight: float) -> Sta
     return StackedSystem(system, matrix, target, row_weights, trend_weight, level_weight)
 
 
-def objective_parts(system: DesignSystem, z: np.ndarray) -> tuple[float, float, float]:
-    """Evaluate the three quadratic components at ``z``.
-
-    The total objective for weights (w1, w2) is
-    ``parts[0] + w1 * parts[1] + w2 * parts[2]``.
-    """
-    z = np.asarray(z, dtype=float)
-    return residual_parts(system, z, system.data_matrix @ z - system.target)
-
-
 def residual_parts(system: DesignSystem, z: np.ndarray, resid: np.ndarray) -> tuple[float, float, float]:
-    """:func:`objective_parts` at ``z`` from its data residual ``resid = X0 z - x0``."""
+    """The three quadratic components of the objective at ``z``, from its
+    data residual ``resid = X0 z - x0``: the weighted data misfit and the
+    two curvatures.  The total objective for weights (w1, w2) is
+    ``parts[0] + w1 * parts[1] + w2 * parts[2]``."""
     s0 = float(np.dot(system.data_row_weights * resid, resid))
     t1 = system.trend_penalty @ z
     s1 = float(np.dot(t1, t1))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import CellIndex, ObservationalFrame, cohort_path_rows
+from .grid import ObservationalFrame, cohort_path_rows
 
 __all__ = ["AnalysisDomain", "build_domain", "DomainError"]
 
@@ -116,10 +116,6 @@ class AnalysisDomain:
         return self.slot_count + self.trend_count
 
     # --- index maps ------------------------------------------------------------
-
-    def trend_index(self, cell: CellIndex) -> int:
-        """Compact index of a trend cell, or -1 when excluded."""
-        return int(self._trend_compact[cell.i * self.frame.age_cells + cell.j])
 
     def runs(self, length: int) -> tuple[np.ndarray, np.ndarray]:
         """Compact indices of every ``length`` consecutive included trend cells.

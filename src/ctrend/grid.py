@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CellIndex",
     "ObservationalFrame",
     "ModelVector",
     "OutOfFrameError",
@@ -48,18 +47,6 @@ class CohortPathError(ValueError):
     fully covered by the analysis domain."""
 
 
-@dataclass(frozen=True, order=True)
-class CellIndex:
-    """Relative cell address: ``i`` indexes years, ``j`` indexes ages."""
-
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if self.i < 0 or self.j < 0:
-            raise ValueError(f"cell indices must be non-negative, got ({self.i}, {self.j})")
-
-
 @dataclass(frozen=True)
 class ObservationalFrame:
     """Rectangular (year, age) analysis window.
@@ -77,8 +64,8 @@ class ObservationalFrame:
     -----
     Bounds must be whole numbers.  The cells are unit parallelograms on the
     integer lattice, so a fractional bound cuts through cells: the cell grid
-    then disagrees with :meth:`contains`, and an in-frame point can land
-    off the grid or the grid can have no age column at all.
+    then disagrees with the in-frame mask of :meth:`locate`, and an in-frame
+    point can land off the grid or the grid can have no age column at all.
     The upper year bound is open so that every trend row can hold data: a
     row ``[y_max, y_max + 1)`` could only ever receive the single instant
     ``y == y_max``.  The trend grid has ``year_cells x age_cells`` unit
@@ -145,15 +132,16 @@ class ObservationalFrame:
 
     # --- cell addressing ----------------------------------------------------
 
-    def contains(self, y: float, a: float) -> bool:
-        return self.y_min <= y < self.y_max and self.a_min <= a <= self.a_max
-
     def locate(self, y, a):
-        """Vectorised :meth:`contains` and :meth:`cell_of`.
+        """The cells of the points ``(y, a)``, equal-length arrays.
 
-        For equal-length arrays of points, returns ``(inside, i, j)``: the
-        in-frame mask, and the relative cell indices of the points inside
-        the frame, in input order (``i.size == inside.sum()``).
+        Returns ``(inside, i, j)``: the in-frame mask, and the relative cell
+        indices of the points inside the frame, in input order
+        (``i.size == inside.sum()``).  A cell is half-open: its left
+        (earlier-year) and upper (older-age) boundaries are excluded, so a
+        diagonal coordinate landing exactly on an integer belongs to the
+        cell below it.  Points with ``a == a_max`` are inside and assigned
+        by the same rule; points with ``y == y_max`` are outside.
         """
         y = np.asarray(y, dtype=float)
         a = np.asarray(a, dtype=float)
@@ -164,58 +152,27 @@ class ObservationalFrame:
         j = np.ceil(a - (y - i_abs)).astype(np.int64) - self.age_base
         return inside, i, j
 
-    def cell_of(self, y: float, a: float) -> CellIndex:
-        """Locate the unique cell containing the point ``(y, a)``.
-
-        The cell is half-open: its left (earlier-year) and upper (older-age)
-        boundaries are excluded, so a diagonal coordinate landing exactly on
-        an integer belongs to the cell below it.  Points with ``a == a_max``
-        are kept and assigned by the same rule; points with ``y == y_max``
-        lie outside the frame.
-
-        Raises
-        ------
-        OutOfFrameError
-            If the point lies outside the frame; the message names the
-            offending coordinate.
-        """
-        if not (self.y_min <= y < self.y_max):
-            raise OutOfFrameError(f"year {y!r} outside frame [{self.y_min}, {self.y_max})")
-        if not (self.a_min <= a <= self.a_max):
-            raise OutOfFrameError(f"age {a!r} outside frame [{self.a_min}, {self.a_max}]")
-        _, i, j = self.locate([y], [a])
-        return CellIndex(int(i[0]), int(j[0]))
-
     def cohort_slots(self, i, j):
-        """:meth:`cohort_slot` of the cells ``(i, j)``, integers or arrays."""
+        """Boundary slot of the cohort whose diagonal passes through each cell
+        ``(i, j)`` (integers or arrays): ``year_cells - i + j``, constant
+        along a diagonal ``(i+m, j+m)`` and injective across diagonals."""
         return self.year_cells - i + j
-
-    def cohort_slot(self, cell: CellIndex) -> int:
-        """Boundary slot of the cohort whose diagonal passes through ``cell``.
-
-        Constant along any diagonal ``(i+m, j+m)`` and injective across
-        diagonals: ``slot = year_cells - i + j``.
-        """
-        return self.cohort_slots(cell.i, cell.j)
 
     def birth_year(self, slot):
         """Birth year of the cohort in ``slot`` (integers or arrays); the map
         is its own inverse, so it also gives the slot of a birth year."""
         return self.year_base - self.age_base + self.year_cells - slot
 
-    def slot_origin(self, slot: int) -> CellIndex:
-        """Level-grid cell where the cohort with this slot enters the frame."""
+    def diagonal(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
+        """Trend cells ``(i, j)`` the cohort in ``slot`` crosses, in year
+        order, from the level-grid cell where it enters the frame: row
+        ``year_cells - slot`` of column 0, or column ``slot - year_cells``
+        of row 0."""
         if not 0 <= slot < self.cohort_count:
             raise ValueError(f"slot {slot} outside [0, {self.cohort_count})")
-        if slot <= self.year_cells:
-            return CellIndex(self.year_cells - slot, 0)
-        return CellIndex(0, slot - self.year_cells)
-
-    def diagonal(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
-        """Trend cells ``(i, j)`` the cohort in ``slot`` crosses, in year order."""
-        origin = self.slot_origin(slot)
-        steps = np.arange(min(self.year_cells - origin.i, self.age_cells - origin.j))
-        return origin.i + steps, origin.j + steps
+        i0, j0 = max(self.year_cells - slot, 0), max(slot - self.year_cells, 0)
+        steps = np.arange(min(self.year_cells - i0, self.age_cells - j0))
+        return i0 + steps, j0 + steps
 
     # --- output labelling ---------------------------------------------------
 
@@ -282,9 +239,9 @@ class SparseRows:
     Both products are one weighted ``bincount``, which adds its terms in
     entry order.  So ``rows @ x`` sums each row left to right and
     :meth:`rmatvec` adds each column's terms in row order, as scipy's CSR
-    products do, and both give scipy's bits.  ``csr``, ``toarray()``,
-    indexing and ``!=`` go through a ``scipy.sparse`` view, built on first
-    use.
+    products do, and both give scipy's bits.  ``csr`` is a
+    ``scipy.sparse`` view, built on first use, for the stacked reference
+    system (:func:`ctrend.design.stack`).
     """
 
     def __init__(self, data, indices, indptr, columns: int):
@@ -314,15 +271,6 @@ class SparseRows:
         from scipy import sparse
 
         return sparse.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
-
-    def toarray(self) -> np.ndarray:
-        return self.csr.toarray()
-
-    def __getitem__(self, key):
-        return self.csr[key]
-
-    def __ne__(self, other):
-        return self.csr != other.csr
 
 
 def cohort_path_rows(frame: ObservationalFrame, ci, cj, offsets=None) -> SparseRows:
@@ -382,7 +330,7 @@ def check_paths(frame: ObservationalFrame, rows: SparseRows, ci, cj, inside) -> 
     )
 
 
-def forward_levels(model: ModelVector, domain=None, cells=None) -> np.ndarray:
+def forward_levels(model: ModelVector, domain=None) -> np.ndarray:
     """Evaluate mean levels on the level grid with the cohort-path operator.
 
     Along each cohort diagonal the level satisfies
@@ -396,42 +344,29 @@ def forward_levels(model: ModelVector, domain=None, cells=None) -> np.ndarray:
         When given, only cells whose full cohort path lies inside the domain
         (and whose slot is in the estimated segment) receive a value; other
         entries are NaN.
-    cells : iterable of (i, j), optional
-        Explicit level-grid cells to evaluate.  A requested cell with a
-        broken path raises :class:`CohortPathError` naming the first missing
-        component.
 
     Returns
     -------
     numpy.ndarray
-        Shape ``(year_cells + 1, age_cells + 1)``; entries not evaluated are
-        NaN.
+        Shape ``(year_cells + 1, age_cells + 1)``.
     """
     frame = model.frame
     shape = (frame.year_cells + 1, frame.age_cells + 1)
-    if cells is None:
-        ci, cj = (axis.ravel() for axis in np.indices(shape))
-    else:
-        wanted = [(c.i, c.j) if isinstance(c, CellIndex) else (int(c[0]), int(c[1])) for c in cells]
-        ci, cj = np.array(wanted, dtype=np.int64).reshape(-1, 2).T
-    rows = cohort_path_rows(frame, ci, cj)
+    ci, cj = (axis.ravel() for axis in np.indices(shape))
     params = model.flat()
     if domain is not None:
-        inside = domain.full_to_compact() >= 0
-        if cells is not None:
-            check_paths(frame, rows, ci, cj, inside)
-        params[~inside] = np.nan  # a broken path then sums to NaN
-    levels = np.full(shape, np.nan)
-    levels[ci, cj] = rows @ params
-    return levels
+        params[domain.full_to_compact() < 0] = np.nan  # a broken path then sums to NaN
+    return (cohort_path_rows(frame, ci, cj) @ params).reshape(shape)
 
 
-def predict_observation(model: ModelVector, y, a, domain=None):
+def predict_observation(model: ModelVector, y, a):
     """Model prediction for observations at ``(y, a)``.
 
     Equals the cell's level plus the within-cell year offset times the
     cell's trend; constant in age within the cell.  Scalar ``y`` and ``a``
     give a float; equal-length arrays give an array from one product.
+    The first point outside the frame raises :class:`OutOfFrameError`,
+    naming the offending coordinate.
     """
     frame = model.frame
     ys = np.atleast_1d(np.asarray(y, dtype=float))
@@ -441,9 +376,9 @@ def predict_observation(model: ModelVector, y, a, domain=None):
     inside, ci, cj = frame.locate(ys, ages)
     if not inside.all():
         k = int(np.flatnonzero(~inside)[0])
-        frame.cell_of(float(ys[k]), float(ages[k]))  # raises, naming the coordinate
-    rows = cohort_path_rows(frame, ci, cj, ys - frame.year_of(ci))
-    if domain is not None:
-        check_paths(frame, rows, ci, cj, domain.full_to_compact() >= 0)
-    values = rows @ model.flat()
+        y0, a0 = float(ys[k]), float(ages[k])
+        if not frame.y_min <= y0 < frame.y_max:
+            raise OutOfFrameError(f"year {y0!r} outside frame [{frame.y_min}, {frame.y_max})")
+        raise OutOfFrameError(f"age {a0!r} outside frame [{frame.a_min}, {frame.a_max}]")
+    values = cohort_path_rows(frame, ci, cj, ys - frame.year_of(ci)) @ model.flat()
     return float(values[0]) if np.ndim(y) == 0 else values

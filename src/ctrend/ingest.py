@@ -62,7 +62,6 @@ __all__ = [
     "state_value",
     "decimal_year",
     "load_survey_file",
-    "frame_from_data",
     "aggregate",
     "ingest_records",
     "ingest_file",
@@ -545,20 +544,13 @@ def _parse_row(row, lineno, survey, get) -> SurveyRecord:
     return rec
 
 
-def frame_from_data(records) -> ObservationalFrame:
-    """Integer frame bounds that hold every record.
+def _frame(exam, age) -> ObservationalFrame:
+    """Integer frame bounds that hold every exam date and age.
 
     Years run from the floor of the earliest exam date to one past the floor
     of the latest, since the upper year bound is open; ages run from the
     floor of the youngest age to the ceiling of the oldest.
     """
-    records = list(records)
-    return _frame([r.exam_date for r in records], [r.age for r in records])
-
-
-def _frame(exam, age) -> ObservationalFrame:
-    if len(exam) == 0:
-        raise ValueError("cannot build a frame from zero records")
     y_lo = math.floor(np.min(exam))
     y_hi = math.floor(np.max(exam)) + 1
     a_lo = math.floor(np.min(age))
@@ -629,9 +621,12 @@ def _ingest(
         frame = _frame(columns.exam, columns.age)
     agg = _aggregate(columns, frame, cell_min_count)
     if not len(agg.cells):
+        fullest = int(agg.excluded_cells.n.max(initial=0))
         raise ValueError(
             "no analyzable cells: every populated cell fell at or below "
-            f"the count threshold {cell_min_count}"
+            f"the count threshold {cell_min_count} (the fullest cell has {fullest} "
+            f"record{'' if fullest == 1 else 's'}; lower cell_min_count / --cell-min-count "
+            "or add records)"
         )
     return IngestResult(
         frame=frame,

@@ -36,7 +36,6 @@ __all__ = [
     "LapackUnavailableError",
     "require_lapack",
     "solve",
-    "r_squared",
     "adjacent_correlations",
     "one_blas_thread",
 ]
@@ -159,9 +158,10 @@ class Solution:
 class BandedCovariance:
     """The inverse of a symmetric positive definite band matrix.
 
-    ``band`` is the matrix's lower band in LAPACK lower band storage
-    (:func:`ctrend.design.lower_band`), in the compact order, which is the
-    banded one; its row count less one is the half-bandwidth ``bandwidth``.
+    ``band`` is the matrix's lower band in LAPACK lower band storage (entry
+    ``[r - c, c]`` holds the matrix at ``(r, c)``, ``r >= c``), in the
+    compact order, which is the banded one; its row count less one is the
+    half-bandwidth ``bandwidth``.
     The matrix is held as its Cholesky factor ``chol`` in the same storage,
     and the selected inverse as ``inverse_band``, the lower band of the
     inverse in that storage too (:func:`_selected_inverse`): two
@@ -699,16 +699,12 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
     )
 
 
-def r_squared(z: np.ndarray, system: DesignSystem) -> float | None:
-    """Goodness of fit of the data block against the grand mean of the targets.
+def _r_squared(resid: np.ndarray, x0: np.ndarray) -> float | None:
+    """Goodness of fit of the data block, from its residual ``resid``,
+    against the grand mean of the targets ``x0``.
 
     Undefined (None) with fewer than two data rows or zero target variance.
     """
-    return _r_squared(system.data_matrix @ np.asarray(z, dtype=float) - system.target, system.target)
-
-
-def _r_squared(resid: np.ndarray, x0: np.ndarray) -> float | None:
-    """:func:`r_squared` from the data residual ``resid`` against the targets ``x0``."""
     if x0.size < 2:
         return None
     tss = float(np.sum((x0 - x0.mean()) ** 2))

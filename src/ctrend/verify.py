@@ -15,7 +15,7 @@ import numpy as np
 
 from .design import DesignSystem, level_curvature_rows, trend_curvature_rows
 from .domain import build_domain
-from .grid import CellIndex, ObservationalFrame
+from .grid import ObservationalFrame
 from .inference import cluster_compare, prob_f
 from .ingest import ingest_records
 from .iterate import check_stop, signed_gap, IterationConfig
@@ -102,8 +102,10 @@ def run_verification(negative_control: bool = False, emit=print) -> bool:
         cells = list(zip(*np.nonzero(domain.mask)))
         block_row = {block: k for k, block in enumerate(sorted({(i // 2, j // 2) for i, j in cells}))}
         averaging = np.zeros((len(block_row), domain.compact_size))
+        compact = domain.full_to_compact()
         for i, j in cells:
-            averaging[block_row[i // 2, j // 2], domain.trend_index(CellIndex(i, j))] = 1.0
+            trend = compact[domain.frame.cohort_count + i * domain.frame.age_cells + j]
+            averaging[block_row[i // 2, j // 2], trend] = 1.0
         averaging /= averaging.sum(axis=1, keepdims=True)
         blocks = cluster_compare(sol, age_window=2, year_window=2).covariance
         worst_blocks = max(worst_blocks, deviation(blocks, averaging @ (oracle_cov @ averaging.T)))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ctrend.domain import AnalysisDomain
-from ctrend.grid import CellIndex, ObservationalFrame
+from ctrend.grid import ObservationalFrame
 from ctrend.ingest import CellTable
 
 
@@ -21,6 +21,22 @@ def make_cell(frame, i, j, x_mean, offset=0.0, n=1, a_off=0.0):
         a_mean=[frame.age_base + j + a_off],
         n=[n],
     )
+
+
+def trend_column(domain, i, j):
+    """Compact index of trend cell ``(i, j)``, or -1 when the domain excludes it."""
+    frame = domain.frame
+    return int(domain.full_to_compact()[frame.cohort_count + i * frame.age_cells + j])
+
+
+def lower_band(matrix, bandwidth):
+    """The lower band of the dense symmetric ``matrix`` in LAPACK lower band
+    storage: entry ``[r - c, c]`` holds ``matrix[r, c]``, ``r >= c``."""
+    p = len(matrix)
+    band = np.zeros((bandwidth + 1, p))
+    for d in range(min(bandwidth + 1, p)):
+        band[d, : p - d] = np.diagonal(matrix, -d)
+    return band
 
 
 def cell_table(tables):
@@ -40,7 +56,7 @@ def simple_domain():
     mask = np.zeros((frame.year_cells, frame.age_cells), dtype=bool)
     for i, j in included:
         mask[i, j] = True
-    slots = [frame.cohort_slot(CellIndex(i, j)) for i, j in included]
+    slots = [frame.cohort_slots(i, j) for i, j in included]
     domain = AnalysisDomain(frame, mask, min(slots), max(slots))
     return domain, frame
 

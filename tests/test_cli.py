@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from dataclasses import fields
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import ctrend
 
@@ -148,6 +151,22 @@ class TestFit:
             assert main(["fit", str(data), "--out", str(outdir)]) == EXIT_INPUT, name
             assert message in capsys.readouterr().err, name
             assert not outdir.exists() or not list(outdir.iterdir())
+
+    def test_sparse_preset_names_the_threshold(self, tmp_path, capsys):
+        """The linear preset holds 2 records per cell, so a default fit keeps
+        no cell: exit 2 with an error that says what to lower, no bundle."""
+        data, outdir = tmp_path / "linear.csv", tmp_path / "run"
+        assert main(["simulate", "--preset", "linear", "--out", str(data)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["fit", str(data), "--out", str(outdir)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == (
+            "error: no analyzable cells: every populated cell fell at or below the count "
+            "threshold 5 (the fullest cell has 2 records; lower cell_min_count / "
+            "--cell-min-count or add records)\n"
+        )
+        assert "Traceback" not in err
+        assert not outdir.exists()
 
     def test_singular_input_exit_code(self, tmp_path):
         rows = ["id,survey,exam_date,age,bmi"]
@@ -589,3 +608,47 @@ def test_no_command_loads_scipy(tmp_path):
     assert result == {"codes": [EXIT_OK] * 5, "scipy": []}
     manifest = json.loads((tmp_path / "fit" / "manifest.json").read_text())
     assert manifest["runtime"]["blas_threads"] in ({"numpy": 1}, None)
+
+
+@pytest.fixture(scope="module")
+def linear_bytes(tmp_path_factory):
+    """A small valid survey file: the linear preset with 8 records per survey-age."""
+    path = tmp_path_factory.mktemp("linear") / "linear.csv"
+    assert main(["simulate", "--preset", "linear", "--samples", "8", "--out", str(path)]) == EXIT_OK
+    return path.read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:boundary-level segment")  # a file cut short can hold few cohorts
+@pytest.mark.parametrize("kind", ["truncate", "delimiter", "quote", "not_utf8", "number"])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_damaged_file_maps_to_an_exit_code(linear_bytes, kind, data):
+    """A valid file damaged in one place (cut at a byte, a stray delimiter,
+    an unclosed quote, a non-UTF-8 byte, an infinite, undefined or
+    overflowing number) fits, or exits with a documented code; it never
+    raises, and an input error leaves no output directory."""
+    if kind == "truncate":
+        content = linear_bytes[: data.draw(st.integers(0, len(linear_bytes)), label="cut")]
+    else:
+        lines = linear_bytes.split(b"\n")[:-1]  # the file ends with a newline
+        row = data.draw(st.integers(0, len(lines) - 1), label="row")
+        line = lines[row]
+        if kind == "number":
+            cells = line.split(b",")
+            k = data.draw(st.integers(0, len(cells) - 1), label="field")
+            cells[k] = data.draw(st.sampled_from([b"inf", b"nan", b"1e400"]), label="value")
+            line = b",".join(cells)
+        else:
+            at = data.draw(st.integers(0, len(line)), label="at")
+            line = line[:at] + {"delimiter": b",", "quote": b'"', "not_utf8": b"\xff"}[kind] + line[at:]
+        lines[row] = line
+        content = b"\n".join(lines) + b"\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path, outdir = os.path.join(tmp, "damaged.csv"), os.path.join(tmp, "run")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        code = main(["fit", path, "--out", outdir])
+        event(f"exit {code}")
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_SINGULAR)
+        if code == EXIT_INPUT:
+            assert not os.path.exists(outdir)

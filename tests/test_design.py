@@ -10,14 +10,14 @@ from ctrend.design import (
     DesignSystem,
     data_rows,
     level_curvature_rows,
-    objective_parts,
+    residual_parts,
     stack,
     trend_curvature_rows,
 )
 from ctrend.domain import AnalysisDomain, build_domain
-from ctrend.grid import CellIndex, ModelVector, ObservationalFrame, predict_observation
+from ctrend.grid import ModelVector, ObservationalFrame, predict_observation
 
-from conftest import cell_table, make_cell
+from conftest import cell_table, make_cell, trend_column
 
 
 def full_domain(y_span, a_span):
@@ -31,10 +31,10 @@ class TestDataRows:
         frame, domain = full_domain(3, 3)
         cell = make_cell(frame, 0, 0, x_mean=25.0, offset=0.4)
         matrix, target = data_rows(cell, domain)
-        row = matrix.toarray()[0]
-        slot_col = domain.full_to_compact()[frame.cohort_slot(CellIndex(0, 0))]
+        row = matrix.csr.toarray()[0]
+        slot_col = domain.full_to_compact()[frame.cohort_slots(0, 0)]
         assert row[slot_col] == 1.0
-        assert row[domain.trend_index(CellIndex(0, 0))] == pytest.approx(0.4)
+        assert row[trend_column(domain, 0, 0)] == pytest.approx(0.4)
         assert np.count_nonzero(row) == 2
         assert target[0] == 25.0
 
@@ -42,13 +42,13 @@ class TestDataRows:
         frame, domain = full_domain(3, 3)
         cell = make_cell(frame, 2, 2, x_mean=26.0, offset=0.0)
         matrix, _ = data_rows(cell, domain)
-        row = matrix.toarray()[0]
-        assert row[domain.full_to_compact()[frame.cohort_slot(CellIndex(2, 2))]] == 1.0
-        assert row[domain.trend_index(CellIndex(0, 0))] == 1.0
-        assert row[domain.trend_index(CellIndex(1, 1))] == 1.0
-        assert row[domain.trend_index(CellIndex(2, 2))] == 0.0
+        row = matrix.csr.toarray()[0]
+        assert row[domain.full_to_compact()[frame.cohort_slots(2, 2)]] == 1.0
+        assert row[trend_column(domain, 0, 0)] == 1.0
+        assert row[trend_column(domain, 1, 1)] == 1.0
+        assert row[trend_column(domain, 2, 2)] == 0.0
         # the zero on the current cell is stored structurally
-        assert matrix[0].nnz == 1 + 2 + 1
+        assert matrix.csr[0].nnz == 1 + 2 + 1
 
     def test_row_sum_is_one_plus_depth(self):
         frame, domain = full_domain(4, 4)
@@ -59,7 +59,7 @@ class TestDataRows:
             for j in range(frame.age_cells)
         ])
         matrix, _ = data_rows(cells, domain)
-        dense = matrix.toarray()
+        dense = matrix.csr.toarray()
         for row, i, j, y_mean in zip(dense, cells.i, cells.j, cells.y_mean):
             depth = min(i, j)
             offset = y_mean - frame.year_of(i)
@@ -92,7 +92,7 @@ class TestDataRows:
                 z_compact = domain.gather(z_full)
                 predicted = matrix @ z_compact
                 for k, (y_mean, a_mean) in enumerate(zip(data.y_mean, data.a_mean)):
-                    direct = predict_observation(model, y_mean, a_mean, domain=domain)
+                    direct = predict_observation(model, y_mean, a_mean)
                     assert predicted[k] == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
     def test_cell_outside_domain_rejected(self, simple_domain):
@@ -129,8 +129,8 @@ class TestTrendCurvature:
         # domain cells: (0,0),(0,1),(1,1),(2,1),(2,2): no 3 cells in any row,
         # but column 1 has (0,1),(1,1),(2,1) -> exactly one vertical triple
         assert matrix.shape[0] == 1
-        row = matrix.toarray()[0]
-        cols = [domain.trend_index(CellIndex(i, 1)) for i in (0, 1, 2)]
+        row = matrix.csr.toarray()[0]
+        cols = [trend_column(domain, i, 1) for i in (0, 1, 2)]
         assert [row[c] for c in cols] == [1.0, -2.0, 1.0]
 
 
@@ -162,10 +162,10 @@ class TestTrendCurvature:
         expected = np.zeros((len(triples), domain.compact_size))
         for row, cells in enumerate(triples):
             for coeff, (i, j) in zip((1.0, -2.0, 1.0), cells):
-                expected[row, domain.trend_index(CellIndex(i, j))] = coeff
+                expected[row, trend_column(domain, i, j)] = coeff
         matrix = trend_curvature_rows(domain)
         assert matrix.shape == expected.shape
-        assert np.array_equal(matrix.toarray(), expected)
+        assert np.array_equal(matrix.csr.toarray(), expected)
 
         edge = domain.edge()
         for i, j in np.ndindex(ni, nj):
@@ -191,7 +191,7 @@ class TestLevelCurvature:
         # diagonal band with slots spanning 5 consecutive values
         for i, j in [(2, 0), (1, 0), (0, 0), (0, 1), (0, 2)]:
             mask[i, j] = True
-        slots = [frame.cohort_slot(CellIndex(i, j)) for i, j in [(2, 0), (0, 2)]]
+        slots = [frame.cohort_slots(i, j) for i, j in [(2, 0), (0, 2)]]
         domain = AnalysisDomain(frame, mask, min(slots), max(slots))
         assert domain.slot_count == 5
         assert level_curvature_rows(domain).shape[0] == 3
@@ -200,12 +200,23 @@ class TestLevelCurvature:
         frame = ObservationalFrame.from_integer_bounds(0, 3, 0, 3)
         mask = np.zeros((frame.year_cells, frame.age_cells), dtype=bool)
         mask[1, 1] = mask[2, 2] = mask[1, 2] = True
-        slots = [frame.cohort_slot(CellIndex(1, 1)), frame.cohort_slot(CellIndex(1, 2))]
+        slots = [frame.cohort_slots(1, 1), frame.cohort_slots(1, 2)]
         domain = AnalysisDomain(frame, mask, min(slots), max(slots))
         assert domain.slot_count == 2
         with pytest.warns(UserWarning, match="segment"):
             matrix = level_curvature_rows(domain)
         assert matrix.shape[0] == 0
+
+
+def objective_parts(system, z):
+    """The data misfit and the two curvatures at ``z``."""
+    return residual_parts(system, z, system.data_matrix @ z - system.target)
+
+
+def weighted_rss(stacked, z):
+    """The stacked system's weighted residual sum of squares at ``z``."""
+    resid = stacked.matrix @ z - stacked.target
+    return float(np.dot(stacked.row_weights * resid, resid))
 
 
 class TestStack:
@@ -229,7 +240,7 @@ class TestStack:
         rng = np.random.default_rng(1)
         z = rng.normal(size=domain.compact_size)
         s0, _, _ = objective_parts(system, z)
-        assert stacked.weighted_rss(z) == pytest.approx(s0, rel=1e-12)
+        assert weighted_rss(stacked, z) == pytest.approx(s0, rel=1e-12)
 
     def test_total_matches_separate_quadratics(self):
         system, domain = self.build_system()
@@ -240,15 +251,15 @@ class TestStack:
                 z = rng.normal(scale=0.1, size=domain.compact_size)
                 s0, s1, s2 = objective_parts(system, z)
                 expected = s0 + w1 * s1 + w2 * s2
-                assert stacked.weighted_rss(z) == pytest.approx(expected, rel=1e-10)
+                assert weighted_rss(stacked, z) == pytest.approx(expected, rel=1e-10)
 
     def test_doubling_trend_weight_doubles_its_part(self):
         system, domain = self.build_system()
         rng = np.random.default_rng(3)
         z = rng.normal(size=domain.compact_size)
         s0, s1, s2 = objective_parts(system, z)
-        one = stack(system, 1.0, 1.0).weighted_rss(z)
-        two = stack(system, 2.0, 1.0).weighted_rss(z)
+        one = weighted_rss(stack(system, 1.0, 1.0), z)
+        two = weighted_rss(stack(system, 2.0, 1.0), z)
         assert two - one == pytest.approx(s1, rel=1e-9)
 
     def test_negative_weight_rejected(self):
@@ -259,8 +270,8 @@ class TestStack:
     def test_deterministic_row_order(self):
         system_a, _ = self.build_system(seed=4)
         system_b, _ = self.build_system(seed=4)
-        assert (system_a.data_matrix != system_b.data_matrix).nnz == 0
-        assert (system_a.trend_penalty != system_b.trend_penalty).nnz == 0
+        assert (system_a.data_matrix.csr != system_b.data_matrix.csr).nnz == 0
+        assert (system_a.trend_penalty.csr != system_b.trend_penalty.csr).nnz == 0
 
     def test_weight_by_count(self):
         frame, domain = full_domain(2, 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctrend.domain import AnalysisDomain, DomainError, build_domain
-from ctrend.grid import CellIndex, ObservationalFrame
+from ctrend.grid import ObservationalFrame
 
 from conftest import cell_table, make_cell
 
@@ -45,7 +45,7 @@ class TestCohortSegments:
         frame = frame66()
         domain = build_domain(cells_at(frame, [(2, 3)]), frame)
         assert included(domain) == {(2, 3), (1, 2), (0, 1)}
-        assert domain.first_slot == domain.last_slot == frame.cohort_slot(CellIndex(2, 3))
+        assert domain.first_slot == domain.last_slot == frame.cohort_slots(2, 3)
 
     def test_boundary_cell_is_its_own_segment(self):
         frame = frame66()
@@ -229,7 +229,7 @@ class TestParameterOrder:
         keys = [(s, -1, s) for s in range(domain.first_slot, domain.last_slot + 1)]
         for i, j in included(domain):
             full = frame.cohort_count + i * frame.age_cells + j
-            keys.append((frame.cohort_slot(CellIndex(i, j)), i, full))
+            keys.append((frame.cohort_slots(i, j), i, full))
         expected = [full for _, _, full in sorted(keys)]
         assert domain.compact_to_full().tolist() == expected
         to_compact = domain.full_to_compact()
@@ -272,8 +272,8 @@ class TestParameterOrder:
         one = build_domain(cells_at(frame, [(0, 4)]), frame)
         mask = np.zeros((frame.year_cells, frame.age_cells), dtype=bool)
         mask[1, 1] = mask[1, 2] = True
-        two = AnalysisDomain(frame, mask, frame.cohort_slot(CellIndex(1, 1)),
-                             frame.cohort_slot(CellIndex(1, 2)))
+        two = AnalysisDomain(frame, mask, frame.cohort_slots(1, 1),
+                             frame.cohort_slots(1, 2))
         assert (one.slot_count, two.slot_count) == (1, 2)
         for domain in (one, two):
             runs = domain.slot_runs(3)

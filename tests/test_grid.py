@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from conftest import cell_table, make_cell
 from ctrend.domain import DomainError, build_domain
 from ctrend.grid import (
-    CellIndex,
     CohortPathError,
     ModelVector,
     ObservationalFrame,
     OutOfFrameError,
     SparseRows,
+    check_paths,
+    cohort_path_rows,
     forward_levels,
     predict_observation,
 )
@@ -31,38 +32,46 @@ def small_frame(y_span=4, a_span=4):
     return ObservationalFrame.from_integer_bounds(0, y_span, 0, a_span)
 
 
+def cell_of(frame, y, a):
+    """The cell ``(i, j)`` of one in-frame point, through ``locate``."""
+    inside, i, j = frame.locate([y], [a])
+    assert inside.all()
+    return int(i[0]), int(j[0])
+
+
 class TestCellOf:
     def test_integer_corner_belongs_to_own_cell(self):
         frame = small_frame(5, 6)
-        assert frame.cell_of(2.0, 3.0) == CellIndex(2, 3)
+        assert cell_of(frame, 2.0, 3.0) == (2, 3)
 
     def test_interior_point(self):
         frame = small_frame(5, 6)
         # membership check: 3.2 - 0.5 = 2.7 in (2, 3]
         assert in_cell(2.5, 3.2, 2, 3)
-        assert frame.cell_of(2.5, 3.2) == CellIndex(2, 3)
+        assert cell_of(frame, 2.5, 3.2) == (2, 3)
 
     def test_diagonal_boundary_is_inclusive_below(self):
         frame = small_frame(5, 6)
         # a - (y - i) = 2.0 exactly: belongs to (1, 2], i.e. column 2
         assert in_cell(2.5, 2.5, 2, 2)
-        assert frame.cell_of(2.5, 2.5) == CellIndex(2, 2)
+        assert cell_of(frame, 2.5, 2.5) == (2, 2)
 
     def test_frame_edge_values_kept(self):
         frame = small_frame(4, 4)
-        top = frame.cell_of(3.0, 4.0)
-        assert top == CellIndex(3, 4)
-        assert top.i == frame.year_cells - 1
-        assert top.j == frame.age_cells - 1
+        top = cell_of(frame, 3.0, 4.0)
+        assert top == (3, 4)
+        assert top[0] == frame.year_cells - 1
+        assert top[1] == frame.age_cells - 1
+        assert not frame.locate([4.0], [4.0])[0].any()
         with pytest.raises(OutOfFrameError, match="year 4.0"):
-            frame.cell_of(4.0, 4.0)
+            predict_observation(constant_model(frame), 4.0, 4.0)
 
     def test_out_of_frame_names_coordinate(self):
         frame = small_frame(4, 4)
         with pytest.raises(OutOfFrameError, match="year"):
-            frame.cell_of(4.5, 2.0)
+            predict_observation(constant_model(frame), 4.5, 2.0)
         with pytest.raises(OutOfFrameError, match="age"):
-            frame.cell_of(2.0, -0.5)
+            predict_observation(constant_model(frame), 2.0, -0.5)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -73,9 +82,9 @@ class TestCellOf:
         """Every in-frame point lands in exactly one cell, and that cell's
         membership predicate holds for it."""
         frame = ObservationalFrame.from_integer_bounds(0, 6, 0, 7)
-        cell = frame.cell_of(y, a)
-        i_abs = frame.year_base + cell.i
-        j_abs = frame.age_base + cell.j
+        i, j = cell_of(frame, y, a)
+        i_abs = frame.year_base + i
+        j_abs = frame.age_base + j
         assert in_cell(y, a, i_abs, j_abs)
         # uniqueness: neighbours do not also claim the point
         for di in (-1, 0, 1):
@@ -91,8 +100,8 @@ class TestCellOf:
     )
     def test_boundary_fractions(self, y, a, frac):
         frame = ObservationalFrame.from_integer_bounds(0, 7, 0, 8)
-        cell = frame.cell_of(y + frac, a)
-        assert in_cell(y + frac, a, frame.year_base + cell.i, frame.age_base + cell.j)
+        i, j = cell_of(frame, y + frac, a)
+        assert in_cell(y + frac, a, frame.year_base + i, frame.age_base + j)
 
 
 class TestFrameGeometry:
@@ -112,7 +121,7 @@ class TestFrameGeometry:
     @pytest.mark.parametrize(
         "bounds, name",
         [
-            ((0, 2, 5.3, 10), "a_min"),  # cell_of(0.5, 5.3) had column -1
+            ((0, 2, 5.3, 10), "a_min"),  # the point (0.5, 5.3) had column -1
             ((0, 1.5, 0, 5.3), "y_max"),  # (1.0, 5.3) fell in column 6 of 6
             ((0, 1.5, 1.2136, 1.4636), "y_max"),  # no age column at all
         ],
@@ -132,24 +141,24 @@ class TestCohortSlot:
         # year_cells = I + 1 = 4 when I = 3
         frame = ObservationalFrame.from_integer_bounds(0, 4, 0, 3)
         assert frame.year_cells == 4
-        assert frame.cohort_slot(CellIndex(0, 0)) == 4
+        assert frame.cohort_slots(0, 0) == 4
 
     def test_same_diagonal_same_slot(self):
         frame = ObservationalFrame.from_integer_bounds(0, 3, 0, 3)
-        assert frame.cohort_slot(CellIndex(2, 2)) == frame.cohort_slot(CellIndex(0, 0))
+        assert frame.cohort_slots(2, 2) == frame.cohort_slots(0, 0)
 
     def test_bottom_edge_enumeration(self):
         # Hand enumeration of the boundary ordering: slots count down the
         # left edge, so cell (3, 0) with I = 3 sits at slot 1.
         frame = ObservationalFrame.from_integer_bounds(0, 4, 0, 3)
-        assert frame.cohort_slot(CellIndex(3, 0)) == 1
+        assert frame.cohort_slots(3, 0) == 1
 
     def test_constant_on_diagonals_injective_across(self):
         frame = ObservationalFrame.from_integer_bounds(0, 5, 0, 4)
         seen = {}
         for i in range(frame.year_cells):
             for j in range(frame.age_cells):
-                slot = frame.cohort_slot(CellIndex(i, j))
+                slot = frame.cohort_slots(i, j)
                 key = j - i  # diagonal identifier
                 seen.setdefault(key, set()).add(slot)
         for slots in seen.values():
@@ -160,8 +169,13 @@ class TestCohortSlot:
     def test_slot_origin_roundtrip(self):
         frame = ObservationalFrame.from_integer_bounds(0, 4, 0, 6)
         for slot in range(frame.cohort_count):
-            origin = frame.slot_origin(slot)
-            assert frame.year_cells - origin.i + origin.j == slot
+            ii, jj = frame.diagonal(slot)
+            assert np.all(frame.year_cells - ii + jj == slot)
+            if ii.size:  # it enters the frame on the left or bottom edge
+                assert min(ii[0], jj[0]) == 0
+        for slot in (-1, frame.cohort_count):
+            with pytest.raises(ValueError, match=f"slot {slot} outside"):
+                frame.diagonal(slot)
 
 
 def constant_model(frame, level=20.0, trend=0.0):
@@ -170,6 +184,15 @@ def constant_model(frame, level=20.0, trend=0.0):
         np.full(frame.cohort_count, level),
         np.full((frame.year_cells, frame.age_cells), trend),
     )
+
+
+def checked_levels(model, domain, cells):
+    """Levels of the level-grid ``cells`` from their cohort-path rows, after
+    ``check_paths`` has checked each path against the domain."""
+    ci, cj = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+    rows = cohort_path_rows(model.frame, ci, cj)
+    check_paths(model.frame, rows, ci, cj, domain.full_to_compact() >= 0)
+    return rows @ model.flat()
 
 
 class TestForwardLevels:
@@ -216,9 +239,13 @@ class TestForwardLevels:
             rng.normal(size=(frame.year_cells, frame.age_cells)),
         )
         levels = forward_levels(model)
-        for slot in range(frame.cohort_count):
-            origin = frame.slot_origin(slot)
-            assert levels[origin.i, origin.j] == model.initial_levels[slot]
+        # each slot's origin: the level-grid cell of its cohort on the left or bottom edge
+        origins = [(i, 0) for i in range(frame.year_cells + 1)]
+        origins += [(0, j) for j in range(1, frame.age_cells + 1)]
+        slots = [frame.cohort_slots(i, j) for i, j in origins]
+        assert sorted(slots) == list(range(frame.cohort_count))
+        for (i, j), slot in zip(origins, slots):
+            assert levels[i, j] == model.initial_levels[slot]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -266,17 +293,17 @@ class TestForwardLevels:
                     finite.append((i, j))
                 else:
                     with pytest.raises(CohortPathError):
-                        forward_levels(model, domain, cells=[(i, j)])
+                        checked_levels(model, domain, [(i, j)])
         assert finite
-        by_cell = forward_levels(model, domain, cells=finite)
-        for i, j in finite:
-            assert by_cell[i, j] == levels[i, j]
+        by_cell = checked_levels(model, domain, finite)
+        for (i, j), level in zip(finite, by_cell):
+            assert level == levels[i, j]
 
     def test_broken_path_names_first_missing_cell(self, simple_domain):
         domain, frame = simple_domain
         model = constant_model(frame)
         with pytest.raises(CohortPathError, match=r"\(1, 0\)"):
-            forward_levels(model, domain=domain, cells=[(2, 1)])
+            checked_levels(model, domain, [(2, 1)])
 
 
 class TestPredictObservation:
@@ -311,7 +338,7 @@ class TestPredictObservation:
         )
         y = 1.37
         a1, a2 = 2.6, 2.9  # same cell, different ages
-        assert frame.cell_of(y, a1) == frame.cell_of(y, a2)
+        assert cell_of(frame, y, a1) == cell_of(frame, y, a2)
         assert predict_observation(model, y, a1) == predict_observation(model, y, a2)
 
     def test_piecewise_linear_along_cohort(self):
@@ -325,11 +352,11 @@ class TestPredictObservation:
         )
         h = 1e-6
         for y0, a0 in [(0.2, 0.1), (1.5, 1.2), (2.0, 1.5), (3.25, 2.5)]:
-            cell = frame.cell_of(y0, a0)
+            cell = cell_of(frame, y0, a0)
             f0 = predict_observation(model, y0, a0)
             f1 = predict_observation(model, y0 + h, a0 + h)
             deriv = (f1 - f0) / h
-            assert deriv == pytest.approx(model.trends[cell.i, cell.j], abs=1e-4)
+            assert deriv == pytest.approx(model.trends[cell], abs=1e-4)
 
     def test_continuity_across_cell_edges_along_cohort(self):
         frame = small_frame(5, 5)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ctrend.domain import AnalysisDomain, build_domain
-from ctrend.grid import CellIndex, ObservationalFrame
+from ctrend.grid import ObservationalFrame
 from ctrend.inference import cluster_compare, f_tails, prob_f
 from ctrend.ingest import ingest_records
 from ctrend.report import clusters_columns
@@ -15,7 +15,7 @@ from ctrend.simulate import linear_trend_scenario, preset, simulate
 from ctrend.design import DesignSystem
 from ctrend.solve import adjacent_correlations, solve
 
-from conftest import cell_table, make_cell
+from conftest import cell_table, make_cell, trend_column
 from test_solve import manual_solution
 
 
@@ -77,7 +77,7 @@ def strip_domain(n_cells):
     frame = ObservationalFrame.from_integer_bounds(0, 1, 0, n_cells - 1)
     mask = np.zeros((frame.year_cells, frame.age_cells), dtype=bool)
     mask[0, :n_cells] = True
-    slots = [frame.cohort_slot(CellIndex(0, j)) for j in range(n_cells)]
+    slots = [frame.cohort_slots(0, j) for j in range(n_cells)]
     return AnalysisDomain(frame, mask, min(slots), max(slots))
 
 
@@ -127,7 +127,7 @@ class TestClusterCompare:
         report = cluster_compare(sol, age_window=2, year_window=2)
         assert report.clusters[0].tolist() == [0, 0]
         members = [
-            domain.trend_index(CellIndex(i, j)) for i, j in [(0, 0), (0, 1), (1, 0), (1, 1)]
+            trend_column(domain, i, j) for i, j in [(0, 0), (0, 1), (1, 0), (1, 1)]
             if domain.mask[i, j]
         ]
         expected = np.mean([est[m] for m in members])
@@ -146,7 +146,7 @@ class TestClusterCompare:
         # rebuild the averaging map independently and compare one variance
         blocks = {}
         for i, j in zip(*(axis.tolist() for axis in np.nonzero(domain.mask))):
-            blocks.setdefault((i // 2, j // 2), []).append(domain.trend_index(CellIndex(i, j)))
+            blocks.setdefault((i // 2, j // 2), []).append(trend_column(domain, i, j))
         cov = sol.sigma2 * np.asarray(sol.inverse)
         for block, se in zip(report.clusters.tolist(), report.se):
             idx = blocks[tuple(block)]
@@ -167,7 +167,7 @@ class TestClusterCompare:
 
         members = {}
         for i, j in zip(*(axis.tolist() for axis in np.nonzero(domain.mask))):
-            members.setdefault((i // 5, j // 5), []).append(domain.trend_index(CellIndex(i, j)))
+            members.setdefault((i // 5, j // 5), []).append(trend_column(domain, i, j))
         averaging = np.zeros((len(report.clusters), domain.compact_size))
         for row, block in enumerate(map(tuple, report.clusters.tolist())):
             averaging[row, members[block]] = 1.0 / len(members[block])

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctrend import ingest
-from ctrend.grid import CellIndex, ObservationalFrame
+from ctrend.grid import ObservationalFrame
 from ctrend.ingest import (
     CellTable,
     FlaggedRow,
@@ -28,7 +28,6 @@ from ctrend.ingest import (
     aggregate,
     decimal_year,
     derive_bmi,
-    frame_from_data,
     ingest_file,
     ingest_records,
     load_survey_file,
@@ -79,15 +78,20 @@ class TestDecimalYear:
             decimal_year("not-a-date")
 
 
+def frame_from_data(records):
+    """The frame that ingest builds around ``records``."""
+    return ingest_records(records, cell_min_count=0).frame
+
+
 class TestFrameFromData:
     def test_floor_ceil(self):
-        records = [rec(1972.12, 25.0), rec(2002.34, 74.99)]
+        records = [rec(1972.12, 25.0, bmi=25.0), rec(2002.34, 74.99, bmi=25.0)]
         frame = frame_from_data(records)
         assert (frame.y_min, frame.y_max) == (1972, 2003)
         assert (frame.a_min, frame.a_max) == (25, 75)
 
     def test_study_shape(self):
-        records = [rec(1972.2, 25.0), rec(2002.3, 74.0)]
+        records = [rec(1972.2, 25.0, bmi=25.0), rec(2002.3, 74.0, bmi=25.0)]
         frame = frame_from_data(records)
         assert frame.y_min == 1972
         assert frame.a_min == 25
@@ -97,11 +101,12 @@ class TestFrameFromData:
         frame = frame_from_data(records)
         assert (frame.y_min, frame.y_max) == (2000, 2009)
         assert frame.year_cells == 9
-        assert frame.year_of(frame.cell_of(2008.0, 31.0).i) == 2008
+        inside, i, _ = frame.locate([2008.0], [31.0])
+        assert inside.all() and frame.year_of(i[0]) == 2008
         assert aggregate(records, frame, cell_min_count=0).n_out_of_frame == 0
 
     def test_single_year_frame(self):
-        frame = frame_from_data([rec(2000.0, 30.0), rec(2000.0, 32.0)])
+        frame = frame_from_data([rec(2000.0, 30.0, bmi=25.0), rec(2000.0, 32.0, bmi=25.0)])
         assert (frame.y_min, frame.y_max) == (2000, 2001)
         assert frame.year_cells == 1
 
@@ -122,7 +127,8 @@ class TestAggregate:
         assert len(cells) == 1
         assert cells.x_mean[0] == 25.0
         assert cells.n[0] == 3
-        assert CellIndex(cells.i[0], cells.j[0]) == frame.cell_of(2000.5, 31)
+        inside, i, j = frame.locate([2000.5], [31])
+        assert inside.all() and (cells.i[0], cells.j[0]) == (i[0], j[0])
 
     def test_threshold_is_strict(self):
         frame = self.frame()
@@ -154,8 +160,9 @@ class TestAggregate:
             for k in range(200)
         ]
         cells = aggregate(records, frame, cell_min_count=0).cells
-        for i, j, y_mean, a_mean in zip(cells.i, cells.j, cells.y_mean, cells.a_mean):
-            assert frame.cell_of(y_mean, a_mean) == CellIndex(i, j)
+        inside, i, j = frame.locate(cells.y_mean, cells.a_mean)
+        assert inside.all()
+        assert np.array_equal(i, cells.i) and np.array_equal(j, cells.j)
 
     def test_conservation(self):
         frame = self.frame()
@@ -397,11 +404,13 @@ def _reference_parse(text):
 
 
 def _reference_cells(used, frame):
-    """Plain-Python grouping: ``frame.cell_of`` and ``math.fsum`` per cell."""
+    """Plain-Python grouping: ``frame.locate`` of one point at a time and
+    ``math.fsum`` per cell."""
     groups = {}
     for survey, exam, age, value in used:
-        if frame.contains(exam, age):
-            groups.setdefault(frame.cell_of(exam, age), []).append((value, exam, age))
+        inside, i, j = frame.locate([exam], [age])
+        if inside[0]:
+            groups.setdefault((int(i[0]), int(j[0])), []).append((value, exam, age))
     return [
         (cell, *(math.fsum(m[k] for m in members) / len(members) for k in range(3)), len(members))
         for cell, members in sorted(groups.items())
@@ -523,7 +532,7 @@ class TestColumnarParse:
         assert [tuple(map(_bits, r)) for r in bulk] == [tuple(map(_bits, r)) for r in used]
         cells = _aggregate(columns, _TEST_FRAME, cell_min_count=0).cells
         where, *expected = list(zip(*_reference_cells(used, _TEST_FRAME))) or [()] * 5
-        assert list(zip(cells.i.tolist(), cells.j.tolist())) == [(c.i, c.j) for c in where]
+        assert list(zip(cells.i.tolist(), cells.j.tolist())) == list(where)
         for got, column in zip((cells.x_mean, cells.y_mean, cells.a_mean, cells.n), expected):
             assert [_bits(x) for x in got.tolist()] == [_bits(x) for x in column]
 
