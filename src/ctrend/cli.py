@@ -62,20 +62,21 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="fit a survey data file and write the output bundle")
+    defaults = FitOptions()  # the help texts quote its defaults
     fit.add_argument("data", help="survey file (see the README for the format)")
     fit.add_argument("--out", default=None, help="output directory (default: $CTREND_OUT_DIR or ./ctrend-out)")
     fit.add_argument("--config", default=None, help="JSON config file; flags override its entries")
-    fit.add_argument("--trend-target", type=float, default=None, help="reference adjacent-trend correlation (default 0.9)")
-    fit.add_argument("--level-target", type=float, default=None, help="reference initial-level correlation (default 0.7)")
-    fit.add_argument("--trend-accuracy", type=float, default=None, help="stopping accuracy for the trend gap (default 0.05)")
-    fit.add_argument("--level-accuracy", type=float, default=None, help="stopping accuracy for the level gap (default 0.05)")
-    fit.add_argument("--trend-weight-init", type=float, default=None, help="initial trend smoothing weight (default 1.0)")
-    fit.add_argument("--level-weight-init", type=float, default=None, help="initial level smoothing weight (default 1.0)")
-    fit.add_argument("--max-iter", type=int, default=None, help="iteration budget (default 100)")
-    fit.add_argument("--cell-min-count", type=int, default=None, help="exclude cells with at most this many records (default 5)")
-    fit.add_argument("--domain-mode", type=int, choices=(1, 2), default=None, help="1: all cohort segments; 2: cohorts with 2+ data cells (default 1)")
-    fit.add_argument("--age-window", type=int, default=None, help="cluster width in ages (default 5)")
-    fit.add_argument("--year-window", type=int, default=None, help="cluster width in years (default 5)")
+    fit.add_argument("--trend-target", type=float, default=None, help=f"reference adjacent-trend correlation (default {defaults.trend_target})")
+    fit.add_argument("--level-target", type=float, default=None, help=f"reference initial-level correlation (default {defaults.level_target})")
+    fit.add_argument("--trend-accuracy", type=float, default=None, help=f"stopping accuracy for the trend gap (default {defaults.trend_accuracy})")
+    fit.add_argument("--level-accuracy", type=float, default=None, help=f"stopping accuracy for the level gap (default {defaults.level_accuracy})")
+    fit.add_argument("--trend-weight-init", type=float, default=None, help=f"initial trend smoothing weight (default {defaults.trend_weight_init})")
+    fit.add_argument("--level-weight-init", type=float, default=None, help=f"initial level smoothing weight (default {defaults.level_weight_init})")
+    fit.add_argument("--max-iter", type=int, default=None, help=f"iteration budget (default {defaults.max_iter})")
+    fit.add_argument("--cell-min-count", type=int, default=None, help=f"exclude cells with at most this many records (default {defaults.cell_min_count})")
+    fit.add_argument("--domain-mode", type=int, choices=(1, 2), default=None, help=f"1: all cohort segments; 2: cohorts with 2+ data cells (default {defaults.domain_mode})")
+    fit.add_argument("--age-window", type=int, default=None, help=f"cluster width in ages (default {defaults.age_window})")
+    fit.add_argument("--year-window", type=int, default=None, help=f"cluster width in years (default {defaults.year_window})")
     fit.add_argument("--cohort", dest="cohort_birth_year", metavar="COHORT", type=int, default=None, help="birth year for the cohort-track figure (default: best-covered cohort)")
     fit.add_argument("--weight-by-count", action="store_true", default=None, help="weight data rows by cell record counts")
     fit.add_argument("--literal-level-denominator", action="store_true", default=None, help="use the slot count instead of the link count in the level smoothness mean")
@@ -106,14 +107,21 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The JSON values a config entry takes, by its FitOptions field's annotation:
-# a boolean only where the field is a flag, never where it is a number.
+# The JSON values a config or scenario entry takes, by its dataclass field's
+# annotation: int() would truncate a real number, float() would take a text,
+# and a boolean is taken only where the field is a flag, never for a number.
 _CONFIG_TYPES = {
     "bool": ((bool,), "a boolean"),
     "int": ((int,), "an integer"),
     "float": ((int, float), "a number"),
     "int | None": ((int, type(None)), "an integer or null"),
 }
+
+
+def _check_type(path: str, what: str, key: str, value, annotation: str) -> None:
+    accepted, kind = _CONFIG_TYPES[annotation]
+    if isinstance(value, bool) != (annotation == "bool") or not isinstance(value, accepted):
+        raise ValueError(f"{path}: {what} entry {key!r} must be {kind}, got {json.dumps(value)}")
 
 
 def _load_config(path: str | None) -> dict:
@@ -128,9 +136,7 @@ def _load_config(path: str | None) -> dict:
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
     for key, value in config.items():
-        accepted, kind = _CONFIG_TYPES[annotation[key]]
-        if isinstance(value, bool) != (annotation[key] == "bool") or not isinstance(value, accepted):
-            raise ValueError(f"{path}: config entry {key!r} must be {kind}, got {json.dumps(value)}")
+        _check_type(path, "config", key, value, annotation[key])
     return config
 
 
@@ -231,25 +237,16 @@ def cmd_fit(args) -> int:
         return EXIT_INPUT
 
 
-# The keys a scenario file may hold, at its top level and in each section.
+# The keys a scenario file may hold, at its top level and in each section,
+# with the annotation that types each value (None: any JSON value).  The
+# frame's and each survey's keys, types and defaults are their dataclasses'.
 _SCENARIO_KEYS = {
-    "": {"frame", "surveys", "initial_levels", "trends", "noise_sd", "seed", "label"},
-    "frame": {"y_min", "y_max", "a_min", "a_max"},
-    "surveys": {"year", "age_min", "age_max", "samples_per_age", "start_month", "duration_months"},
-    "initial_levels": {"base", "per_slot"},
-    "trends": {"base", "per_year", "per_age"},
-}
-# The JSON values of the numeric keys among them, as for a config entry: int()
-# would truncate a real number, and float() would take a boolean or a text.
-_SCENARIO_NUMBERS = {
-    **dict.fromkeys(
-        ("seed", "year", "age_min", "age_max", "samples_per_age", "start_month", "duration_months"),
-        _CONFIG_TYPES["int"],
-    ),
-    **dict.fromkeys(
-        ("y_min", "y_max", "a_min", "a_max", "base", "per_slot", "per_year", "per_age", "noise_sd"),
-        _CONFIG_TYPES["float"],
-    ),
+    "": {"frame": None, "surveys": None, "initial_levels": None, "trends": None,
+         "noise_sd": "float", "seed": "int", "label": None},
+    "frame": {f.name: f.type for f in fields(ObservationalFrame)},
+    "surveys": {f.name: f.type for f in fields(SurveyPlan)},
+    "initial_levels": dict.fromkeys(("base", "per_slot"), "float"),
+    "trends": dict.fromkeys(("base", "per_year", "per_age"), "float"),
 }
 
 
@@ -263,31 +260,17 @@ def _scenario_from_file(path: str, seed: int) -> Scenario:
     sections += [(name, f"{name}.", spec.get(name)) for name in ("frame", "initial_levels", "trends")]
     if isinstance(spec.get("surveys"), list):
         sections += [("surveys", f"surveys[{k}].", s) for k, s in enumerate(spec["surveys"])]
-    entries = [(name, prefix, key, value) for name, prefix, section in sections
+    entries = [(_SCENARIO_KEYS[name], prefix, key, value) for name, prefix, section in sections
                if isinstance(section, dict) for key, value in section.items()]
-    unknown = [prefix + key for name, prefix, key, _ in entries if key not in _SCENARIO_KEYS[name]]
+    unknown = [prefix + key for keys, prefix, key, _ in entries if key not in keys]
     if unknown:
         raise ValueError(f"{path}: unknown scenario keys {unknown}")
-    for _, prefix, key, value in entries:
-        if key in _SCENARIO_NUMBERS:
-            accepted, kind = _SCENARIO_NUMBERS[key]
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ValueError(
-                    f"{path}: scenario entry {prefix + key!r} must be {kind}, got {json.dumps(value)}"
-                )
+    for keys, prefix, key, value in entries:
+        if keys[key]:
+            _check_type(path, "scenario", prefix + key, value, keys[key])
     try:
-        frame = ObservationalFrame(*(float(spec["frame"][k]) for k in ("y_min", "y_max", "a_min", "a_max")))
-        surveys = [
-            SurveyPlan(
-                year=s["year"],
-                age_min=s["age_min"],
-                age_max=s["age_max"],
-                samples_per_age=s.get("samples_per_age", 10),
-                start_month=s.get("start_month", 1),
-                duration_months=s.get("duration_months", 4),
-            )
-            for s in spec["surveys"]
-        ]
+        frame = ObservationalFrame(**{k: float(v) for k, v in spec["frame"].items()})
+        surveys = [SurveyPlan(**{"samples_per_age": 10, **s}) for s in spec["surveys"]]
         lv = spec.get("initial_levels", {})
         tr = spec.get("trends", {})
         return affine_scenario(

@@ -25,7 +25,6 @@ them banded, with a compact index as the banded position.  The blocks are
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -100,14 +99,10 @@ def level_curvature_rows(domain: AnalysisDomain) -> SparseRows:
     """Second-difference rows over interior boundary slots.
 
     A segment shorter than three slots has no interior and yields an empty
-    block (with a warning, since the level smoothness then goes unmeasured).
+    block.  Its domain spans at most two adjacent cohort diagonals, so it
+    has no trend curvature row either, and fewer data rows than parameters:
+    a fit over it is singular at its first solve.
     """
-    n = domain.slot_count
-    if n < 3:
-        warnings.warn(
-            f"boundary-level segment has only {n} slot(s); no curvature rows emitted",
-            stacklevel=2,
-        )
     return _second_differences(domain.slot_runs(3), domain.compact_size)
 
 

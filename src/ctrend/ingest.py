@@ -385,15 +385,32 @@ def _parse(fh, path: str) -> tuple[_Columns, list[FlaggedRow]]:
 
     block = _BlockValidator(position, len(header))
     parts = []
+    lines = reader.line_num
     while True:
         try:
             raw = list(itertools.islice(reader, BLOCK_ROWS))
         except csv.Error as err:
             raise ValueError(f"{path}: {err}") from None
-        parts.append(block.validate([row for row in raw if row]))
+        rows = [row for row in raw if row]
+        if reader.line_num - lines != len(raw):  # a field ran over a line break
+            _reject_line_breaks(rows, block.rows_before, path)
+        lines = reader.line_num
+        parts.append(block.validate(rows))
         if len(raw) < BLOCK_ROWS:
             break
     return _Columns(*map(np.concatenate, zip(*parts))), block.flagged
+
+
+def _reject_line_breaks(rows: list, rows_before: int, path: str) -> None:
+    """Reject the first row with a field that holds a line break.  No
+    survey field holds one: a quote left open reads every later line, up
+    to the next quote or the end of the file, into its field."""
+    for k, row in enumerate(rows):
+        if any("\n" in text or "\r" in text for text in row):
+            raise ValueError(
+                f"{path}: row {rows_before + k + 1} opens a quoted field that runs over "
+                "a line break (an unclosed quote?)"
+            )
 
 
 class _BlockValidator:
@@ -641,13 +658,10 @@ def _ingest(
     )
 
 
-def ingest_file(
-    path: str,
-    frame: ObservationalFrame | None = None,
-    cell_min_count: int = DEFAULT_CELL_MIN_COUNT,
-) -> IngestResult:
-    """Ingest one survey file, recording the SHA-256 of the bytes parsed."""
+def ingest_file(path: str, cell_min_count: int = DEFAULT_CELL_MIN_COUNT) -> IngestResult:
+    """Ingest one survey file over the integer frame that holds its data,
+    recording the SHA-256 of the bytes parsed."""
     sha256, columns, flagged = _read(path)
-    result = _ingest(columns, flagged, frame, cell_min_count, os.path.basename(path))
+    result = _ingest(columns, flagged, None, cell_min_count, os.path.basename(path))
     result.sha256 = sha256
     return result

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import datetime
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -11,7 +11,7 @@ from . import __version__
 from .design import DesignSystem
 from .domain import build_domain
 from .inference import cluster_compare
-from .ingest import CellTable, IngestResult
+from .ingest import DEFAULT_CELL_MIN_COUNT, CellTable, IngestResult
 from .iterate import IterationConfig, IterationResult, run
 from .report import manifest_digest
 
@@ -19,18 +19,13 @@ __all__ = ["FitOptions", "FitRun", "run_fit", "batch_fit", "build_manifest"]
 
 
 @dataclass
-class FitOptions:
-    """Everything configurable about one fit, with the documented defaults."""
+class FitOptions(IterationConfig):
+    """Everything configurable about one fit, with the documented defaults;
+    the loop's settings and their checks are :class:`IterationConfig`'s."""
 
     trend_target: float = 0.9  # reference correlation for adjacent trends
     level_target: float = 0.7  # reference correlation for initial levels
-    trend_accuracy: float = 0.05
-    level_accuracy: float = 0.05
-    trend_weight_init: float = 1.0
-    level_weight_init: float = 1.0
-    max_iter: int = 100
-    literal_level_denominator: bool = False
-    cell_min_count: int = 5
+    cell_min_count: int = DEFAULT_CELL_MIN_COUNT
     domain_mode: int = 1  # 1: all cohort segments; 2: two or more data cells
     weight_by_count: bool = False
     age_window: int = 5
@@ -38,7 +33,7 @@ class FitOptions:
     cohort_birth_year: int | None = None  # cohort-track selection; None: most data
 
     def __post_init__(self):
-        self.iteration_config()  # rejects bad loop settings before any file is read
+        super().__post_init__()  # rejects bad loop settings before any file is read
         if self.age_window < 1 or self.year_window < 1:
             raise ValueError(
                 f"cluster windows must be >= 1, got ({self.age_window}, {self.year_window})"
@@ -47,7 +42,7 @@ class FitOptions:
             raise ValueError(f"cell_min_count must be >= 0, got {self.cell_min_count}")
 
     def iteration_config(self) -> IterationConfig:
-        return IterationConfig(**{f.name: getattr(self, f.name) for f in fields(IterationConfig)})
+        return self  # the options are the loop's configuration; perfbench asks for it
 
 
 def _pick_track_slot(domain, birth_year: int | None):
@@ -112,7 +107,7 @@ def _prepare(ingest_result: IngestResult, options: FitOptions) -> _Prepared:
 def _fit(prepared: _Prepared, options: FitOptions, measurements: dict | None = None) -> FitRun:
     """The weight loop and the inference over a prepared design;
     ``measurements`` as for :func:`ctrend.iterate.run`."""
-    iteration = run(prepared.system, options.iteration_config(), measurements)
+    iteration = run(prepared.system, options, measurements)
     clusters = cluster_compare(
         iteration.solution,
         age_window=options.age_window,

@@ -237,11 +237,11 @@ def affine_scenario(
 def stationary_scenario(seed: int = 0, noise_sd: float = 0.0, samples_per_age: int = 4) -> Scenario:
     """Zero driving force: flat cohorts at a common level."""
     frame = ObservationalFrame.from_integer_bounds(2000, 2008, 30, 37)
-    return Scenario(
-        frame=frame,
-        initial_levels=np.full(frame.cohort_count, 25.0),
-        trends=np.zeros((frame.year_cells, frame.age_cells)),
-        surveys=_full_coverage_surveys(frame, samples_per_age),
+    return affine_scenario(
+        frame,
+        _full_coverage_surveys(frame, samples_per_age),
+        level_base=25.0, per_slot=0.0,
+        trend_base=0.0, per_year=0.0, per_age=0.0,
         noise_sd=noise_sd,
         seed=seed,
         label="stationary",

@@ -114,7 +114,6 @@ class Solution:
     data_misfit: float  # weighted data RSS at the estimate
     trend_curvature: float  # squared trend second differences
     level_curvature: float  # squared boundary-level second differences
-    n_rows: tuple[int, int, int]
     dof: int
     condition: float = _EstimatedOnFirstRead()  # estimated 1-norm condition number of N
     warnings: list = field(default_factory=list)
@@ -691,7 +690,6 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
         data_misfit=s0,
         trend_curvature=s1,
         level_curvature=s2,
-        n_rows=(system.n_data, system.n_trend, system.n_level),
         dof=n_total - p,
         condition=condition,
         warnings=notes,

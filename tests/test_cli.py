@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -23,6 +24,8 @@ from ctrend.cli import (
     EXIT_SINGULAR,
     main,
 )
+from ctrend.grid import ObservationalFrame
+from ctrend.simulate import SurveyPlan, affine_scenario, simulate, write_records
 from ctrend.solve import SingularSystemError
 
 
@@ -61,6 +64,41 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == EXIT_OK
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 6 * 4 + 5 * 4
+
+    @pytest.mark.parametrize("given", ["every_field", "defaults"])
+    def test_scenario_file_sets_every_dataclass_field(self, tmp_path, given):
+        # The frame's and each survey's keys, types and defaults are those of
+        # ObservationalFrame and SurveyPlan: a file that gives each of their
+        # fields, or leaves the survey defaults out, simulates the records of
+        # the equivalent affine_scenario call.
+        frame = {"y_min": 2000, "y_max": 2005, "a_min": 30, "a_max": 36}
+        surveys = [
+            {"year": 2000, "age_min": 30, "age_max": 34, "samples_per_age": 3,
+             "start_month": 3, "duration_months": 6},
+            {"year": 2003, "age_min": 31, "age_max": 36, "samples_per_age": 2,
+             "start_month": 1, "duration_months": 12},
+        ]
+        assert set(frame) == {f.name for f in fields(ObservationalFrame)}
+        assert all(set(s) == {f.name for f in fields(SurveyPlan)} for s in surveys)
+        if given == "defaults":
+            surveys = [{k: s[k] for k in ("year", "age_min", "age_max")} for s in surveys]
+        plans = [SurveyPlan(**{"samples_per_age": 10, **s}) for s in surveys]
+        spec = {
+            "frame": frame, "surveys": surveys,
+            "initial_levels": {"base": 23.0, "per_slot": 0.05},
+            "trends": {"base": 0.1, "per_year": 0.01, "per_age": -0.004},
+            "noise_sd": 0.5, "seed": 4, "label": "every field",
+        }
+        scen, out, expected = tmp_path / "scenario.json", tmp_path / "sim.csv", tmp_path / "affine.csv"
+        scen.write_text(json.dumps(spec))
+        assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == EXIT_OK
+        scenario = affine_scenario(
+            ObservationalFrame.from_integer_bounds(2000, 2005, 30, 36), plans,
+            level_base=23.0, per_slot=0.05, trend_base=0.1, per_year=0.01, per_age=-0.004,
+            noise_sd=0.5, seed=4, label="every field",
+        )
+        write_records(simulate(scenario), str(expected))
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_bad_scenario(self, tmp_path):
         scen = tmp_path / "scenario.json"
@@ -319,6 +357,31 @@ class TestFit:
         (key, value), = entry.items()
         assert f"{config}: config entry {key!r} must be {kind}, got {json.dumps(value)}" in capsys.readouterr().err
         assert not outdir.exists()
+
+    def test_every_loop_setting_is_a_config_entry(self, data_file, tmp_path):
+        # FitOptions takes the loop's settings from IterationConfig: each is a
+        # --config entry, and a value other than its default moves the loop
+        moved = {
+            "trend_target": 0.85, "level_target": 0.6, "trend_accuracy": 1e-4,
+            "level_accuracy": 1e-3, "trend_weight_init": 2.0, "level_weight_init": 2.0,
+            "max_iter": 2, "literal_level_denominator": True,
+        }
+        assert set(moved) == {f.name for f in fields(iterate.IterationConfig)}
+
+        def fit(name, entries):
+            config, outdir = tmp_path / f"{name}.json", tmp_path / name
+            config.write_text(json.dumps(entries))
+            code = main(["fit", data_file, "--config", str(config), "--cell-min-count", "0",
+                         "--out", str(outdir)])
+            assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
+            manifest = json.loads((outdir / "manifest.json").read_text())
+            return manifest["config"], (outdir / "trace.csv").read_text().splitlines()[1:]  # past the digest
+
+        _, default_trace = fit("default", {})
+        for name, value in moved.items():
+            options, trace = fit(name, {name: value})
+            assert options[name] == value
+            assert trace != default_trace, name
 
     def test_config_types_cover_every_option(self, data_file, tmp_path):
         assert {f.type for f in fields(pipeline.FitOptions)} <= set(cli._CONFIG_TYPES)
@@ -618,7 +681,6 @@ def linear_bytes(tmp_path_factory):
     return path.read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore:boundary-level segment")  # a file cut short can hold few cohorts
 @pytest.mark.parametrize("kind", ["truncate", "delimiter", "quote", "not_utf8", "number"])
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
@@ -652,3 +714,31 @@ def test_damaged_file_maps_to_an_exit_code(linear_bytes, kind, data):
         assert code in (EXIT_OK, EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_SINGULAR)
         if code == EXIT_INPUT:
             assert not os.path.exists(outdir)
+
+
+def test_unclosed_quote_exits_2(linear_bytes, tmp_path, capsys):
+    """A quote opened before data row 100 and never closed would read the
+    rest of the file into one field: the fit names the row and writes nothing."""
+    lines = linear_bytes.split(b"\n")
+    assert len(lines) == 1 + 576 + 1  # the header, the rows, after the last newline
+    lines[100] = b'"' + lines[100]
+    path, outdir = tmp_path / "quote.csv", tmp_path / "run"
+    path.write_bytes(b"\n".join(lines))
+    assert main(["fit", str(path), "--out", str(outdir)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {path}: row 100 opens a quoted field that runs over a line break (an unclosed quote?)\n"
+    )
+    assert not outdir.exists()
+
+
+def test_short_segment_is_one_error_line(linear_bytes, tmp_path, capsys):
+    """The header and first 9 rows of the file keep one cell, so one cohort:
+    the fit is singular, and its one line of stderr is the error, with no
+    warning."""
+    path = tmp_path / "short.csv"
+    path.write_bytes(b"".join(linear_bytes.splitlines(keepends=True)[:10]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", str(path), "--out", str(tmp_path / "run")]) == EXIT_SINGULAR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,5 +1,7 @@
 """Stacked-system assembly: data rows, curvature blocks, weighting."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +16,7 @@ from ctrend.design import (
     stack,
     trend_curvature_rows,
 )
-from ctrend.domain import AnalysisDomain, build_domain
+from ctrend.domain import AnalysisDomain, DomainError, build_domain
 from ctrend.grid import ModelVector, ObservationalFrame, predict_observation
 
 from conftest import cell_table, make_cell, trend_column
@@ -196,16 +198,42 @@ class TestLevelCurvature:
         assert domain.slot_count == 5
         assert level_curvature_rows(domain).shape[0] == 3
 
-    def test_short_segment_warns_and_is_empty(self):
+    def test_short_segment_is_empty_without_a_warning(self):
+        # no fit gets past such a domain (below), so nothing needs telling
         frame = ObservationalFrame.from_integer_bounds(0, 3, 0, 3)
         mask = np.zeros((frame.year_cells, frame.age_cells), dtype=bool)
         mask[1, 1] = mask[2, 2] = mask[1, 2] = True
         slots = [frame.cohort_slots(1, 1), frame.cohort_slots(1, 2)]
         domain = AnalysisDomain(frame, mask, min(slots), max(slots))
         assert domain.slot_count == 2
-        with pytest.warns(UserWarning, match="segment"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             matrix = level_curvature_rows(domain)
         assert matrix.shape[0] == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        years=st.integers(1, 7),
+        ages=st.integers(1, 7),
+        points=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=5),
+        mode=st.sampled_from([1, 2]),
+    )
+    def test_short_segment_has_fewer_rows_than_parameters(self, years, ages, points, mode):
+        # Fewer than three slots span at most two adjacent cohort diagonals,
+        # so no run of three cells and no curvature row: the data rows alone
+        # cannot reach the slots plus the trend cells, and the first solve of
+        # any fit raises SingularSystemError.
+        frame = ObservationalFrame.from_integer_bounds(0, years, 0, ages)
+        cells = {(i % frame.year_cells, j % frame.age_cells) for i, j in points}
+        table = cell_table([make_cell(frame, i, j, 25.0) for i, j in cells])
+        try:
+            domain = build_domain(table, frame, mode)
+        except DomainError:  # mode 2 kept no cohort
+            assume(False)
+        assume(domain.slot_count < 3)
+        system = DesignSystem.build(domain.filter_cells(table)[0], domain)
+        assert system.n_trend == system.n_level == 0
+        assert system.n_total < system.param_count
 
 
 def objective_parts(system, z):

@@ -357,6 +357,23 @@ class TestFileIngestion:
         with pytest.raises(ValueError, match="no analyzable cells"):
             ingest_file(path, cell_min_count=5)
 
+    @pytest.mark.parametrize(
+        "row, closed",
+        [(1, False), (1100, False), (1100, True)],  # 1100: in the second block
+    )
+    def test_quoted_line_break_names_its_row(self, tmp_path, row, closed):
+        # A blank line before the quote is not a row; a quote closed rows
+        # later still read the lines between into one field.
+        rows = [f"S1,2000.5,30,24.{k % 10}" for k in range(1, 1501)]
+        rows[row - 1] = '"' + rows[row - 1]
+        if closed:
+            rows[row + 2] = rows[row + 2] + '"'
+        path = self.write(tmp_path, "survey,exam_date,age,bmi\n\n" + "\n".join(rows) + "\n")
+        message = f"row {row} opens a quoted field that runs over a line break (an unclosed quote?)"
+        with pytest.raises(ValueError) as err:
+            ingest_file(path)
+        assert str(err.value) == f"{path}: {message}"
+
 
 class TestTableShapedCellCount:
     def test_295_cells(self):

@@ -78,8 +78,8 @@ def test_weight_loop_holds_one_solution(tmp_path):
     peaked at 4.7 MB.  A loop stopped by its budget after its best
     iteration solves that one again, after letting the last one go."""
     system = _table_system(tmp_path)
-    converging = FitOptions().iteration_config()
-    stopped = FitOptions(level_target=0.3, trend_target=0.6, max_iter=10).iteration_config()
+    converging = FitOptions()
+    stopped = FitOptions(level_target=0.3, trend_target=0.6, max_iter=10)
     run(system, converging)  # the first call loads what later calls share
     for config in (converging, stopped):
         result, peak = _traced_peak(lambda: run(system, config))

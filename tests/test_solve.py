@@ -178,7 +178,6 @@ def manual_solution(domain, estimate, cov, dof=50):
         data_misfit=0.0,
         trend_curvature=0.0,
         level_curvature=0.0,
-        n_rows=(len(estimate), 0, 0),
         dof=dof,
         condition=1.0,
     )
@@ -325,7 +324,6 @@ SHAPES = st.sampled_from(["any", "one row", "one column", "tiny"])
 
 
 class TestBandedCovariance:
-    @pytest.mark.filterwarnings("ignore:boundary-level segment")
     @given(
         shape=SHAPES,
         weights=st.tuples(st.floats(0.01, 100.0), st.floats(0.01, 100.0)),
@@ -368,7 +366,6 @@ class TestBandedCovariance:
             with pytest.raises(IndexError, match="outside the band"):
                 cov[np.append(pairs[:, 0], r[-1]), np.append(pairs[:, 1], c[-1])]
 
-    @pytest.mark.filterwarnings("ignore:boundary-level segment")
     @given(
         shape=SHAPES,
         weights=st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0)),
@@ -637,7 +634,7 @@ class TestConditionOnRead:
 
         monkeypatch.setattr(iterate, "solve", checking_solve)
         options = FitOptions(level_target=level_target, trend_target=trend_target)
-        result = iterate.run(system, options.iteration_config())
+        result = iterate.run(system, options)
         assert len(level_weights) == result.iterations + (not result.converged)
         assert (min(level_weights) < 1e-30) == (level_target == 0.3)
 
