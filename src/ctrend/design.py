@@ -12,14 +12,16 @@ boundary slot, then its cohort's included trend cells in year order;
   vertical trend triples fully inside the domain;
 * level-curvature rows: second differences over consecutive boundary slots.
 
-Weighting the curvature blocks by the square roots of the smoothing
-weights turns the penalized objective into one ordinary least-squares
-problem on the stacked matrix.  Its normal matrix is
-``G0 + w1 G1 + w2 G2``, with the Gram matrices ``G0 = X0^T W X0``,
-``G1 = B1^T B1`` and ``G2 = B2^T B2`` of the three blocks; only the two
-smoothing weights change between iterations, so :class:`DesignSystem`
-computes the bands of the Gram matrices once; the compact order keeps
-them banded, with a compact index as the banded position.  The blocks are
+The two curvature blocks are the penalties ``(B1, B2)``, and the smoothing
+weights ``(w1, w2)`` go with them in that order wherever a function takes
+weights.  Weighting each penalty by the square root of its weight turns the
+penalized objective into one ordinary least-squares problem on the stacked
+matrix.  Its normal matrix is ``G0 + w1 G1 + w2 G2``, with the Gram matrices
+``G0 = X0^T W X0`` and ``Gk = Bk^T Bk`` of the blocks; only the weights
+change between iterations, so :class:`DesignSystem` computes the bands of
+the Gram matrices once; the compact order keeps them banded, with a compact
+index as the banded position.  Every weighted sum of a data part and its
+penalty parts is :func:`weighted_sum`.  The blocks are
 :class:`~ctrend.grid.SparseRows`.
 """
 
@@ -46,6 +48,7 @@ __all__ = [
     "stack",
     "band_one_norm",
     "check_weights",
+    "weighted_sum",
 ]
 
 
@@ -178,31 +181,42 @@ def _add_gram_band(band: np.ndarray, rows: SparseRows, weights=None) -> None:
         first = last
 
 
+def weighted_sum(parts, weights):
+    """``parts[0] + w1 parts[1] + w2 parts[2] + ...``: a data part plus its
+    penalty parts at the smoothing weights, one weight per penalty, added
+    left to right into a new column-major array (0-d for numbers)."""
+    first, *penalty_parts = parts
+    total = np.array(first, order="F")
+    for weight, part in zip(weights, penalty_parts, strict=True):
+        total += weight * part
+    return total
+
+
 @dataclass
 class DesignSystem:
-    """The three assembled blocks over one analysis domain, with their
+    """The assembled blocks over one analysis domain, with their
     weight-independent parts of the normal equations.
 
-    ``bands`` holds the lower bands of the Gram matrices ``(G0, G1, G2)``
-    (shape ``(3, bandwidth + 1, p)``, each band column-major), so the band
-    of the normal matrix at weights ``(w1, w2)`` is
-    ``bands[0] + w1 bands[1] + w2 bands[2]``.
-    ``data_rhs`` is ``X0^T W x0``, the right-hand side at any weights,
-    since the curvature rows have zero targets.  ``band_norms`` holds the
-    1-norms of ``G0``, ``G1`` and ``G2``, so ``||N||_1 <= band_norms[0] +
-    w1 band_norms[1] + w2 band_norms[2]`` at any weights.
+    ``penalties`` holds the curvature blocks ``(B1, B2)``, trend then
+    level, and every method and function that takes smoothing weights takes
+    one per penalty, in that order.  ``bands`` holds the lower bands of the
+    Gram matrices ``(G0, G1, G2)`` (shape ``(3, bandwidth + 1, p)``, each
+    band column-major), so the band of the normal matrix at weights
+    ``(w1, w2)`` is ``weighted_sum(bands, (w1, w2))``.  ``data_rhs`` is
+    ``X0^T W x0``, the right-hand side at any weights, since the curvature
+    rows have zero targets.  ``band_norms`` holds the 1-norms of the Gram
+    matrices, so ``||N||_1 <= weighted_sum(band_norms, weights)``.
     """
 
     domain: AnalysisDomain
     data_matrix: SparseRows
     target: np.ndarray
-    trend_penalty: SparseRows
-    level_penalty: SparseRows
+    penalties: tuple[SparseRows, ...]  # B1 (trend curvature), B2 (level curvature)
     data_row_weights: np.ndarray
     bandwidth: int  # half-bandwidth of the normal matrix
     bands: np.ndarray  # lower bands of G0, G1, G2
     data_rhs: np.ndarray  # X0^T W x0
-    band_norms: tuple[float, float, float]  # 1-norms of G0, G1, G2
+    band_norms: tuple[float, ...]  # 1-norms of G0, G1, G2
 
     @classmethod
     def build(cls, cells, domain: AnalysisDomain, weight_by_count: bool = False) -> "DesignSystem":
@@ -214,9 +228,8 @@ class DesignSystem:
         """
         matrix, target = data_rows(cells, domain)
         weights = cells.n.astype(float) if weight_by_count else np.ones(len(cells))
-        trend_penalty = trend_curvature_rows(domain)
-        level_penalty = level_curvature_rows(domain)
-        blocks = (matrix, trend_penalty, level_penalty)
+        penalties = (trend_curvature_rows(domain), level_curvature_rows(domain))
+        blocks = (matrix, *penalties)
         bandwidth = _half_bandwidth(blocks, np.concatenate([*domain.runs(2), domain.slot_runs(2)]))
         # Each band is written in place into one array, and each is
         # column-major, the layout of the band that solve sums and LAPACK
@@ -228,8 +241,7 @@ class DesignSystem:
             domain=domain,
             data_matrix=matrix,
             target=target,
-            trend_penalty=trend_penalty,
-            level_penalty=level_penalty,
+            penalties=penalties,
             data_row_weights=weights,
             bandwidth=bandwidth,
             bands=bands,
@@ -239,31 +251,20 @@ class DesignSystem:
             ),
         )
 
-    def normal_product(self, z: np.ndarray, trend_weight: float, level_weight: float) -> np.ndarray:
+    def normal_product(self, z: np.ndarray, *weights: float) -> np.ndarray:
         """``(G0 + w1 G1 + w2 G2) z``, as ``X0^T W (X0 z) + w1 B1^T (B1 z) +
         w2 B2^T (B2 z)`` through the row blocks."""
-        x0, b1, b2 = self.data_matrix, self.trend_penalty, self.level_penalty
-        return (
-            x0.rmatvec(self.data_row_weights * (x0 @ z))
-            + trend_weight * b1.rmatvec(b1 @ z)
-            + level_weight * b2.rmatvec(b2 @ z)
-        )
+        x0 = self.data_matrix
+        data = x0.rmatvec(self.data_row_weights * (x0 @ z))
+        return weighted_sum([data, *(rows.rmatvec(rows @ z) for rows in self.penalties)], weights)
 
     @property
     def n_data(self) -> int:
         return self.data_matrix.shape[0]
 
     @property
-    def n_trend(self) -> int:
-        return self.trend_penalty.shape[0]
-
-    @property
-    def n_level(self) -> int:
-        return self.level_penalty.shape[0]
-
-    @property
     def n_total(self) -> int:
-        return self.n_data + self.n_trend + self.n_level
+        return self.n_data + sum(rows.shape[0] for rows in self.penalties)
 
     @property
     def param_count(self) -> int:
@@ -274,12 +275,9 @@ class DesignSystem:
 class StackedSystem:
     """Weighted stacked system: rows [data; trend curvature; level curvature]."""
 
-    design: DesignSystem
     matrix: sparse.csr_matrix
     target: np.ndarray
     row_weights: np.ndarray
-    trend_weight: float
-    level_weight: float
 
     @property
     def n_total(self) -> int:
@@ -290,15 +288,13 @@ class StackedSystem:
         return self.matrix.shape[1]
 
 
-def check_weights(trend_weight: float, level_weight: float) -> None:
-    """Raise ``ValueError`` unless both smoothing weights are nonnegative."""
-    if trend_weight < 0 or level_weight < 0:
-        raise ValueError(
-            f"smoothing weights must be nonnegative, got ({trend_weight}, {level_weight})"
-        )
+def check_weights(*weights: float) -> None:
+    """Raise ``ValueError`` unless every smoothing weight is nonnegative."""
+    if any(weight < 0 for weight in weights):
+        raise ValueError(f"smoothing weights must be nonnegative, got ({', '.join(map(str, weights))})")
 
 
-def stack(system: DesignSystem, trend_weight: float, level_weight: float) -> StackedSystem:
+def stack(system: DesignSystem, *weights: float) -> StackedSystem:
     """Stack the blocks with nonnegative smoothing weights on the penalties.
 
     The stacked matrix is a ``scipy.sparse`` matrix: the stacked system is
@@ -306,31 +302,23 @@ def stack(system: DesignSystem, trend_weight: float, level_weight: float) -> Sta
     """
     from scipy import sparse
 
-    check_weights(trend_weight, level_weight)
-    matrix = sparse.vstack(
-        [system.data_matrix.csr, system.trend_penalty.csr, system.level_penalty.csr], format="csr"
-    )
-    target = np.concatenate(
-        [system.target, np.zeros(system.n_trend), np.zeros(system.n_level)]
-    )
+    check_weights(*weights)
+    blocks = (system.data_matrix, *system.penalties)
+    matrix = sparse.vstack([rows.csr for rows in blocks], format="csr")
+    target = np.concatenate([system.target, np.zeros(system.n_total - system.n_data)])
     row_weights = np.concatenate(
         [
             system.data_row_weights,
-            np.full(system.n_trend, trend_weight),
-            np.full(system.n_level, level_weight),
+            *(np.full(rows.shape[0], w) for w, rows in zip(weights, system.penalties, strict=True)),
         ]
     )
-    return StackedSystem(system, matrix, target, row_weights, trend_weight, level_weight)
+    return StackedSystem(matrix, target, row_weights)
 
 
-def residual_parts(system: DesignSystem, z: np.ndarray, resid: np.ndarray) -> tuple[float, float, float]:
-    """The three quadratic components of the objective at ``z``, from its
-    data residual ``resid = X0 z - x0``: the weighted data misfit and the
-    two curvatures.  The total objective for weights (w1, w2) is
-    ``parts[0] + w1 * parts[1] + w2 * parts[2]``."""
+def residual_parts(system: DesignSystem, z: np.ndarray, resid: np.ndarray) -> tuple[float, ...]:
+    """The quadratic components of the objective at ``z``, from its data
+    residual ``resid = X0 z - x0``: the weighted data misfit, then each
+    penalty's curvature ``|Bk z|^2``.  The total objective at the weights
+    is ``weighted_sum(parts, weights)``."""
     s0 = float(np.dot(system.data_row_weights * resid, resid))
-    t1 = system.trend_penalty @ z
-    s1 = float(np.dot(t1, t1))
-    t2 = system.level_penalty @ z
-    s2 = float(np.dot(t2, t2))
-    return s0, s1, s2
+    return (s0, *(float(np.dot(t, t)) for t in (rows @ z for rows in system.penalties)))

@@ -239,7 +239,8 @@ class SparseRows:
     Both products are one weighted ``bincount``, which adds its terms in
     entry order.  So ``rows @ x`` sums each row left to right and
     :meth:`rmatvec` adds each column's terms in row order, as scipy's CSR
-    products do, and both give scipy's bits.  ``csr`` is a
+    products do, and both give scipy's bits.  (With no entries ``bincount``
+    gives integer zeros, so both cast to float.)  ``csr`` is a
     ``scipy.sparse`` view, built on first use, for the stacked reference
     system (:func:`ctrend.design.stack`).
     """
@@ -258,12 +259,12 @@ class SparseRows:
     def __matmul__(self, x) -> np.ndarray:
         """``A x`` for a vector ``x``."""
         terms = self.data * np.asarray(x, dtype=float)[self.indices]
-        return np.bincount(self.entry_rows, weights=terms, minlength=self.shape[0])
+        return np.bincount(self.entry_rows, weights=terms, minlength=self.shape[0]).astype(float, copy=False)
 
     def rmatvec(self, y) -> np.ndarray:
         """``A^T y`` for a vector ``y``."""
         terms = self.data * np.asarray(y, dtype=float)[self.entry_rows]
-        return np.bincount(self.indices, weights=terms, minlength=self.shape[1])
+        return np.bincount(self.indices, weights=terms, minlength=self.shape[1]).astype(float, copy=False)
 
     @functools.cached_property
     def csr(self):

@@ -36,7 +36,7 @@ FRACTION_CHECK = 4
 FRACTION_MAX_STEPS = 10_000
 
 
-def prob_f(f_value: float, df1: int, df2: int) -> float:
+def prob_f(f_value: float, df1: float, df2: float) -> float:
     """Upper-tail probability of the F(df1, df2) distribution.
 
     Computed through the regularized incomplete beta function (:func:`f_tails`).
@@ -44,9 +44,10 @@ def prob_f(f_value: float, df1: int, df2: int) -> float:
     return float(f_tails([f_value], df1, df2)[0])
 
 
-def f_tails(f_values, df1: int, df2: int) -> np.ndarray:
+def f_tails(f_values, df1: float, df2: float) -> np.ndarray:
     """Upper-tail probabilities of F(df1, df2) at each of ``f_values``, in
-    one numpy pass.
+    one numpy pass, for real degrees of freedom of at least 1 (not
+    booleans).
 
     The tail is the regularized incomplete beta ``I_x(a, b)`` with
     ``x = df2 / (df2 + df1 F)``, ``a = df2 / 2`` and ``b = df1 / 2``
@@ -56,10 +57,8 @@ def f_tails(f_values, df1: int, df2: int) -> np.ndarray:
     ``I_(1-x)(b, a) = 1 - I_x(a, b)``.  The terms near ``x = 1`` are
     formed from ``1 - x`` directly.
     """
-    if not (isinstance(df1, (int, np.integer)) and isinstance(df2, (int, np.integer))):
-        raise ValueError(f"degrees of freedom must be integers, got ({df1!r}, {df2!r})")
-    if df1 < 1 or df2 < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got ({df1}, {df2})")
+    if any(isinstance(df, (bool, np.bool_)) or not (math.isfinite(df) and df >= 1) for df in (df1, df2)):
+        raise ValueError(f"degrees of freedom must be finite numbers >= 1, got ({df1!r}, {df2!r})")
     f = np.asarray(f_values, dtype=float)
     bad = ~(np.isfinite(f) & (f >= 0))
     if bad.any():

@@ -235,19 +235,18 @@ def run(system: DesignSystem, config: IterationConfig, measurements: dict | None
     measurements = {} if measurements is None else measurements
 
     for it in range(1, config.max_iter + 1):
-        w1, w2 = weights
         solution = None  # not held through the next solve
-        key = (w1, w2, config.literal_level_denominator)
+        key = (*weights, config.literal_level_denominator)
         seen = measurements.get(key)
         if seen is None:
             try:
-                solution = solve(system, w1, w2)
+                solution = solve(system, *weights)
             except SingularSystemError:
                 if not trace:
                     raise
                 # an unreachable target can drive a weight to extremes; stop
                 # with the best solution seen rather than failing silently
-                reason = f"singular system at iteration {it} (weights {w1:.3g}, {w2:.3g})"
+                reason = f"singular system at iteration {it} (weights {', '.join(f'{w:.3g}' for w in weights)})"
                 break
             seen = measurements[key] = _measure(solution, config)
         measured = (seen.trend_smoothness, seen.level_smoothness)
@@ -285,7 +284,7 @@ def run(system: DesignSystem, config: IterationConfig, measurements: dict | None
 
         trace.append(
             TraceRecord(
-                it, w1, w2, *measured, seen.data_misfit, seen.trend_curvature,
+                it, *weights, *measured, seen.data_misfit, seen.trend_curvature,
                 seen.level_curvature, seen.r2, converged, note,
             )
         )

@@ -33,7 +33,6 @@ class OracleFit:
     cov: np.ndarray
     sigma2: float
     r2: float
-    n_rows: tuple[int, int, int]
     param_count: int
     slot_range: tuple[int, int]
 
@@ -208,7 +207,6 @@ def brute_force_fit(
         cov=sigma2 * inv,
         sigma2=sigma2,
         r2=r2,
-        n_rows=(b0.shape[0], b1.shape[0], b2.shape[0]),
         param_count=p,
         slot_range=(first_slot, last_slot),
     )

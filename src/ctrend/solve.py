@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .design import DesignSystem, band_one_norm, check_weights, residual_parts
+from .design import DesignSystem, band_one_norm, check_weights, residual_parts, weighted_sum
 from .domain import AnalysisDomain
 from .grid import ModelVector, forward_levels
 
@@ -82,7 +82,7 @@ class _EstimatedOnFirstRead:
             return None  # the field's default
         if solution._condition is None:
             solution._condition = _estimated_condition(
-                solution.bands, solution.trend_weight, solution.level_weight, solution.inverse
+                solution.bands, (solution.trend_weight, solution.level_weight), solution.inverse
             )
         return solution._condition
 
@@ -573,43 +573,42 @@ def _inverse_one_norm(inverse: BandedCovariance) -> float:
     return max(estimate, 2.0 * float(np.abs(inverse @ alternating).sum()) / (3.0 * p))
 
 
-def _estimated_condition(bands, trend_weight: float, level_weight: float,
-                         inverse: BandedCovariance) -> float:
-    """The 1-norm condition number of the normal matrix: ``||N||_1`` read
-    from its band, summed again since the factor overwrote it, times
-    Hager's estimate of ``||N^-1||_1`` from ``inverse``.
-    Each band row is summed where the norm reads it, with the arithmetic
-    of the band sum in :func:`solve`, so no band-sized array is made
-    after the fit: one there raised the peak RSS of a process repeating
-    `table` fits by about 0.3 MB."""
-    b0, b1, b2 = bands
+def _estimated_condition(bands, weights, inverse: BandedCovariance) -> float:
+    """The 1-norm condition number of the normal matrix at the smoothing
+    ``weights``: ``||N||_1`` read from its band, summed again since the
+    factor overwrote it, times Hager's estimate of ``||N^-1||_1`` from
+    ``inverse``.  Each band row is the band sum of :func:`solve`,
+    :func:`~ctrend.design.weighted_sum`, over that row of the bands, made
+    where the norm reads it, so no band-sized array is made after the fit:
+    one there raised the peak RSS of a process repeating `table` fits by
+    about 0.3 MB."""
 
     def row_moduli(d):
-        row = np.multiply(b1[d], trend_weight)
-        row += b0[d]
-        row += level_weight * b2[d]
+        row = weighted_sum(bands[:, d], weights)
         return np.abs(row, out=row)
 
-    return band_one_norm(row_moduli, len(b0)) * _inverse_one_norm(inverse)
+    return band_one_norm(row_moduli, bands.shape[1]) * _inverse_one_norm(inverse)
 
 
-def _condition_bound(system: DesignSystem, trend_weight: float, level_weight: float,
-                     inverse: BandedCovariance) -> float:
+def _condition_bound(system: DesignSystem, weights, inverse: BandedCovariance) -> float:
     """An upper bound on the 1-norm condition number in O(p): the design's
     band norms bound ``||N||_1`` by the triangle inequality, and the
     variances bound ``||N^-1||_1`` (:meth:`BandedCovariance.inverse_norm_bound`).
     Hager's estimate is a lower bound on ``||N^-1||_1``, so the estimated
     condition number is at most this, up to rounding."""
-    n0, n1, n2 = system.band_norms
-    return (n0 + trend_weight * n1 + level_weight * n2) * inverse.inverse_norm_bound()
+    return float(weighted_sum(system.band_norms, weights)) * inverse.inverse_norm_bound()
 
 
-def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Solution:
-    """Minimize the stacked weighted objective and attach inference outputs.
+def solve(system: DesignSystem, *weights: float) -> Solution:
+    """Minimize the stacked weighted objective at the smoothing ``weights``,
+    one per penalty of ``system`` (trend, then level), and attach inference
+    outputs.
 
     The normal matrix is ``G0 + w1 G1 + w2 G2`` (:class:`DesignSystem`):
-    its band is the weighted sum of the three bands
-    the design computed once, and is factored (Cholesky).  The estimate
+    its band is :func:`~ctrend.design.weighted_sum` of the bands the design
+    computed once, the one band sum, which the condition estimate
+    (:func:`_estimated_condition`) also makes row by row; it is factored
+    (Cholesky) in place.  The estimate
     gets two steps of iterative refinement, with the normal matrix applied
     through the row blocks (:meth:`DesignSystem.normal_product`).  The
     inverse ``N^-1`` is a :class:`BandedCovariance`: the selected inverse
@@ -633,7 +632,7 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
         ``SINGULAR_CONDITION``.  The message cites the identifiability
         condition.  With as many rows as parameters, ``sigma2`` is NaN.
     """
-    check_weights(trend_weight, level_weight)
+    check_weights(*weights)
     p = system.param_count
     n_total = system.n_total
     if n_total < p:
@@ -641,20 +640,15 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
             f"{n_total} stacked rows cannot determine {p} parameters; " + IDENTIFIABILITY_HINT
         )
 
-    b0, b1, b2 = system.bands
-    # Summed in place into the column-major array that LAPACK factors in
-    # place: the band becomes the factor.
-    band = np.multiply(b1, trend_weight, order="F")
-    band += b0
-    band += level_weight * b2
     try:
-        inverse = BandedCovariance(band)
+        # column-major, so LAPACK factors it in place: the band becomes the factor
+        inverse = BandedCovariance(weighted_sum(system.bands, weights))
     except LinAlgError as err:
         raise SingularSystemError(f"{err}; {IDENTIFIABILITY_HINT}") from None
 
     condition, notes = None, []
-    if not BOUND_MARGIN * _condition_bound(system, trend_weight, level_weight, inverse) <= ILL_CONDITION:
-        condition = _estimated_condition(system.bands, trend_weight, level_weight, inverse)
+    if not BOUND_MARGIN * _condition_bound(system, weights, inverse) <= ILL_CONDITION:
+        condition = _estimated_condition(system.bands, weights, inverse)
         if not math.isfinite(condition) or condition > SINGULAR_CONDITION:
             raise SingularSystemError(
                 f"normal-matrix condition number {condition:.3g} exceeds "
@@ -666,10 +660,10 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
     rhs = system.data_rhs
     z = inverse @ rhs
     for _ in range(2):  # iterative refinement sharpens near-consistent systems
-        z = z + inverse @ (rhs - system.normal_product(z, trend_weight, level_weight))
+        z = z + inverse @ (rhs - system.normal_product(z, *weights))
 
     resid = system.data_matrix @ z - system.target
-    s0, s1, s2 = residual_parts(system, z, resid)
+    parts = residual_parts(system, z, resid)
     if n_total == p:
         # saturated system: unique interpolant, no residual information
         sigma2 = math.nan
@@ -677,19 +671,12 @@ def solve(system: DesignSystem, trend_weight: float, level_weight: float) -> Sol
     else:
         # n - p, n counting every stacked row (data and both curvature
         # blocks): also the F-test denominator's degrees of freedom
-        sigma2 = (s0 + trend_weight * s1 + level_weight * s2) / (n_total - p)
+        sigma2 = float(weighted_sum(parts, weights)) / (n_total - p)
 
+    # the fields in order: the domain, the weights, the estimate, N^-1,
+    # sigma2, R^2, then the data misfit and the curvatures
     return Solution(
-        domain=system.domain,
-        trend_weight=trend_weight,
-        level_weight=level_weight,
-        estimate=z,
-        inverse=inverse,
-        sigma2=sigma2,
-        r2=_r_squared(resid, system.target),
-        data_misfit=s0,
-        trend_curvature=s1,
-        level_curvature=s2,
+        system.domain, *weights, z, inverse, sigma2, _r_squared(resid, system.target), *parts,
         dof=n_total - p,
         condition=condition,
         warnings=notes,

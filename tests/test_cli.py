@@ -1,5 +1,6 @@
 """Command-line behaviour: subcommands, exit codes, cleanup, config."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -390,6 +391,20 @@ class TestFit:
                                       "weight_by_count": False, "cohort_birth_year": None}))
         assert main(["fit", data_file, "--config", str(config), "--cell-min-count", "0",
                      "--trend-target", "0.85", "--out", str(tmp_path / "run")]) == EXIT_OK
+
+    def test_fit_flags_match_the_options(self):
+        # the fit flags restate FitOptions by hand: one flag per field, of the field's type
+        parser = cli._parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {a.dest: a for a in commands.choices["fit"]._actions if a.dest != "help"}
+        options = {f.name: f.type for f in fields(pipeline.FitOptions)}
+        assert set(flags) == set(options) | {"data", "out", "config", "pair"}
+        flag_types = {"float": float, "int": int, "int | None": int}
+        for name, annotation in options.items():
+            if annotation == "bool":
+                assert isinstance(flags[name], argparse._StoreTrueAction), name
+            else:
+                assert flags[name].type is flag_types[annotation], name
 
     @pytest.mark.parametrize("pairs", [[], ["--pair", "0.7:0.9", "--pair", "0.7:0.85"]])
     def test_undefined_r2_is_reported(self, pairs, tmp_path, capsys):

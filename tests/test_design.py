@@ -232,7 +232,7 @@ class TestLevelCurvature:
             assume(False)
         assume(domain.slot_count < 3)
         system = DesignSystem.build(domain.filter_cells(table)[0], domain)
-        assert system.n_trend == system.n_level == 0
+        assert [rows.shape[0] for rows in system.penalties] == [0, 0]
         assert system.n_total < system.param_count
 
 
@@ -299,7 +299,7 @@ class TestStack:
         system_a, _ = self.build_system(seed=4)
         system_b, _ = self.build_system(seed=4)
         assert (system_a.data_matrix.csr != system_b.data_matrix.csr).nnz == 0
-        assert (system_a.trend_penalty.csr != system_b.trend_penalty.csr).nnz == 0
+        assert (system_a.penalties[0].csr != system_b.penalties[0].csr).nnz == 0
 
     def test_weight_by_count(self):
         frame, domain = full_domain(2, 2)

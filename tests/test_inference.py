@@ -41,8 +41,9 @@ class TestProbF:
             prob_f(-1.0, 1, 10)
         with pytest.raises(ValueError):
             prob_f(1.0, 0, 10)
-        with pytest.raises(ValueError):
-            prob_f(1.0, 1.5, 10)
+        for df in (True, np.True_, 0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="degrees of freedom"):
+                prob_f(1.0, 1, df)
         with pytest.raises(ValueError):
             prob_f(math.inf, 1, 10)
 
@@ -56,14 +57,15 @@ class TestProbF:
             assert prob_f(f, d1, d2) == pytest.approx(expected, abs=1e-12)
 
     def test_against_scipy_on_a_seeded_grid(self):
-        """Within 1e-12 of scipy's ``fdtrc`` for df1 in {1, 2, 5}, df2 from 1
-        to 1e6 and F from 0 to 1e3.  A log-gamma prefactor formed as the
-        difference of two ``lgamma`` values was off by 5e-10 at df2 = 1e6."""
+        """Within 1e-12 of scipy's ``fdtrc`` for df1 in {1, 2, 5, 2.5}, df2
+        from 1 to 1e6, integer and real, and F from 0 to 1e3.  A log-gamma
+        prefactor formed as the difference of two ``lgamma`` values was off
+        by 5e-10 at df2 = 1e6."""
         special = pytest.importorskip("scipy.special")
         rng = np.random.default_rng(1602)
-        for df1 in (1, 2, 5):
+        for df1 in (1, 2, 5, 2.5):
             spread = np.exp(rng.uniform(0.0, math.log(1e6), 30)).round().astype(int)
-            for df2 in sorted({1, 2, 3, 10**6, *spread.tolist()}):
+            for df2 in [*sorted({1, 2, 3, 10**6, *spread.tolist()}), 1.5, 3.3, 59.6, 235.4, 1461.7]:
                 f = np.concatenate(
                     [[0.0, 1.0, 1e3], rng.uniform(0.0, 1e3, 12), np.exp(rng.uniform(-9.0, 6.9, 12))]
                 )

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from ctrend import iterate
-from ctrend.design import DesignSystem, band_one_norm, stack
+from ctrend.design import DesignSystem, band_one_norm, stack, weighted_sum
 from ctrend.domain import AnalysisDomain, build_domain
 from ctrend.grid import ObservationalFrame
 from ctrend.ingest import SurveyRecord, ingest_records
@@ -373,8 +373,10 @@ class TestBandedCovariance:
     )
     def test_assembled_band_matches_stacked_normal(self, shape, weights, data):
         """The three precomputed bands, weighted and added, are the lower band
-        of the stacked system's normal matrix, and ``solve`` on them satisfies
-        that system's normal equations, or refuses only an ill-conditioned one."""
+        of the stacked system's normal matrix, as is the solver's band sum,
+        bit for bit the hand-written one; the row blocks apply that matrix,
+        and ``solve`` on them satisfies that system's normal equations, or
+        refuses only an ill-conditioned one."""
         system = random_design(shape, data, generic=True)
         stacked = stack(system, *weights)
         a = stacked.matrix.toarray()
@@ -388,6 +390,14 @@ class TestBandedCovariance:
         b0, b1, b2 = system.bands
         band = b0 + weights[0] * b1 + weights[1] * b2
         np.testing.assert_allclose(band, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+        summed = weighted_sum(system.bands, weights)
+        np.testing.assert_allclose(summed, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+        np.testing.assert_array_equal(summed, band)
+        x = np.linspace(-1.0, 1.0, p)
+        np.testing.assert_allclose(
+            system.normal_product(x, *weights), normal @ x,
+            rtol=1e-12, atol=1e-12 * np.abs(normal).sum(axis=1).max(),
+        )
 
         try:
             z = solve(system, *weights).estimate
@@ -627,7 +637,7 @@ class TestConditionOnRead:
             expected = summed_band_one_norm(band) * solve_module._inverse_one_norm(sol.inverse)
             assert sol.condition == expected
             assert sol.condition == expected and estimates[0] == 1  # estimated once, then kept
-            assert solve_module._condition_bound(system, w1, w2, sol.inverse) >= sol.condition
+            assert solve_module._condition_bound(system, (w1, w2), sol.inverse) >= sol.condition
             estimates[0] = 0
             level_weights.append(w2)
             return sol
