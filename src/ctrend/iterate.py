@@ -18,7 +18,7 @@ solved (Broyden 1965; Dennis & Schnabel 1983, ch. 8).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .design import DesignSystem
 from .solve import SingularSystemError, Solution, adjacent_correlations, solve
@@ -28,7 +28,6 @@ __all__ = [
     "TraceRecord",
     "StopCheck",
     "IterationResult",
-    "Measurement",
     "check_stop",
     "signed_gap",
     "run",
@@ -112,8 +111,16 @@ def check_stop(trend_smoothness: float, level_smoothness: float, config: Iterati
     return StopCheck(trend_ok and level_ok, trend_gap, level_gap, trend_ok, level_ok)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceRecord:
+    """One solve of the loop: its weights, smoothness and objective parts.
+
+    The fields in order are the columns of ``trace.csv``.  A record that
+    the solves of one system share (:func:`run`'s ``measurements``) has
+    iteration 0, is not converged and has no note; each loop's trace holds
+    a copy with its own iteration, stop flag and note.
+    """
+
     iteration: int
     trend_weight: float
     level_weight: float
@@ -127,44 +134,34 @@ class TraceRecord:
     note: str = ""  # the step that produced the next weights, and any stop
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """What the loop reads of one solve: its smoothness and objective parts
-    for the trace, and its residual degrees of freedom."""
-
-    trend_smoothness: float
-    level_smoothness: float
-    data_misfit: float
-    trend_curvature: float
-    level_curvature: float
-    r2: float | None
-    dof: int
-
-
-def _measure(solution: Solution, config: IterationConfig) -> Measurement:
+def _record(solution: Solution, config: IterationConfig) -> TraceRecord:
     corr = adjacent_correlations(
         solution, literal_level_denominator=config.literal_level_denominator
     )
-    return Measurement(
-        corr.trend_smoothness, corr.level_smoothness, solution.data_misfit,
-        solution.trend_curvature, solution.level_curvature, solution.r2, solution.dof,
+    return TraceRecord(
+        0, solution.trend_weight, solution.level_weight, corr.trend_smoothness,
+        corr.level_smoothness, solution.data_misfit, solution.trend_curvature,
+        solution.level_curvature, solution.r2, False,
     )
 
 
 @dataclass
 class IterationResult:
-    solution: Solution
+    solution: Solution  # the solve at the best iteration's weights
     trace: list
     converged: bool
     reason: str
-    trend_weight: float
-    level_weight: float
     best_iteration: int
     fallback_steps: int = 0  # paper steps taken because the worst gap did not fall
 
     @property
     def iterations(self) -> int:
         return len(self.trace)
+
+    @property
+    def best(self) -> TraceRecord:
+        """The trace row of the returned solution."""
+        return self.trace[self.best_iteration - 1]
 
 
 def _secant_slope(log_w: float, gap: float, prev_log_w: float, prev_gap: float) -> float:
@@ -195,7 +192,7 @@ def run(system: DesignSystem, config: IterationConfig, measurements: dict | None
     ``converged=False``.
 
     The loop holds one solution at a time: it lets each go before the next
-    solve and records only the best iteration's weights.  The returned
+    solve, and its trace holds the best iteration's weights.  The returned
     solution is the last solve's where that is the best, as on every
     converged or degenerate stop; otherwise it is solved again at the best
     weights, the same deterministic solve, so a stopped loop pays one more
@@ -209,12 +206,12 @@ def run(system: DesignSystem, config: IterationConfig, measurements: dict | None
     structurally undefined correlation measurable, as when sigma^2 is
     undefined because the stacked rows equal the parameters.
 
-    ``measurements`` holds the :class:`Measurement` of each solve over
+    ``measurements`` holds the :class:`TraceRecord` of each solve over
     ``system``, keyed by its exact weights and measuring rule, and gains
     one for each solve the loop makes.  Loops over one system, such as a
     ``--pair`` batch's, share it: a loop reads a weight pair that another
     has solved instead of solving it again, as every pair's first
-    iteration at the initial weights.  It holds floats only, never a
+    iteration at the initial weights.  It holds records only, never a
     solution; a loop whose best iteration was read from it solves that one
     again at the end, like a stopped loop.  The solves are deterministic,
     so the trace is the same either way.
@@ -224,7 +221,6 @@ def run(system: DesignSystem, config: IterationConfig, measurements: dict | None
     trace: list[TraceRecord] = []
 
     best_score = math.inf
-    best_weights = weights
     best_iter = 0
     solution: Solution | None = None
     converged = False
@@ -248,7 +244,7 @@ def run(system: DesignSystem, config: IterationConfig, measurements: dict | None
                 # with the best solution seen rather than failing silently
                 reason = f"singular system at iteration {it} (weights {', '.join(f'{w:.3g}' for w in weights)})"
                 break
-            seen = measurements[key] = _measure(solution, config)
+            seen = measurements[key] = _record(solution, config)
         measured = (seen.trend_smoothness, seen.level_smoothness)
         checked = check_stop(*measured, config)
         # infinite when the measurement is degenerate
@@ -257,7 +253,7 @@ def run(system: DesignSystem, config: IterationConfig, measurements: dict | None
             checked.level_gap / config.level_accuracy,
         )
         if best_iter == 0 or score < best_score or checked.stop:
-            best_score, best_weights, best_iter = score, weights, it
+            best_score, best_iter = score, it
 
         slopes = (PAPER_SLOPE, PAPER_SLOPE)
         if checked.stop:
@@ -265,7 +261,8 @@ def run(system: DesignSystem, config: IterationConfig, measurements: dict | None
         elif checked.degenerate:
             note = "degenerate correlation measurement"
             reason = (
-                f"sigma^2 undefined: n_total = p = {system.param_count}" if seen.dof == 0
+                f"sigma^2 undefined: n_total = p = {system.param_count}"
+                if system.n_total == system.param_count
                 else f"correlation not measurable (trend {measured[0]:.4g}, level {measured[1]:.4g})"
             )
         else:
@@ -282,28 +279,23 @@ def run(system: DesignSystem, config: IterationConfig, measurements: dict | None
             previous = (log_w, gaps)
         previous_score = score
 
-        trace.append(
-            TraceRecord(
-                it, *weights, *measured, seen.data_misfit, seen.trend_curvature,
-                seen.level_curvature, seen.r2, converged, note,
-            )
-        )
+        trace.append(replace(seen, iteration=it, converged=converged, note=note))
         if converged or checked.degenerate:
             break
         weights = _step(weights, gaps, slopes)
 
     if not converged:
-        trace[-1].note += f"; stopped: {reason}, best iteration {best_iter}"
+        stop = f"; stopped: {reason}, best iteration {best_iter}"
+        trace[-1] = replace(trace[-1], note=trace[-1].note + stop)
     if solution is None or trace[-1].iteration != best_iter:
         solution = None  # not held through the solve again
-        solution = solve(system, *best_weights)
+        best = trace[best_iter - 1]
+        solution = solve(system, best.trend_weight, best.level_weight)
     return IterationResult(
         solution=solution,
         trace=trace,
         converged=converged,
         reason=reason,
-        trend_weight=best_weights[0],
-        level_weight=best_weights[1],
         best_iteration=best_iter,
         fallback_steps=fallback_steps,
     )

@@ -167,7 +167,7 @@ def build_manifest(run: FitRun, inputs: list, extra: dict | None = None) -> dict
         "version": __version__,
     }
     digest = manifest_digest(core)
-    last = run.trace[-1]
+    best = run.iteration.best
     warnings = list(run.solution.warnings)
     if not len(run.clusters.comparisons):
         warnings.append("no adjacent cluster pairs to compare: cluster_tests.csv has no rows")
@@ -194,8 +194,8 @@ def build_manifest(run: FitRun, inputs: list, extra: dict | None = None) -> dict
             "level_weight": run.solution.level_weight,
             "r2": run.solution.r2,
             "sigma2": run.solution.sigma2,
-            "trend_smoothness": last.trend_smoothness,
-            "level_smoothness": last.level_smoothness,
+            "trend_smoothness": best.trend_smoothness,
+            "level_smoothness": best.level_smoothness,
             "dof_convention": "n = data + curvature rows, p = compact parameters",
             "bandwidth": run.system.bandwidth,
             "condition": run.solution.condition,

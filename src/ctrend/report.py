@@ -20,10 +20,12 @@ import io
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 
 from . import plots
+from .iterate import TraceRecord
 
 __all__ = [
     "atomic_write_text",
@@ -59,7 +61,8 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def _column_text(column) -> list:
     """Cell texts of one column: a float as its ``repr`` (numpy floats
-    included), NaN and None as empty cells, any other value through ``str``."""
+    included), NaN and None as empty cells, a Python bool as 1 or 0, any
+    other value through ``str``."""
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
         texts = list(map(repr, column.tolist()))
         for k in np.flatnonzero(np.isnan(column)).tolist():
@@ -68,7 +71,8 @@ def _column_text(column) -> list:
     if isinstance(column, np.ndarray) and column.dtype.kind in "iub":
         return list(map(str, column.tolist()))
     return [
-        "" if v is None else ("" if v != v else repr(float(v))) if isinstance(v, float) else str(v)
+        "" if v is None else ("" if v != v else repr(float(v))) if isinstance(v, float)
+        else str(int(v)) if isinstance(v, bool) else str(v)
         for v in column
     ]
 
@@ -225,25 +229,6 @@ def cluster_tests_columns(report):
         report.f_value,
         report.prob,
         report.degenerate.astype(int),
-    ]
-
-
-def trace_rows(trace):
-    return [
-        (
-            r.iteration,
-            r.trend_weight,
-            r.level_weight,
-            r.trend_smoothness,
-            r.level_smoothness,
-            r.data_misfit,
-            r.trend_curvature,
-            r.level_curvature,
-            r.r2,
-            1 if r.converged else 0,
-            r.note,
-        )
-        for r in trace
     ]
 
 
@@ -430,11 +415,7 @@ TABLE_HEADERS = {
         "year_start", "age_start", "direction",
         "neighbour_year_start", "neighbour_age_start", "f_value", "prob", "degenerate",
     ],
-    "trace.csv": [
-        "iteration", "trend_weight", "level_weight", "trend_smoothness",
-        "level_smoothness", "data_misfit", "trend_curvature", "level_curvature",
-        "r2", "converged", "note",
-    ],
+    "trace.csv": [f.name for f in fields(TraceRecord)],
     "domain.csv": ["year", "age", "included"],
     "cohort_track.csv": [
         "birth_year", "year", "age", "data_mean", "data_lo", "data_hi",
@@ -503,7 +484,7 @@ class BundleWriter:
             "boundary_levels.csv": boundary_levels_columns(solution),
             "clusters.csv": clusters_columns(run.clusters),
             "cluster_tests.csv": cluster_tests_columns(run.clusters),
-            "trace.csv": _columns(trace_rows(run.trace)),
+            "trace.csv": [[getattr(r, f.name) for r in run.trace] for f in fields(TraceRecord)],
             "cohort_track.csv": cohort_track_columns(run, levels, trends, trend_se),
         }
         texts = {name: head + digest + tail for name, (head, tail) in self._shared.items()}
@@ -592,7 +573,7 @@ def comparison_entry(pair, run) -> tuple:
     """What the comparison sheet keeps of one fitted reference pair: its
     summary row and its cluster panel."""
     level_target, trend_target = pair
-    last = run.trace[-1]
+    best = run.iteration.best
     row = (
         level_target,
         trend_target,
@@ -601,8 +582,8 @@ def comparison_entry(pair, run) -> tuple:
         run.solution.trend_weight,
         run.solution.level_weight,
         run.solution.r2,
-        last.trend_smoothness,
-        last.level_smoothness,
+        best.trend_smoothness,
+        best.level_smoothness,
     )
     panel = _cluster_panel(clusters_columns(run.clusters), f"R({level_target}, {trend_target}) trend")
     return row, panel

@@ -38,6 +38,10 @@ __all__ = [
 # one kg of body fat stores about 7716.2 kcal, and 1000/7716.2 = 0.1296.
 KG_PER_MCAL = 0.1296
 
+# Each simulated subject's height in metres: normal, clipped to [1.40, 2.20].
+MEAN_HEIGHT = 1.75
+HEIGHT_SD = 0.05
+
 
 def energy_balance_to_trend(balance: float, height: float | None = None) -> float:
     """Convert an energy balance into a trend.
@@ -89,8 +93,6 @@ class Scenario:
     surveys: list
     noise_sd: float = 0.0
     seed: int = 0
-    mean_height: float = 1.75
-    height_sd: float = 0.05
     label: str = ""
 
     def __post_init__(self):
@@ -132,9 +134,7 @@ def simulate(scenario: Scenario) -> list:
             rng = np.random.default_rng([scenario.seed, plan.year, age])
             n = plan.samples_per_age
             offsets = rng.uniform(lo, hi, n)
-            heights = np.clip(
-                rng.normal(scenario.mean_height, scenario.height_sd, n), 1.40, 2.20
-            )
+            heights = np.clip(rng.normal(MEAN_HEIGHT, HEIGHT_SD, n), 1.40, 2.20)
             noise.extend(
                 rng.normal(0.0, scenario.noise_sd, n) if scenario.noise_sd > 0 else np.zeros(n)
             )

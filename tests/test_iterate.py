@@ -158,8 +158,10 @@ class TestRun:
         result = run(system, config)
         assert result.converged
         assert result.iterations == 1
-        assert result.trend_weight == 1.0
-        assert result.level_weight == 1.0
+        best = result.best
+        assert best is result.trace[result.best_iteration - 1]
+        assert (best.trend_weight, best.level_weight) == (
+            result.solution.trend_weight, result.solution.level_weight) == (1.0, 1.0)
 
     def test_rough_solution_increases_trend_weight(self):
         system = small_system()
@@ -288,9 +290,10 @@ class TestOneHeldSolution:
         result = run(system, IterationConfig(trend_target=0.6, level_target=0.3, max_iter=10))
         assert not result.converged and result.reason == "max_iter"
         assert result.best_iteration < result.iterations == 10
-        best = result.trace[result.best_iteration - 1]
+        best = result.best
+        assert best is result.trace[result.best_iteration - 1]
         weights = (best.trend_weight, best.level_weight)
-        assert (result.trend_weight, result.level_weight) == weights
+        assert (result.solution.trend_weight, result.solution.level_weight) == weights
         assert solves == [(rec.trend_weight, rec.level_weight) for rec in result.trace] + [weights]
 
         expected = solve(system, *weights)

@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 from ctrend import iterate
-from ctrend.ingest import ingest_file
-from ctrend.pipeline import FitOptions, batch_fit, run_fit
+from ctrend.ingest import ingest_file, ingest_records
+from ctrend.pipeline import FitOptions, batch_fit, build_manifest, run_fit
+from ctrend.report import comparison_entry
 from ctrend.simulate import linear_trend_scenario, preset, simulate, write_records
-from ctrend.solve import solve
+from ctrend.solve import adjacent_correlations, solve
+
+from test_iterate import degenerate_first
 
 # the benchmark's pair-sweep pairs, as (level target, trend target)
 PAIR_SWEEP = [(0.7, 0.9), (0.5, 0.9), (0.7, 0.8), (0.6, 0.85)]
@@ -36,6 +39,19 @@ def recorded_solves(monkeypatch):
 
     monkeypatch.setattr(iterate, "solve", recording_solve)
     return weights
+
+
+def reported_smoothness(run) -> tuple:
+    """The manifest's smoothness pair, checked to be the comparison row's,
+    the best trace row's and the correlations of the returned solution."""
+    result = build_manifest(run, ["test"])["result"]
+    reported = (result["trend_smoothness"], result["level_smoothness"])
+    best = run.iteration.best
+    corr = adjacent_correlations(run.solution)
+    assert reported == (best.trend_smoothness, best.level_smoothness)
+    assert reported == (corr.trend_smoothness, corr.level_smoothness)
+    assert comparison_entry((0.0, 0.0), run)[0][-2:] == reported
+    return reported
 
 
 def test_batch_fit_equals_separate_fits(tmp_path):
@@ -98,8 +114,12 @@ def test_pair_sweep_solves_the_initial_weights_once(table_data, monkeypatch):
     for (level_target, trend_target), batched in runs.items():
         alone = run_fit(table_data, FitOptions(level_target=level_target, trend_target=trend_target))
         assert batched.trace == alone.trace
-        assert (batched.iteration.trend_weight, batched.iteration.level_weight) == (
-            alone.iteration.trend_weight, alone.iteration.level_weight)
+        best = batched.iteration.best
+        assert best is batched.trace[batched.iteration.best_iteration - 1]
+        assert (best.trend_weight, best.level_weight) == (
+            batched.solution.trend_weight, batched.solution.level_weight)
+        assert (batched.solution.trend_weight, batched.solution.level_weight) == (
+            alone.solution.trend_weight, alone.solution.level_weight)
         np.testing.assert_array_equal(batched.solution.estimate, alone.solution.estimate)
 
 
@@ -122,3 +142,25 @@ def test_pair_converged_at_the_shared_solve_solves_it_again(table_data, monkeypa
         np.testing.assert_array_equal(getattr(got, name), getattr(expected, name), err_msg=name)
     np.testing.assert_array_equal(got.inverse.chol, expected.inverse.chol)
     np.testing.assert_array_equal(got.inverse.inverse_band, expected.inverse.inverse_band)
+
+
+def test_stopped_fit_reports_its_best_solve(table_data):
+    """`table` at (level 0.3, trend 0.6) runs out of its 10 iterations after
+    its best, the third: the manifest and the comparison row give that
+    solve's smoothness beside its weights, not the last row's."""
+    run = run_fit(table_data, FitOptions(level_target=0.3, trend_target=0.6, max_iter=10))
+    assert not run.iteration.converged and run.iteration.best_iteration == 3
+    last = run.trace[-1]
+    assert reported_smoothness(run) != (last.trend_smoothness, last.level_smoothness)
+
+
+def test_degenerate_stop_reports_its_best_solve(monkeypatch):
+    """A level correlation of 1 on the second solve stops the fit with the
+    first, its best: the manifest reports the first solve's smoothness."""
+    scenario = linear_trend_scenario(seed=10, noise_sd=1.5, samples_per_age=3, n_years=6, n_ages=7)
+    ingested = ingest_records(simulate(scenario), frame=scenario.frame, cell_min_count=0)
+    degenerate_first(monkeypatch, solves_before=1, level_smoothness=1.0)
+    run = run_fit(ingested, FitOptions(trend_target=0.8, cell_min_count=0, age_window=3, year_window=3))
+    assert run.iteration.iterations == 2 and run.iteration.best_iteration == 1
+    assert run.trace[-1].level_smoothness == 1.0
+    assert reported_smoothness(run)[1] < 1.0

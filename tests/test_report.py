@@ -4,13 +4,14 @@ import json
 import math
 import os
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from ctrend.inference import cluster_compare
 from ctrend.ingest import ingest_file, ingest_records
+from ctrend.iterate import TraceRecord
 from ctrend.pipeline import FitOptions, build_manifest, run_fit
 from ctrend.report import (
     TABLE_HEADERS,
@@ -253,10 +254,26 @@ class TestBundle:
         assert build_manifest(other, ["synthetic"])["digest"] == manifest["digest"]
 
     def test_trace_matches_iteration(self, small_run):
+        """trace.csv is the trace's records, one column per field in order;
+        each cell parses back to its record's value."""
         run, _, outdir, _ = small_run
         header, rows = read_table(os.path.join(outdir, "trace.csv"))
+        assert header == [f.name for f in fields(TraceRecord)]
         assert len(rows) == len(run.trace)
-        assert float(rows[-1][3]) == pytest.approx(run.trace[-1].trend_smoothness)
+        for row, record in zip(rows, run.trace):
+            for name, cell in zip(header, row):
+                value = getattr(record, name)
+                if isinstance(value, bool):
+                    assert cell == ("1" if value else "0"), name
+                elif value is None:
+                    assert cell == "", name
+                elif isinstance(value, float):
+                    assert float(cell) == value, name  # repr: the same float
+                else:
+                    assert cell == str(value), name  # the iteration and the note
+        # no r2 is an empty cell and a bool its digit, as the converged column writes them
+        assert _table_text(["r2", "converged"], [[None, 0.5], [True, False]])[1] == [
+            ("", "1"), ("0.5", "0")]
 
 
 class TestBundleWriter:
