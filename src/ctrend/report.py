@@ -3,12 +3,14 @@
 All files are written atomically (temp file + rename) with the mode a plain
 ``open`` would give, so the umask applies.  Every table and figure carries
 the manifest digest, a hash of the effective inputs and configuration, so
-outputs can be traced back to the run that produced them.  SVGs are drawn
-from the tables' numeric columns alone: :class:`BundleWriter` draws them
-from the columns it has just made, and ``render_bundle_svgs`` from the columns
-it parses back from the files of a run directory.  A number's cell text (a
-float's ``repr``, an integer's digits) parses back to the same number, so
-both draw the same bytes.
+outputs can be traced back to the run that produced them.  A table is one
+ordered mapping from column name to column, the header its keys.  SVGs are
+drawn from the tables' numeric columns alone, read by name:
+:class:`BundleWriter` draws them from the tables it has just made, and
+``render_bundle_svgs`` from the tables it parses back from the files of a
+run directory (:func:`read_columns`).  A number's cell text (a float's
+``repr``, an integer's digits) parses back to the same number, so both draw
+the same bytes.
 """
 
 from __future__ import annotations
@@ -61,18 +63,20 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def _column_text(column) -> list:
     """Cell texts of one column: a float as its ``repr`` (numpy floats
-    included), NaN and None as empty cells, a Python bool as 1 or 0, any
-    other value through ``str``."""
+    included), NaN and None as empty cells, a bool (numpy's too) as 1 or
+    0, any other value through ``str``."""
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
         texts = list(map(repr, column.tolist()))
         for k in np.flatnonzero(np.isnan(column)).tolist():
             texts[k] = ""
         return texts
-    if isinstance(column, np.ndarray) and column.dtype.kind in "iub":
+    if isinstance(column, np.ndarray) and column.dtype.kind == "b":
+        column = column.view(np.uint8)  # True and False as 1 and 0
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
         return list(map(str, column.tolist()))
     return [
         "" if v is None else ("" if v != v else repr(float(v))) if isinstance(v, float)
-        else str(int(v)) if isinstance(v, bool) else str(v)
+        else str(int(v)) if isinstance(v, (bool, np.bool_)) else str(v)
         for v in column
     ]
 
@@ -81,32 +85,26 @@ def _numeric(column) -> bool:
     return isinstance(column, np.ndarray) and column.dtype.kind in "fiub"
 
 
-def _table_text(header, columns, digest: str | None = None):
-    """CSV text of a table given as columns, and its rows of cell texts.
+def _table_text(table: dict, digest: str | None = None) -> str:
+    """CSV text of a table given as ``{column name: column}``, the header
+    its keys in order.
 
     A table of numeric arrays only is written by joining its cell texts,
     which never need quoting (a lone empty cell would, so a one-column
     table goes through ``csv.writer`` too, as does any table with a text
     column)."""
-    rows = list(zip(*map(_column_text, columns)))
+    columns = list(table.values())
+    rows = list(zip(*map(_column_text, columns), strict=True))
     buf = io.StringIO()
     if digest:
         buf.write(f"# manifest: {digest}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(table.keys())
     if len(columns) > 1 and all(map(_numeric, columns)):
         buf.write("\n".join([*map(",".join, rows), ""]))  # each row ends in a newline
     else:
         writer.writerows(rows)
-    return buf.getvalue(), rows
-
-
-def _columns(rows) -> list:
-    return list(zip(*rows, strict=True))
-
-
-def csv_text(header, rows, digest: str | None = None) -> str:
-    return _table_text(header, _columns(rows), digest)[0]
+    return buf.getvalue()
 
 
 def read_table(path):
@@ -135,14 +133,13 @@ def read_table(path):
     return header, rows
 
 
-def read_columns(path) -> list:
-    """One of our CSVs as columns (:func:`read_table`): each a float array,
-    with NaN for an empty cell, or the cell texts where a cell is not a
-    number (a text column)."""
+def read_columns(path) -> dict:
+    """One of our CSVs as ``{column name: column}`` (:func:`read_table`):
+    each column a float array, with NaN for an empty cell, or the cell
+    texts where a cell is not a number (a text column)."""
     header, rows = read_table(path)
-    if not rows:
-        return [np.empty(0) for _ in header]
-    return list(map(_parsed, zip(*rows)))
+    columns = zip(*rows) if rows else [()] * len(header)
+    return dict(zip(header, map(_parsed, columns)))
 
 
 def _parsed(cells):
@@ -158,10 +155,18 @@ def manifest_digest(payload: dict) -> str:
 
 
 # --- table builders -------------------------------------------------------------
+#
+# Each builder returns its table as ``{column name: column}``, in the order
+# the columns are written: adding a column is one entry here.
 
 
 def observed_columns(cells, frame):
-    return [frame.year_of(cells.i), frame.age_of(cells.j), cells.x_mean, cells.n]
+    return {
+        "year": frame.year_of(cells.i),
+        "age": frame.age_of(cells.j),
+        "value": cells.x_mean,
+        "count": cells.n,
+    }
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -171,7 +176,7 @@ def _finite(values: np.ndarray) -> np.ndarray:
 
 def levels_columns(frame, levels):
     ii, jj = np.nonzero(np.isfinite(levels))
-    return [frame.year_of(ii), frame.age_of(jj), levels[ii, jj]]
+    return {"year": frame.year_of(ii), "age": frame.age_of(jj), "level": levels[ii, jj]}
 
 
 def trends_columns(solution, trends, trend_se):
@@ -181,16 +186,15 @@ def trends_columns(solution, trends, trend_se):
     ii, jj = np.nonzero(np.isfinite(trends))
     value = trends[ii, jj]
     se = _finite(trend_se[ii, jj])
-    edge = solution.domain.edge()[ii, jj]
-    return [
-        frame.year_of(ii),
-        frame.age_of(jj),
-        value,
-        se,
-        value - CI_FACTOR * se,
-        value + CI_FACTOR * se,
-        edge.astype(int),
-    ]
+    return {
+        "year": frame.year_of(ii),
+        "age": frame.age_of(jj),
+        "trend": value,
+        "se": se,
+        "ci_low": value - CI_FACTOR * se,
+        "ci_high": value + CI_FACTOR * se,
+        "boundary": solution.domain.edge()[ii, jj],
+    }
 
 
 def boundary_levels_columns(solution):
@@ -198,44 +202,48 @@ def boundary_levels_columns(solution):
     (empty where not finite), by slot."""
     levels = solution.boundary_levels()
     slots = np.flatnonzero(np.isfinite(levels))
-    se = _finite(solution.boundary_level_se()[slots])
-    return [slots, solution.frame.birth_year(slots), levels[slots], se]
+    return {
+        "slot": slots,
+        "birth_year": solution.frame.birth_year(slots),
+        "level": levels[slots],
+        "se": _finite(solution.boundary_level_se()[slots]),
+    }
 
 
 def clusters_columns(report):
     half = CI_FACTOR * report.se
-    return [
-        report.year_start,
-        report.year_end,
-        report.age_start,
-        report.age_end,
-        report.mean,
-        report.se,
-        report.mean - half,
-        report.mean + half,
-        report.n_cells,
-    ]
+    return {
+        "year_start": report.year_start,
+        "year_end": report.year_end,
+        "age_start": report.age_start,
+        "age_end": report.age_end,
+        "mean": report.mean,
+        "se": report.se,
+        "ci_low": report.mean - half,
+        "ci_high": report.mean + half,
+        "n_cells": report.n_cells,
+    }
 
 
 def cluster_tests_columns(report):
     """Each comparison's blocks, direction and test (empty where degenerate)."""
     here, there = report.comparisons.T
-    return [
-        report.year_start[here],
-        report.age_start[here],
-        report.direction,
-        report.year_start[there],
-        report.age_start[there],
-        report.f_value,
-        report.prob,
-        report.degenerate.astype(int),
-    ]
+    return {
+        "year_start": report.year_start[here],
+        "age_start": report.age_start[here],
+        "direction": report.direction,
+        "neighbour_year_start": report.year_start[there],
+        "neighbour_age_start": report.age_start[there],
+        "f_value": report.f_value,
+        "prob": report.prob,
+        "degenerate": report.degenerate,
+    }
 
 
 def domain_columns(domain):
     frame = domain.frame
     ii, jj = np.indices(domain.mask.shape).reshape(2, -1)
-    return [frame.year_of(ii), frame.age_of(jj), domain.mask.ravel().astype(int)]
+    return {"year": frame.year_of(ii), "age": frame.age_of(jj), "included": domain.mask.ravel()}
 
 
 def cohort_track_columns(run, levels, trends, trend_se):
@@ -253,24 +261,25 @@ def cohort_track_columns(run, levels, trends, trend_se):
     half = _finite(CI_FACTOR * np.sqrt(solution.sigma2 / weight))
     trend = _finite(trends[ii, jj])
     tse = _finite(trend_se[ii, jj])
-    return [
-        np.full(ii.size, frame.birth_year(run.track_slot)),
-        frame.year_of(ii),
-        frame.age_of(jj),
-        data,
-        data - half,
-        data + half,
-        _finite(levels[ii, jj]),
-        trend,
-        trend - CI_FACTOR * tse,
-        trend + CI_FACTOR * tse,
-    ]
+    return {
+        "birth_year": np.full(ii.size, frame.birth_year(run.track_slot)),
+        "year": frame.year_of(ii),
+        "age": frame.age_of(jj),
+        "data_mean": data,
+        "data_lo": data - half,
+        "data_hi": data + half,
+        "level": _finite(levels[ii, jj]),
+        "trend": trend,
+        "trend_lo": trend - CI_FACTOR * tse,
+        "trend_hi": trend + CI_FACTOR * tse,
+    }
 
 
-# --- SVG renderers from table columns ------------------------------------------
+# --- SVG renderers from tables -------------------------------------------------
 #
-# Each renderer takes its tables as lists of columns: numeric ones as float
-# or integer arrays (NaN for an empty cell), text ones as lists.
+# Each renderer takes its tables as ``{column name: column}`` and reads the
+# columns by name: numeric ones as float or integer arrays (NaN for an empty
+# cell), text ones as lists.
 
 def _labels(column):
     """Sorted distinct whole-number labels of a year or age column, and each
@@ -281,23 +290,23 @@ def _labels(column):
     return np.unique(values.astype(int), return_inverse=True)
 
 
-def _grid(columns, year_col, age_col, value_col):
-    """Year x age grid of one column (NaN where no row or an empty cell), the
-    sorted year and age labels, and each row's year and age index."""
-    years, yi = _labels(columns[year_col])
-    ages, ai = _labels(columns[age_col])
+def _grid(table, value, year="year", age="age"):
+    """Year x age grid of the ``value`` column (NaN where no row or an empty
+    cell), the sorted year and age labels, and each row's year and age index."""
+    years, yi = _labels(table[year])
+    ages, ai = _labels(table[age])
     grid = np.full((years.size, ages.size), np.nan)
-    grid[yi, ai] = np.asarray(columns[value_col], dtype=float)
+    grid[yi, ai] = np.asarray(table[value], dtype=float)
     return grid, years.tolist(), ages.tolist(), yi, ai
 
 
-def _floats(columns, *indices):
-    """The given columns as lists of floats, for row-wise iteration."""
-    return [np.asarray(columns[k], dtype=float).tolist() for k in indices]
+def _floats(table, *names):
+    """The named columns as lists of floats, for row-wise iteration."""
+    return [np.asarray(table[name], dtype=float).tolist() for name in names]
 
 
-def svg_from_observed(columns, digest=None):
-    grid, years, ages, _, _ = _grid(columns, 0, 1, 2)
+def svg_from_observed(table, digest=None):
+    grid, years, ages, _, _ = _grid(table, "value")
     return plots.svg_heatmap(
         grid, years, ages,
         "Observed cell means (cohort shading)",
@@ -307,16 +316,16 @@ def svg_from_observed(columns, digest=None):
     )
 
 
-def svg_from_levels(columns, digest=None):
-    grid, years, ages, _, _ = _grid(columns, 0, 1, 2)
+def svg_from_levels(table, digest=None):
+    grid, years, ages, _, _ = _grid(table, "level")
     return plots.svg_heatmap(
         grid, years, ages, "Estimated mean levels", "level", manifest=digest
     )
 
 
-def svg_from_trends(columns, digest=None):
-    grid, years, ages, yi, ai = _grid(columns, 0, 1, 2)
-    edge = np.asarray(columns[6], dtype=float) == 1
+def svg_from_trends(table, digest=None):
+    grid, years, ages, yi, ai = _grid(table, "trend")
+    edge = np.asarray(table["boundary"], dtype=float) == 1
     marks = list(zip(yi[edge].tolist(), ai[edge].tolist()))
     return plots.svg_heatmap(
         grid, years, ages,
@@ -327,33 +336,32 @@ def svg_from_trends(columns, digest=None):
     )
 
 
-def _cluster_panel(columns, ylabel):
+def _cluster_panel(table, ylabel):
     """Cluster mean trends with 95% intervals, one series per year block,
-    from the columns of ``clusters.csv``."""
+    from the table of ``clusters.csv``."""
     groups = {}
-    for y0, y1, a0, a1, mean, lo, hi in zip(*_floats(columns, 0, 1, 2, 3, 4, 6, 7)):
+    names = "year_start", "year_end", "age_start", "age_end", "mean", "ci_low", "ci_high"
+    for y0, y1, a0, a1, mean, lo, hi in zip(*_floats(table, *names)):
         groups.setdefault(f"{int(y0)}-{int(y1)}", []).append((0.5 * (a0 + a1), mean, lo, hi))
-    series = [
-        {"label": label, "points": pts} for label, pts in sorted(groups.items())
-    ]
+    series = [{"label": label, "points": pts} for label, pts in sorted(groups.items())]
     return {"ylabel": ylabel, "xlabel": "age (cluster midpoint)", "series": series}
 
 
-def svg_from_clusters(columns, digest=None):
+def svg_from_clusters(table, digest=None):
     return plots.svg_series_panels(
-        [_cluster_panel(columns, "mean trend, units/yr")],
+        [_cluster_panel(table, "mean trend, units/yr")],
         "Cluster mean trends with 95% intervals",
         manifest=digest,
     )
 
 
-def svg_from_cluster_chart(cluster_columns, test_columns, digest=None):
-    grid, years, ages, _, _ = _grid(cluster_columns, 0, 2, 4)
+def svg_from_cluster_chart(clusters, tests, digest=None):
+    grid, years, ages, _, _ = _grid(clusters, "mean", "year_start", "age_start")
     yi = {y: k for k, y in enumerate(years)}
     ai = {a: k for k, a in enumerate(ages)}
     marks = [
         (yi[int(year)], ai[int(age)])
-        for year, age, prob in zip(*_floats(test_columns, 0, 1, 6))
+        for year, age, prob in zip(*_floats(tests, "year_start", "age_start", "prob"))
         if prob < 0.05
     ]
     return plots.svg_heatmap(
@@ -365,10 +373,10 @@ def svg_from_cluster_chart(cluster_columns, test_columns, digest=None):
     )
 
 
-def svg_from_cohort_track(columns, digest=None):
-    birth = int(columns[0][0]) if len(columns[0]) else "?"
+def svg_from_cohort_track(table, digest=None):
+    birth = int(table["birth_year"][0]) if len(table["birth_year"]) else "?"
     age, data, data_lo, data_hi, level, trend, trend_lo, trend_hi = _floats(
-        columns, 2, 3, 4, 5, 6, 7, 8, 9
+        table, "age", "data_mean", "data_lo", "data_hi", "level", "trend", "trend_lo", "trend_hi"
     )
     level_panel = {
         "ylabel": "level",
@@ -400,28 +408,6 @@ def svg_from_cohort_track(columns, digest=None):
         f"Cohort born {birth}: data, levels, trend",
         manifest=digest,
     )
-
-
-TABLE_HEADERS = {
-    "observed.csv": ["year", "age", "value", "count"],
-    "levels.csv": ["year", "age", "level"],
-    "trends.csv": ["year", "age", "trend", "se", "ci_low", "ci_high", "boundary"],
-    "boundary_levels.csv": ["slot", "birth_year", "level", "se"],
-    "clusters.csv": [
-        "year_start", "year_end", "age_start", "age_end",
-        "mean", "se", "ci_low", "ci_high", "n_cells",
-    ],
-    "cluster_tests.csv": [
-        "year_start", "age_start", "direction",
-        "neighbour_year_start", "neighbour_age_start", "f_value", "prob", "degenerate",
-    ],
-    "trace.csv": [f.name for f in fields(TraceRecord)],
-    "domain.csv": ["year", "age", "included"],
-    "cohort_track.csv": [
-        "birth_year", "year", "age", "data_mean", "data_lo", "data_hi",
-        "level", "trend", "trend_lo", "trend_hi",
-    ],
-}
 
 
 def write_fit_bundle(outdir: str, run, manifest: dict) -> list:
@@ -478,21 +464,21 @@ class BundleWriter:
         solution = run.solution
         frame = solution.frame
         levels, trends, trend_se = solution.level_grid(), solution.trend_grid(), solution.trend_se_grid()
-        columns = {
+        tables = {
             "levels.csv": levels_columns(frame, levels),
             "trends.csv": trends_columns(solution, trends, trend_se),
             "boundary_levels.csv": boundary_levels_columns(solution),
             "clusters.csv": clusters_columns(run.clusters),
             "cluster_tests.csv": cluster_tests_columns(run.clusters),
-            "trace.csv": [[getattr(r, f.name) for r in run.trace] for f in fields(TraceRecord)],
+            "trace.csv": {f.name: [getattr(r, f.name) for r in run.trace] for f in fields(TraceRecord)},
             "cohort_track.csv": cohort_track_columns(run, levels, trends, trend_se),
         }
         texts = {name: head + digest + tail for name, (head, tail) in self._shared.items()}
-        for name, table_columns in columns.items():
-            texts[name] = _table_text(TABLE_HEADERS[name], table_columns, digest)[0]
+        texts.update((name, _table_text(table, digest)) for name, table in tables.items())
         texts["manifest.json"] = _json_text(manifest)
-        texts.update(render_svg_texts(columns, digest))
-        return [(name, texts[name]) for name in BUNDLE_FILES if name in texts]
+        texts.update(render_svg_texts(tables, digest))
+        order = (*TABLES, "manifest.json", "ingest_report.json", *FIGURES)
+        return sorted(texts.items(), key=lambda item: order.index(item[0]))  # unlisted: ValueError
 
 
 def _json_text(payload: dict) -> str:
@@ -506,7 +492,7 @@ def _shared_texts(run) -> dict:
         "observed.csv": observed_columns(run.cells, run.solution.frame),
         "domain.csv": domain_columns(run.solution.domain),
     }
-    texts = {name: _table_text(TABLE_HEADERS[name], columns, _SLOT)[0] for name, columns in tables.items()}
+    texts = {name: _table_text(table, _SLOT) for name, table in tables.items()}
     texts.update(render_svg_texts(tables, _SLOT))  # observed.svg: domain.csv draws none
     shared = {name: _around_slot(text, "manifest: ") for name, text in texts.items()}
     stamped = _json_text(dict(run.ingest_report, manifest=_SLOT))
@@ -518,6 +504,14 @@ def _around_slot(text: str, before: str) -> tuple:
     """``text`` cut at the digest slot that follows the first ``before``."""
     head, _, tail = text.partition(before + _SLOT)
     return head + before, tail
+
+
+# A bundle's tables in write order; the manifest, the ingest report and the
+# figures follow them.
+TABLES = (
+    "observed.csv", "levels.csv", "trends.csv", "boundary_levels.csv", "clusters.csv",
+    "cluster_tests.csv", "trace.csv", "domain.csv", "cohort_track.csv",
+)
 
 
 # Each figure with its renderer and the tables it is drawn from.  A figure is
@@ -532,18 +526,13 @@ FIGURES = {
 }
 
 
-# A bundle's files in write order: the tables, the manifest and the ingest
-# report, then the figures.
-BUNDLE_FILES = (*TABLE_HEADERS, "manifest.json", "ingest_report.json", *FIGURES)
-
-
 def render_svg_texts(tables: dict, digest: str | None = None) -> dict:
-    """Build every SVG from tables given as ``{name: columns}``; a figure
+    """Build every SVG from tables given as ``{file name: table}``; a figure
     whose tables are absent, or whose first table has no rows, is skipped."""
     out = {}
     for name, (render, sources) in FIGURES.items():
         found = [tables.get(source) for source in sources]
-        if all(t is not None for t in found) and len(found[0][0]):
+        if all(t is not None for t in found) and len(next(iter(found[0].values()))):
             out[name] = render(*found, digest)
     return out
 
@@ -571,43 +560,33 @@ def render_bundle_svgs(outdir: str) -> list:
 
 def comparison_entry(pair, run) -> tuple:
     """What the comparison sheet keeps of one fitted reference pair: its
-    summary row and its cluster panel."""
+    summary row as ``{column name: value}`` and its cluster panel."""
     level_target, trend_target = pair
     best = run.iteration.best
-    row = (
-        level_target,
-        trend_target,
-        1 if run.iteration.converged else 0,
-        len(run.trace),
-        run.solution.trend_weight,
-        run.solution.level_weight,
-        run.solution.r2,
-        best.trend_smoothness,
-        best.level_smoothness,
-    )
+    row = {
+        "level_target": level_target,
+        "trend_target": trend_target,
+        "converged": run.iteration.converged,
+        "iterations": len(run.trace),
+        "trend_weight": run.solution.trend_weight,
+        "level_weight": run.solution.level_weight,
+        "r2": run.solution.r2,
+        "trend_smoothness": best.trend_smoothness,
+        "level_smoothness": best.level_smoothness,
+    }
     panel = _cluster_panel(clusters_columns(run.clusters), f"R({level_target}, {trend_target}) trend")
     return row, panel
 
 
 def write_comparison_entries(outdir: str, entries, digest: str | None = None) -> list:
-    """Batch summary from :func:`comparison_entry` results, one row and one
-    panel each, in the order given."""
-    header = [
-        "level_target", "trend_target", "converged", "iterations",
-        "trend_weight", "level_weight", "r2", "trend_smoothness", "level_smoothness",
-    ]
-    paths = []
-    csv_path = os.path.join(outdir, "comparison.csv")
-    atomic_write_text(csv_path, csv_text(header, [row for row, _ in entries], digest))
-    paths.append(csv_path)
-    svg_path = os.path.join(outdir, "comparison.svg")
-    atomic_write_text(
-        svg_path,
-        plots.svg_series_panels(
-            [panel for _, panel in entries], "Reference-pair comparison", manifest=digest
-        ),
-    )
-    paths.append(svg_path)
+    """Batch summary from one or more :func:`comparison_entry` results, one
+    row and one panel each, in the order given."""
+    rows, panels = zip(*entries)
+    table = {name: [row[name] for row in rows] for name in rows[0]}
+    paths = [os.path.join(outdir, name) for name in ("comparison.csv", "comparison.svg")]
+    atomic_write_text(paths[0], _table_text(table, digest))
+    svg = plots.svg_series_panels(panels, "Reference-pair comparison", manifest=digest)
+    atomic_write_text(paths[1], svg)
     return paths
 
 

@@ -178,7 +178,9 @@ class BandedCovariance:
 
     A column-major (Fortran-order) ``band`` is factored in place, so it
     becomes the factor; any other layout is copied first.  Raises
-    ``LinAlgError`` when the matrix is not positive definite.
+    ``LinAlgError`` when the matrix is not positive definite, or when the
+    factor is so near singular that the selected inverse overflows to a
+    non-finite entry.
     """
 
     def __init__(self, band: np.ndarray):
@@ -188,7 +190,10 @@ class BandedCovariance:
             raise LinAlgError(f"{info}-th leading minor not positive definite")
         self.bandwidth = band.shape[0] - 1
         self.shape = (band.shape[1],) * 2
-        self.inverse_band = _selected_inverse(self.chol)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            self.inverse_band = _selected_inverse(self.chol)
+        if not np.isfinite(self.inverse_band).all():
+            raise LinAlgError("the selected inverse of the factor is not finite")
 
     def diagonal(self) -> np.ndarray:
         return self.inverse_band[0].copy()
@@ -547,30 +552,39 @@ def _inverse_one_norm(inverse: BandedCovariance) -> float:
     scheme (Higham 1988): at most five pairs of banded solves plus one
     with an alternating test vector.  ``N`` is symmetric, so the
     transposed solves are plain ones.  The result is a lower bound, and
-    often the exact value.
+    often the exact value.  It is infinite where a solve has a non-finite
+    entry, which the comparisons below would drop.
     """
     p = inverse.shape[0]
-    y = inverse @ np.full(p, 1.0 / p)
+    finite = []  # per solve: whether every entry is finite
+
+    def solved(x):
+        y = inverse @ x
+        finite.append(np.isfinite(y).all())
+        return y
+
+    y = solved(np.full(p, 1.0 / p))
     if p == 1:
-        return abs(float(y[0]))
+        return abs(float(y[0]))  # a non-finite value passes through
     estimate = float(np.abs(y).sum())
     signs = np.where(y >= 0, 1.0, -1.0)
-    z = inverse @ signs
+    z = solved(signs)
     j = int(np.argmax(np.abs(z)))
     for _ in range(4):
-        y = inverse @ np.eye(1, p, j).ravel()
+        y = solved(np.eye(1, p, j).ravel())
         previous, estimate = estimate, float(np.abs(y).sum())
         new_signs = np.where(y >= 0, 1.0, -1.0)
         if np.array_equal(new_signs, signs) or estimate <= previous:
             estimate = max(estimate, previous)
             break
         signs = new_signs
-        z = inverse @ signs
+        z = solved(signs)
         last, j = j, int(np.argmax(np.abs(z)))
         if z[last] == abs(z[j]):
             break
     alternating = (-1.0) ** np.arange(p) * (1.0 + np.arange(p) / (p - 1))
-    return max(estimate, 2.0 * float(np.abs(inverse @ alternating).sum()) / (3.0 * p))
+    estimate = max(estimate, 2.0 * float(np.abs(solved(alternating)).sum()) / (3.0 * p))
+    return estimate if all(finite) else math.inf
 
 
 def _estimated_condition(bands, weights, inverse: BandedCovariance) -> float:

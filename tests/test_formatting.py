@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ctrend.plots import _cohort_color, _viridis, svg_heatmap
-from ctrend.report import _table_text, csv_text
+from ctrend.report import _table_text
 
 
 def cell_text(value) -> str:
     """Reference: the text of one cell, formatted on its own."""
     if value is None:
         return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
     if isinstance(value, float):  # includes numpy scalars; normalize first
         value = float(value)
         if math.isnan(value):
@@ -87,17 +89,19 @@ def array_columns(draw):
 def test_csv_text_matches_cell_by_cell(columns, digest):
     header = [f"c{k}" for k in range(len(columns))]
     rows = list(zip(*columns))
-    assert csv_text(header, rows, digest) == reference_csv(header, rows, digest)
+    assert _table_text(dict(zip(header, columns)), digest) == reference_csv(header, rows, digest)
 
 
 @settings(max_examples=200, deadline=None)
 @given(array_columns())
 def test_array_columns_match_cell_by_cell(columns):
     header = ["f", "i", "flag", "bool", "f32"]
-    text, rows = _table_text(header, columns, "d")
+    text = _table_text(dict(zip(header, columns)), "d")
     reference_rows = list(zip(*columns))
     assert text == reference_csv(header, reference_rows, "d")
-    assert rows == [tuple(cell_text(v) for v in row) for row in reference_rows]
+    # the cells, row by row, under the digest line and the header
+    cells = [tuple(cell_text(v) for v in row) for row in reference_rows]
+    assert text.splitlines()[2:] == [",".join(row) for row in cells]
 
 
 VIRIDIS = [

@@ -212,7 +212,8 @@ class TestClusterCompare:
     def test_ci_half_width(self):
         sol = strip_solution([0.5, 0.1], np.diag([0.04, 0.01]))
         report = cluster_compare(sol, age_window=1, year_window=1)
-        mean, se, ci_low, ci_high = clusters_columns(report)[4:8]
+        table = clusters_columns(report)
+        mean, se, ci_low, ci_high = (table[name] for name in ("mean", "se", "ci_low", "ci_high"))
         assert se[0] == pytest.approx(0.2)
         assert ci_high[0] - mean[0] == pytest.approx(1.96 * 0.2)
         assert mean[0] - ci_low[0] == pytest.approx(1.96 * 0.2)

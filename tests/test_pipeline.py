@@ -50,7 +50,8 @@ def reported_smoothness(run) -> tuple:
     corr = adjacent_correlations(run.solution)
     assert reported == (best.trend_smoothness, best.level_smoothness)
     assert reported == (corr.trend_smoothness, corr.level_smoothness)
-    assert comparison_entry((0.0, 0.0), run)[0][-2:] == reported
+    row, _ = comparison_entry((0.0, 0.0), run)
+    assert (row["trend_smoothness"], row["level_smoothness"]) == reported
     return reported
 
 

@@ -1,8 +1,10 @@
 """Output tables, SVG emission, manifest digests, atomic writes."""
 
+import csv
 import json
 import math
 import os
+import shutil
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 
@@ -14,11 +16,9 @@ from ctrend.ingest import ingest_file, ingest_records
 from ctrend.iterate import TraceRecord
 from ctrend.pipeline import FitOptions, build_manifest, run_fit
 from ctrend.report import (
-    TABLE_HEADERS,
     _table_text,
     atomic_write_text,
     cluster_tests_columns,
-    csv_text,
     manifest_digest,
     read_columns,
     read_table,
@@ -46,9 +46,15 @@ def small_run(tmp_path_factory):
     return run, manifest, outdir, written
 
 
+def table_rows(path):
+    """The rows of one of our CSVs, each as ``{column name: cell text}``."""
+    header, rows = read_table(path)
+    return [dict(zip(header, row, strict=True)) for row in rows]
+
+
 class TestCsvRoundtrip:
     def test_nan_and_none_become_empty(self, tmp_path):
-        text = csv_text(["a", "b"], [(1.5, None), (float("nan"), "x")])
+        text = _table_text({"a": [1.5, float("nan")], "b": [None, "x"]})
         path = tmp_path / "t.csv"
         path.write_text(text)
         header, rows = read_table(str(path))
@@ -56,7 +62,7 @@ class TestCsvRoundtrip:
         assert rows == [["1.5", ""], ["", "x"]]
 
     def test_digest_comment(self, tmp_path):
-        text = csv_text(["a"], [(1,)], digest="abc123")
+        text = _table_text({"a": [1]}, digest="abc123")
         assert text.startswith("# manifest: abc123\n")
         path = tmp_path / "t.csv"
         path.write_text(text)
@@ -67,13 +73,16 @@ class TestCsvRoundtrip:
         """What the figures of ``ctrend report`` are drawn from: numbers as
         floats with NaN for an empty cell, a text column as its texts."""
         path = tmp_path / "t.csv"
-        path.write_text(csv_text(["a", "b", "c"], [(0.1, None, "age"), (math.nan, 3, "period")], "d"))
-        a, b, c = read_columns(str(path))
-        np.testing.assert_array_equal(a, [0.1, math.nan])
-        np.testing.assert_array_equal(b, [math.nan, 3.0])
-        assert c == ["age", "period"]
-        path.write_text(csv_text(["a", "b"], [], "d"))
-        assert [column.size for column in read_columns(str(path))] == [0, 0]
+        path.write_text(_table_text({"a": [0.1, math.nan], "b": [None, 3], "c": ["age", "period"]}, "d"))
+        table = read_columns(str(path))
+        assert list(table) == ["a", "b", "c"]
+        np.testing.assert_array_equal(table["a"], [0.1, math.nan])
+        np.testing.assert_array_equal(table["b"], [math.nan, 3.0])
+        assert table["c"] == ["age", "period"]
+        path.write_text(_table_text({"a": [], "b": []}, "d"))
+        table = read_columns(str(path))
+        assert list(table) == ["a", "b"]
+        assert [column.size for column in table.values()] == [0, 0]
 
     def test_atomic_write_replaces(self, tmp_path):
         path = tmp_path / "f.txt"
@@ -100,12 +109,15 @@ class TestClusterTestsTable:
         # a positive definite covariance at sigma^2 > 0 leaves no test degenerate
         report.f_value[0] = report.prob[0] = math.nan
         report.degenerate[0] = True
-        header = TABLE_HEADERS["cluster_tests.csv"]
+        columns = cluster_tests_columns(report)
         path = tmp_path / "cluster_tests.csv"
-        path.write_text(_table_text(header, cluster_tests_columns(report))[0])
+        path.write_text(_table_text(columns))
         read_header, rows = read_table(str(path))
-        assert read_header == header
-        table = [dict(zip(header, row)) for row in rows]
+        assert read_header == list(columns) == [
+            "year_start", "age_start", "direction", "neighbour_year_start",
+            "neighbour_age_start", "f_value", "prob", "degenerate",
+        ]
+        table = [dict(zip(read_header, row)) for row in rows]
         assert len(table) == 2
         assert [row["degenerate"] for row in table] == ["1", "0"]
         assert (table[0]["f_value"], table[0]["prob"]) == ("", "")
@@ -156,9 +168,9 @@ class TestBundle:
     def test_grid_csvs_use_absolute_labels(self, small_run):
         run, _, outdir, _ = small_run
         frame = run.solution.frame
-        header, rows = read_table(os.path.join(outdir, "trends.csv"))
-        years = {int(r[0]) for r in rows}
-        ages = {int(r[1]) for r in rows}
+        rows = table_rows(os.path.join(outdir, "trends.csv"))
+        years = {int(r["year"]) for r in rows}
+        ages = {int(r["age"]) for r in rows}
         assert min(years) >= frame.year_base >= 1900
         assert min(ages) >= frame.age_base >= 1
         # relative indices (tiny integers) must not leak
@@ -167,26 +179,26 @@ class TestBundle:
     def test_levels_grid_extends_one_step(self, small_run):
         run, _, outdir, _ = small_run
         frame = run.solution.frame
-        header, rows = read_table(os.path.join(outdir, "levels.csv"))
-        years = {int(r[0]) for r in rows}
-        ages = {int(r[1]) for r in rows}
+        rows = table_rows(os.path.join(outdir, "levels.csv"))
+        years = {int(r["year"]) for r in rows}
+        ages = {int(r["age"]) for r in rows}
         assert max(years) == frame.year_of(frame.year_cells)
         assert max(ages) == frame.age_of(frame.age_cells)
 
     def test_trends_boundary_flag(self, small_run):
         run, _, outdir, _ = small_run
-        header, rows = read_table(os.path.join(outdir, "trends.csv"))
-        flags = {r[6] for r in rows}
+        rows = table_rows(os.path.join(outdir, "trends.csv"))
+        flags = {r["boundary"] for r in rows}
         assert flags <= {"0", "1"}
         assert "1" in flags
 
     def test_cohort_track_consistency(self, small_run):
         run, _, outdir, _ = small_run
-        header, rows = read_table(os.path.join(outdir, "cohort_track.csv"))
-        births = {r[0] for r in rows}
+        rows = table_rows(os.path.join(outdir, "cohort_track.csv"))
+        births = {r["birth_year"] for r in rows}
         assert len(births) == 1
         for r in rows:
-            assert int(r[1]) - int(r[2]) == int(r[0])  # year - age == birth year
+            assert int(r["year"]) - int(r["age"]) == int(r["birth_year"])
 
     @pytest.mark.parametrize("weight_by_count", [False, True])
     def test_cohort_track_data_interval_is_cell_mean_interval(self, tmp_path, weight_by_count):
@@ -197,16 +209,17 @@ class TestBundle:
         run = run_fit(result, FitOptions(cell_min_count=0, weight_by_count=weight_by_count,
                                          age_window=3, year_window=3))
         write_fit_bundle(str(tmp_path), run, build_manifest(run, ["synthetic"]))
-        _, observed = read_table(os.path.join(tmp_path, "observed.csv"))
-        count = {(r[0], r[1]): int(r[3]) for r in observed}
-        _, rows = read_table(os.path.join(tmp_path, "cohort_track.csv"))
+        observed = table_rows(os.path.join(tmp_path, "observed.csv"))
+        count = {(r["year"], r["age"]): int(r["count"]) for r in observed}
+        rows = table_rows(os.path.join(tmp_path, "cohort_track.csv"))
         checked = 0
         for r in rows:
-            if r[3]:
-                weight = count[r[1], r[2]] if weight_by_count else 1
+            if r["data_mean"]:
+                weight = count[r["year"], r["age"]] if weight_by_count else 1
                 half = 1.96 * math.sqrt(run.solution.sigma2 / weight)
-                assert float(r[5]) - float(r[3]) == pytest.approx(half, rel=1e-12)
-                assert float(r[3]) - float(r[4]) == pytest.approx(half, rel=1e-12)
+                mean = float(r["data_mean"])
+                assert float(r["data_hi"]) - mean == pytest.approx(half, rel=1e-12)
+                assert mean - float(r["data_lo"]) == pytest.approx(half, rel=1e-12)
                 checked += 1
         assert checked and all(n > 1 for n in count.values())
 
@@ -220,6 +233,27 @@ class TestBundle:
         render_bundle_svgs(str(outdir))
         for name, body in before.items():
             assert open(os.path.join(outdir, name)).read() == body
+
+    def test_figures_read_their_columns_by_name(self, small_run, tmp_path):
+        """``trends.csv`` and ``clusters.csv`` rewritten with their columns
+        in reverse order draw the same figures: each renderer reads its
+        columns by name, not by position."""
+        _, _, outdir, _ = small_run
+        shuffled = tmp_path / "shuffled"
+        shutil.copytree(outdir, shuffled)
+        for name in ("trends.csv", "clusters.csv"):
+            path = shuffled / name
+            with open(path, newline="") as fh:
+                comment, *records = fh.readlines()
+            rows = list(csv.reader(records))
+            assert len(rows) > 1 and len(rows[0]) > 1
+            with open(path, "w", newline="") as fh:
+                fh.write(comment)
+                csv.writer(fh, lineterminator="\n").writerows(row[::-1] for row in rows)
+            assert read_table(str(path))[0] == read_table(str(outdir / name))[0][::-1]
+        render_bundle_svgs(str(shuffled))
+        for name in ("trends.svg", "cluster_ci.svg", "cluster_chart.svg"):
+            assert (shuffled / name).read_bytes() == (outdir / name).read_bytes(), name
 
     def test_manifest_content(self, small_run):
         run, manifest, outdir, _ = small_run
@@ -272,8 +306,9 @@ class TestBundle:
                 else:
                     assert cell == str(value), name  # the iteration and the note
         # no r2 is an empty cell and a bool its digit, as the converged column writes them
-        assert _table_text(["r2", "converged"], [[None, 0.5], [True, False]])[1] == [
-            ("", "1"), ("0.5", "0")]
+        assert _table_text({"r2": [None, 0.5], "converged": [True, False]}) == "r2,converged\n,1\n0.5,0\n"
+        # and so does a numpy bool, in a list or an array
+        assert _table_text({"a": [np.True_, np.False_], "b": np.array([True, False])}) == "a,b\n1,1\n0,0\n"
 
 
 class TestBundleWriter:

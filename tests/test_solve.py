@@ -4,6 +4,7 @@ import ctypes
 import dataclasses
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,27 @@ class TestSolve:
         system = DesignSystem.build(cells, domain)
         with pytest.raises(SingularSystemError, match="straight line"):
             solve(system, 1.0, 1.0)
+
+    def test_numerically_singular_system_raises_without_a_warning(self):
+        """With the data rows of boundary slot 3 taken out of G0, only the
+        level penalty identifies the slot; at a subnormal level weight the
+        selected inverse overflows.  The solve refuses the system, with no
+        numpy warning, instead of reporting a small condition number that
+        the estimate's comparisons made from NaN."""
+        scenario = linear_trend_scenario(seed=1, noise_sd=1.0)
+        res = ingest_records(simulate(scenario), frame=scenario.frame, cell_min_count=0)
+        domain = build_domain(res.cells, scenario.frame)
+        system = DesignSystem.build(res.cells, domain)
+        bands = system.bands.copy()
+        k = domain.full_to_compact()[3]
+        for d in range(system.bandwidth + 1):
+            bands[0, d, k] = 0.0  # G0 at (k + d, k): column k
+            if d <= k:
+                bands[0, d, k - d] = 0.0  # G0 at (k, k - d): row k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError, match="not finite"):
+                solve(dataclasses.replace(system, bands=bands), 1.0, 2.2250738585e-313)
 
 
 def four_point_system(offsets):
