@@ -44,7 +44,6 @@ from .simulate import (
     write_records,
 )
 from .solve import LapackUnavailableError, SingularSystemError, one_blas_thread, require_lapack
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -225,7 +224,7 @@ def cmd_fit(args) -> int:
         kept = batch_fit(ingest_result, options, sorted(bundles), each=write)
         digests, converged, entries = zip(*kept.values())
         if args.pair:
-            written += write_comparison_entries(outdir, entries, manifest_digest({"runs": list(digests)}))
+            write_comparison_entries(outdir, entries, manifest_digest({"runs": list(digests)}), written)
         return EXIT_OK if all(converged) else EXIT_NO_CONVERGENCE
     except SingularSystemError as err:
         _cleanup(written, made)
@@ -308,6 +307,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verification  # only this command loads the suite and the dense oracle
+
     passed = run_verification(negative_control=args.negative_control)
     return EXIT_OK if passed else 1
 

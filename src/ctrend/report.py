@@ -578,19 +578,24 @@ def comparison_entry(pair, run) -> tuple:
     return row, panel
 
 
-def write_comparison_entries(outdir: str, entries, digest: str | None = None) -> list:
+def write_comparison_entries(outdir: str, entries, digest: str | None, written: list) -> list:
     """Batch summary from one or more :func:`comparison_entry` results, one
-    row and one panel each, in the order given."""
+    row and one panel each, in the order given.  Each path joins ``written``
+    as soon as its file is, so that a caller's rollback finds the table when
+    the figure fails; returns ``written``."""
     rows, panels = zip(*entries)
     table = {name: [row[name] for row in rows] for name in rows[0]}
-    paths = [os.path.join(outdir, name) for name in ("comparison.csv", "comparison.svg")]
-    atomic_write_text(paths[0], _table_text(table, digest))
-    svg = plots.svg_series_panels(panels, "Reference-pair comparison", manifest=digest)
-    atomic_write_text(paths[1], svg)
-    return paths
+    for name, text in (
+        ("comparison.csv", _table_text(table, digest)),
+        ("comparison.svg", plots.svg_series_panels(panels, "Reference-pair comparison", manifest=digest)),
+    ):
+        path = os.path.join(outdir, name)
+        atomic_write_text(path, text)
+        written.append(path)
+    return written
 
 
 def write_comparison_sheet(outdir: str, runs: dict, digest: str | None = None) -> list:
     """Batch summary: one row per reference pair plus a panel figure."""
     entries = [comparison_entry(pair, runs[pair]) for pair in sorted(runs)]
-    return write_comparison_entries(outdir, entries, digest)
+    return write_comparison_entries(outdir, entries, digest, [])

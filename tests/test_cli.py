@@ -512,13 +512,15 @@ class TestFit:
         assert len(files) == 2 + 3 * 17  # the comparison sheet and three bundles
 
     @pytest.mark.parametrize("existing", [False, True])
-    @pytest.mark.parametrize("stage", ["fit", "write"])
+    @pytest.mark.parametrize("stage", ["fit", "write", "sheet"])
     def test_failed_pair_leaves_nothing_behind(self, data_file, tmp_path, monkeypatch, stage, existing):
         # the second of three pairs fails after the first pair's bundle is written:
-        # in its weight loop, or at the fourth file of its bundle
+        # in its weight loop, or at the fourth file of its bundle; or the comparison
+        # figure fails after every bundle and the comparison table are written
         code_expected, module, name, error, fail_at = {
             "fit": (EXIT_SINGULAR, pipeline, "run", SingularSystemError, 2),
             "write": (EXIT_INPUT, report, "atomic_write_text", OSError, 17 + 4),
+            "sheet": (EXIT_INPUT, report, "atomic_write_text", OSError, 3 * 17 + 2),
         }[stage]
         real = getattr(module, name)
         calls = []
@@ -651,38 +653,81 @@ def test_no_lapack_exits_before_any_work(command, data_file, tmp_path, capsys, n
     assert not out.exists()
 
 
+def _fresh_python(script, *args):
+    """The last line ``script`` prints, read as JSON, from a fresh python
+    that imports this checkout's ``ctrend``."""
+    source = os.path.dirname(os.path.dirname(ctrend.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *args],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestPackageEntry:
+    """``import ctrend`` gives only ``__version__``, and each name is
+    imported from its own module.  Each check runs in a fresh python,
+    since this one has loaded every module."""
+
+    def test_package_import_loads_no_module(self):
+        loaded = _fresh_python(
+            """
+            import json, sys
+            import ctrend
+            print(json.dumps(sorted(n for n in sys.modules if n.startswith("ctrend.") or n == "numpy")))
+            """
+        )
+        assert loaded == []
+
+    def test_module_names_are_modules(self):
+        # the names README cites; a function of the module's name hid the module
+        found = _fresh_python(
+            """
+            import json
+            import ctrend.simulate as s
+            import ctrend.solve as m
+            cited = [hasattr(m, "one_blas_thread"), hasattr(m, "_LAPACK_SYMBOLS"), hasattr(s, "preset")]
+            print(json.dumps({"modules": [m.__name__, s.__name__], "cited": cited}))
+            """
+        )
+        assert found == {"modules": ["ctrend.solve", "ctrend.simulate"], "cited": [True] * 3}
+
+    def test_cli_loads_no_verification_suite(self):
+        loaded = _fresh_python(
+            """
+            import json, sys
+            import ctrend.cli
+            print(json.dumps(sorted({"ctrend.verify", "ctrend.oracle"} & set(sys.modules))))
+            """
+        )
+        assert loaded == []
+
+
 def test_no_command_loads_scipy(tmp_path):
     """scipy is for the tests only: a process that runs every command
     through ``cli.main`` has no ``scipy`` module loaded at the end, and its
     fit pinned numpy's OpenBLAS pool alone (``null`` where none is found)."""
-    script = textwrap.dedent(
-        """
-        import contextlib, io, json, sys
-        from ctrend import cli
+    script = """
+    import contextlib, io, json, sys
+    from ctrend import cli
 
-        out = sys.argv[1]
-        data = out + "/data.csv"
-        commands = [
-            ["simulate", "--preset", "linear", "--noise", "1.0", "--seed", "5", "--out", data],
-            ["fit", data, "--out", out + "/fit", "--cell-min-count", "0"],
-            ["fit", data, "--out", out + "/pairs", "--cell-min-count", "0",
-             "--pair", "0.7:0.9", "--pair", "0.6:0.85"],
-            ["report", out + "/fit"],
-            ["verify"],
-        ]
-        with contextlib.redirect_stdout(io.StringIO()):
-            codes = [cli.main(argv) for argv in commands]
-        loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-        print(json.dumps({"codes": codes, "scipy": loaded}))
-        """
-    )
-    source = os.path.dirname(os.path.dirname(ctrend.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=300, check=True,
-    )
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    out = sys.argv[1]
+    data = out + "/data.csv"
+    commands = [
+        ["simulate", "--preset", "linear", "--noise", "1.0", "--seed", "5", "--out", data],
+        ["fit", data, "--out", out + "/fit", "--cell-min-count", "0"],
+        ["fit", data, "--out", out + "/pairs", "--cell-min-count", "0",
+         "--pair", "0.7:0.9", "--pair", "0.6:0.85"],
+        ["report", out + "/fit"],
+        ["verify"],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [cli.main(argv) for argv in commands]
+    loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    print(json.dumps({"codes": codes, "scipy": loaded}))
+    """
+    result = _fresh_python(script, str(tmp_path))
     assert result == {"codes": [EXIT_OK] * 5, "scipy": []}
     manifest = json.loads((tmp_path / "fit" / "manifest.json").read_text())
     assert manifest["runtime"]["blas_threads"] in ({"numpy": 1}, None)

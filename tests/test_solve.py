@@ -2,7 +2,6 @@
 
 import ctypes
 import dataclasses
-import importlib
 import math
 import warnings
 
@@ -12,6 +11,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+import ctrend.solve as solve_module
 from ctrend import iterate
 from ctrend.design import DesignSystem, band_one_norm, stack, weighted_sum
 from ctrend.domain import AnalysisDomain, build_domain
@@ -33,8 +33,6 @@ from ctrend.solve import (
 )
 
 from conftest import cell_table, lower_band, make_cell, trend_column
-
-solve_module = importlib.import_module("ctrend.solve")  # the package exports a function of that name
 
 
 def fitted_instance(seed=9, noise=1.5, n_years=5, n_ages=6, w1=0.7, w2=1.3, samples=3):
@@ -319,20 +317,27 @@ def random_design(shape, data, generic=False):
     top = 2 if shape == "tiny" else 7
     ni = 1 if shape == "one row" else data.draw(st.integers(1, top))
     nj = data.draw(st.integers(2, top))  # a frame spans at least two ages
-    frame = ObservationalFrame.from_integer_bounds(0, ni, 0, nj - 1)
     filled = st.integers(0, 9).map(bool) if generic else st.booleans()
     flags = data.draw(st.lists(filled, min_size=ni * nj, max_size=ni * nj))
     mask = np.array(flags).reshape(ni, nj)
     if shape == "one column":
         mask[:, np.arange(nj) != data.draw(st.integers(0, nj - 1))] = False
     assume(mask.any())
+    return design_on(mask, data if generic else None)
+
+
+def design_on(mask, data=None):
+    """The design over the domain of the year-by-age ``mask``, in a frame of
+    its shape, with data on every cell whose cohort path stays inside the
+    domain: a value set by the cell's place, or drawn from ``data``."""
+    ni, nj = mask.shape
+    frame = ObservationalFrame.from_integer_bounds(0, ni, 0, nj - 1)
     ii, jj = np.nonzero(mask)
     slots = frame.year_cells - ii + jj
     domain = AnalysisDomain(frame, mask, int(slots.min()), int(slots.max()))
-    # Data on every cell whose cohort path stays inside the domain.
     cells = cell_table([
         make_cell(frame, i, j, x_mean=float(25 + i - j), offset=0.3)
-        if not generic
+        if data is None
         else make_cell(
             frame, i, j, x_mean=data.draw(st.floats(20.0, 30.0)), offset=data.draw(st.floats(0.05, 0.95))
         )
@@ -340,6 +345,46 @@ def random_design(shape, data, generic=False):
         if all(mask[i - m, j - m] for m in range(1, min(i, j) + 1))
     ])
     return DesignSystem.build(cells, domain)
+
+
+def check_assembled_band(system, weights):
+    """The checks of ``test_assembled_band_matches_stacked_normal`` on one
+    system; returns whether ``solve`` refused it ("singular") or "solved"."""
+    stacked = stack(system, *weights)
+    a = stacked.matrix.toarray()
+    normal = a.T @ (stacked.row_weights[:, None] * a)
+    rhs = a.T @ (stacked.row_weights * stacked.target)
+
+    # No tolerance below the float format's resolution near 0, which a
+    # wholly subnormal normal matrix would otherwise scale it to.
+    def atol(scale):
+        return max(1e-12 * scale, 4 * np.finfo(float).smallest_subnormal)
+
+    p, b = system.param_count, system.bandwidth
+    expected = np.zeros((b + 1, p))
+    for d in range(min(b + 1, p)):
+        expected[d, : p - d] = np.diagonal(normal, -d)
+    b0, b1, b2 = system.bands
+    band = b0 + weights[0] * b1 + weights[1] * b2
+    np.testing.assert_allclose(band, expected, rtol=1e-12, atol=atol(np.abs(expected).max()))
+    summed = weighted_sum(system.bands, weights)
+    np.testing.assert_allclose(summed, expected, rtol=1e-12, atol=atol(np.abs(expected).max()))
+    np.testing.assert_array_equal(summed, band)
+    x = np.linspace(-1.0, 1.0, p)
+    np.testing.assert_allclose(
+        system.normal_product(x, *weights), normal @ x,
+        rtol=1e-12, atol=atol(np.abs(normal).sum(axis=1).max()),
+    )
+
+    try:
+        z = solve(system, *weights).estimate
+    except SingularSystemError:
+        assert np.linalg.cond(normal, 1) > ILL_CONDITION
+        return "singular"
+    residual = np.abs(normal @ z - rhs).max()
+    scale = np.abs(normal).sum(axis=1).max() * np.abs(z).max() + np.abs(rhs).max()
+    assert residual <= 1e-10 * scale
+    return "solved"
 
 
 SHAPES = st.sampled_from(["any", "one row", "one column", "tiny"])
@@ -399,38 +444,15 @@ class TestBandedCovariance:
         bit for bit the hand-written one; the row blocks apply that matrix,
         and ``solve`` on them satisfies that system's normal equations, or
         refuses only an ill-conditioned one."""
-        system = random_design(shape, data, generic=True)
-        stacked = stack(system, *weights)
-        a = stacked.matrix.toarray()
-        normal = a.T @ (stacked.row_weights[:, None] * a)
-        rhs = a.T @ (stacked.row_weights * stacked.target)
+        event(check_assembled_band(random_design(shape, data, generic=True), weights))
 
-        p, b = system.param_count, system.bandwidth
-        expected = np.zeros((b + 1, p))
-        for d in range(min(b + 1, p)):
-            expected[d, : p - d] = np.diagonal(normal, -d)
-        b0, b1, b2 = system.bands
-        band = b0 + weights[0] * b1 + weights[1] * b2
-        np.testing.assert_allclose(band, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
-        summed = weighted_sum(system.bands, weights)
-        np.testing.assert_allclose(summed, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
-        np.testing.assert_array_equal(summed, band)
-        x = np.linspace(-1.0, 1.0, p)
-        np.testing.assert_allclose(
-            system.normal_product(x, *weights), normal @ x,
-            rtol=1e-12, atol=1e-12 * np.abs(normal).sum(axis=1).max(),
-        )
-
-        try:
-            z = solve(system, *weights).estimate
-        except SingularSystemError:
-            event("singular")
-            assert np.linalg.cond(normal, 1) > ILL_CONDITION
-            return
-        event("solved")
-        residual = np.abs(normal @ z - rhs).max()
-        scale = np.abs(normal).sum(axis=1).max() * np.abs(z).max() + np.abs(rhs).max()
-        assert residual <= 1e-10 * scale
+    def test_assembled_band_of_a_subnormal_normal_matrix(self):
+        """A drawn example: a domain with no data cell and weights (0, 5e-324),
+        so every entry of the normal matrix is subnormal, and the tolerances
+        scaled to it would underflow to 0."""
+        system = design_on(np.array([[0, 0], [0, 1], [0, 0], [0, 1]], dtype=bool))
+        assert system.data_matrix.shape[0] == 0
+        assert check_assembled_band(system, (0.0, 5e-324)) == "singular"
 
     @pytest.mark.parametrize("key", [(-1, 0), (0, -1), (np.array([0, -1]), np.array([1, 0]))])
     def test_negative_index_raises(self, key):
